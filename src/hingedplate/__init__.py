@@ -11,7 +11,7 @@ from .fem import (DofField, LoadSpec, Mesh, ReinforcementMask,
                   symmetry_decompose)
 from .solver import (BoxConstraints, PlateOperator, SolverSettings, VISolution,
                      kkt_report, solve_densityweighted, solve_linear,
-                     solve_obstacle, solve_reinforced)
+                     solve_obstacle)
 from .optimize import (ForceClass, GapProfile, ObstacleFamily,
                        ReinforcementFamily, best_obstacle, best_reinforcement,
                        classify_regime, edge_gap_series_scan, gap_profile,

@@ -15,8 +15,8 @@ import numpy as np
 
 from .fem import LoadSpec, Mesh, ReinforcementMask, assemble_load, field_to_csv
 from .optimize import (ForceClass, ObstacleFamily, ReinforcementFamily,
-                       best_obstacle, best_reinforcement, classify_regime,
-                       gap_profile, worst_gap_force)
+                       _cell_density, best_obstacle, best_reinforcement,
+                       classify_regime, gap_profile, worst_gap_force)
 from .params import MaterialParams
 from .series import (ObstacleSpec, ScanWindow, SeriesState, analytic_bound_C,
                      green_value, uniform_load_profile)
@@ -30,7 +30,7 @@ PROBLEMS = ("green-eval", "solve", "vi-solve", "gap-scan",
             "optimize-reinforcement", "optimize-obstacle", "regime")
 
 _TOP_KEYS = {"schema_version", "material", "mesh", "series", "problem",
-             "params", "output_dir", "threads"}
+             "params", "output_dir"}
 _MATERIAL_KEYS = {"sigma", "half_width"}
 _MESH_KEYS = {"nx", "ny"}
 _SERIES_KEYS = {"m_max"}
@@ -55,7 +55,6 @@ def default_config():
         "problem": None,
         "params": {},
         "output_dir": "out",
-        "threads": 1,
     }
 
 
@@ -77,6 +76,10 @@ def merge_config(base, override):
 def validate(config):
     """All invariant violations of a config, without running anything."""
     diags = []
+    try:
+        json.dumps(config, allow_nan=False, default=_json_default)
+    except ValueError:
+        diags.append("config numbers must be finite: JSON has no NaN or Infinity")
     unknown = set(config) - _TOP_KEYS
     if unknown:
         diags.append(f"unknown top-level fields: {sorted(unknown)}")
@@ -151,16 +154,7 @@ def _build_density(spec, half_width):
     if kind == "sin_x":
         return lambda x, y: np.sin(x)
     if kind == "cells":
-        signs = np.asarray(spec["signs"], dtype=float)
-
-        def density(x, y):
-            ky, kx = signs.shape
-            ci = np.clip((np.asarray(x) / np.pi * kx).astype(int), 0, kx - 1)
-            cj = np.clip(((np.asarray(y) + half_width) / (2 * half_width) * ky)
-                         .astype(int), 0, ky - 1)
-            return signs[cj, ci]
-
-        return density
+        return _cell_density(np.asarray(spec["signs"], dtype=float), half_width)
     raise ValidationFailure([f"unknown density kind {kind!r}"])
 
 
@@ -225,9 +219,10 @@ def _build_family(params, half_width):
 # ---------------------------------------------------------------------------
 
 def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
-        fh.write("\n")
+    # encoded in full first, so a payload strict JSON rejects leaves no file
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default,
+                      allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _json_default(obj):
@@ -305,13 +300,8 @@ def _run_gap_scan(config, ctx, outdir):
         level = 2.0 * analytic_bound_C(ctx["params"])  # beyond reach: contact-free
         obstacle = ObstacleSpec.constant_level(level, region="long_edges")
     scan = worst_gap_force(op, obstacle, forces, ctx["params"])
-    report = scan.to_report()
-    best = next(m for m in forces.members(ctx["params"])
-                if m.label == scan.argopt_label)
-    rhs = assemble_load(ctx["mesh"], best.load)
-    sol = solve_obstacle(op, rhs, BoxConstraints.from_obstacle(ctx["mesh"], obstacle))
-    gap_profile(sol).to_csv(outdir / "gap.csv")
-    return report
+    scan.argopt_profile.to_csv(outdir / "gap.csv")
+    return scan.to_report()
 
 
 def _run_optimize_reinforcement(config, ctx, outdir):
@@ -376,7 +366,10 @@ def run(config):
     outdir = Path(config.get("output_dir") or "out")
     diags = validate(config)
     if diags:
-        summary = {"problem": config.get("problem"), "config": config,
+        # non-finite numbers echo as strings, so the summary stays strict JSON
+        echo = json.loads(json.dumps(config, default=_json_default),
+                          parse_constant=str)
+        summary = {"problem": config.get("problem"), "config": echo,
                    "diagnostics": diags}
         _try_write_summary(outdir, summary)
         return 2, summary
@@ -439,8 +432,6 @@ def build_parser():
         p.add_argument("--config", type=str, default=None,
                        help="JSON config file; flags override it")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads for scans (scans stay deterministic)")
         p.add_argument("--m-max", type=int, default=None, dest="m_max",
                        help="series truncation order")
         p.add_argument("--mesh", type=_parse_mesh, default=None,
@@ -457,8 +448,6 @@ def main(argv=None):
         config["problem"] = args.command
     if args.out is not None:
         config["output_dir"] = args.out
-    if args.threads is not None:
-        config["threads"] = args.threads
     if args.m_max is not None:
         config["series"]["m_max"] = args.m_max
     if args.mesh is not None:

@@ -279,10 +279,6 @@ class LoadSpec:
         """Antisymmetric pair (delta_(xi,eta) - delta_(xi,-eta)) / 2."""
         return cls(point_masses=((xi, eta, 0.5), (xi, -eta, -0.5)))
 
-    @property
-    def is_pure_density(self):
-        return self.density is not None and not self.point_masses
-
     def total_point_mass(self):
         return sum(abs(w) for (_, _, w) in self.point_masses)
 

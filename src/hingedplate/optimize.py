@@ -17,6 +17,7 @@ from .series import (ObstacleSpec, ScanWindow, antisym_edge_profile,
                      gap_threshold_M, phi_m)
 from .solver import (DEFAULT_SETTINGS, BoxConstraints, PlateOperator,
                      solve_obstacle)
+from .summation import series_sum
 
 __all__ = [
     "GapProfile",
@@ -374,6 +375,8 @@ class ScanResult:
     argopt_label: str
     rows: list
     meta: dict = field(default_factory=dict)
+    # gap profile of the optimal member of a gap scan; not part of the report
+    argopt_profile: GapProfile | None = field(default=None, init=False)
 
     def to_report(self):
         return {
@@ -413,10 +416,11 @@ def _as_box(mesh, obstacles):
 def worst_gap_force(operator, obstacle, forces, params, settings=DEFAULT_SETTINGS):
     """Worst unit load for the maximal gap, under the given obstacle."""
     box = _as_box(operator.mesh, obstacle)
-    rows = []
+    rows, profiles = [], []
     for member in forces.members(params):
         sol = _member_solve(operator, member, box, settings)
         prof = gap_profile(sol)
+        profiles.append(prof)
         rows.append({
             "label": member.label,
             "params": dict(member.meta),
@@ -425,7 +429,9 @@ def worst_gap_force(operator, obstacle, forces, params, settings=DEFAULT_SETTING
             "contact_lower": int(sol.lower_contact.size),
             "contact_upper": int(sol.upper_contact.size),
         })
-    return _scan("worst-gap-force", rows, maximize=True)
+    result = _scan("worst-gap-force", rows, maximize=True)
+    result.argopt_profile = profiles[result.argopt_index]
+    return result
 
 
 def best_obstacle(family, operator, forces, params, settings=DEFAULT_SETTINGS,
@@ -572,35 +578,28 @@ def placement_bound_report(mask, state, mesh, quad_points=8):
     x_edges = np.linspace(0.0, np.pi, mesh.nx + 1)
     y_edges = np.linspace(-l, l, mesh.ny + 1)
     gauss_t, gauss_w = np.polynomial.legendre.leggauss(quad_points)
+    mid = 0.5 * (y_edges[:-1] + y_edges[1:])
+    half = 0.5 * (y_edges[1:] - y_edges[:-1])
     w_elem = np.where(mask.elements, mask.beta, mask.alpha)  # (ny, nx)
 
-    refined_s = np.zeros((ys.size, xs.size))
-    refined_c = np.zeros_like(refined_s)
-    coarse_profile = None
-    for m in range(1, state.m_max + 1):
+    def weighted_rows(m):
+        """Weighted kernel integrals per index and node row, (m.size, ys.size)."""
+        mc = m[:, None]
         # exact column integrals of sin(m xi)
-        sx = (np.cos(m * x_edges[:-1]) - np.cos(m * x_edges[1:])) / m
-        # Gauss ordinate integrals of the coefficient, per row, per node y
-        q = np.empty((ys.size, mesh.ny))
-        for iy in range(mesh.ny):
-            a, b = y_edges[iy], y_edges[iy + 1]
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            acc = np.zeros(ys.size)
-            for t, w in zip(gauss_t, gauss_w):
-                acc += w * phi_m(ys, mid + half * t, m, params)
-            q[:, iy] = half * acc
-        ws = w_elem @ sx                      # (ny,) weighted column sums per row
-        wr = q @ ws                           # (n_ynodes,)
-        term = np.outer(wr, np.sin(m * xs)) / (2.0 * np.pi * m ** 3)
-        t = refined_s + term
-        big = np.abs(refined_s) >= np.abs(term)
-        refined_c += np.where(big, (refined_s - t) + term, (term - t) + refined_s)
-        refined_s = t
-        if m == 1:
-            # same cell data feed the coarse envelope
-            sx_sin = np.cos(x_edges[:-1]) - np.cos(x_edges[1:])
-            coarse_profile = np.pi / 12.0 * (q @ (w_elem @ sx_sin))
-    refined = refined_s + refined_c
+        sx = (np.cos(mc * x_edges[:-1]) - np.cos(mc * x_edges[1:])) / mc
+        # Gauss ordinate integrals of the coefficient, per node y, per row
+        q = half * sum(w * phi_m(ys[:, None], mid + half * t, mc[:, None], params)
+                       for t, w in zip(gauss_t, gauss_w))
+        ws = sx @ w_elem.T                    # weighted column sums per row
+        return np.einsum("kij,kj->ki", q, ws)
+
+    def term(m):
+        return (np.outer(wr, sn) / (2.0 * np.pi * (mk * mk * mk))
+                for wr, sn, mk in zip(weighted_rows(m), np.sin(m[:, None] * xs), m))
+
+    refined = series_sum(term, state.m_max)
+    # the first term's cell data feed the coarse envelope
+    coarse_profile = np.pi / 12.0 * weighted_rows(np.ones(1))[0]
     k = int(np.argmax(refined))
     iy, ix = divmod(k, xs.size)
     tail = state.tail_bound * params.area * mask.beta

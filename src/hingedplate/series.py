@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import MaterialParams
-from .summation import CompensatedSum
+from .summation import series_sum
 
 __all__ = [
     "SeriesState",
@@ -103,18 +103,20 @@ def coefficient_bounds(params):
 def phi_m(y, eta, m, params):
     """Series coefficient c_m(y, eta) of the point-load expansion.
 
-    ``y`` may be a scalar or ndarray; ``eta`` and ``m`` are scalars.  The
-    coefficient is strictly positive, strictly decreasing in m, and symmetric
-    in (y, eta).  Evaluated in rescaled form: every hyperbolic product is
-    multiplied through by exp(-(|arg1|+|arg2|)) and compensated by a single
-    final exponential whose argument is never positive.
+    ``y``, ``eta`` and the Fourier index ``m`` may be scalars or ndarrays
+    that broadcast together; an index array shaped (k, 1, ..., 1) adds a
+    leading index axis.  The coefficient is strictly positive, strictly
+    decreasing in m, and symmetric in (y, eta).  Evaluated in rescaled form:
+    every hyperbolic product is multiplied through by exp(-(|arg1|+|arg2|))
+    and compensated by a single final exponential whose argument is never
+    positive.
     """
     l = params.half_width
     sig = params.sigma
     y = np.asarray(y, dtype=float)
-    if np.any(np.abs(y) > l * (1.0 + 1e-12)) or abs(eta) > l * (1.0 + 1e-12):
+    if np.any(np.abs(y) > l * (1.0 + 1e-12)) or np.any(np.abs(eta) > l * (1.0 + 1e-12)):
         raise ValueError("ordinates must satisfy |y| <= l and |eta| <= l")
-    if m < 1:
+    if np.any(m < 1):
         raise ValueError(f"Fourier index must be >= 1, got {m}")
 
     s = m * l
@@ -250,6 +252,9 @@ class ScanWindow:
         return inside & (near_edge | midline | band)
 
 
+# The sums below get float index blocks: m * m is exact for m < 2**26, so
+# m**3 and m**4 formed as products round once, as integer powers would.
+
 def green_value(p, q, state):
     """Truncated deflection at q = (x, y) under a unit point load at p.
 
@@ -259,14 +264,14 @@ def green_value(p, q, state):
     xi, eta = p
     x, y = q
     params = state.params
-    x = np.asarray(x, dtype=float)
-    acc = CompensatedSum(np.zeros(np.broadcast(x, np.asarray(y)).shape)
-                         if np.ndim(x) or np.ndim(y) else 0.0)
-    for m in range(1, state.m_max + 1):
-        term = (phi_m(y, eta, m, params) / m ** 3
+    nd = np.broadcast(x, y).ndim
+
+    def term(m):
+        m = m.reshape((-1,) + (1,) * nd)
+        return (phi_m(y, eta, m, params) / (m * m * m)
                 * np.sin(m * xi) * np.sin(m * x) / (2.0 * np.pi))
-        acc.add(term)
-    return acc.value
+
+    return series_sum(term, state.m_max)
 
 
 def antisym_solution(load, q, state):
@@ -277,11 +282,14 @@ def antisym_solution(load, q, state):
     x, y = q
     params = state.params
     load.validate(params)
-    acc = CompensatedSum(np.zeros(np.shape(x)) if np.ndim(x) else 0.0)
-    for m in range(1, state.m_max + 1):
+    nd = np.broadcast(x, y).ndim
+
+    def term(m):
+        m = m.reshape((-1,) + (1,) * nd)
         dphi = phi_m(y, load.eta, m, params) - phi_m(y, -load.eta, m, params)
-        acc.add(dphi / m ** 3 * np.sin(m * load.xi) * np.sin(m * x) / (4.0 * np.pi))
-    return acc.value
+        return dphi / (m * m * m) * np.sin(m * load.xi) * np.sin(m * x) / (4.0 * np.pi)
+
+    return series_sum(term, state.m_max)
 
 
 def antisym_edge_profile(xi_grid, eta_grid, x_grid, state, y=None):
@@ -292,24 +300,19 @@ def antisym_edge_profile(xi_grid, eta_grid, x_grid, state, y=None):
     edge.  One pass over the Fourier index serves the whole scan.
     """
     params = state.params
-    l = params.half_width
-    y_eval = l if y is None else y
+    y_eval = params.half_width if y is None else y
     xi = np.asarray(xi_grid, dtype=float)
     eta = np.asarray(eta_grid, dtype=float)
     x = np.asarray(x_grid, dtype=float)
-    out_s = np.zeros((xi.size, eta.size, x.size))
-    out_c = np.zeros_like(out_s)
-    for m in range(1, state.m_max + 1):
-        dphi = np.array([float(phi_m(y_eval, e, m, params) - phi_m(y_eval, -e, m, params))
-                         for e in eta])
-        term = np.einsum("i,j,k->ijk", np.sin(m * xi), dphi, np.sin(m * x))
-        term /= 4.0 * np.pi * m ** 3
-        # Kahan update on the full tensor
-        t = out_s + term
-        big = np.abs(out_s) >= np.abs(term)
-        out_c += np.where(big, (out_s - t) + term, (term - t) + out_s)
-        out_s = t
-    return out_s + out_c
+
+    def term(m):
+        mc = m[:, None]
+        dphi = phi_m(y_eval, eta, mc, params) - phi_m(y_eval, -eta, mc, params)
+        # one (xi, eta, x) tensor per index, formed as the sum consumes it
+        return (np.einsum("i,j,k->ijk", a, b, c) / (4.0 * np.pi * (mk * mk * mk))
+                for a, b, c, mk in zip(np.sin(mc * xi), dphi, np.sin(mc * x), m))
+
+    return series_sum(term, state.m_max)
 
 
 def uniform_load_profile(q, state, quad_points=32):
@@ -325,13 +328,14 @@ def uniform_load_profile(q, state, quad_points=32):
     nodes, weights = np.polynomial.legendre.leggauss(quad_points)
     eta_q = nodes * l
     w_q = weights * l
-    x = np.asarray(x, dtype=float)
-    acc = CompensatedSum(np.zeros(np.broadcast(x, np.asarray(y)).shape)
-                         if np.ndim(x) or np.ndim(y) else 0.0)
-    for m in range(1, state.m_max + 1, 2):
+    nd = np.broadcast(x, y).ndim
+
+    def term(m):
+        m = m.reshape((-1,) + (1,) * nd)
         integral = sum(w * phi_m(y, e, m, params) for e, w in zip(eta_q, w_q))
-        acc.add(integral * np.sin(m * x) / (np.pi * m ** 4))
-    return acc.value
+        return integral * np.sin(m * x) / (np.pi * ((m * m) * (m * m)))
+
+    return series_sum(term, state.m_max, 2)
 
 
 def gap_threshold_M(params, m_max=200_000):
@@ -346,17 +350,16 @@ def gap_threshold_M(params, m_max=200_000):
     A guide level above the value cannot bind under any antisymmetric
     point-pair load from the scan window; below it, guides clip the response.
     """
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
     sig, l = params.sigma, params.half_width
-    acc = CompensatedSum()
-    for m in range(1, m_max + 1, 2):
+
+    def term(m):
         s = m * l
         e2s = np.exp(-2.0 * s)
         num = (1.0 - e2s) ** 2 / 4.0               # sinh(s)^2 * exp(-2s)
         den = (3.0 + sig) * (1.0 - e2s * e2s) / 2.0 + 2.0 * s * (1.0 - sig) * e2s
-        acc.add(num / (m ** 3 * (1.0 - sig) * den))
-    value = 4.0 / np.pi * acc.value
+        return num / (m * m * m * (1.0 - sig) * den)
+
+    value = 4.0 / np.pi * series_sum(term, m_max, 2)
     # each term is below (4/pi) / (m^3 (1-sigma)(3+sigma) * 2)
     tail = 4.0 / np.pi / (2.0 * (1.0 - sig) * (3.0 + sig)) / (2.0 * m_max ** 2)
     return value, tail

@@ -1,32 +1,56 @@
-"""Compensated (Kahan-Neumaier) accumulation for long series sums.
+"""Accurate summation of long series over the Fourier index.
 
 Sums with 1e5 terms must stay reproducible to ~1e-9 against arbitrary
 precision oracles; plain float accumulation loses that near the tail.
 """
 
+import itertools
+import math
+
 import numpy as np
+
+#: Most term values one index block holds, so that no array spans the
+#: whole index range: 4096 indices of a scalar term, fewer of an array term.
+SERIES_CHUNK = 4096
 
 
 class CompensatedSum:
-    """Kahan-Neumaier accumulator for scalars or same-shape ndarrays."""
+    """Kahan-Neumaier accumulator for same-shape ndarrays."""
 
-    def __init__(self, like=0.0):
-        self._s = np.zeros_like(like, dtype=float) if np.ndim(like) else 0.0
-        self._c = np.zeros_like(like, dtype=float) if np.ndim(like) else 0.0
+    def __init__(self):
+        self._s = 0.0
+        self._c = 0.0
 
     def add(self, x):
         t = self._s + x
-        if np.ndim(self._s):
-            big = np.abs(self._s) >= np.abs(x)
-            self._c += np.where(big, (self._s - t) + x, (x - t) + self._s)
-        else:
-            if abs(self._s) >= abs(x):
-                self._c += (self._s - t) + x
-            else:
-                self._c += (x - t) + self._s
+        big = np.abs(self._s) >= np.abs(x)
+        self._c += np.where(big, (self._s - t) + x, (x - t) + self._s)
         self._s = t
-        return self
 
     @property
     def value(self):
         return self._s + self._c
+
+
+def series_sum(term, m_max, step=1):
+    """Sum of the terms for the indices m = 1, 1 + step, ... up to m_max.
+
+    ``term`` maps a float array of consecutive indices to their terms: a
+    1-D array of scalars, summed exactly rounded by ``math.fsum``, or a
+    sequence of ndarrays, one per index, accumulated in index order by a
+    ``CompensatedSum``.  The m = 1 term is evaluated alone and sizes the
+    blocks after it, which hold at most ``SERIES_CHUNK`` term values.
+    """
+    if m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    head = list(term(np.ones(1)))
+    width = step * max(1, SERIES_CHUNK // np.size(head[0]))
+    blocks = (term(np.arange(b, min(b + width, m_max + 1), step, dtype=float))
+              for b in range(1 + step, m_max + 1, width))
+    if np.ndim(head[0]) == 0:
+        return math.fsum(itertools.chain(
+            head, itertools.chain.from_iterable(b.tolist() for b in blocks)))
+    acc = CompensatedSum()
+    for row in itertools.chain(head, itertools.chain.from_iterable(blocks)):
+        acc.add(row)
+    return acc.value

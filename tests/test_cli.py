@@ -1,11 +1,22 @@
 """Batch front door: validation diagnostics, runs, exports, idempotence."""
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from hingedplate.cli import default_config, main, merge_config, run, validate
+from hingedplate import cli
+from hingedplate.cli import (default_config, load_config, main, merge_config,
+                             run, validate)
+from hingedplate.fem import Mesh, assemble_load
+from hingedplate.optimize import ForceClass
+from hingedplate.params import MaterialParams
+from hingedplate.solver import SolverSettings, solve_obstacle
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
 
 def config_for(problem, problem_params, nx=16, ny=4, m_max=100, outdir="out"):
@@ -46,6 +57,14 @@ class TestValidate:
         cfg["surprise"] = 1
         diags = validate(cfg)
         assert any("unknown top-level fields" in d for d in diags)
+
+    def test_threads_is_an_unknown_field(self, tmp_path):
+        cfg = config_for("regime", {"gamma": 0.01}, outdir=tmp_path / "t")
+        cfg["threads"] = 2
+        assert validate(cfg) == ["unknown top-level fields: ['threads']"]
+        code, summary = run(cfg)
+        assert code == 2
+        assert summary["diagnostics"] == ["unknown top-level fields: ['threads']"]
 
     def test_reinforcement_problem_needs_densities(self):
         cfg = config_for("optimize-reinforcement", {})
@@ -110,6 +129,49 @@ class TestRun:
         assert res["kkt"]["stationarity"] <= 1e-8
         assert (tmp_path / "v" / "field.csv").exists()
         assert (tmp_path / "v" / "gap.csv").exists()
+
+    def test_non_converged_solve_writes_strict_json(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "solve_obstacle", functools.partial(
+            solve_obstacle, settings=SolverSettings(max_iterations=2)))
+        cfg = config_for(
+            "vi-solve",
+            {"load": {"density": {"kind": "sin_x"}},
+             "obstacles": {"kind": "bounds", "lower": -1.0, "upper": 0.05,
+                           "region": "full"}},
+            outdir=tmp_path / "n")
+        code, _ = run(cfg)
+        assert code == 3
+        stored = json.loads((tmp_path / "n" / "summary.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert np.isfinite(stored["residual"]) and stored["residual"] > 0.0
+
+    def test_non_finite_config_is_a_diagnostic(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            '{"problem": "vi-solve", "params": {"load": {"density": 1.0}, '
+            '"obstacles": {"kind": "bounds", "lower": -Infinity, '
+            '"upper": 0.05, "region": "full"}}}')
+        cfg = merge_config(default_config(), load_config(cfg_path))
+        cfg["output_dir"] = str(tmp_path / "f")
+        code, summary = run(cfg)
+        assert code == 2
+        assert any("finite" in d for d in summary["diagnostics"])
+        stored = json.loads((tmp_path / "f" / "summary.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert stored["config"]["params"]["obstacles"]["lower"] == "-Infinity"
+
+    def test_cells_load_matches_bang_bang_member(self):
+        params = MaterialParams(0.2, 0.1)
+        mesh = Mesh(16, 4, params.half_width)
+        members = ForceClass(kind="bang-bang", cells=(3, 2)).members(params)
+        bits = 0b101101
+        signs = np.array([1.0 if bits >> c & 1 else -1.0
+                          for c in range(6)]).reshape(2, 3)
+        load = cli._build_load({"density": {"kind": "cells",
+                                            "signs": signs.tolist()}},
+                               params.half_width)
+        expected = assemble_load(mesh, members[bits].load)
+        assert np.array_equal(assemble_load(mesh, load), expected)
 
     def test_gap_scan_and_obstacle_optimization(self, tmp_path):
         cfg = config_for("gap-scan",

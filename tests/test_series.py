@@ -4,6 +4,8 @@ Frozen reference values were computed with a 50-digit mpmath evaluation of
 the same closed formulas (tests/oracles/highprec.py regenerates them).
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from hingedplate import (AntisymDelta, MaterialParams, ObstacleSpec,
                          green_value, phi_m, tail_estimate,
                          uniform_load_profile)
 from hingedplate.series import coefficient_bounds
+from hingedplate.summation import SERIES_CHUNK, CompensatedSum, series_sum
 
 # 50-digit evaluations of the closed forms, truncated to double precision
 F_AT_HALF = 1.4803219098300823        # F(0.5), sigma = 0.2
@@ -136,6 +139,87 @@ class TestPhiCoefficient:
             phi_m(0.0, 0.2, 1, params)
         with pytest.raises(ValueError):
             phi_m(0.0, 0.0, 0, params)
+        with pytest.raises(ValueError):
+            phi_m(0.0, 0.0, np.array([3.0, 1.0, 0.0, 2.0]), params)
+
+    def test_index_axis_matches_scalar_calls_bitwise(self, params):
+        l = params.half_width
+        m = np.arange(1.0, 301.0)
+        ys = np.linspace(-l, l, 5)
+        etas = np.array([-l, -0.3 * l, 0.0, 0.7 * l])
+        scalar_y = phi_m(0.4 * l, -0.2 * l, m, params)
+        assert scalar_y.shape == m.shape
+        assert np.array_equal(scalar_y, [phi_m(0.4 * l, -0.2 * l, int(k), params)
+                                         for k in m])
+        array_y = phi_m(ys, 0.6 * l, m[:, None], params)
+        assert array_y.shape == (m.size, ys.size)
+        assert np.array_equal(array_y, [phi_m(ys, 0.6 * l, int(k), params)
+                                        for k in m])
+        array_eta = phi_m(ys[:, None], etas, m[:, None, None], params)
+        assert array_eta.shape == (m.size, ys.size, etas.size)
+        for k, row in zip(m, array_eta):
+            for i, y in enumerate(ys):
+                expect = [phi_m(y, e, int(k), params) for e in etas]
+                assert np.array_equal(row[i], expect)
+
+
+class TestSeriesSum:
+    """Chunked summation against the per-index loops it replaced."""
+
+    @staticmethod
+    def _kahan(terms):
+        s = c = 0.0
+        for x in terms:
+            t = s + x
+            c += (s - t) + x if abs(s) >= abs(x) else (x - t) + s
+            s = t
+        return s + c
+
+    @pytest.mark.parametrize("m_max, step", [
+        (2 * SERIES_CHUNK + 16, 1),   # not a multiple of the chunk
+        (299, 1),                     # shorter than one chunk
+        (3 * SERIES_CHUNK + 5, 2),    # odd indices only
+    ])
+    def test_matches_per_index_loop(self, params, m_max, step):
+        l = params.half_width
+
+        def scalar(m):
+            return phi_m(0.3 * l, -0.8 * l, m, params) / (m * m * m)
+
+        indices = range(1, m_max + 1, step)
+        loop = [float(phi_m(0.3 * l, -0.8 * l, m, params) / m ** 3)
+                for m in indices]
+        seen = []
+
+        def recorded(m):
+            seen.append(m)
+            return scalar(m)
+
+        total = series_sum(recorded, m_max, step)
+        assert np.array_equal(np.concatenate(seen), list(indices))
+        assert max(b.size for b in seen) <= SERIES_CHUNK
+        assert total == math.fsum(loop)
+        assert total == pytest.approx(self._kahan(loop), rel=1e-15)
+
+        xs = np.linspace(0.0, np.pi, 7)
+        seen.clear()
+
+        def grid(m):
+            seen.append(m)
+            return scalar(m)[:, None] * np.sin(m[:, None] * xs)
+
+        acc = CompensatedSum()
+        for m in indices:
+            acc.add(float(phi_m(0.3 * l, -0.8 * l, m, params) / m ** 3)
+                    * np.sin(m * xs))
+        assert np.array_equal(series_sum(grid, m_max, step), acc.value)
+        assert np.array_equal(np.concatenate(seen), list(indices))
+        # blocks hold at most SERIES_CHUNK term values, not indices
+        assert max(b.size for b in seen) * xs.size <= SERIES_CHUNK
+
+    def test_rejects_empty_range(self):
+        with pytest.raises(ValueError):
+            series_sum(lambda m: m, 0)
 
 
 class TestGreenValue:
