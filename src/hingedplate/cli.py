@@ -8,6 +8,7 @@ byte-identical outputs.
 
 import argparse
 import json
+import numbers
 import sys
 from pathlib import Path
 
@@ -86,57 +87,79 @@ def validate(config):
     if config.get("schema_version") != SCHEMA_VERSION:
         diags.append(f"schema_version must be {SCHEMA_VERSION}")
 
-    mat = config.get("material", {})
+    mat = _section(config, "material", diags)
     if set(mat) - _MATERIAL_KEYS:
         diags.append(f"unknown material fields: {sorted(set(mat) - _MATERIAL_KEYS)}")
     sigma = mat.get("sigma")
     half_width = mat.get("half_width")
-    if sigma is None or not 0.0 < sigma < 1.0:
-        diags.append(f"sigma outside (0,1): {sigma}")
-    if half_width is None or half_width <= 0.0 or 2.0 * half_width >= np.pi:
-        diags.append(f"half_width must satisfy 0 < 2*half_width < pi: {half_width}")
+    if not _is_real(sigma) or not 0.0 < sigma < 1.0:
+        diags.append(f"sigma outside (0,1): {sigma!r}")
+    if not _is_real(half_width) or half_width <= 0.0 or 2.0 * half_width >= np.pi:
+        diags.append(f"half_width must satisfy 0 < 2*half_width < pi: {half_width!r}")
+        half_width = None
 
-    mesh = config.get("mesh", {})
+    mesh = _section(config, "mesh", diags)
     if set(mesh) - _MESH_KEYS:
         diags.append(f"unknown mesh fields: {sorted(set(mesh) - _MESH_KEYS)}")
-    if mesh.get("nx", 0) < 4 or mesh.get("ny", 0) < 2:
-        diags.append(f"mesh must be at least 4x2 elements: {mesh}")
+    nx, ny = mesh.get("nx"), mesh.get("ny")
+    mesh_ok = _is_int(nx) and _is_int(ny) and nx >= 4 and ny >= 2
+    if not mesh_ok:
+        diags.append(f"mesh must be at least 4x2 integer elements: {mesh}")
 
-    series = config.get("series", {})
+    series = _section(config, "series", diags)
     if set(series) - _SERIES_KEYS:
         diags.append(f"unknown series fields: {sorted(set(series) - _SERIES_KEYS)}")
-    if series.get("m_max", 0) < 1:
-        diags.append(f"series m_max must be >= 1: {series.get('m_max')}")
+    m_max = series.get("m_max")
+    if not _is_int(m_max) or m_max < 1:
+        diags.append(f"series m_max must be an integer >= 1: {m_max!r}")
 
     problem = config.get("problem")
     if problem not in PROBLEMS:
         diags.append(f"problem must be one of {PROBLEMS}: {problem}")
 
-    params = config.get("params", {})
-    if not isinstance(params, dict):
-        diags.append("params must be an object")
-        params = {}
+    params = _section(config, "params", diags)
 
-    if problem in ("optimize-reinforcement",) or "alpha" in params or "beta" in params:
+    variant = params.get("variant")
+    if problem == "vi-solve" and variant not in (None, "base", "E1", "E2"):
+        diags.append(f"vi-solve variant must be base, E1 or E2: {variant!r}")
+    if (problem == "optimize-reinforcement" or variant in ("E1", "E2")
+            or "alpha" in params or "beta" in params):
         alpha = params.get("alpha")
         beta = params.get("beta")
-        if alpha is None or beta is None or not (0.0 < alpha < 1.0 < beta):
+        if not (_is_real(alpha) and _is_real(beta) and 0.0 < alpha < 1.0 < beta):
             diags.append(f"two-material energies require alpha < 1 < beta, "
                          f"got alpha={alpha}, beta={beta}")
-        elif sigma is not None and half_width is not None and \
-                0.0 < half_width and mesh.get("nx", 0) >= 4:
+        elif half_width is not None and mesh_ok:
             family = params.get("family", {})
             if family.get("kind") == "cross":
                 try:
                     fam = _build_family(params, half_width)
-                    m = Mesh(mesh["nx"], mesh["ny"], half_width)
+                    m = Mesh(nx, ny, half_width)
                     fam.candidates(m)
                 except ValueError as exc:
                     diags.append(str(exc))
     if problem == "regime":
-        if params.get("gamma", 0.0) <= 0.0:
-            diags.append(f"regime requires a positive gamma: {params.get('gamma')}")
+        gamma = params.get("gamma")
+        if not _is_real(gamma) or gamma <= 0.0:
+            diags.append(f"regime requires a positive gamma: {gamma}")
     return diags
+
+
+def _section(config, name, diags):
+    """The object ``config[name]``, or {} with a diagnostic if it is not one."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        diags.append(f"{name} must be an object")
+        return {}
+    return section
+
+
+def _is_real(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ import numpy as np
 from .fem import LoadSpec, ReinforcementMask, assemble_load
 from .series import (ObstacleSpec, ScanWindow, antisym_edge_profile,
                      gap_threshold_M, phi_m)
-from .solver import (DEFAULT_SETTINGS, BoxConstraints, PlateOperator,
-                     solve_obstacle)
+from .solver import BoxConstraints, PlateOperator, solve_obstacle
 from .summation import series_sum
 
 __all__ = [
@@ -402,9 +401,9 @@ def _scan(problem, rows, maximize):
                       rows=rows)
 
 
-def _member_solve(operator, member, box, settings, weight=None):
+def _member_solve(operator, member, box, weight=None):
     rhs = assemble_load(operator.mesh, member.load, weight=weight)
-    return solve_obstacle(operator, rhs, box, settings=settings)
+    return solve_obstacle(operator, rhs, box)
 
 
 def _as_box(mesh, obstacles):
@@ -413,12 +412,12 @@ def _as_box(mesh, obstacles):
     return BoxConstraints.from_obstacle(mesh, obstacles)
 
 
-def worst_gap_force(operator, obstacle, forces, params, settings=DEFAULT_SETTINGS):
+def worst_gap_force(operator, obstacle, forces, params):
     """Worst unit load for the maximal gap, under the given obstacle."""
     box = _as_box(operator.mesh, obstacle)
     rows, profiles = [], []
     for member in forces.members(params):
-        sol = _member_solve(operator, member, box, settings)
+        sol = _member_solve(operator, member, box)
         prof = gap_profile(sol)
         profiles.append(prof)
         rows.append({
@@ -434,8 +433,11 @@ def worst_gap_force(operator, obstacle, forces, params, settings=DEFAULT_SETTING
     return result
 
 
-def best_obstacle(family, operator, forces, params, settings=DEFAULT_SETTINGS,
-                  ceiling_rtol=1e-9):
+#: relative slack of the 2*gamma ceiling check on scanned gaps
+CEILING_RTOL = 1e-9
+
+
+def best_obstacle(family, operator, forces, params):
     """Best obstacle in a finite family: minimize the worst maximal gap.
 
     Constant-level candidates whose region contains the long edges must stay
@@ -445,7 +447,7 @@ def best_obstacle(family, operator, forces, params, settings=DEFAULT_SETTINGS,
         raise ValueError("obstacle family has no candidates")
     rows = []
     for i, spec in enumerate(family.candidates):
-        inner = worst_gap_force(operator, spec, forces, params, settings=settings)
+        inner = worst_gap_force(operator, spec, forces, params)
         label = (f"level={spec.gamma:.6g}@{spec.region}" if spec.gamma is not None
                  else f"profile[{i}]")
         row = {
@@ -458,7 +460,7 @@ def best_obstacle(family, operator, forces, params, settings=DEFAULT_SETTINGS,
         if spec.gamma is not None:
             ceiling = 2.0 * spec.gamma
             row["ceiling"] = ceiling
-            if inner.value > ceiling * (1.0 + ceiling_rtol):
+            if inner.value > ceiling * (1.0 + CEILING_RTOL):
                 raise RuntimeError(
                     f"scanned gap {inner.value} breaks the 2*gamma ceiling {ceiling}")
         rows.append(row)
@@ -466,7 +468,7 @@ def best_obstacle(family, operator, forces, params, settings=DEFAULT_SETTINGS,
 
 
 def worst_force_amplitude(mesh, params, mask, forces, obstacles, variant="E1",
-                          settings=DEFAULT_SETTINGS, operator=None):
+                          operator=None):
     """Worst unit load for the sup-norm of the deflection, one layout fixed.
 
     ``variant`` selects how the two materials act: ``"E1"`` weights the
@@ -487,7 +489,7 @@ def worst_force_amplitude(mesh, params, mask, forces, obstacles, variant="E1",
     box = _as_box(mesh, obstacles)
     rows = []
     for member in forces.members(params):
-        sol = _member_solve(op, member, box, settings, weight=weight)
+        sol = _member_solve(op, member, box, weight=weight)
         rows.append({
             "label": member.label,
             "params": dict(member.meta),
@@ -498,15 +500,15 @@ def worst_force_amplitude(mesh, params, mask, forces, obstacles, variant="E1",
     return _scan("worst-force-amplitude", rows, maximize=True)
 
 
-def best_reinforcement(family, mesh, params, forces, obstacles, variant="E1",
-                       settings=DEFAULT_SETTINGS):
+def best_reinforcement(family, mesh, params, forces, obstacles, variant="E1"):
     """Best layout in a reinforcement family: minimize the worst amplitude."""
     masks = family.candidates(mesh)
+    # E2 weights only the load, so every mask shares the base operator
+    base = PlateOperator.build(mesh, params) if variant == "E2" else None
     rows = []
-    best_masks = []
     for i, mask in enumerate(masks):
         inner = worst_force_amplitude(mesh, params, mask, forces, obstacles,
-                                      variant=variant, settings=settings)
+                                      variant=variant, operator=base)
         rows.append({
             "label": f"mask[{i}]",
             "params": {
@@ -518,9 +520,8 @@ def best_reinforcement(family, mesh, params, forces, obstacles, variant="E1",
             "value": inner.value,
             "worst_force": inner.argopt_label,
         })
-        best_masks.append(mask)
     result = _scan("best-reinforcement", rows, maximize=False)
-    result.meta["argopt_mask"] = best_masks[result.argopt_index]
+    result.meta["argopt_mask"] = masks[result.argopt_index]
     return result
 
 

@@ -5,15 +5,14 @@ The discrete two-sided obstacle problem is the quadratic program
     min  1/2 x' K x - b' x    subject to  lo_i <= x_i <= hi_i
 
 over the essential-constrained dof space, where only value dofs of nodes in
-the obstacle region are boxed.  A primal-dual active set iteration solves it
-with exact nodewise feasibility and finite termination on nondegenerate
-instances; multipliers are nonnegative on upper contact and nonpositive on
-lower contact.  Inner linear systems use a sparse LU of the diagonally
-scaled matrix followed by extended-precision iterative refinement, so the
-fourth-order conditioning does not eat the certified residuals.
+the obstacle region are boxed.  A monotone primal active set iteration
+solves it with exact nodewise feasibility and finite termination; multipliers
+are nonnegative on upper contact and nonpositive on lower contact.  Inner
+linear systems use a sparse LU of the diagonally scaled matrix followed by
+extended-precision iterative refinement, so the fourth-order conditioning
+does not eat the certified residuals.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,10 +52,12 @@ class IterationLimitError(SolverError):
 class SolverSettings:
     tol: float = 1e-9
     max_iterations: int = 200
-    refine_steps: int = 2
 
 
 DEFAULT_SETTINGS = SolverSettings()
+
+#: extended-precision refinement steps after each sparse LU solve
+REFINE_STEPS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +126,12 @@ class VISolution:
 # operator wrapper: essential reduction + refined solves
 # ---------------------------------------------------------------------------
 
+def _scaled_lu(k):
+    """(s, LU of diag(s) k diag(s)) with s = diag(k)^(-1/2)."""
+    s = 1.0 / np.sqrt(k.diagonal())
+    return s, spla.splu((sp.diags(s) @ k @ sp.diags(s)).tocsc())
+
+
 class PlateOperator:
     """An assembled bilinear form together with the essential constraints.
 
@@ -141,8 +148,7 @@ class PlateOperator:
         self._pos_of_dof[self.free_idx] = np.arange(self.free_idx.size)
         csr = form.matrix
         self.k_free = csr[self.free_idx][:, self.free_idx].tocsc()
-        self._scale = 1.0 / np.sqrt(self.k_free.diagonal())
-        self._lu = None
+        self._free_factor = None
         self._norm_estimate = float(np.abs(csr).sum(axis=1).max())
 
     @classmethod
@@ -155,53 +161,45 @@ class PlateOperator:
         weighted = full.scaled(mask.alpha) + region.scaled(mask.beta - mask.alpha)
         return cls(mesh, weighted)
 
-    def _factorized(self):
-        if self._lu is None:
-            s = sp.diags(self._scale)
-            self._lu = spla.splu((s @ self.k_free @ s).tocsc())
-        return self._lu
-
-    def solve_free(self, rhs_full, refine_steps=2):
+    def solve_free(self, rhs_full):
         """Solve on the free dofs with all box constraints inactive."""
-        lu = self._factorized()
-        s = self._scale
-        b = rhs_full[self.free_idx]
-        x = (s * lu.solve(s * b.astype(float))).astype(LONG)
+        if self._free_factor is None:
+            self._free_factor = _scaled_lu(self.k_free)
         full = np.zeros(self.mesh.n_dofs, dtype=LONG)
-        for _ in range(refine_steps):
-            full[self.free_idx] = x
-            r = (rhs_full - self.form.matvec_extended(full))[self.free_idx]
-            x = x + (s * lu.solve(s * r.astype(float))).astype(LONG)
-        full[self.free_idx] = x
-        return full
+        return self._refined_solve(rhs_full, full, self.free_idx,
+                                   rhs_full[self.free_idx], self._free_factor)
 
-    def solve_pinned(self, rhs_full, pinned_dofs, pinned_values, refine_steps=0):
+    def solve_pinned(self, rhs_full, pinned_dofs, pinned_values):
         """Solve with some free dofs pinned to prescribed values.
 
         Returns the full dof vector in extended precision; essential dofs
         stay zero and pinned dofs carry exactly their prescribed values.
         """
         if pinned_dofs.size == 0:
-            return self.solve_free(rhs_full, refine_steps=max(refine_steps, 2))
+            return self.solve_free(rhs_full)
         pin_pos = self._pos_of_dof[pinned_dofs]
         if np.any(pin_pos < 0):
             raise SolverError("cannot pin an essentially constrained dof")
         keep = np.ones(self.free_idx.size, dtype=bool)
         keep[pin_pos] = False
         sub = np.flatnonzero(keep)
-        k_sub = self.k_free[sub][:, sub].tocsc()
-        s = 1.0 / np.sqrt(k_sub.diagonal())
-        lu = spla.splu((sp.diags(s) @ k_sub @ sp.diags(s)).tocsc())
-
         full = np.zeros(self.mesh.n_dofs, dtype=LONG)
         full[pinned_dofs] = pinned_values.astype(LONG)
-        r0 = (rhs_full - self.form.matvec_extended(full))[self.free_idx[sub]]
+        idx = self.free_idx[sub]
+        r0 = (rhs_full - self.form.matvec_extended(full))[idx]
+        return self._refined_solve(rhs_full, full, idx, r0,
+                                   _scaled_lu(self.k_free[sub][:, sub].tocsc()))
+
+    def _refined_solve(self, rhs_full, full, idx, r0, factor):
+        """Fill ``full[idx]`` by the scaled LU ``factor`` of that block from
+        residual ``r0``, then refine against the extended-precision residual."""
+        s, lu = factor
         x = (s * lu.solve(s * r0.astype(float))).astype(LONG)
-        for _ in range(refine_steps):
-            full[self.free_idx[sub]] = x
-            r = (rhs_full - self.form.matvec_extended(full))[self.free_idx[sub]]
+        for _ in range(REFINE_STEPS):
+            full[idx] = x
+            r = (rhs_full - self.form.matvec_extended(full))[idx]
             x = x + (s * lu.solve(s * r.astype(float))).astype(LONG)
-        full[self.free_idx[sub]] = x
+        full[idx] = x
         return full
 
     def residual_scale(self, rhs_full, x=None):
@@ -217,9 +215,9 @@ class PlateOperator:
 # solves
 # ---------------------------------------------------------------------------
 
-def solve_linear(operator, rhs, settings=DEFAULT_SETTINGS):
+def solve_linear(operator, rhs):
     """Unconstrained Galerkin solve; relative residual certified <= 1e-10."""
-    x = operator.solve_free(rhs, refine_steps=max(settings.refine_steps, 2))
+    x = operator.solve_free(rhs)
     r = (rhs - operator.form.matvec_extended(x))[operator.free_idx]
     rel = float(np.max(np.abs(r.astype(float)))) / operator.residual_scale(rhs, x)
     if not np.isfinite(rel) or rel > 1e-10:
@@ -230,7 +228,6 @@ def solve_linear(operator, rhs, settings=DEFAULT_SETTINGS):
 
 def _box_dof_arrays(operator, constraints):
     """Constrained value-dof indices with their bounds, essential dofs excluded."""
-    mesh = operator.mesh
     nodes = np.flatnonzero(constraints.node_mask)
     dofs = 4 * nodes + DOF_VALUE
     ok = operator.free[dofs]
@@ -269,13 +266,22 @@ def solve_obstacle(operator, rhs, constraints, settings=DEFAULT_SETTINGS,
         act_lo = (np.isfinite(lo) & (vals <= lo)) | pinned_eq
         act_hi = np.isfinite(hi) & (vals >= hi) & ~act_lo
 
-    def subspace_solve(refine):
-        pinned = np.concatenate([dofs[act_lo], dofs[act_hi]])
-        pinned_vals = np.concatenate([lo[act_lo], hi[act_hi]])
-        return operator.solve_pinned(rhs, pinned, pinned_vals, refine_steps=refine)
+    def residual(x):
+        return (rhs - operator.form.matvec_extended(x)).astype(float)
+
+    def kkt_violation(x, resid):
+        """Relative stationarity residual of ``x``, except at contacts whose
+        multiplier has the admissible sign."""
+        lam = resid[dofs]
+        resid = resid.copy()
+        resid[dofs[pinned_eq | (act_hi & (lam >= 0.0)) | (act_lo & (lam <= 0.0))]] = 0.0
+        return (float(np.max(np.abs(resid[operator.free_idx])))
+                / operator.residual_scale(rhs, x))
 
     for it in range(1, settings.max_iterations + 1):
-        x_star = subspace_solve(settings.refine_steps)
+        x_star = operator.solve_pinned(
+            rhs, np.concatenate([dofs[act_lo], dofs[act_hi]]),
+            np.concatenate([lo[act_lo], hi[act_hi]]))
         inactive = ~(act_lo | act_hi)
         d = (x_star - x).astype(float)[dofs]
         vals = x.astype(float)[dofs]
@@ -301,7 +307,7 @@ def solve_obstacle(operator, rhs, constraints, settings=DEFAULT_SETTINGS,
 
         # contact-set optimum reached; check multiplier signs
         x = x_star
-        resid = (rhs - operator.form.matvec_extended(x)).astype(float)
+        resid = residual(x)
         lam = resid[dofs]
         wrong_hi = act_hi & ~pinned_eq & (lam < 0.0)
         wrong_lo = act_lo & ~pinned_eq & (lam > 0.0)
@@ -313,21 +319,15 @@ def solve_obstacle(operator, rhs, constraints, settings=DEFAULT_SETTINGS,
         act_hi[k] = False
         act_lo[k] = False
     else:
-        # KKT violation of the last iterate: the stationarity residual, except
-        # at contacts whose multiplier has the admissible sign
-        resid = (rhs - operator.form.matvec_extended(x)).astype(float)
-        lam = resid[dofs]
-        resid[dofs[pinned_eq | (act_hi & (lam >= 0.0)) | (act_lo & (lam <= 0.0))]] = 0.0
         raise IterationLimitError(
             f"active set did not settle in {settings.max_iterations} iterations",
-            float(np.max(np.abs(resid[operator.free_idx])))
-            / operator.residual_scale(rhs, x))
+            kkt_violation(x, residual(x)))
 
-    # final polish on the settled active set
-    x = subspace_solve(max(settings.refine_steps, 2))
-    resid = (rhs - operator.form.matvec_extended(x)).astype(float)
-    lam = np.zeros(n_c)
-    lam[act_lo | act_hi] = resid[dofs[act_lo | act_hi]]
+    # x solves the settled contact set, where every multiplier has its sign
+    stat = kkt_violation(x, resid)
+    if stat > settings.tol:
+        raise SolverError(f"stationarity residual {stat:.3e} above tol {settings.tol}")
+    lam = np.where(act_lo | act_hi, lam, 0.0)
     # degenerate pins report the side their multiplier points to
     swap = pinned_eq & act_lo & (lam > 0.0)
     act_hi |= swap
@@ -336,15 +336,10 @@ def solve_obstacle(operator, rhs, constraints, settings=DEFAULT_SETTINGS,
     act_lo &= lam != 0.0
     act_hi &= lam != 0.0
 
-    field = DofField(operator.mesh, x.astype(float))
     nodes = dofs // 4
     multipliers = np.zeros(operator.mesh.n_nodes)
     multipliers[nodes] = lam
-    resid[dofs[act_lo | act_hi]] = 0.0  # stationarity off the contact set
-    stat = float(np.max(np.abs(resid[operator.free_idx]))) / operator.residual_scale(rhs, x)
-    if stat > settings.tol:
-        raise SolverError(f"stationarity residual {stat:.3e} above tol {settings.tol}")
-    return VISolution(field=field,
+    return VISolution(field=DofField(operator.mesh, x.astype(float)),
                       lower_contact=np.sort(nodes[act_lo]),
                       upper_contact=np.sort(nodes[act_hi]),
                       multipliers=multipliers,
@@ -393,12 +388,12 @@ def kkt_report(solution, operator, rhs, constraints):
     }
 
 
-def solution_to_json(solution, operator, rhs, constraints, path=None, extra=None):
-    """JSON summary of a solve: contact sets, certificates, energy."""
+def solution_to_json(solution, operator, rhs, constraints):
+    """JSON-ready summary of a solve: contact sets, certificates, energy."""
     report = kkt_report(solution, operator, rhs, constraints)
     x = solution.field.dofs
     energy = 0.5 * float(x @ (operator.form.matrix @ x)) - float(rhs.astype(float) @ x)
-    payload = {
+    return {
         "contact_lower": [int(n) for n in solution.lower_contact],
         "contact_upper": [int(n) for n in solution.upper_contact],
         "kkt": report,
@@ -406,10 +401,3 @@ def solution_to_json(solution, operator, rhs, constraints, path=None, extra=None
         "sup_norm": solution.field.sup_norm(),
         "iterations": solution.iterations,
     }
-    if extra:
-        payload.update(extra)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return payload

@@ -160,6 +160,43 @@ class TestRun:
                             parse_constant=_reject_constant)
         assert stored["config"]["params"]["obstacles"]["lower"] == "-Infinity"
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("mesh", "nx", "16"),
+        ("material", "sigma", "0.2"),
+        ("material", None, [1]),
+        ("mesh", "nx", 16.0),
+        ("series", "m_max", 200.0),
+    ], ids=["nx-string", "sigma-string", "material-list", "nx-float",
+            "m_max-float"])
+    def test_wrongly_typed_config_is_a_diagnostic(self, tmp_path, section, key,
+                                                  value):
+        cfg = config_for("green-eval", {"source": [1.0, 0.05],
+                                        "points": [[1.5, 0.0]]},
+                         outdir=tmp_path / "w")
+        if key is None:
+            cfg[section] = value
+        else:
+            cfg[section][key] = value
+        code, summary = run(cfg)
+        assert code == 2
+        assert summary["diagnostics"]
+        stored = json.loads((tmp_path / "w" / "summary.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert stored["diagnostics"] == summary["diagnostics"]
+
+    @pytest.mark.parametrize("energy, expected", [
+        ({"variant": "E9"}, "variant must be base, E1 or E2"),
+        ({"variant": "E1"}, "alpha < 1 < beta"),
+        ({"variant": "E2"}, "alpha < 1 < beta"),
+    ], ids=["unknown", "E1-without-densities", "E2-without-densities"])
+    def test_vi_solve_names_a_known_energy(self, tmp_path, energy, expected):
+        cfg = config_for("vi-solve", {"load": {"density": 1.0},
+                                      "obstacles": {"gamma": 1.0}, **energy},
+                         outdir=tmp_path / "v")
+        code, summary = run(cfg)
+        assert code == 2
+        assert any(expected in d for d in summary["diagnostics"])
+
     def test_cells_load_matches_bang_bang_member(self):
         params = MaterialParams(0.2, 0.1)
         mesh = Mesh(16, 4, params.half_width)

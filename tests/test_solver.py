@@ -10,6 +10,7 @@ from hingedplate import (AntisymDelta, BoxConstraints, DofField, LoadSpec,
                          antisym_solution, kkt_report, solve_densityweighted,
                          solve_linear, solve_obstacle, symmetry_decompose,
                          uniform_load_profile)
+from hingedplate import solver
 from hingedplate.fem import DOF_VALUE, assemble_load
 from hingedplate.solver import (IterationLimitError, PlateOperator,
                                 SolverSettings)
@@ -187,6 +188,58 @@ class TestSolveObstacle:
                            settings=SolverSettings(max_iterations=2))
         assert np.isfinite(err.value.residual)
         assert err.value.residual > SolverSettings().tol
+
+
+class TestSettledIterate:
+    """The iterate that settles the active set is the returned solve.
+
+    Each test builds its own operator: the session fixtures share a cached LU.
+    """
+
+    @staticmethod
+    def _count_calls(monkeypatch, owner, name):
+        calls = []
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_contact_free_solve_runs_one_free_solve(self, mesh_small, params,
+                                                    monkeypatch):
+        op = PlateOperator.build(mesh_small, params)
+        calls = self._count_calls(monkeypatch, PlateOperator, "solve_free")
+        sol = solve_obstacle(op, assemble_load(mesh_small, SIN_LOAD),
+                             far_box(mesh_small))
+        assert sol.contact_free
+        assert len(calls) == 1
+
+    def test_binding_solve_factors_once_per_iteration(self, mesh_small, params,
+                                                      monkeypatch):
+        op = PlateOperator.build(mesh_small, params)
+        box = BoxConstraints.from_obstacle(
+            mesh_small, ObstacleSpec.constant_level(0.3, region="full"))
+        calls = self._count_calls(monkeypatch, solver.spla, "splu")
+        sol = solve_obstacle(op, assemble_load(mesh_small, SIN_LOAD), box)
+        assert sol.upper_contact.size > 0 and sol.iterations > 1
+        assert len(calls) == sol.iterations
+
+    def test_pinning_the_contacts_reproduces_the_field(self, mesh_small, params):
+        op = PlateOperator.build(mesh_small, params)
+        box = BoxConstraints.from_obstacle(
+            mesh_small, ObstacleSpec(lower=-0.15, upper=1.0, region="full"))
+        b = assemble_load(mesh_small, LoadSpec(
+            density=lambda x, y: np.sin(x) - 80.0 * np.sin(3.0 * x)))
+        sol = solve_obstacle(op, b, box)
+        assert sol.lower_contact.size > 0 and sol.upper_contact.size > 0
+        nodes = np.concatenate([sol.lower_contact, sol.upper_contact])
+        values = np.concatenate([box.lower[sol.lower_contact],
+                                 box.upper[sol.upper_contact]])
+        again = op.solve_pinned(b, 4 * nodes + DOF_VALUE, values)
+        assert np.array_equal(again.astype(float), sol.field.dofs)
 
 
 class TestSymmetryTransfer:
