@@ -118,6 +118,13 @@ def validate(config):
         diags.append(f"problem must be one of {PROBLEMS}: {problem}")
 
     params = _section(config, "params", diags)
+    load = params.get("load")
+    if load is not None and not isinstance(load, dict):
+        diags.append("load must be an object")
+    elif load is not None:
+        density = load.get("density")
+        if not (density is None or _is_real(density) or isinstance(density, dict)):
+            diags.append(f"load density must be a number or an object: {density!r}")
 
     variant = params.get("variant")
     if problem == "vi-solve" and variant not in (None, "base", "E1", "E2"):
@@ -131,12 +138,16 @@ def validate(config):
                          f"got alpha={alpha}, beta={beta}")
         elif half_width is not None and mesh_ok:
             family = params.get("family", {})
-            if family.get("kind") == "cross":
+            if not isinstance(family, dict):
+                diags.append("family must be an object")
+            elif family.get("kind") == "cross":
                 try:
                     fam = _build_family(params, half_width)
                     m = Mesh(nx, ny, half_width)
                     fam.candidates(m)
-                except ValueError as exc:
+                except KeyError as exc:
+                    diags.append(f"missing required problem parameter: {exc}")
+                except (TypeError, ValueError) as exc:
                     diags.append(str(exc))
     if problem == "regime":
         gamma = params.get("gamma")

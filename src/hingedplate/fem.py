@@ -11,7 +11,10 @@ the free-edge conditions on the long edges are natural and never imposed.
 
 Element matrices and load vectors are accumulated in extended precision:
 the fourth-order operator's conditioning (~h^-4) otherwise drowns the
-fine-mesh discretization error in assembly roundoff.
+fine-mesh discretization error in assembly roundoff.  An assembled operator
+is stored once, as a longdouble CSR matrix; its float64 view for the sparse
+factorization is a cast of that matrix.  Loads and stiffness are assembled
+for the whole mesh at once from one (ny, nx, 16) element-dof table.
 """
 
 from dataclasses import dataclass, replace
@@ -98,15 +101,20 @@ class Mesh:
         return ei, ej, float(np.clip(tx, 0.0, 1.0)), float(np.clip(ty, 0.0, 1.0))
 
     def element_dofs(self, ei, ej):
-        """Global dof numbers of the 16 local dofs of element (ei, ej)."""
-        out = np.empty(16, dtype=np.int64)
-        k = 0
-        for (ii, jj) in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            base = 4 * self.node_index(ei + ii, ej + jj)
-            for d in range(4):
-                out[k] = base + d
-                k += 1
-        return out
+        """Global dof numbers of the 16 local dofs of element (ei, ej).
+
+        Local order is node (0,0), (1,0), (0,1), (1,1), each with its four
+        dofs.  ``ei`` and ``ej`` broadcast; the result gets a trailing axis
+        of length 16.
+        """
+        corners = np.add.outer(self.node_index(ei, ej),
+                               [0, 1, self.nx + 1, self.nx + 2])
+        dofs = 4 * corners[..., None] + np.arange(4)
+        return dofs.reshape(*corners.shape[:-1], 16)
+
+    def element_dof_table(self):
+        """(ny, nx, 16) global dofs of every element, indexed [ej, ei]."""
+        return self.element_dofs(np.arange(self.nx), np.arange(self.ny)[:, None])
 
     def free_dof_mask(self):
         """Essential constraints: value and y-derivative pinned on short edges."""
@@ -252,8 +260,10 @@ def element_stiffness(hx, hy, sigma):
 class LoadSpec:
     """A load: bounded density and/or finitely many signed point masses.
 
-    ``density`` is a callable (x, y) -> values (broadcasting over arrays), a
-    constant, or an array of per-node samples (interpolated bilinearly).
+    ``density`` is a callable (x, y) -> values, a constant, or an array of
+    per-node samples (interpolated bilinearly).  Assembly calls a callable
+    once, on (ny, nx, 4, 4) arrays of all Gauss points, so it must broadcast
+    over arrays; a scalar result counts as a constant.
     ``point_masses`` is a tuple of (x, y, weight).  ``norm_tag`` records the
     ball the load is measured in: ``"dual"`` (total variation), ``"sup"``
     or ``"lp"``.
@@ -369,50 +379,55 @@ class ReinforcementMask:
 class AssembledForm:
     """Symmetric operator on the dof space, kept in extended precision.
 
-    Holds deduplicated COO triplets in longdouble plus a cached float64 CSR
-    view.  Weighted combinations (for two-material energies) stay exact at
-    the triplet level.
+    Stored once, as a longdouble CSR matrix whose rows hold sorted,
+    duplicate-free columns.  Weighted combinations (for two-material
+    energies) stay exact: a sum concatenates the triplets of both forms and
+    reduces them again.
     """
 
-    def __init__(self, shape, rows, cols, vals):
+    def __init__(self, csr):
+        self.csr = csr
+
+    @classmethod
+    def from_triplets(cls, shape, rows, cols, vals):
+        """Sum duplicate (row, col) entries in input order, then store."""
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
         keep = np.ones(len(rows), dtype=bool)
         keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
         starts = np.flatnonzero(keep)
-        self.shape = shape
-        self.rows = rows[starts]
-        self.cols = cols[starts]
-        self.vals = np.add.reduceat(vals, starts)
-        self._csr = None
+        # row pointers from row counts, so the conversion sums nothing
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[starts], minlength=shape[0]), out=indptr[1:])
+        return cls(sp.csr_matrix((np.add.reduceat(vals, starts), cols[starts], indptr),
+                                 shape=shape))
+
+    @property
+    def shape(self):
+        return self.csr.shape
 
     @property
     def matrix(self):
-        """float64 CSR view of the operator."""
-        if self._csr is None:
-            self._csr = sp.coo_matrix(
-                (self.vals.astype(float), (self.rows, self.cols)),
-                shape=self.shape).tocsr()
-            self._csr.sum_duplicates()
-        return self._csr
+        """float64 CSR cast of the operator."""
+        return self.csr.astype(float)
 
     def matvec_extended(self, x):
-        """Operator application in longdouble."""
-        out = np.zeros(self.shape[0], dtype=LONG)
-        np.add.at(out, self.rows, self.vals * x[self.cols])
-        return out
+        """Operator application in longdouble.
+
+        Each row sums its products from zero in column order.
+        """
+        return self.csr @ x
 
     def scaled(self, c):
-        return AssembledForm(self.shape, self.rows.copy(), self.cols.copy(),
-                             self.vals * LONG(c))
+        return AssembledForm(self.csr * LONG(c))
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return AssembledForm(self.shape,
-                             np.concatenate([self.rows, other.rows]),
-                             np.concatenate([self.cols, other.cols]),
-                             np.concatenate([self.vals, other.vals]))
+        a, b = self.csr.tocoo(), other.csr.tocoo()
+        return AssembledForm.from_triplets(
+            self.shape, np.concatenate([a.row, b.row]),
+            np.concatenate([a.col, b.col]), np.concatenate([a.data, b.data]))
 
 
 def _element_selector(mesh, region):
@@ -437,22 +452,11 @@ def assemble_bilinear(mesh, params, region=None):
     """
     sel = _element_selector(mesh, region)
     Ke = element_stiffness(mesh.hx, mesh.hy, params.sigma)
-    n_sel = int(np.count_nonzero(sel))
-    rows = np.empty(256 * n_sel, dtype=np.int64)
-    cols = np.empty(256 * n_sel, dtype=np.int64)
-    vals = np.empty(256 * n_sel, dtype=LONG)
-    flat = Ke.ravel()
-    k = 0
-    for ej in range(mesh.ny):
-        for ei in range(mesh.nx):
-            if not sel[ej, ei]:
-                continue
-            gl = mesh.element_dofs(ei, ej)
-            rows[k:k + 256] = np.repeat(gl, 16)
-            cols[k:k + 256] = np.tile(gl, 16)
-            vals[k:k + 256] = flat
-            k += 256
-    return AssembledForm((mesh.n_dofs, mesh.n_dofs), rows, cols, vals)
+    gl = mesh.element_dof_table()[sel]  # (n_sel, 16), elements row-major
+    rows = np.repeat(gl, 16, axis=1).ravel()
+    cols = np.tile(gl, 16).ravel()
+    vals = np.tile(Ke.ravel(), len(gl))
+    return AssembledForm.from_triplets((mesh.n_dofs, mesh.n_dofs), rows, cols, vals)
 
 
 def _density_evaluator(mesh, density):
@@ -495,24 +499,26 @@ def assemble_load(mesh, load, weight=None):
         f = _density_evaluator(mesh, load.density)
         tq = (_GAUSS_PTS + 1) / 2
         wq = _GAUSS_WTS / 2
-        brows = [[_local_rows(tx, ty, mesh.hx, mesh.hy) for ty in tq] for tx in tq]
-        wsel = None
+        # quadrature point (x0 + tq[a] hx, y0 + tq[bq] hy) of element (ei, ej)
+        # sits at [ej, ei, a, bq]
+        shape = (mesh.ny, mesh.nx, 4, 4)
+        x0 = np.arange(mesh.nx) * mesh.hx
+        y0 = -mesh.half_width + np.arange(mesh.ny) * mesh.hy
+        # contiguous, writable copies: the density is caller code
+        X = np.broadcast_to(x0[:, None, None] + (tq * mesh.hx)[:, None], shape).copy()
+        Y = np.broadcast_to(y0[:, None, None, None] + tq * mesh.hy, shape).copy()
+        fv = np.asarray(f(X, Y), dtype=float)
+        w_elem = np.ones((mesh.ny, mesh.nx))
         if weight is not None and not weight.is_degenerate:
             weight.check_shape(mesh)
-            wsel = np.where(weight.elements, weight.beta, weight.alpha)
+            w_elem = np.where(weight.elements, weight.beta, weight.alpha)
+        coef = (np.outer(wq, wq) * w_elem[..., None, None] * fv).astype(LONG)
+        fe = np.zeros((mesh.ny, mesh.nx, 16), dtype=LONG)
+        for a, tx in enumerate(tq):
+            for bq, ty in enumerate(tq):
+                fe += coef[:, :, a, bq, None] * _local_rows(tx, ty, mesh.hx, mesh.hy)
         scale = LONG(mesh.hx) * LONG(mesh.hy)
-        for ej in range(mesh.ny):
-            y0 = -mesh.half_width + ej * mesh.hy
-            for ei in range(mesh.nx):
-                x0 = ei * mesh.hx
-                gl = mesh.element_dofs(ei, ej)
-                w_elem = 1.0 if wsel is None else wsel[ej, ei]
-                fe = np.zeros(16, dtype=LONG)
-                for a, (tx, wx) in enumerate(zip(tq, wq)):
-                    for bq, (ty, wy) in enumerate(zip(tq, wq)):
-                        fv = float(np.asarray(f(x0 + tx * mesh.hx, y0 + ty * mesh.hy)))
-                        fe += LONG(wx * wy * w_elem * fv) * brows[a][bq]
-                b[gl] += fe * scale
+        np.add.at(b, mesh.element_dof_table().ravel(), (fe * scale).ravel())
     for (x, y, w) in load.point_masses:
         ei, ej, tx, ty = mesh.locate(x, y)
         b[mesh.element_dofs(ei, ej)] += LONG(w) * _local_rows(tx, ty, mesh.hx, mesh.hy)

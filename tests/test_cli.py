@@ -197,6 +197,38 @@ class TestRun:
         assert code == 2
         assert any(expected in d for d in summary["diagnostics"])
 
+    @pytest.mark.parametrize("family, expected", [
+        ({"kind": "cross"}, "missing required problem parameter: 'mu'"),
+        ({"kind": "cross", "mu": [1]}, "float() argument must be"),
+        ("cross", "family must be an object"),
+    ], ids=["cross-without-mu", "list-mu", "string-family"])
+    def test_malformed_family_is_a_diagnostic(self, tmp_path, family, expected):
+        cfg = config_for("optimize-reinforcement", {
+            "alpha": 0.5, "beta": 2.5, "family": family,
+        }, outdir=tmp_path / "r")
+        code, summary = run(cfg)
+        assert code == 2
+        assert len(summary["diagnostics"]) == 1
+        assert summary["diagnostics"][0].startswith(expected)
+        stored = json.loads((tmp_path / "r" / "summary.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert stored["diagnostics"] == summary["diagnostics"]
+
+    @pytest.mark.parametrize("load, expected", [
+        ({"density": "x"}, "load density must be a number or an object: 'x'"),
+        ({"density": [1, 2]}, "load density must be a number or an object: [1, 2]"),
+        (5, "load must be an object"),
+    ], ids=["string-density", "list-density", "number-load"])
+    def test_malformed_load_is_a_diagnostic(self, tmp_path, load, expected):
+        cfg = config_for("vi-solve", {"load": load, "obstacles": {"gamma": 1.0}},
+                         outdir=tmp_path / "v")
+        code, summary = run(cfg)
+        assert code == 2
+        assert summary["diagnostics"] == [expected]
+        stored = json.loads((tmp_path / "v" / "summary.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert stored["diagnostics"] == summary["diagnostics"]
+
     def test_cells_load_matches_bang_bang_member(self):
         params = MaterialParams(0.2, 0.1)
         mesh = Mesh(16, 4, params.half_width)

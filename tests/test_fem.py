@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hingedplate import (DofField, LoadSpec, Mesh, ReinforcementMask,
                          assemble_bilinear, assemble_load, energy_value,
                          point_eval, symmetry_decompose)
-from hingedplate.fem import (DOF_VALUE, apply_functional, field_to_csv,
-                             reflect_x, reflect_y)
+from hingedplate.fem import (DOF_VALUE, LONG, _GAUSS_PTS, _GAUSS_WTS,
+                             _density_evaluator, _local_rows, apply_functional,
+                             element_stiffness, field_to_csv, reflect_x,
+                             reflect_y)
+from hingedplate.optimize import _cell_density
 
 
 def interpolate(mesh, fn, dfx, dfy, dfxy):
@@ -149,6 +153,170 @@ class TestLoads:
         load = LoadSpec(density=1.0, point_masses=((1.0, 0.0, 1.0),))
         with pytest.raises(ValueError):
             assemble_load(mesh_small, load, weight=mask)
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: the per-element and per-entry loops the whole-array
+# assembly and the longdouble CSR replace, kept to pin them bit for bit
+# ---------------------------------------------------------------------------
+
+def _reference_element_dofs(mesh, ei, ej):
+    out = []
+    for (ii, jj) in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        base = 4 * mesh.node_index(ei + ii, ej + jj)
+        out.extend(base + d for d in range(4))
+    return np.array(out, dtype=np.int64)
+
+
+def _reference_triplets(mesh, params, sel=None):
+    """Deduplicated (rows, cols, vals) of the Galerkin matrix, one element
+    at a time, duplicates summed in element order."""
+    Ke = element_stiffness(mesh.hx, mesh.hy, params.sigma)
+    rows, cols, vals = [], [], []
+    for ej in range(mesh.ny):
+        for ei in range(mesh.nx):
+            if sel is not None and not sel[ej, ei]:
+                continue
+            gl = _reference_element_dofs(mesh, ei, ej)
+            rows.append(np.repeat(gl, 16))
+            cols.append(np.tile(gl, 16))
+            vals.append(Ke.ravel())
+    return _reference_reduce(np.concatenate(rows), np.concatenate(cols),
+                             np.concatenate(vals))
+
+
+def _reference_reduce(rows, cols, vals):
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(keep)
+    return rows[starts], cols[starts], np.add.reduceat(vals, starts)
+
+
+def _reference_weighted(mesh, params, sel, alpha, beta):
+    """Triplets of alpha K + (beta - alpha) K_D."""
+    r0, c0, v0 = _reference_triplets(mesh, params)
+    r1, c1, v1 = _reference_triplets(mesh, params, sel)
+    return _reference_reduce(np.concatenate([r0, r1]), np.concatenate([c0, c1]),
+                             np.concatenate([v0 * LONG(alpha),
+                                             v1 * LONG(beta - alpha)]))
+
+
+def _reference_matvec(triplets, x):
+    rows, cols, vals = triplets
+    out = np.zeros(len(x), dtype=LONG)
+    np.add.at(out, rows, vals * x[cols])
+    return out
+
+
+def _reference_matrix(n, triplets):
+    rows, cols, vals = triplets
+    csr = sp.coo_matrix((vals.astype(float), (rows, cols)), shape=(n, n)).tocsr()
+    csr.sum_duplicates()
+    return csr
+
+
+def _reference_load(mesh, load, weight=None):
+    """Dof functional with one density call per Gauss point."""
+    b = np.zeros(mesh.n_dofs, dtype=LONG)
+    if load.density is not None:
+        f = _density_evaluator(mesh, load.density)
+        tq = (_GAUSS_PTS + 1) / 2
+        wq = _GAUSS_WTS / 2
+        brows = [[_local_rows(tx, ty, mesh.hx, mesh.hy) for ty in tq] for tx in tq]
+        wsel = None
+        if weight is not None and not weight.is_degenerate:
+            wsel = np.where(weight.elements, weight.beta, weight.alpha)
+        scale = LONG(mesh.hx) * LONG(mesh.hy)
+        for ej in range(mesh.ny):
+            y0 = -mesh.half_width + ej * mesh.hy
+            for ei in range(mesh.nx):
+                x0 = ei * mesh.hx
+                w_elem = 1.0 if wsel is None else wsel[ej, ei]
+                fe = np.zeros(16, dtype=LONG)
+                for a, (tx, wx) in enumerate(zip(tq, wq)):
+                    for bq, (ty, wy) in enumerate(zip(tq, wq)):
+                        fv = float(np.asarray(f(x0 + tx * mesh.hx, y0 + ty * mesh.hy)))
+                        fe += LONG(wx * wy * w_elem * fv) * brows[a][bq]
+                b[_reference_element_dofs(mesh, ei, ej)] += fe * scale
+    for (x, y, w) in load.point_masses:
+        ei, ej, tx, ty = mesh.locate(x, y)
+        b[_reference_element_dofs(mesh, ei, ej)] += (
+            LONG(w) * _local_rows(tx, ty, mesh.hx, mesh.hy))
+    return b
+
+
+def _region(mesh):
+    sel = np.zeros((mesh.ny, mesh.nx), dtype=bool)
+    sel[:, : mesh.nx // 4] = True
+    sel[1, mesh.nx // 2] = True
+    return sel
+
+
+class TestKernelsBitForBit:
+    """Whole-array assembly and the longdouble CSR reproduce the loops."""
+
+    @pytest.fixture(params=["full", "region", "weighted"])
+    def form_pair(self, request, mesh_small, params):
+        sel = _region(mesh_small)
+        if request.param == "full":
+            return (assemble_bilinear(mesh_small, params),
+                    _reference_triplets(mesh_small, params))
+        if request.param == "region":
+            return (assemble_bilinear(mesh_small, params, region=sel),
+                    _reference_triplets(mesh_small, params, sel))
+        full = assemble_bilinear(mesh_small, params)
+        region = assemble_bilinear(mesh_small, params, region=sel)
+        return (full.scaled(0.5) + region.scaled(2.5 - 0.5),
+                _reference_weighted(mesh_small, params, sel, 0.5, 2.5))
+
+    def test_matvec_extended(self, form_pair, mesh_small):
+        form, triplets = form_pair
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            # division in longdouble fills the extended mantissa
+            x = rng.normal(size=mesh_small.n_dofs).astype(LONG) / LONG(3)
+            y = form.matvec_extended(x)
+            assert y.dtype == LONG
+            assert np.array_equal(y, _reference_matvec(triplets, x))
+
+    def test_float64_matrix(self, form_pair, mesh_small):
+        form, triplets = form_pair
+        got, want = form.matrix, _reference_matrix(mesh_small.n_dofs, triplets)
+        assert got.dtype == np.float64
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("mesh_name", ["mesh_small", "mesh_mid"])
+    @pytest.mark.parametrize("kind", [
+        "constant", "callable", "mixed-sign", "node-samples", "cells",
+        "weighted", "point-masses"])
+    def test_assemble_load(self, request, mesh_name, kind):
+        mesh = request.getfixturevalue(mesh_name)
+        weight = None
+        if kind == "constant":
+            load = LoadSpec(density=-2.5)
+        elif kind == "callable":
+            load = LoadSpec(density=lambda x, y: np.sin(x) - 80.0 * np.sin(3.0 * x))
+        elif kind == "mixed-sign":
+            load = LoadSpec(density=lambda x, y: (0.3 * np.sin(x) + 0.2 * np.cos(3 * x)
+                                                  - 0.5 * np.sign(y)))
+        elif kind == "node-samples":
+            load = LoadSpec(density=np.sin(0.37 * np.arange(mesh.n_nodes)))
+        elif kind == "cells":
+            signs = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]])
+            load = LoadSpec(density=_cell_density(signs, mesh.half_width))
+        elif kind == "weighted":
+            load = LoadSpec(density=lambda x, y: np.exp(x) * y ** 2)
+            weight = ReinforcementMask(_region(mesh), alpha=0.5, beta=2.5)
+        else:
+            load = LoadSpec(density=lambda x, y: np.sin(x),
+                            point_masses=((1.1, 0.02, 0.7), (2.0, -0.05, -1.3)))
+        b = assemble_load(mesh, load, weight=weight)
+        assert b.dtype == LONG
+        assert np.array_equal(b, _reference_load(mesh, load, weight))
 
 
 class TestPointEval:
