@@ -9,9 +9,8 @@ from .series import (AntisymDelta, ObstacleSpec, ScanWindow, SeriesState,
 from .fem import (DofField, LoadSpec, Mesh, ReinforcementMask,
                   assemble_bilinear, assemble_load, energy_value, point_eval,
                   symmetry_decompose)
-from .solver import (BoxConstraints, PlateOperator, SolverSettings, VISolution,
-                     kkt_report, solve_densityweighted, solve_linear,
-                     solve_obstacle)
+from .solver import (BoxConstraints, PlateOperator, VISolution, kkt_report,
+                     solve_densityweighted, solve_linear, solve_obstacle)
 from .optimize import (ForceClass, GapProfile, ObstacleFamily,
                        ReinforcementFamily, best_obstacle, best_reinforcement,
                        classify_regime, edge_gap_series_scan, gap_profile,

@@ -1,9 +1,11 @@
-"""Batch front door: validate a JSON config, run one problem, export artifacts.
+"""Batch front door: read a JSON config once, run one problem, export artifacts.
 
-Every run writes ``summary.json`` (always, with the fully resolved config
-embedded) plus problem-specific CSV data files.  Exit codes: 0 success,
-2 validation error, 3 solver non-convergence.  Identical configs produce
-byte-identical outputs.
+``_parse`` alone reads a config: it checks the sections, then the problem's
+reader builds every object from ``params`` before anything is solved, so
+``validate`` and ``run`` report the same diagnostics.  Every run writes
+``summary.json`` (always, with the fully resolved config embedded) plus
+problem-specific CSV data files.  Exit codes: 0 success, 2 validation error,
+3 solver non-convergence.  Identical configs produce byte-identical outputs.
 """
 
 import argparse
@@ -35,12 +37,6 @@ _TOP_KEYS = {"schema_version", "material", "mesh", "series", "problem",
 _MATERIAL_KEYS = {"sigma", "half_width"}
 _MESH_KEYS = {"nx", "ny"}
 _SERIES_KEYS = {"m_max"}
-
-
-class ValidationFailure(Exception):
-    def __init__(self, diagnostics):
-        super().__init__("; ".join(diagnostics))
-        self.diagnostics = diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +72,12 @@ def merge_config(base, override):
 
 def validate(config):
     """All invariant violations of a config, without running anything."""
+    return _parse(config)[0]
+
+
+def _parse(config):
+    """(diagnostics, run): a config's violations, and without any a runner
+    ``run(outdir) -> summary fields`` over the objects built from it."""
     diags = []
     try:
         json.dumps(config, allow_nan=False, default=_json_default)
@@ -87,28 +89,20 @@ def validate(config):
     if config.get("schema_version") != SCHEMA_VERSION:
         diags.append(f"schema_version must be {SCHEMA_VERSION}")
 
-    mat = _section(config, "material", diags)
-    if set(mat) - _MATERIAL_KEYS:
-        diags.append(f"unknown material fields: {sorted(set(mat) - _MATERIAL_KEYS)}")
+    mat = _section(config, "material", _MATERIAL_KEYS, diags)
     sigma = mat.get("sigma")
     half_width = mat.get("half_width")
     if not _is_real(sigma) or not 0.0 < sigma < 1.0:
         diags.append(f"sigma outside (0,1): {sigma!r}")
     if not _is_real(half_width) or half_width <= 0.0 or 2.0 * half_width >= np.pi:
         diags.append(f"half_width must satisfy 0 < 2*half_width < pi: {half_width!r}")
-        half_width = None
 
-    mesh = _section(config, "mesh", diags)
-    if set(mesh) - _MESH_KEYS:
-        diags.append(f"unknown mesh fields: {sorted(set(mesh) - _MESH_KEYS)}")
+    mesh = _section(config, "mesh", _MESH_KEYS, diags)
     nx, ny = mesh.get("nx"), mesh.get("ny")
-    mesh_ok = _is_int(nx) and _is_int(ny) and nx >= 4 and ny >= 2
-    if not mesh_ok:
+    if not (_is_int(nx) and _is_int(ny) and nx >= 4 and ny >= 2):
         diags.append(f"mesh must be at least 4x2 integer elements: {mesh}")
 
-    series = _section(config, "series", diags)
-    if set(series) - _SERIES_KEYS:
-        diags.append(f"unknown series fields: {sorted(set(series) - _SERIES_KEYS)}")
+    series = _section(config, "series", _SERIES_KEYS, diags)
     m_max = series.get("m_max")
     if not _is_int(m_max) or m_max < 1:
         diags.append(f"series m_max must be an integer >= 1: {m_max!r}")
@@ -116,53 +110,45 @@ def validate(config):
     problem = config.get("problem")
     if problem not in PROBLEMS:
         diags.append(f"problem must be one of {PROBLEMS}: {problem}")
+    params = _section(config, "params", None, diags)
+    if not isinstance(config.get("output_dir") or "out", str):
+        diags.append(f"output_dir must be a string: {config['output_dir']!r}")
+    if diags:
+        return diags, None
 
-    params = _section(config, "params", diags)
-    load = params.get("load")
-    if load is not None and not isinstance(load, dict):
-        diags.append("load must be an object")
-    elif load is not None:
-        density = load.get("density")
-        if not (density is None or _is_real(density) or isinstance(density, dict)):
-            diags.append(f"load density must be a number or an object: {density!r}")
+    material = MaterialParams(sigma=sigma, half_width=half_width)
+    ctx = {"params": material, "mesh": Mesh(nx, ny, material.half_width),
+           "state": SeriesState(params=material, m_max=m_max)}
+    try:
+        solve = _READERS[problem](params, ctx)
+    except KeyError as exc:
+        return [f"missing required problem parameter: {exc}"], None
+    except (TypeError, ValueError) as exc:
+        return [str(exc)], None
 
-    variant = params.get("variant")
-    if problem == "vi-solve" and variant not in (None, "base", "E1", "E2"):
-        diags.append(f"vi-solve variant must be base, E1 or E2: {variant!r}")
-    if (problem == "optimize-reinforcement" or variant in ("E1", "E2")
-            or "alpha" in params or "beta" in params):
-        alpha = params.get("alpha")
-        beta = params.get("beta")
-        if not (_is_real(alpha) and _is_real(beta) and 0.0 < alpha < 1.0 < beta):
-            diags.append(f"two-material energies require alpha < 1 < beta, "
-                         f"got alpha={alpha}, beta={beta}")
-        elif half_width is not None and mesh_ok:
-            family = params.get("family", {})
-            if not isinstance(family, dict):
-                diags.append("family must be an object")
-            elif family.get("kind") == "cross":
-                try:
-                    fam = _build_family(params, half_width)
-                    m = Mesh(nx, ny, half_width)
-                    fam.candidates(m)
-                except KeyError as exc:
-                    diags.append(f"missing required problem parameter: {exc}")
-                except (TypeError, ValueError) as exc:
-                    diags.append(str(exc))
-    if problem == "regime":
-        gamma = params.get("gamma")
-        if not _is_real(gamma) or gamma <= 0.0:
-            diags.append(f"regime requires a positive gamma: {gamma}")
-    return diags
+    def run(outdir):
+        return {"tolerances": {"series_tail": ctx["state"].tail_bound},
+                "mesh": {"nx": nx, "ny": ny}, "series": {"m_max": m_max},
+                "result": solve(outdir)}
+    return [], run
 
 
-def _section(config, name, diags):
-    """The object ``config[name]``, or {} with a diagnostic if it is not one."""
+def _section(config, name, keys, diags):
+    """The object ``config[name]``, else {}; diagnoses that and fields not in keys."""
     section = config.get(name, {})
     if not isinstance(section, dict):
         diags.append(f"{name} must be an object")
         return {}
+    if keys is not None and set(section) - keys:
+        diags.append(f"unknown {name} fields: {sorted(set(section) - keys)}")
     return section
+
+
+def _object(value, name):
+    """``value`` if it is a JSON object, else a TypeError naming it."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{name} must be an object")
+    return value
 
 
 def _is_real(value):
@@ -180,8 +166,10 @@ def _is_int(value):
 def _build_density(spec, half_width):
     if spec is None:
         return None
-    if isinstance(spec, (int, float)):
+    if _is_real(spec):
         return float(spec)
+    if not isinstance(spec, dict):
+        raise TypeError(f"load density must be a number or an object: {spec!r}")
     kind = spec.get("kind")
     if kind == "constant":
         return float(spec["value"])
@@ -189,10 +177,11 @@ def _build_density(spec, half_width):
         return lambda x, y: np.sin(x)
     if kind == "cells":
         return _cell_density(np.asarray(spec["signs"], dtype=float), half_width)
-    raise ValidationFailure([f"unknown density kind {kind!r}"])
+    raise ValueError(f"unknown density kind {kind!r}")
 
 
 def _build_load(spec, half_width):
+    spec = _object(spec, "load")
     if "antisym_delta" in spec:
         xi, eta = spec["antisym_delta"]
         return LoadSpec.antisym_pair(float(xi), float(eta))
@@ -204,6 +193,7 @@ def _build_load(spec, half_width):
 
 
 def _build_obstacle(spec):
+    spec = _object(spec, "obstacles")
     kind = spec.get("kind", "constant_level")
     region = spec.get("region", "long_edges")
     if kind == "constant_level":
@@ -211,45 +201,62 @@ def _build_obstacle(spec):
     if kind == "bounds":
         return ObstacleSpec(lower=float(spec["lower"]), upper=float(spec["upper"]),
                             region=region)
-    raise ValidationFailure([f"unknown obstacle kind {kind!r}"])
+    raise ValueError(f"unknown obstacle kind {kind!r}")
 
 
 def _build_forces(spec, params):
+    spec = _object(spec, "force_class")
     kind = spec.get("kind", "antisym-delta")
-    window = None
-    if spec.get("window", kind == "antisym-delta"):
-        wspec = spec.get("window")
-        if isinstance(wspec, dict):
-            window = ScanWindow(z0=float(wspec["z0"]), w0=float(wspec["w0"]))
-        else:
-            window = ScanWindow.default(params)
+    wspec = spec.get("window", kind == "antisym-delta")
+    window = ScanWindow.default(params) if wspec is True else None
+    if wspec and wspec is not True:
+        wspec = _object(wspec, "window")
+        window = ScanWindow(z0=float(wspec["z0"]), w0=float(wspec["w0"]))
+        window.validate(params)
     return ForceClass(kind=kind, window=window,
                       nxi=int(spec.get("nxi", 33)), neta=int(spec.get("neta", 9)),
                       cells=tuple(spec.get("cells", (3, 2))))
 
 
+def _densities(params):
+    """(alpha, beta) of a two-material energy, 0 < alpha < 1 < beta."""
+    alpha, beta = params.get("alpha"), params.get("beta")
+    if not (_is_real(alpha) and _is_real(beta) and 0.0 < alpha < 1.0 < beta):
+        raise ValueError(f"two-material energies require alpha < 1 < beta, "
+                         f"got alpha={alpha}, beta={beta}")
+    return alpha, beta
+
+
 def _build_family(params, half_width):
-    family = params["family"]
+    alpha, beta = _densities(params)
+    family = _object(params["family"], "family")
     kind = family["kind"]
     if kind == "cross":
         return ReinforcementFamily(
-            kind="cross", alpha=params["alpha"], beta=params["beta"],
+            kind="cross", alpha=alpha, beta=beta,
             n_xstrips=int(family.get("n_xstrips", 1)),
             n_ystrips=int(family.get("n_ystrips", 0)),
             mu=float(family["mu"]), eps=float(family.get("eps", 0.01)),
             centers_per_axis=int(family.get("centers_per_axis", 9)))
     if kind == "tiles":
         return ReinforcementFamily(
-            kind="tiles", alpha=params["alpha"], beta=params["beta"],
+            kind="tiles", alpha=alpha, beta=beta,
             eps=float(family.get("eps", 0.01)),
             tile_size=tuple(family["tile_size"]),
             n_tiles=int(family.get("n_tiles", 1)),
             centers_per_axis=int(family.get("centers_per_axis", 5)))
-    raise ValidationFailure([f"unknown reinforcement family kind {kind!r}"])
+    raise ValueError(f"unknown reinforcement family kind {kind!r}")
+
+
+def _plate_point(q, mesh, name):
+    x, y = map(float, q)
+    if not mesh.contains(x, y):
+        raise ValueError(f"{name} ({x}, {y}) outside the closed plate")
+    return x, y
 
 
 # ---------------------------------------------------------------------------
-# runners
+# readers: a problem's params -> a runner over the objects built from them
 # ---------------------------------------------------------------------------
 
 def _write_json(path, payload):
@@ -270,177 +277,178 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def _run_green_eval(config, ctx, outdir):
-    p = config["params"]
+def _read_green_eval(p, ctx):
     state = ctx["state"]
+    points = [_plate_point(q, ctx["mesh"], "point") for q in p["points"]]
     source = p.get("source")
-    points = [tuple(map(float, q)) for q in p["points"]]
-    rows = []
-    for (x, y) in points:
-        if source is None:
-            val = float(uniform_load_profile((x, y), state))
-        else:
-            val = float(green_value((float(source[0]), float(source[1])),
-                                    (x, y), state))
-        rows.append((x, y, val))
-    with open(outdir / "green_eval.csv", "w", encoding="utf-8") as fh:
-        fh.write("x,y,value\n")
-        for (x, y, v) in rows:
-            fh.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
-    return {"values": [v for (_, _, v) in rows], "tail_bound": state.tail_bound}
+    if source is not None:
+        source = _plate_point(source, ctx["mesh"], "source")
+
+    def run(outdir):
+        rows = []
+        for (x, y) in points:
+            if source is None:
+                val = float(uniform_load_profile((x, y), state))
+            else:
+                val = float(green_value(source, (x, y), state))
+            rows.append((x, y, val))
+        with open(outdir / "green_eval.csv", "w", encoding="utf-8") as fh:
+            fh.write("x,y,value\n")
+            for (x, y, v) in rows:
+                fh.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
+        return {"values": [v for (_, _, v) in rows], "tail_bound": state.tail_bound}
+    return run
 
 
-def _run_solve(config, ctx, outdir):
-    load = _build_load(config["params"]["load"], ctx["params"].half_width)
-    op = PlateOperator.build(ctx["mesh"], ctx["params"])
-    rhs = assemble_load(ctx["mesh"], load)
-    fld = solve_linear(op, rhs)
-    field_to_csv(fld, outdir / "field.csv")
-    return {"sup_norm": fld.sup_norm()}
-
-
-def _run_vi_solve(config, ctx, outdir):
-    p = config["params"]
+def _read_solve(p, ctx):
+    mesh = ctx["mesh"]
     load = _build_load(p["load"], ctx["params"].half_width)
-    obstacle = _build_obstacle(p["obstacles"])
+    load.validate(mesh)
+
+    def run(outdir):
+        op = PlateOperator.build(mesh, ctx["params"])
+        fld = solve_linear(op, assemble_load(mesh, load))
+        field_to_csv(fld, outdir / "field.csv")
+        return {"sup_norm": fld.sup_norm()}
+    return run
+
+
+def _read_vi_solve(p, ctx):
+    mesh = ctx["mesh"]
+    load = _build_load(p["load"], ctx["params"].half_width)
+    load.validate(mesh)
+    box = BoxConstraints.from_obstacle(mesh, _build_obstacle(p["obstacles"]))
+    variant = p.get("variant")
+    if variant not in (None, "base", "E1", "E2"):
+        raise ValueError(f"vi-solve variant must be base, E1 or E2: {variant!r}")
     mask = None
-    if "alpha" in p and "beta" in p:
-        mask = _mask_from_config(p, ctx["mesh"])
-    op = PlateOperator.build(ctx["mesh"], ctx["params"],
-                             mask=mask if p.get("variant", "base") == "E1" else None)
-    weight = mask if p.get("variant") == "E2" else None
-    rhs = assemble_load(ctx["mesh"], load, weight=weight)
-    box = BoxConstraints.from_obstacle(ctx["mesh"], obstacle)
-    sol = solve_obstacle(op, rhs, box)
-    field_to_csv(sol.field, outdir / "field.csv")
-    gap_profile(sol).to_csv(outdir / "gap.csv")
-    return solution_to_json(sol, op, rhs, box)
+    if variant in ("E1", "E2") or "alpha" in p or "beta" in p:
+        alpha, beta = _densities(p)
+        mask = ReinforcementMask(np.asarray(p["mask"], dtype=bool), alpha, beta)
+        mask.check_shape(mesh)
+
+    def run(outdir):
+        op = PlateOperator.build(mesh, ctx["params"],
+                                 mask=mask if variant == "E1" else None)
+        rhs = assemble_load(mesh, load, weight=mask if variant == "E2" else None)
+        sol = solve_obstacle(op, rhs, box)
+        field_to_csv(sol.field, outdir / "field.csv")
+        gap_profile(sol).to_csv(outdir / "gap.csv")
+        return solution_to_json(sol, op, rhs, box)
+    return run
 
 
-def _mask_from_config(p, mesh):
-    spec = p.get("mask")
-    if spec is None:
-        raise ValidationFailure(["two-material run needs a 'mask' element grid"])
-    elements = np.asarray(spec, dtype=bool)
-    return ReinforcementMask(elements, alpha=p["alpha"], beta=p["beta"])
-
-
-def _run_gap_scan(config, ctx, outdir):
-    p = config["params"]
-    obstacle = _build_obstacle(p["obstacles"]) if "obstacles" in p else None
-    forces = _build_forces(p.get("force_class", {}), ctx["params"])
-    op = PlateOperator.build(ctx["mesh"], ctx["params"])
-    if obstacle is None:
-        level = 2.0 * analytic_bound_C(ctx["params"])  # beyond reach: contact-free
-        obstacle = ObstacleSpec.constant_level(level, region="long_edges")
-    scan = worst_gap_force(op, obstacle, forces, ctx["params"])
-    scan.argopt_profile.to_csv(outdir / "gap.csv")
-    return scan.to_report()
-
-
-def _run_optimize_reinforcement(config, ctx, outdir):
-    p = config["params"]
-    family = _build_family(p, ctx["params"].half_width)
-    forces = _build_forces(p.get("force_class", {"kind": "bang-bang"}), ctx["params"])
+def _read_gap_scan(p, ctx):
+    params = ctx["params"]
+    level = 2.0 * analytic_bound_C(params)  # beyond reach: contact-free
     obstacle = (_build_obstacle(p["obstacles"]) if "obstacles" in p
-                else BoxConstraints.unbounded(ctx["mesh"]))
-    scan = best_reinforcement(family, ctx["mesh"], ctx["params"], forces, obstacle,
-                              variant=p.get("variant", "E2"))
-    report = scan.to_report()
-    report["argopt_mask"] = _json_default(scan.meta["argopt_mask"])
-    return report
+                else ObstacleSpec.constant_level(level, region="long_edges"))
+    forces = _build_forces(p.get("force_class", {}), params)
+
+    def run(outdir):
+        op = PlateOperator.build(ctx["mesh"], params)
+        scan = worst_gap_force(op, obstacle, forces, params)
+        scan.argopt_profile.to_csv(outdir / "gap.csv")
+        return scan.to_report()
+    return run
 
 
-def _run_optimize_obstacle(config, ctx, outdir):
-    p = config["params"]
+def _read_optimize_reinforcement(p, ctx):
+    mesh, params = ctx["mesh"], ctx["params"]
+    family = _build_family(p, params.half_width)
+    family.candidates(mesh)  # raises when no layout meets the area balance
+    forces = _build_forces(p.get("force_class", {"kind": "bang-bang"}), params)
+    obstacle = (_build_obstacle(p["obstacles"]) if "obstacles" in p
+                else BoxConstraints.unbounded(mesh))
+    variant = p.get("variant", "E2")
+    if variant not in ("E1", "E2"):
+        raise ValueError(f"reinforcement variant must be E1 or E2: {variant!r}")
+
+    def run(outdir):
+        scan = best_reinforcement(family, mesh, params, forces, obstacle,
+                                  variant=variant)
+        report = scan.to_report()
+        report["argopt_mask"] = _json_default(scan.meta["argopt_mask"])
+        return report
+    return run
+
+
+def _read_optimize_obstacle(p, ctx):
     family = ObstacleFamily.constant_levels(
         p["levels"], region=p.get("region", "long_edges"))
     forces = _build_forces(p.get("force_class", {}), ctx["params"])
-    op = PlateOperator.build(ctx["mesh"], ctx["params"])
-    scan = best_obstacle(family, op, forces, ctx["params"])
-    return scan.to_report()
 
-
-def _run_regime(config, ctx, outdir):
-    p = config["params"]
-    report = classify_regime(p["gamma"], ctx["params"],
-                             m_max=config["series"]["m_max"] * 100)
-    if p.get("scan", True):
-        gamma = p["gamma"]
-        obstacle = ObstacleSpec.constant_level(gamma, region="long_edges")
-        forces = _build_forces(p.get("force_class", {}), ctx["params"])
+    def run(outdir):
         op = PlateOperator.build(ctx["mesh"], ctx["params"])
-        scan = worst_gap_force(op, obstacle, forces, ctx["params"])
-        report["scanned_gap"] = scan.value
-        report["scan"] = scan.to_report()
-    return report
+        return best_obstacle(family, op, forces, ctx["params"]).to_report()
+    return run
 
 
-_RUNNERS = {
-    "green-eval": _run_green_eval,
-    "solve": _run_solve,
-    "vi-solve": _run_vi_solve,
-    "gap-scan": _run_gap_scan,
-    "optimize-reinforcement": _run_optimize_reinforcement,
-    "optimize-obstacle": _run_optimize_obstacle,
-    "regime": _run_regime,
+def _read_regime(p, ctx):
+    params = ctx["params"]
+    gamma = p.get("gamma")
+    if not _is_real(gamma) or gamma <= 0.0:
+        raise ValueError(f"regime requires a positive gamma: {gamma}")
+    scan = p.get("scan", True)
+    forces = _build_forces(p.get("force_class", {}), params) if scan else None
+
+    def run(outdir):
+        report = classify_regime(gamma, params, m_max=ctx["state"].m_max * 100)
+        if scan:
+            obstacle = ObstacleSpec.constant_level(gamma, region="long_edges")
+            op = PlateOperator.build(ctx["mesh"], params)
+            result = worst_gap_force(op, obstacle, forces, params)
+            report["scanned_gap"] = result.value
+            report["scan"] = result.to_report()
+        return report
+    return run
+
+
+_READERS = {
+    "green-eval": _read_green_eval,
+    "solve": _read_solve,
+    "vi-solve": _read_vi_solve,
+    "gap-scan": _read_gap_scan,
+    "optimize-reinforcement": _read_optimize_reinforcement,
+    "optimize-obstacle": _read_optimize_obstacle,
+    "regime": _read_regime,
 }
-
-
-def _try_write_summary(outdir, summary):
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_json(outdir / "summary.json", summary)
-    except OSError:
-        pass  # diagnostics still reach the caller
 
 
 def run(config):
     """Execute one configured problem; returns (exit_code, summary dict)."""
-    outdir = Path(config.get("output_dir") or "out")
-    diags = validate(config)
+    diags, solve = _parse(config)
+    summary = {"problem": config.get("problem"), "config": config}
+    out = config.get("output_dir") or "out"
+    outdir = Path(out) if isinstance(out, str) else None  # else diagnosed
+    code = 2
     if diags:
         # non-finite numbers echo as strings, so the summary stays strict JSON
-        echo = json.loads(json.dumps(config, default=_json_default),
-                          parse_constant=str)
-        summary = {"problem": config.get("problem"), "config": echo,
-                   "diagnostics": diags}
-        _try_write_summary(outdir, summary)
-        return 2, summary
-    mat = config["material"]
-    params = MaterialParams(sigma=mat["sigma"], half_width=mat["half_width"])
-    mesh = Mesh(config["mesh"]["nx"], config["mesh"]["ny"], params.half_width)
-    state = SeriesState(params=params, m_max=config["series"]["m_max"])
-    ctx = {"params": params, "mesh": mesh, "state": state}
-    outdir.mkdir(parents=True, exist_ok=True)
-    code, failure = 0, None
-    try:
-        result = _RUNNERS[config["problem"]](config, ctx, outdir)
-    except ValidationFailure as exc:
-        code, failure = 2, {"diagnostics": exc.diagnostics}
-    except KeyError as exc:
-        code, failure = 2, {"diagnostics":
-                            [f"missing required problem parameter: {exc}"]}
-    except ValueError as exc:
-        code, failure = 2, {"diagnostics": [str(exc)]}
-    except IterationLimitError as exc:
-        code, failure = 3, {"error": str(exc), "residual": exc.residual}
-    except SolverError as exc:
-        code, failure = 3, {"error": str(exc)}
-    if failure is not None:
-        summary = {"problem": config["problem"], "config": config, **failure}
-        _try_write_summary(outdir, summary)
-        return code, summary
-    summary = {
-        "problem": config["problem"],
-        "config": config,
-        "tolerances": {"series_tail": state.tail_bound},
-        "mesh": {"nx": mesh.nx, "ny": mesh.ny},
-        "series": {"m_max": state.m_max},
-        "result": result,
-    }
-    _write_json(outdir / "summary.json", summary)
-    return 0, summary
+        summary["config"] = json.loads(json.dumps(config, default=_json_default),
+                                       parse_constant=str)
+        summary["diagnostics"] = diags
+    else:
+        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            summary.update(solve(outdir))
+            code = 0
+        except ValueError as exc:
+            summary["diagnostics"] = [str(exc)]
+        except IterationLimitError as exc:
+            code = 3
+            summary.update(error=str(exc), residual=exc.residual)
+        except SolverError as exc:
+            code = 3
+            summary["error"] = str(exc)
+    if code == 0:
+        _write_json(outdir / "summary.json", summary)
+    elif outdir is not None:
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            _write_json(outdir / "summary.json", summary)
+        except OSError:
+            pass  # diagnostics still reach the caller
+    return code, summary
 
 
 # ---------------------------------------------------------------------------
@@ -475,32 +483,38 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    stream = sys.stdout if args.command == "validate" else sys.stderr
     config = default_config()
     if args.config:
-        config = merge_config(config, load_config(args.config))
+        try:
+            config = merge_config(config, _object(load_config(args.config), "config"))
+        except (OSError, TypeError, ValueError) as exc:
+            print(f"violation: cannot read {args.config}: {exc}", file=stream)
+            return 2
     if args.command != "validate":
         config["problem"] = args.command
     if args.out is not None:
         config["output_dir"] = args.out
     if args.m_max is not None:
-        config["series"]["m_max"] = args.m_max
+        config = merge_config(config, {"series": {"m_max": args.m_max}})
     if args.mesh is not None:
-        config["mesh"]["nx"], config["mesh"]["ny"] = args.mesh
+        nx, ny = args.mesh
+        config = merge_config(config, {"mesh": {"nx": nx, "ny": ny}})
 
     if args.command == "validate":
         diags = validate(config)
         for d in diags:
-            print(f"violation: {d}")
+            print(f"violation: {d}", file=stream)
         if not diags:
             print("config ok")
         return 0 if not diags else 2
 
     code, summary = run(config)
     if code == 0:
-        print(f"ok: wrote {Path(config['output_dir']) / 'summary.json'}")
+        print(f"ok: wrote {Path(config.get('output_dir') or 'out') / 'summary.json'}")
     else:
         for d in summary.get("diagnostics", []):
-            print(f"violation: {d}", file=sys.stderr)
+            print(f"violation: {d}", file=stream)
         if "error" in summary:
             print(f"error: {summary['error']}", file=sys.stderr)
     return code

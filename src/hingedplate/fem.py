@@ -88,12 +88,17 @@ class Mesh:
         X, Y = np.meshgrid(self.xs, self.ys)
         return X.ravel(), Y.ravel()
 
-    def locate(self, x, y):
-        """Element (ei, ej) containing (x, y) and local coordinates in [0,1]^2."""
+    def contains(self, x, y):
+        """Whether (x, y) lies on the closed plate, up to rounding."""
         l = self.half_width
         tol = 1e-12 * max(1.0, l)
-        if not (-tol <= x <= np.pi + tol) or not (-l - tol <= y <= l + tol):
+        return -tol <= x <= np.pi + tol and -l - tol <= y <= l + tol
+
+    def locate(self, x, y):
+        """Element (ei, ej) containing (x, y) and local coordinates in [0,1]^2."""
+        if not self.contains(x, y):
             raise ValueError(f"point ({x}, {y}) outside the closed plate")
+        l = self.half_width
         ei = min(int(np.clip(x / self.hx, 0, self.nx - 1)), self.nx - 1)
         ej = min(int(np.clip((y + l) / self.hy, 0, self.ny - 1)), self.ny - 1)
         tx = (x - ei * self.hx) / self.hx
@@ -293,10 +298,8 @@ class LoadSpec:
         return sum(abs(w) for (_, _, w) in self.point_masses)
 
     def validate(self, mesh):
-        l = mesh.half_width
-        tol = 1e-12 * max(1.0, l)
         for (x, y, _) in self.point_masses:
-            if not (-tol <= x <= np.pi + tol and -l - tol <= y <= l + tol):
+            if not mesh.contains(x, y):
                 raise ValueError(f"point mass at ({x}, {y}) outside the closed plate")
 
     def negated(self):

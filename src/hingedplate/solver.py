@@ -24,7 +24,6 @@ from .fem import LONG, DOF_VALUE, DofField, assemble_bilinear, assemble_load
 __all__ = [
     "BoxConstraints",
     "VISolution",
-    "SolverSettings",
     "PlateOperator",
     "SolverError",
     "IterationLimitError",
@@ -48,14 +47,10 @@ class IterationLimitError(SolverError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    tol: float = 1e-9
-    max_iterations: int = 200
-
-
-DEFAULT_SETTINGS = SolverSettings()
-
+#: relative KKT stationarity a solve must reach to be certified
+TOL = 1e-9
+#: active-set iteration budget of one obstacle solve
+MAX_ITERATIONS = 200
 #: extended-precision refinement steps after each sparse LU solve
 REFINE_STEPS = 2
 
@@ -235,8 +230,7 @@ def _box_dof_arrays(operator, constraints):
     return dofs, constraints.lower[nodes], constraints.upper[nodes]
 
 
-def solve_obstacle(operator, rhs, constraints, settings=DEFAULT_SETTINGS,
-                   warm_start=None):
+def solve_obstacle(operator, rhs, constraints, warm_start=None):
     """Two-sided obstacle solve by a monotone primal active set iteration.
 
     Iterates stay feasible: each step solves the equality problem with the
@@ -278,7 +272,7 @@ def solve_obstacle(operator, rhs, constraints, settings=DEFAULT_SETTINGS,
         return (float(np.max(np.abs(resid[operator.free_idx])))
                 / operator.residual_scale(rhs, x))
 
-    for it in range(1, settings.max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         x_star = operator.solve_pinned(
             rhs, np.concatenate([dofs[act_lo], dofs[act_hi]]),
             np.concatenate([lo[act_lo], hi[act_hi]]))
@@ -320,13 +314,13 @@ def solve_obstacle(operator, rhs, constraints, settings=DEFAULT_SETTINGS,
         act_lo[k] = False
     else:
         raise IterationLimitError(
-            f"active set did not settle in {settings.max_iterations} iterations",
+            f"active set did not settle in {MAX_ITERATIONS} iterations",
             kkt_violation(x, residual(x)))
 
     # x solves the settled contact set, where every multiplier has its sign
     stat = kkt_violation(x, resid)
-    if stat > settings.tol:
-        raise SolverError(f"stationarity residual {stat:.3e} above tol {settings.tol}")
+    if stat > TOL:
+        raise SolverError(f"stationarity residual {stat:.3e} above tol {TOL}")
     lam = np.where(act_lo | act_hi, lam, 0.0)
     # degenerate pins report the side their multiplier points to
     swap = pinned_eq & act_lo & (lam > 0.0)
@@ -347,15 +341,14 @@ def solve_obstacle(operator, rhs, constraints, settings=DEFAULT_SETTINGS,
                       iterations=it)
 
 
-def solve_densityweighted(operator, load, mask, constraints,
-                          settings=DEFAULT_SETTINGS):
+def solve_densityweighted(operator, load, mask, constraints):
     """Obstacle solve with the load density multiplied by beta on D, alpha off D."""
     if load.density is None:
         raise ValueError("density-weighted solve needs a load with a density part")
     if load.point_masses:
         raise ValueError("density-weighted solve rejects point masses")
     rhs = assemble_load(operator.mesh, load, weight=mask)
-    return solve_obstacle(operator, rhs, constraints, settings=settings)
+    return solve_obstacle(operator, rhs, constraints)
 
 
 def kkt_report(solution, operator, rhs, constraints):

@@ -1,18 +1,16 @@
 """Batch front door: validation diagnostics, runs, exports, idempotence."""
 
-import functools
 import json
 
 import numpy as np
 import pytest
 
-from hingedplate import cli
+from hingedplate import cli, solver
 from hingedplate.cli import (default_config, load_config, main, merge_config,
                              run, validate)
 from hingedplate.fem import Mesh, assemble_load
 from hingedplate.optimize import ForceClass
 from hingedplate.params import MaterialParams
-from hingedplate.solver import SolverSettings, solve_obstacle
 
 
 def _reject_constant(name):
@@ -131,8 +129,7 @@ class TestRun:
         assert (tmp_path / "v" / "gap.csv").exists()
 
     def test_non_converged_solve_writes_strict_json(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "solve_obstacle", functools.partial(
-            solve_obstacle, settings=SolverSettings(max_iterations=2)))
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 2)
         cfg = config_for(
             "vi-solve",
             {"load": {"density": {"kind": "sin_x"}},
@@ -229,6 +226,69 @@ class TestRun:
                             parse_constant=_reject_constant)
         assert stored["diagnostics"] == summary["diagnostics"]
 
+    @pytest.mark.parametrize("problem, params", [
+        ("vi-solve", {"load": {"density": 1.0}, "obstacles": "x"}),
+        ("gap-scan", {"force_class": 5}),
+        ("vi-solve", {"load": {"point_masses": 3}, "obstacles": {"gamma": 1.0}}),
+        ("optimize-obstacle", {"levels": 0.01}),
+        ("green-eval", {"points": 5}),
+        ("green-eval", {"source": 3, "points": [[1.0, 0.0]]}),
+        ("solve", {"load": {"antisym_delta": 3}}),
+        ("regime", {"gamma": 0.01, "force_class": [9, 5]}),
+        ("green-eval", {}),
+        ("vi-solve", {"load": {"density": {"kind": "cosh"}},
+                      "obstacles": {"gamma": 1.0}}),
+        ("vi-solve", {"load": {"density": 1.0}, "obstacles": {"kind": "wall"}}),
+        ("vi-solve", {"load": {"density": 1.0}, "obstacles": {"gamma": 1.0},
+                      "variant": "E1", "alpha": 0.5, "beta": 2.0}),
+        ("optimize-reinforcement", {"alpha": 0.5, "beta": 2.5,
+                                    "family": {"kind": "hex"}}),
+        ("optimize-reinforcement", {"alpha": 0.5, "beta": 2.5,
+                                    "family": {"kind": "cross", "mu": "x"}}),
+    ], ids=["string-obstacles", "number-force_class", "number-point_masses",
+            "number-levels", "number-points", "number-source",
+            "number-antisym_delta", "list-force_class", "missing-points",
+            "unknown-density-kind", "unknown-obstacle-kind", "E1-without-mask",
+            "unknown-family-kind", "string-mu"])
+    def test_validate_reports_what_run_reports(self, tmp_path, problem, params):
+        cfg = config_for(problem, params, outdir=tmp_path / "p")
+        code, summary = run(cfg)
+        assert code == 2
+        assert summary["diagnostics"]
+        stored = json.loads((tmp_path / "p" / "summary.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert stored["diagnostics"] == summary["diagnostics"]
+        assert validate(cfg) == summary["diagnostics"]
+
+    @pytest.mark.parametrize("problem, params, expected", [
+        ("green-eval", {"source": [1.0, 0.0], "points": [[10.0, 0.0]]},
+         "point (10.0, 0.0) outside the closed plate"),
+        ("green-eval", {"points": [[-1.0, 0.0]]},
+         "point (-1.0, 0.0) outside the closed plate"),
+        ("green-eval", {"source": [1.0, 0.5], "points": [[1.0, 0.0]]},
+         "source (1.0, 0.5) outside the closed plate"),
+        ("vi-solve", {"load": {"point_masses": [[4.0, 0.0, 1.0]]},
+                      "obstacles": {"gamma": 1.0}},
+         "point mass at (4.0, 0.0) outside the closed plate"),
+    ], ids=["green-point", "uniform-point", "green-source", "point-mass"])
+    def test_points_off_the_plate_are_diagnostics(self, tmp_path, problem, params,
+                                                  expected):
+        cfg = config_for(problem, params, outdir=tmp_path / "o")
+        assert validate(cfg) == [expected]
+        code, summary = run(cfg)
+        assert code == 2
+        assert summary["diagnostics"] == [expected]
+
+    def test_output_dir_must_be_a_string(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = config_for("green-eval", {"points": [[1.0, 0.0]]})
+        cfg["output_dir"] = 5
+        assert validate(cfg) == ["output_dir must be a string: 5"]
+        code, summary = run(cfg)
+        assert code == 2
+        assert summary["diagnostics"] == ["output_dir must be a string: 5"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_cells_load_matches_bang_bang_member(self):
         params = MaterialParams(0.2, 0.1)
         mesh = Mesh(16, 4, params.half_width)
@@ -314,6 +374,24 @@ class TestMain:
         stored = json.loads((tmp_path / "flagged" / "summary.json").read_text())
         assert stored["config"]["mesh"] == {"nx": 8, "ny": 2}
         assert stored["config"]["series"]["m_max"] == 50
+
+    @pytest.mark.parametrize("text, expected", [
+        (None, "No such file"),
+        ('{"problem": "regime",', "Expecting"),
+        ('[{"problem": "regime"}]', "config must be an object"),
+    ], ids=["missing-file", "invalid-json", "top-level-list"])
+    @pytest.mark.parametrize("command", ["validate", "regime"])
+    def test_unreadable_config_is_a_violation(self, tmp_path, capsys, command,
+                                              text, expected):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        assert main([command, "--config", str(path),
+                     "--out", str(tmp_path / "u")]) == 2
+        captured = capsys.readouterr()
+        lines = (captured.out if command == "validate" else captured.err).splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("violation: ") and expected in lines[0]
 
     def test_merge_config_nested(self):
         base = default_config()

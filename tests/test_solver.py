@@ -12,8 +12,7 @@ from hingedplate import (AntisymDelta, BoxConstraints, DofField, LoadSpec,
                          uniform_load_profile)
 from hingedplate import solver
 from hingedplate.fem import DOF_VALUE, assemble_load
-from hingedplate.solver import (IterationLimitError, PlateOperator,
-                                SolverSettings)
+from hingedplate.solver import IterationLimitError, PlateOperator
 
 SIN_LOAD = LoadSpec(density=lambda x, y: np.sin(x))
 
@@ -126,7 +125,7 @@ class TestSolveObstacle:
         clipped[0::4] = np.clip(vals, box.lower, box.upper)
         warm = solve_obstacle(operator_small, b, box,
                               warm_start=DofField(mesh_small, clipped))
-        tol = 10.0 * SolverSettings().tol
+        tol = 10.0 * solver.TOL
         scale = max(1.0, cold.field.sup_norm())
         assert np.max(np.abs(warm.field.dofs - cold.field.dofs)) <= tol * scale
 
@@ -173,21 +172,21 @@ class TestSolveObstacle:
             BoxConstraints(mask, np.full(n, -1.0), np.full(n, -0.5))  # upper < 0
 
     def test_iteration_budget_error_carries_residual(self, operator_small,
-                                                     mesh_small):
+                                                     mesh_small, monkeypatch):
         box = BoxConstraints.from_obstacle(
             mesh_small, ObstacleSpec.constant_level(0.2, region="full"))
         b = assemble_load(mesh_small, SIN_LOAD)
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
         with pytest.raises(IterationLimitError) as err:
-            solve_obstacle(operator_small, b, box,
-                           settings=SolverSettings(max_iterations=1))
+            solve_obstacle(operator_small, b, box)
         assert hasattr(err.value, "residual")
         # here two blocking steps never reach a contact-set optimum; the
         # error still reports the iterate's KKT violation, finite and above tol
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 2)
         with pytest.raises(IterationLimitError) as err:
-            solve_obstacle(operator_small, b, box,
-                           settings=SolverSettings(max_iterations=2))
+            solve_obstacle(operator_small, b, box)
         assert np.isfinite(err.value.residual)
-        assert err.value.residual > SolverSettings().tol
+        assert err.value.residual > solver.TOL
 
 
 class TestSettledIterate:
