@@ -1,6 +1,6 @@
 """Obstacle problems and worst-case optimization for partially hinged plates."""
 
-from .params import MaterialParams, DEFAULT_PARAMS, WIDE_PARAMS
+from .params import MaterialParams
 from .series import (AntisymDelta, ObstacleSpec, ScanWindow, SeriesState,
                      analytic_bound_C, antisym_solution, aux_pair,
                      boundary_kernels, empty_contact_margin, envelope_g,
@@ -10,7 +10,7 @@ from .fem import (DofField, LoadSpec, Mesh, ReinforcementMask,
                   assemble_bilinear, assemble_load, energy_value, point_eval,
                   symmetry_decompose)
 from .solver import (BoxConstraints, PlateOperator, VISolution, kkt_report,
-                     solve_densityweighted, solve_linear, solve_obstacle)
+                     solve_linear, solve_obstacle)
 from .optimize import (ForceClass, GapProfile, ObstacleFamily,
                        ReinforcementFamily, best_obstacle, best_reinforcement,
                        classify_regime, edge_gap_series_scan, gap_profile,

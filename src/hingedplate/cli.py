@@ -37,6 +37,16 @@ _TOP_KEYS = {"schema_version", "material", "mesh", "series", "problem",
 _MATERIAL_KEYS = {"sigma", "half_width"}
 _MESH_KEYS = {"nx", "ny"}
 _SERIES_KEYS = {"m_max"}
+_PARAMS_KEYS = {
+    "green-eval": {"points", "source"},
+    "solve": {"load"},
+    "vi-solve": {"load", "obstacles", "variant", "alpha", "beta", "mask"},
+    "gap-scan": {"obstacles", "force_class"},
+    "optimize-reinforcement": {"alpha", "beta", "family", "variant",
+                               "force_class", "obstacles"},
+    "optimize-obstacle": {"levels", "region", "force_class"},
+    "regime": {"gamma", "scan", "force_class"},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +120,7 @@ def _parse(config):
     problem = config.get("problem")
     if problem not in PROBLEMS:
         diags.append(f"problem must be one of {PROBLEMS}: {problem}")
-    params = _section(config, "params", None, diags)
+    params = _section(config, "params", _PARAMS_KEYS.get(problem), diags)
     if not isinstance(config.get("output_dir") or "out", str):
         diags.append(f"output_dir must be a string: {config['output_dir']!r}")
     if diags:
@@ -144,10 +154,19 @@ def _section(config, name, keys, diags):
     return section
 
 
-def _object(value, name):
-    """``value`` if it is a JSON object, else a TypeError naming it."""
+def _object(value, name, keys=None):
+    """``value`` if it is a JSON object with fields in keys, else an error naming it."""
     if not isinstance(value, dict):
         raise TypeError(f"{name} must be an object")
+    if keys is not None and set(value) - keys:
+        raise ValueError(f"unknown {name} fields: {sorted(set(value) - keys)}")
+    return value
+
+
+def _list(value, name):
+    """``value`` if it is a JSON list, else a TypeError naming it."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{name} must be a list: {value!r}")
     return value
 
 
@@ -170,9 +189,7 @@ def _build_density(spec, half_width):
         return float(spec)
     if not isinstance(spec, dict):
         raise TypeError(f"load density must be a number or an object: {spec!r}")
-    kind = spec.get("kind")
-    if kind == "constant":
-        return float(spec["value"])
+    kind = _object(spec, "density", {"kind", "signs"}).get("kind")
     if kind == "sin_x":
         return lambda x, y: np.sin(x)
     if kind == "cells":
@@ -181,19 +198,16 @@ def _build_density(spec, half_width):
 
 
 def _build_load(spec, half_width):
-    spec = _object(spec, "load")
+    spec = _object(spec, "load", {"density", "point_masses", "antisym_delta"})
     if "antisym_delta" in spec:
-        xi, eta = spec["antisym_delta"]
+        xi, eta = _list(spec["antisym_delta"], "antisym_delta")
         return LoadSpec.antisym_pair(float(xi), float(eta))
-    density = _build_density(spec.get("density"), half_width)
-    masses = tuple((float(x), float(y), float(w))
-                   for (x, y, w) in spec.get("point_masses", ()))
-    return LoadSpec(density=density, point_masses=masses,
-                    norm_tag=spec.get("norm", "dual"))
+    return LoadSpec(density=_build_density(spec.get("density"), half_width),
+                    point_masses=_list(spec.get("point_masses", []), "point_masses"))
 
 
 def _build_obstacle(spec):
-    spec = _object(spec, "obstacles")
+    spec = _object(spec, "obstacles", {"kind", "gamma", "lower", "upper", "region"})
     kind = spec.get("kind", "constant_level")
     region = spec.get("region", "long_edges")
     if kind == "constant_level":
@@ -205,17 +219,18 @@ def _build_obstacle(spec):
 
 
 def _build_forces(spec, params):
-    spec = _object(spec, "force_class")
+    spec = _object(spec, "force_class", {"kind", "nxi", "neta", "cells", "window"})
     kind = spec.get("kind", "antisym-delta")
     wspec = spec.get("window", kind == "antisym-delta")
     window = ScanWindow.default(params) if wspec is True else None
     if wspec and wspec is not True:
-        wspec = _object(wspec, "window")
+        wspec = _object(wspec, "window", {"z0", "w0"})
         window = ScanWindow(z0=float(wspec["z0"]), w0=float(wspec["w0"]))
         window.validate(params)
+    cells = _list(spec.get("cells", [3, 2]), "cells")
     return ForceClass(kind=kind, window=window,
                       nxi=int(spec.get("nxi", 33)), neta=int(spec.get("neta", 9)),
-                      cells=tuple(spec.get("cells", (3, 2))))
+                      cells=tuple(map(int, cells)))
 
 
 def _densities(params):
@@ -229,7 +244,9 @@ def _densities(params):
 
 def _build_family(params, half_width):
     alpha, beta = _densities(params)
-    family = _object(params["family"], "family")
+    family = _object(params["family"], "family",
+                     {"kind", "mu", "n_xstrips", "n_ystrips", "eps",
+                      "centers_per_axis", "tile_size", "n_tiles"})
     kind = family["kind"]
     if kind == "cross":
         return ReinforcementFamily(
@@ -249,7 +266,7 @@ def _build_family(params, half_width):
 
 
 def _plate_point(q, mesh, name):
-    x, y = map(float, q)
+    x, y = map(float, _list(q, name))
     if not mesh.contains(x, y):
         raise ValueError(f"{name} ({x}, {y}) outside the closed plate")
     return x, y
@@ -279,7 +296,8 @@ def _json_default(obj):
 
 def _read_green_eval(p, ctx):
     state = ctx["state"]
-    points = [_plate_point(q, ctx["mesh"], "point") for q in p["points"]]
+    points = [_plate_point(q, ctx["mesh"], "point")
+              for q in _list(p["points"], "points")]
     source = p.get("source")
     if source is not None:
         source = _plate_point(source, ctx["mesh"], "source")
@@ -375,7 +393,7 @@ def _read_optimize_reinforcement(p, ctx):
 
 def _read_optimize_obstacle(p, ctx):
     family = ObstacleFamily.constant_levels(
-        p["levels"], region=p.get("region", "long_edges"))
+        _list(p["levels"], "levels"), region=p.get("region", "long_edges"))
     forces = _build_forces(p.get("force_class", {}), ctx["params"])
 
     def run(outdir):

@@ -159,14 +159,8 @@ class DofField:
     def sup_norm(self):
         return float(np.max(np.abs(self.node_values)))
 
-    def __neg__(self):
-        return DofField(self.mesh, -self.dofs)
-
     def __add__(self, other):
         return DofField(self.mesh, self.dofs + other.dofs)
-
-    def __sub__(self, other):
-        return DofField(self.mesh, self.dofs - other.dofs)
 
 
 # ---------------------------------------------------------------------------
@@ -197,36 +191,23 @@ def _hermite_1d(t, h):
     return N, dN, d2N
 
 
+#: 1-D Hermite factor (x, y) of each local dof: node (0,0), (1,0), (0,1),
+#: (1,1), each with value, d/dx, d/dy, d2/dxdy
+_PX = np.array([0, 1, 0, 1, 2, 3, 2, 3, 0, 1, 0, 1, 2, 3, 2, 3])
+_PY = np.array([0, 0, 1, 1, 0, 0, 1, 1, 2, 2, 3, 3, 2, 2, 3, 3])
+
+
 def _local_rows(tx, ty, hx, hy, derivatives=False):
     """Rows of the 16 element basis functions at local point (tx, ty).
 
     Returns B (values) or (B, Bx, By, Bxx, Byy, Bxy) with physical
     derivatives when ``derivatives`` is set.
     """
-    Nx, dNx, d2Nx = _hermite_1d(tx, hx)
-    Ny, dNy, d2Ny = _hermite_1d(ty, hy)
-    B = np.empty(16, dtype=LONG)
-    if derivatives:
-        Bx = np.empty(16, dtype=LONG)
-        By = np.empty(16, dtype=LONG)
-        Bxx = np.empty(16, dtype=LONG)
-        Byy = np.empty(16, dtype=LONG)
-        Bxy = np.empty(16, dtype=LONG)
-    k = 0
-    for (ii, jj) in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        for (a, b) in ((0, 0), (1, 0), (0, 1), (1, 1)):
-            px, py = 2 * ii + a, 2 * jj + b
-            B[k] = Nx[px] * Ny[py]
-            if derivatives:
-                Bx[k] = dNx[px] * Ny[py]
-                By[k] = Nx[px] * dNy[py]
-                Bxx[k] = d2Nx[px] * Ny[py]
-                Byy[k] = Nx[px] * d2Ny[py]
-                Bxy[k] = dNx[px] * dNy[py]
-            k += 1
-    if derivatives:
-        return B, Bx, By, Bxx, Byy, Bxy
-    return B
+    Nx, dNx, d2Nx = (f[_PX] for f in _hermite_1d(tx, hx))
+    Ny, dNy, d2Ny = (f[_PY] for f in _hermite_1d(ty, hy))
+    if not derivatives:
+        return Nx * Ny
+    return Nx * Ny, dNx * Ny, Nx * dNy, d2Nx * Ny, Nx * d2Ny, dNx * dNy
 
 
 _ELEMENT_CACHE = {}
@@ -269,18 +250,13 @@ class LoadSpec:
     per-node samples (interpolated bilinearly).  Assembly calls a callable
     once, on (ny, nx, 4, 4) arrays of all Gauss points, so it must broadcast
     over arrays; a scalar result counts as a constant.
-    ``point_masses`` is a tuple of (x, y, weight).  ``norm_tag`` records the
-    ball the load is measured in: ``"dual"`` (total variation), ``"sup"``
-    or ``"lp"``.
+    ``point_masses`` is a tuple of (x, y, weight).
     """
 
     density: object = None
     point_masses: tuple = ()
-    norm_tag: str = "dual"
 
     def __post_init__(self):
-        if self.norm_tag not in ("dual", "sup", "lp"):
-            raise ValueError(f"unknown norm tag {self.norm_tag!r}")
         object.__setattr__(self, "point_masses",
                            tuple((float(x), float(y), float(w))
                                  for (x, y, w) in self.point_masses))

@@ -71,6 +71,10 @@ def gap_profile(solution):
 # force classes
 # ---------------------------------------------------------------------------
 
+#: largest bang-bang enumeration a force class may ask for
+MAX_MEMBERS = 4096
+
+
 @dataclass(frozen=True)
 class ForceMember:
     label: str
@@ -100,11 +104,18 @@ class ForceClass:
     nxi: int = 33
     neta: int = 9
     cells: tuple = (3, 2)
-    max_members: int = 4096
 
     def __post_init__(self):
         if self.kind not in ("antisym-delta", "signed-delta", "bang-bang"):
             raise ValueError(f"unknown force class kind {self.kind!r}")
+        if self.nxi < 1 or self.neta < 1:
+            raise ValueError(f"force class grid needs nxi, neta >= 1, "
+                             f"got {self.nxi}x{self.neta}")
+        if self.kind == "bang-bang" and not (
+                len(self.cells) == 2 and min(self.cells) >= 1
+                and 2 ** (self.cells[0] * self.cells[1]) <= MAX_MEMBERS):
+            raise ValueError(f"bang-bang cells must be two counts >= 1 with at most "
+                             f"{MAX_MEMBERS} sign patterns: {list(self.cells)}")
 
     @property
     def is_density_class(self):
@@ -141,16 +152,12 @@ class ForceClass:
         else:
             kx, ky = self.cells
             n_cells = kx * ky
-            if 2 ** n_cells > self.max_members:
-                raise ValueError(
-                    f"bang-bang enumeration of {kx}x{ky} cells exceeds "
-                    f"{self.max_members} members")
             for bits in range(2 ** n_cells):
                 signs = np.array([1.0 if bits >> c & 1 else -1.0
                                   for c in range(n_cells)]).reshape(ky, kx)
                 out.append(ForceMember(
                     label=f"bb[{bits:0{n_cells}b}]",
-                    load=LoadSpec(density=_cell_density(signs, l), norm_tag="sup"),
+                    load=LoadSpec(density=_cell_density(signs, l)),
                     meta=(("pattern", bits),)))
         if not out:
             raise ValueError("force class discretization produced no members")
@@ -179,11 +186,14 @@ class ObstacleFamily:
 
     candidates: tuple
 
+    def __post_init__(self):
+        if not self.candidates:
+            raise ValueError("obstacle family has no candidates")
+
     @classmethod
-    def constant_levels(cls, gammas, region="long_edges", kappa=None):
-        specs = tuple(ObstacleSpec.constant_level(float(g), region=region, kappa=kappa)
-                      for g in gammas)
-        return cls(candidates=specs)
+    def constant_levels(cls, gammas, region="long_edges"):
+        return cls(candidates=tuple(ObstacleSpec.constant_level(float(g), region=region)
+                                    for g in gammas))
 
     @classmethod
     def from_profiles(cls, profiles, gamma, kappa, holder_alpha, params,
@@ -388,14 +398,9 @@ class ScanResult:
 
 
 def _scan(problem, rows, maximize):
-    best = None
-    for i, row in enumerate(rows):
-        if best is None:
-            best = i
-        elif maximize and row["value"] > rows[best]["value"]:
-            best = i
-        elif not maximize and row["value"] < rows[best]["value"]:
-            best = i
+    # max and min keep the first of equal values, so the first candidate wins
+    best = (max if maximize else min)(range(len(rows)),
+                                      key=lambda i: rows[i]["value"])
     return ScanResult(problem=problem, value=rows[best]["value"],
                       argopt_index=best, argopt_label=rows[best]["label"],
                       rows=rows)
@@ -443,8 +448,6 @@ def best_obstacle(family, operator, forces, params):
     Constant-level candidates whose region contains the long edges must stay
     below the ceiling of twice their level; a violation fails the scan.
     """
-    if not family.candidates:
-        raise ValueError("obstacle family has no candidates")
     rows = []
     for i, spec in enumerate(family.candidates):
         inner = worst_gap_force(operator, spec, forces, params)
@@ -616,7 +619,7 @@ def placement_bound_report(mask, state, mesh, quad_points=8):
     }
 
 
-def classify_regime(gamma, params, omega_region="long_edges", m_max=200_000):
+def classify_regime(gamma, params, m_max=200_000):
     """Guide-level regime for obstacles on the long edges.
 
     Case ``"(i)"`` (gamma above the threshold): guides never bind under the
@@ -624,8 +627,6 @@ def classify_regime(gamma, params, omega_region="long_edges", m_max=200_000):
     ``"(ii)"``: guides clip the worst gap to exactly twice their level.
     The explicit threshold only covers the thin obstacle region.
     """
-    if omega_region != "long_edges":
-        raise ValueError("explicit threshold known only for obstacles on the long edges")
     if gamma <= 0.0:
         raise ValueError("guide level must be positive")
     value, tail = gap_threshold_M(params, m_max=m_max)

@@ -32,10 +32,3 @@ class MaterialParams:
     def area(self):
         """Measure of the plate rectangle, 2*pi*l."""
         return 2.0 * np.pi * self.half_width
-
-
-#: Representative bridge-deck aspect ratio used as the default profile.
-DEFAULT_PARAMS = MaterialParams(sigma=0.2, half_width=np.pi / 150)
-
-#: Wider secondary profile, numerically better conditioned.
-WIDE_PARAMS = MaterialParams(sigma=0.2, half_width=0.1)

@@ -416,12 +416,12 @@ class ObstacleSpec:
             raise ValueError(f"unknown obstacle region {self.region!r}")
 
     @classmethod
-    def constant_level(cls, gamma, region="long_edges", kappa=None):
+    def constant_level(cls, gamma, region="long_edges"):
         """Symmetric guides at heights -gamma and +gamma."""
         if gamma <= 0.0:
             raise ValueError(f"guide level must be positive, got {gamma}")
         return cls(lower=-gamma, upper=gamma, region=region, gamma=gamma,
-                   kappa=kappa if kappa is not None else gamma, holder_alpha=1.0)
+                   kappa=gamma, holder_alpha=1.0)
 
     def lower_at(self, x, y):
         return _as_callable(self.lower)(x, y)

@@ -19,7 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import LONG, DOF_VALUE, DofField, assemble_bilinear, assemble_load
+from .fem import LONG, DOF_VALUE, DofField, assemble_bilinear
+from .fem import assemble_load  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
     "BoxConstraints",
@@ -29,7 +30,6 @@ __all__ = [
     "IterationLimitError",
     "solve_linear",
     "solve_obstacle",
-    "solve_densityweighted",
     "kkt_report",
     "solution_to_json",
 ]
@@ -339,16 +339,6 @@ def solve_obstacle(operator, rhs, constraints, warm_start=None):
                       multipliers=multipliers,
                       kkt_residual=stat,
                       iterations=it)
-
-
-def solve_densityweighted(operator, load, mask, constraints):
-    """Obstacle solve with the load density multiplied by beta on D, alpha off D."""
-    if load.density is None:
-        raise ValueError("density-weighted solve needs a load with a density part")
-    if load.point_masses:
-        raise ValueError("density-weighted solve rejects point masses")
-    rhs = assemble_load(operator.mesh, load, weight=mask)
-    return solve_obstacle(operator, rhs, constraints)
 
 
 def kkt_report(solution, operator, rhs, constraints):

@@ -225,7 +225,7 @@ def test_criterion_5_empty_contact(mesh, operator, state):
                     + c[2] * np.sign(np.sin(3 * x)) + c[3] * np.sign(y)
                     + c[4])
 
-        rhs = assemble_load(mesh, LoadSpec(density=f, norm_tag="sup"))
+        rhs = assemble_load(mesh, LoadSpec(density=f))
         sol = solve_obstacle(operator, rhs, box)
         if not sol.contact_free:
             all_free = False

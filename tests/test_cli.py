@@ -116,7 +116,7 @@ class TestRun:
     def test_vi_solve_empty_contact_with_certified_margin(self, tmp_path):
         cfg = config_for(
             "vi-solve",
-            {"load": {"density": {"kind": "sin_x"}, "norm": "sup"},
+            {"load": {"density": {"kind": "sin_x"}},
              "obstacles": {"kind": "bounds", "lower": -7.0, "upper": 7.0,
                            "region": "full"}},
             outdir=tmp_path / "v")
@@ -274,6 +274,66 @@ class TestRun:
     def test_points_off_the_plate_are_diagnostics(self, tmp_path, problem, params,
                                                   expected):
         cfg = config_for(problem, params, outdir=tmp_path / "o")
+        assert validate(cfg) == [expected]
+        code, summary = run(cfg)
+        assert code == 2
+        assert summary["diagnostics"] == [expected]
+
+    @pytest.mark.parametrize("problem, params, expected", [
+        ("solve", {"load": {"densty": 1.0}}, "unknown load fields: ['densty']"),
+        ("solve", {"load": {"density": 1.0, "norm": "sup"}},
+         "unknown load fields: ['norm']"),
+        ("solve", {"load": {"density": {"kind": "constant", "value": 1.0}}},
+         "unknown density fields: ['value']"),
+        ("vi-solve", {"load": {"density": 1.0},
+                      "obstacles": {"kind": "bounds", "lower": -1.0,
+                                    "upper": 1.0, "regoin": "full"}},
+         "unknown obstacles fields: ['regoin']"),
+        ("gap-scan", {"force_class": {"nix": 5, "neta": 3}},
+         "unknown force_class fields: ['nix']"),
+        ("gap-scan", {"force_class": {"window": {"z0": 0.1, "w0": 0.1,
+                                                 "z1": 0.2}}},
+         "unknown window fields: ['z1']"),
+        ("optimize-obstacle", {"levels": [0.01], "regoin": "full"},
+         "unknown params fields: ['regoin']"),
+        ("optimize-reinforcement", {"alpha": 0.5, "beta": 2.5,
+                                    "family": {"kind": "tiles",
+                                               "tile_size": [0.5, 0.05],
+                                               "n_tile": 2}},
+         "unknown family fields: ['n_tile']"),
+        ("optimize-obstacle", {"levels": []}, "obstacle family has no candidates"),
+        ("gap-scan", {"force_class": {"nxi": 0}},
+         "force class grid needs nxi, neta >= 1, got 0x9"),
+        ("gap-scan", {"force_class": {"kind": "bang-bang", "cells": [3]}},
+         "bang-bang cells must be two counts >= 1 with at most 4096 sign "
+         "patterns: [3]"),
+        ("optimize-reinforcement", {"alpha": 0.5, "beta": 2.5,
+                                    "family": {"kind": "cross",
+                                               "mu": float(np.pi / 8),
+                                               "centers_per_axis": 3},
+                                    "force_class": {"kind": "bang-bang",
+                                                    "cells": [20, 20]}},
+         "bang-bang cells must be two counts >= 1 with at most 4096 sign "
+         "patterns: [20, 20]"),
+        ("green-eval", {"points": 5}, "points must be a list: 5"),
+        ("green-eval", {"points": [7]}, "point must be a list: 7"),
+        ("green-eval", {"source": 3, "points": [[1.0, 0.0]]},
+         "source must be a list: 3"),
+        ("solve", {"load": {"antisym_delta": 3}}, "antisym_delta must be a list: 3"),
+        ("solve", {"load": {"point_masses": 3}}, "point_masses must be a list: 3"),
+        ("optimize-obstacle", {"levels": 0.01}, "levels must be a list: 0.01"),
+        ("gap-scan", {"force_class": {"kind": "bang-bang", "cells": 5}},
+         "cells must be a list: 5"),
+    ], ids=["load-typo", "load-norm", "constant-density", "obstacles-typo",
+            "force_class-typo", "window-typo", "params-typo", "family-typo",
+            "no-levels", "no-grid", "one-cell-count", "too-many-patterns",
+            "list-points", "list-point", "list-source", "list-antisym_delta",
+            "list-point_masses", "list-levels", "list-cells"])
+    def test_malformed_params_are_diagnostics(self, tmp_path, problem, params,
+                                              expected):
+        # unknown fields, empty or oversized scans and non-list values are
+        # found before solving, and each diagnostic names its key
+        cfg = config_for(problem, params, outdir=tmp_path / "d")
         assert validate(cfg) == [expected]
         code, summary = run(cfg)
         assert code == 2

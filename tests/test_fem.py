@@ -8,9 +8,9 @@ from hingedplate import (DofField, LoadSpec, Mesh, ReinforcementMask,
                          assemble_bilinear, assemble_load, energy_value,
                          point_eval, symmetry_decompose)
 from hingedplate.fem import (DOF_VALUE, LONG, _GAUSS_PTS, _GAUSS_WTS,
-                             _density_evaluator, _local_rows, apply_functional,
-                             element_stiffness, field_to_csv, reflect_x,
-                             reflect_y)
+                             _density_evaluator, _hermite_1d, _local_rows,
+                             apply_functional, element_stiffness, field_to_csv,
+                             reflect_x, reflect_y)
 from hingedplate.optimize import _cell_density
 
 
@@ -317,6 +317,38 @@ class TestKernelsBitForBit:
         b = assemble_load(mesh, load, weight=weight)
         assert b.dtype == LONG
         assert np.array_equal(b, _reference_load(mesh, load, weight))
+
+
+def _local_rows_reference(tx, ty, hx, hy):
+    """The basis rows built one local dof at a time, as a plain loop."""
+    Nx, dNx, d2Nx = _hermite_1d(tx, hx)
+    Ny, dNy, d2Ny = _hermite_1d(ty, hy)
+    rows = np.empty((6, 16), dtype=LONG)
+    k = 0
+    for (ii, jj) in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        for (a, b) in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            px, py = 2 * ii + a, 2 * jj + b
+            rows[:, k] = (Nx[px] * Ny[py], dNx[px] * Ny[py], Nx[px] * dNy[py],
+                          d2Nx[px] * Ny[py], Nx[px] * d2Ny[py], dNx[px] * dNy[py])
+            k += 1
+    return rows
+
+
+@pytest.mark.parametrize("tx, ty, hx, hy", [
+    (0.0, 0.0, np.pi / 16, 0.05),
+    (1.0, 1.0, np.pi / 64, 2 * np.pi / 150 / 16),
+    (0.3, 0.7, np.pi / 8, 0.025),
+    (LONG(_GAUSS_PTS[1] + 1) / 2, LONG(_GAUSS_PTS[2] + 1) / 2, np.pi / 128, 0.1 / 32),
+    (0.1234567, 0.987654321, 0.4, 0.003),
+])
+def test_local_rows_match_the_loop_bit_for_bit(tx, ty, hx, hy):
+    expected = _local_rows_reference(tx, ty, hx, hy)
+    values = _local_rows(tx, ty, hx, hy)
+    assert values.dtype == LONG and np.array_equal(values, expected[0])
+    rows = _local_rows(tx, ty, hx, hy, derivatives=True)
+    assert len(rows) == 6
+    for got, want in zip(rows, expected):
+        assert got.dtype == LONG and np.array_equal(got, want)
 
 
 class TestPointEval:

@@ -337,8 +337,6 @@ class TestRegime:
 
     def test_unsupported_region_rejected(self, params):
         with pytest.raises(ValueError):
-            classify_regime(0.01, params, omega_region="full")
-        with pytest.raises(ValueError):
             classify_regime(-0.5, params)
 
 

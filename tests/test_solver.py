@@ -7,8 +7,8 @@ import pytest
 
 from hingedplate import (AntisymDelta, BoxConstraints, DofField, LoadSpec,
                          Mesh, ObstacleSpec, ReinforcementMask, SeriesState,
-                         antisym_solution, kkt_report, solve_densityweighted,
-                         solve_linear, solve_obstacle, symmetry_decompose,
+                         antisym_solution, kkt_report, solve_linear,
+                         solve_obstacle, symmetry_decompose,
                          uniform_load_profile)
 from hingedplate import solver
 from hingedplate.fem import DOF_VALUE, assemble_load
@@ -75,7 +75,7 @@ class TestSolveObstacle:
             def f(x, y, c=coef):
                 return c[0] * np.sin(x) + c[1] * np.cos(3 * x) + c[2] * np.sign(y)
 
-            b = assemble_load(mesh_small, LoadSpec(density=f, norm_tag="sup"))
+            b = assemble_load(mesh_small, LoadSpec(density=f))
             sol = solve_obstacle(operator_small, b, box)
             assert sol.contact_free
 
@@ -322,20 +322,21 @@ class TestReinforcedAndWeighted:
         sel = np.ones((mesh_small.ny, mesh_small.nx), dtype=bool)
         degenerate = ReinforcementMask(sel, alpha=1.0, beta=1.0)
         box = far_box(mesh_small)
-        zero = solve_densityweighted(operator_small, LoadSpec(density=0.0),
-                                     degenerate, box)
+        zero = solve_obstacle(operator_small, assemble_load(
+            mesh_small, LoadSpec(density=0.0), weight=degenerate), box)
         assert np.all(zero.field.dofs == 0.0)
         plain = solve_obstacle(
             operator_small, assemble_load(mesh_small, SIN_LOAD), box)
-        weighted = solve_densityweighted(operator_small, SIN_LOAD, degenerate, box)
+        weighted = solve_obstacle(operator_small, assemble_load(
+            mesh_small, SIN_LOAD, weight=degenerate), box)
         assert np.array_equal(weighted.field.dofs, plain.field.dofs)
 
     def test_densityweighted_bounded_by_scaled_profile(self, operator_small,
                                                        mesh_small, params):
         mask = self._half_mask(mesh_small)
         box = far_box(mesh_small)
-        sol = solve_densityweighted(operator_small, LoadSpec(density=1.0),
-                                    mask, box)
+        sol = solve_obstacle(operator_small, assemble_load(
+            mesh_small, LoadSpec(density=1.0), weight=mask), box)
         state = SeriesState(params, m_max=400)
         for j in (0, mesh_small.ny // 2, mesh_small.ny):
             y = mesh_small.ys[j]
@@ -348,9 +349,9 @@ class TestReinforcedAndWeighted:
         sel = np.ones((mesh_small.ny, mesh_small.nx), dtype=bool)
         mask = ReinforcementMask(sel, alpha=0.5, beta=2.0)
         with pytest.raises(ValueError):
-            solve_densityweighted(operator_small,
-                                  LoadSpec(point_masses=((1.0, 0.0, 1.0),)),
-                                  mask, far_box(mesh_small))
+            solve_obstacle(operator_small, assemble_load(
+                mesh_small, LoadSpec(point_masses=((1.0, 0.0, 1.0),)),
+                weight=mask), far_box(mesh_small))
 
 
 class TestKKTReport:
