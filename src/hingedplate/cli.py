@@ -170,6 +170,13 @@ def _list(value, name):
     return value
 
 
+def _integer(value, name):
+    """``value`` if it is a JSON integer, else a TypeError naming it."""
+    if not _is_int(value):
+        raise TypeError(f"{name} must be an integer: {value!r}")
+    return value
+
+
 def _is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
@@ -229,8 +236,9 @@ def _build_forces(spec, params):
         window.validate(params)
     cells = _list(spec.get("cells", [3, 2]), "cells")
     return ForceClass(kind=kind, window=window,
-                      nxi=int(spec.get("nxi", 33)), neta=int(spec.get("neta", 9)),
-                      cells=tuple(map(int, cells)))
+                      nxi=_integer(spec.get("nxi", 33), "nxi"),
+                      neta=_integer(spec.get("neta", 9), "neta"),
+                      cells=tuple(_integer(c, "cells entry") for c in cells))
 
 
 def _densities(params):
@@ -251,17 +259,19 @@ def _build_family(params, half_width):
     if kind == "cross":
         return ReinforcementFamily(
             kind="cross", alpha=alpha, beta=beta,
-            n_xstrips=int(family.get("n_xstrips", 1)),
-            n_ystrips=int(family.get("n_ystrips", 0)),
+            n_xstrips=_integer(family.get("n_xstrips", 1), "n_xstrips"),
+            n_ystrips=_integer(family.get("n_ystrips", 0), "n_ystrips"),
             mu=float(family["mu"]), eps=float(family.get("eps", 0.01)),
-            centers_per_axis=int(family.get("centers_per_axis", 9)))
+            centers_per_axis=_integer(family.get("centers_per_axis", 9),
+                                      "centers_per_axis"))
     if kind == "tiles":
         return ReinforcementFamily(
             kind="tiles", alpha=alpha, beta=beta,
             eps=float(family.get("eps", 0.01)),
             tile_size=tuple(family["tile_size"]),
-            n_tiles=int(family.get("n_tiles", 1)),
-            centers_per_axis=int(family.get("centers_per_axis", 5)))
+            n_tiles=_integer(family.get("n_tiles", 1), "n_tiles"),
+            centers_per_axis=_integer(family.get("centers_per_axis", 5),
+                                      "centers_per_axis"))
     raise ValueError(f"unknown reinforcement family kind {kind!r}")
 
 
@@ -373,21 +383,21 @@ def _read_gap_scan(p, ctx):
 
 def _read_optimize_reinforcement(p, ctx):
     mesh, params = ctx["mesh"], ctx["params"]
-    family = _build_family(p, params.half_width)
-    family.candidates(mesh)  # raises when no layout meets the area balance
+    # raises when no layout meets the area balance
+    masks = _build_family(p, params.half_width).candidates(mesh)
     forces = _build_forces(p.get("force_class", {"kind": "bang-bang"}), params)
     obstacle = (_build_obstacle(p["obstacles"]) if "obstacles" in p
                 else BoxConstraints.unbounded(mesh))
     variant = p.get("variant", "E2")
     if variant not in ("E1", "E2"):
         raise ValueError(f"reinforcement variant must be E1 or E2: {variant!r}")
+    if variant == "E2" and forces.kind != "bang-bang":
+        raise ValueError("density-weighted scans need an integrable force class")
 
     def run(outdir):
-        scan = best_reinforcement(family, mesh, params, forces, obstacle,
-                                  variant=variant)
-        report = scan.to_report()
-        report["argopt_mask"] = _json_default(scan.meta["argopt_mask"])
-        return report
+        scan = best_reinforcement(masks, mesh, params, forces, obstacle, variant)
+        return {**scan.to_report(),
+                "argopt_mask": _json_default(masks[scan.argopt_index])}
     return run
 
 
@@ -408,6 +418,8 @@ def _read_regime(p, ctx):
     if not _is_real(gamma) or gamma <= 0.0:
         raise ValueError(f"regime requires a positive gamma: {gamma}")
     scan = p.get("scan", True)
+    if not isinstance(scan, bool):
+        raise TypeError(f"scan must be true or false: {scan!r}")
     forces = _build_forces(p.get("force_class", {}), params) if scan else None
 
     def run(outdir):

@@ -90,13 +90,13 @@ class ForceMember:
 class ForceClass:
     """A finite family of unit-norm loads to scan over.
 
-    kinds:
-      * ``antisym-delta``: point-load pairs (delta_(xi,eta)-delta_(xi,-eta))/2
-        on an nxi x neta grid, restricted to ``window`` when given; sites with
-        eta = 0 are dropped (they are the zero load, not unit norm).
-      * ``signed-delta``: +-delta_p on an nxi x neta grid over the closure.
-      * ``bang-bang``: densities of values +-1, constant on a cells_x x
-        cells_y partition; all sign patterns are enumerated.
+    The point-load kinds share an nxi x neta site grid over the closure,
+    restricted to ``window`` when given:
+      * ``antisym-delta``: pairs (delta_(xi,eta)-delta_(xi,-eta))/2; sites
+        with eta = 0 are dropped (they are the zero load, not unit norm).
+      * ``signed-delta``: +-delta_p.
+    ``bang-bang`` densities take the values +-1, constant on a cells_x x
+    cells_y partition; all sign patterns are enumerated, and a window is an error.
     """
 
     kind: str
@@ -111,45 +111,18 @@ class ForceClass:
         if self.nxi < 1 or self.neta < 1:
             raise ValueError(f"force class grid needs nxi, neta >= 1, "
                              f"got {self.nxi}x{self.neta}")
+        if self.kind == "bang-bang" and self.window is not None:
+            raise ValueError("a scan window applies to point-load classes only")
         if self.kind == "bang-bang" and not (
                 len(self.cells) == 2 and min(self.cells) >= 1
                 and 2 ** (self.cells[0] * self.cells[1]) <= MAX_MEMBERS):
             raise ValueError(f"bang-bang cells must be two counts >= 1 with at most "
                              f"{MAX_MEMBERS} sign patterns: {list(self.cells)}")
 
-    @property
-    def is_density_class(self):
-        return self.kind == "bang-bang"
-
     def members(self, params):
         l = params.half_width
         out = []
-        if self.kind == "antisym-delta":
-            xis = np.linspace(0.0, np.pi, self.nxi)
-            etas = np.linspace(-l, l, self.neta)
-            for i, xi in enumerate(xis):
-                for j, eta in enumerate(etas):
-                    if eta == 0.0:
-                        continue
-                    if self.window is not None and not bool(
-                            self.window.contains(xi, eta, params)):
-                        continue
-                    out.append(ForceMember(
-                        label=f"T[{i},{j}]", load=LoadSpec.antisym_pair(xi, eta),
-                        meta=(("xi", float(xi)), ("eta", float(eta)))))
-        elif self.kind == "signed-delta":
-            xis = np.linspace(0.0, np.pi, self.nxi)
-            etas = np.linspace(-l, l, self.neta)
-            for i, xi in enumerate(xis):
-                for j, eta in enumerate(etas):
-                    for sign in (1.0, -1.0):
-                        tag = "+" if sign > 0 else "-"
-                        out.append(ForceMember(
-                            label=f"{tag}d[{i},{j}]",
-                            load=LoadSpec.point(xi, eta, sign),
-                            meta=(("xi", float(xi)), ("eta", float(eta)),
-                                  ("sign", sign))))
-        else:
+        if self.kind == "bang-bang":
             kx, ky = self.cells
             n_cells = kx * ky
             for bits in range(2 ** n_cells):
@@ -159,6 +132,23 @@ class ForceClass:
                     label=f"bb[{bits:0{n_cells}b}]",
                     load=LoadSpec(density=_cell_density(signs, l)),
                     meta=(("pattern", bits),)))
+            return out
+        for i, xi in enumerate(np.linspace(0.0, np.pi, self.nxi)):
+            for j, eta in enumerate(np.linspace(-l, l, self.neta)):
+                if self.window is not None and not self.window.contains(
+                        xi, eta, params):
+                    continue
+                site = (("xi", float(xi)), ("eta", float(eta)))
+                if self.kind == "signed-delta":
+                    for sign, tag in ((1.0, "+"), (-1.0, "-")):
+                        out.append(ForceMember(
+                            label=f"{tag}d[{i},{j}]",
+                            load=LoadSpec.point(xi, eta, sign),
+                            meta=site + (("sign", sign),)))
+                elif eta != 0.0:
+                    out.append(ForceMember(
+                        label=f"T[{i},{j}]", load=LoadSpec.antisym_pair(xi, eta),
+                        meta=site))
         if not out:
             raise ValueError("force class discretization produced no members")
         return out
@@ -240,8 +230,8 @@ class ReinforcementFamily:
     with strip centers on a per-axis lattice and center separations above
     one strip width.  ``tiles`` layouts are N disjoint axis-aligned
     rectangles of a fixed size (inradius at least eps) placed on a lattice.
-    Candidates violating the area balance by more than one element are
-    dropped; a family whose candidates all violate it is an error.
+    Candidates violating the area balance by more than the rasterization
+    granularity are dropped; a family whose candidates all violate it is an error.
     """
 
     kind: str
@@ -254,37 +244,25 @@ class ReinforcementFamily:
     centers_per_axis: int = 9
     tile_size: tuple = (0.5, 0.05)
     n_tiles: int = 1
-    explicit_masks: tuple = ()
-    area_tol_elements: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("cross", "tiles", "explicit"):
+        if self.kind not in ("cross", "tiles"):
             raise ValueError(f"unknown reinforcement family kind {self.kind!r}")
 
-    def _area_tolerance(self, mesh):
-        """Rasterization granularity: a strip snaps by whole columns/rows."""
-        if self.area_tol_elements is not None:
-            return self.area_tol_elements
-        if self.kind == "cross":
-            return max(1.0, 0.5 * (self.n_xstrips * mesh.ny
-                                   + self.n_ystrips * mesh.nx))
-        if self.kind == "tiles":
-            w, h = self.tile_size
-            return max(1.0, 0.5 * self.n_tiles * (w / mesh.hx + h / mesh.hy))
-        return 1.0
-
     def candidates(self, mesh):
-        if self.kind == "explicit":
-            masks = list(self.explicit_masks)
-        elif self.kind == "cross":
+        # the area tolerance is the rasterization granularity: a strip snaps
+        # by whole columns/rows
+        if self.kind == "cross":
             masks = self._cross_candidates(mesh)
+            tol = 0.5 * (self.n_xstrips * mesh.ny + self.n_ystrips * mesh.nx)
         else:
             masks = self._tile_candidates(mesh)
-        tol = self._area_tolerance(mesh)
+            w, h = self.tile_size
+            tol = 0.5 * self.n_tiles * (w / mesh.hx + h / mesh.hy)
         feasible = []
         for m in masks:
             try:
-                m.validate(mesh, tol_elements=tol)
+                m.validate(mesh, tol_elements=max(1.0, tol))
             except ValueError:
                 continue
             feasible.append(m)
@@ -383,7 +361,6 @@ class ScanResult:
     argopt_index: int
     argopt_label: str
     rows: list
-    meta: dict = field(default_factory=dict)
     # gap profile of the optimal member of a gap scan; not part of the report
     argopt_profile: GapProfile | None = field(default=None, init=False)
 
@@ -393,7 +370,6 @@ class ScanResult:
             "value": self.value,
             "argopt": {"index": self.argopt_index, "label": self.argopt_label},
             "candidates": self.rows,
-            **self.meta,
         }
 
 
@@ -411,28 +387,28 @@ def _member_solve(operator, member, box, weight=None):
     return solve_obstacle(operator, rhs, box)
 
 
-def _as_box(mesh, obstacles):
-    if isinstance(obstacles, BoxConstraints):
-        return obstacles
-    return BoxConstraints.from_obstacle(mesh, obstacles)
+def _member_rows(operator, obstacles, forces, params, weight=None):
+    """Solve each force-class member under one operator and obstacle box,
+    yielding ``(solution, row)`` with the row fields both worst-load scans share."""
+    box = (obstacles if isinstance(obstacles, BoxConstraints)
+           else BoxConstraints.from_obstacle(operator.mesh, obstacles))
+    for member in forces.members(params):
+        sol = _member_solve(operator, member, box, weight=weight)
+        yield sol, {
+            "label": member.label,
+            "params": dict(member.meta),
+            "contact_lower": int(sol.lower_contact.size),
+            "contact_upper": int(sol.upper_contact.size),
+        }
 
 
 def worst_gap_force(operator, obstacle, forces, params):
     """Worst unit load for the maximal gap, under the given obstacle."""
-    box = _as_box(operator.mesh, obstacle)
     rows, profiles = [], []
-    for member in forces.members(params):
-        sol = _member_solve(operator, member, box)
+    for sol, row in _member_rows(operator, obstacle, forces, params):
         prof = gap_profile(sol)
         profiles.append(prof)
-        rows.append({
-            "label": member.label,
-            "params": dict(member.meta),
-            "value": prof.maximal_gap,
-            "argmax_x": prof.argmax_x,
-            "contact_lower": int(sol.lower_contact.size),
-            "contact_upper": int(sol.upper_contact.size),
-        })
+        rows.append({**row, "value": prof.maximal_gap, "argmax_x": prof.argmax_x})
     result = _scan("worst-gap-force", rows, maximize=True)
     result.argopt_profile = profiles[result.argopt_index]
     return result
@@ -470,48 +446,36 @@ def best_obstacle(family, operator, forces, params):
     return _scan("best-obstacle", rows, maximize=False)
 
 
-def worst_force_amplitude(mesh, params, mask, forces, obstacles, variant="E1",
-                          operator=None):
+def worst_force_amplitude(operator, obstacles, forces, params, weight=None):
     """Worst unit load for the sup-norm of the deflection, one layout fixed.
 
-    ``variant`` selects how the two materials act: ``"E1"`` weights the
-    stiffness (any force class), ``"E2"`` weights the load density and is
-    defined for density classes only.
+    The layout acts through ``operator`` (a stiffness-weighted operator) or
+    through ``weight`` (a mask weighting the load density, which point
+    loads cannot carry).
     """
-    if variant not in ("E1", "E2"):
-        raise ValueError(f"unknown variant {variant!r}")
-    weight = None
-    if variant == "E1":
-        op = operator if operator is not None else PlateOperator.build(
-            mesh, params, mask=mask)
-    else:
-        if not forces.is_density_class:
-            raise ValueError("density-weighted scans need an integrable force class")
-        op = operator if operator is not None else PlateOperator.build(mesh, params)
-        weight = mask
-    box = _as_box(mesh, obstacles)
-    rows = []
-    for member in forces.members(params):
-        sol = _member_solve(op, member, box, weight=weight)
-        rows.append({
-            "label": member.label,
-            "params": dict(member.meta),
-            "value": sol.field.sup_norm(),
-            "contact_lower": int(sol.lower_contact.size),
-            "contact_upper": int(sol.upper_contact.size),
-        })
+    rows = [{**row, "value": sol.field.sup_norm()}
+            for sol, row in _member_rows(operator, obstacles, forces, params,
+                                         weight=weight)]
     return _scan("worst-force-amplitude", rows, maximize=True)
 
 
-def best_reinforcement(family, mesh, params, forces, obstacles, variant="E1"):
-    """Best layout in a reinforcement family: minimize the worst amplitude."""
-    masks = family.candidates(mesh)
-    # E2 weights only the load, so every mask shares the base operator
+def best_reinforcement(masks, mesh, params, forces, obstacles, variant):
+    """Best layout among ``masks``: minimize the worst amplitude.
+
+    Under ``"E1"`` a mask weights the stiffness, so each mask builds its own
+    operator; under ``"E2"`` it weights the load density (of a bang-bang
+    class only), so all masks share the base operator and pass as ``weight``.
+    """
+    if variant not in ("E1", "E2"):
+        raise ValueError(f"unknown variant {variant!r}")
     base = PlateOperator.build(mesh, params) if variant == "E2" else None
     rows = []
     for i, mask in enumerate(masks):
-        inner = worst_force_amplitude(mesh, params, mask, forces, obstacles,
-                                      variant=variant, operator=base)
+        if variant == "E1":
+            inner = worst_force_amplitude(PlateOperator.build(mesh, params, mask=mask),
+                                          obstacles, forces, params)
+        else:
+            inner = worst_force_amplitude(base, obstacles, forces, params, weight=mask)
         rows.append({
             "label": f"mask[{i}]",
             "params": {
@@ -523,9 +487,7 @@ def best_reinforcement(family, mesh, params, forces, obstacles, variant="E1"):
             "value": inner.value,
             "worst_force": inner.argopt_label,
         })
-    result = _scan("best-reinforcement", rows, maximize=False)
-    result.meta["argopt_mask"] = masks[result.argopt_index]
-    return result
+    return _scan("best-reinforcement", rows, maximize=False)
 
 
 def edge_gap_series_scan(state, window=None, nxi=33, neta=9, n_abscissae=65):

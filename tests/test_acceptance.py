@@ -359,6 +359,7 @@ def test_criterion_10_bound_chain(threshold):
     t0 = time.time()
     m = Mesh(32, 8, L)
     st = SeriesState(PARAMS, m_max=200)
+    op = PlateOperator.build(m, PARAMS)
     fc = ForceClass(kind="bang-bang", cells=(3, 2))
     box = BoxConstraints.unbounded(m)
     chain_ok = True
@@ -367,8 +368,7 @@ def test_criterion_10_bound_chain(threshold):
         sel = np.zeros((m.ny, m.nx), dtype=bool)
         sel[:, cols] = True
         mask = ReinforcementMask(sel, alpha=0.5, beta=2.5)
-        measured = worst_force_amplitude(m, PARAMS, mask, fc, box,
-                                         variant="E2").value
+        measured = worst_force_amplitude(op, box, fc, PARAMS, weight=mask).value
         rep = placement_bound_report(mask, st, m)
         slack = rep["series_tail"] + 1e-5 * rep["weighted_green_bound"]
         if not (measured <= rep["weighted_green_bound"] + slack

@@ -9,7 +9,7 @@ from hingedplate import cli, solver
 from hingedplate.cli import (default_config, load_config, main, merge_config,
                              run, validate)
 from hingedplate.fem import Mesh, assemble_load
-from hingedplate.optimize import ForceClass
+from hingedplate.optimize import ForceClass, ReinforcementFamily
 from hingedplate.params import MaterialParams
 
 
@@ -245,11 +245,17 @@ class TestRun:
                                     "family": {"kind": "hex"}}),
         ("optimize-reinforcement", {"alpha": 0.5, "beta": 2.5,
                                     "family": {"kind": "cross", "mu": "x"}}),
+        ("optimize-reinforcement", {"alpha": 0.5, "beta": 2.5,
+                                    "family": {"kind": "cross",
+                                               "mu": float(np.pi / 8),
+                                               "centers_per_axis": 3},
+                                    "force_class": {"kind": "signed-delta",
+                                                    "nxi": 3, "neta": 3}}),
     ], ids=["string-obstacles", "number-force_class", "number-point_masses",
             "number-levels", "number-points", "number-source",
             "number-antisym_delta", "list-force_class", "missing-points",
             "unknown-density-kind", "unknown-obstacle-kind", "E1-without-mask",
-            "unknown-family-kind", "string-mu"])
+            "unknown-family-kind", "string-mu", "E2-point-loads"])
     def test_validate_reports_what_run_reports(self, tmp_path, problem, params):
         cfg = config_for(problem, params, outdir=tmp_path / "p")
         code, summary = run(cfg)
@@ -324,15 +330,45 @@ class TestRun:
         ("optimize-obstacle", {"levels": 0.01}, "levels must be a list: 0.01"),
         ("gap-scan", {"force_class": {"kind": "bang-bang", "cells": 5}},
          "cells must be a list: 5"),
+        ("gap-scan", {"force_class": {"nxi": 5.9, "neta": 3}},
+         "nxi must be an integer: 5.9"),
+        ("gap-scan", {"force_class": {"nxi": 5, "neta": True}},
+         "neta must be an integer: True"),
+        ("gap-scan", {"force_class": {"kind": "bang-bang", "cells": [2, 1.5]}},
+         "cells entry must be an integer: 1.5"),
+        ("optimize-reinforcement", {"alpha": 0.5, "beta": 2.5,
+                                    "family": {"kind": "cross", "mu": 0.3,
+                                               "n_xstrips": 1.0}},
+         "n_xstrips must be an integer: 1.0"),
+        ("optimize-reinforcement", {"alpha": 0.5, "beta": 2.5,
+                                    "family": {"kind": "cross", "mu": 0.3,
+                                               "n_ystrips": "1"}},
+         "n_ystrips must be an integer: '1'"),
+        ("optimize-reinforcement", {"alpha": 0.5, "beta": 2.5,
+                                    "family": {"kind": "cross", "mu": 0.3,
+                                               "centers_per_axis": 3.5}},
+         "centers_per_axis must be an integer: 3.5"),
+        ("optimize-reinforcement", {"alpha": 0.5, "beta": 2.5,
+                                    "family": {"kind": "tiles",
+                                               "tile_size": [0.5, 0.05],
+                                               "n_tiles": 1.5}},
+         "n_tiles must be an integer: 1.5"),
+        ("regime", {"gamma": 0.01, "scan": "no"}, "scan must be true or false: 'no'"),
+        ("gap-scan", {"force_class": {"kind": "bang-bang",
+                                      "window": {"z0": 0.1, "w0": 0.01}}},
+         "a scan window applies to point-load classes only"),
     ], ids=["load-typo", "load-norm", "constant-density", "obstacles-typo",
             "force_class-typo", "window-typo", "params-typo", "family-typo",
             "no-levels", "no-grid", "one-cell-count", "too-many-patterns",
             "list-points", "list-point", "list-source", "list-antisym_delta",
-            "list-point_masses", "list-levels", "list-cells"])
+            "list-point_masses", "list-levels", "list-cells", "float-nxi",
+            "bool-neta", "float-cells", "float-n_xstrips", "string-n_ystrips",
+            "float-centers_per_axis", "float-n_tiles", "string-scan",
+            "bang-bang-window"])
     def test_malformed_params_are_diagnostics(self, tmp_path, problem, params,
                                               expected):
-        # unknown fields, empty or oversized scans and non-list values are
-        # found before solving, and each diagnostic names its key
+        # unknown fields, empty or oversized scans, non-list and non-integer
+        # values are found before solving, and each diagnostic names its key
         cfg = config_for(problem, params, outdir=tmp_path / "d")
         assert validate(cfg) == [expected]
         code, summary = run(cfg)
@@ -388,8 +424,13 @@ class TestRun:
         }, outdir=tmp_path / "d")
         code, summary = run(cfg)
         assert code == 0
-        assert summary["result"]["candidates"]
-        assert "argopt_mask" in summary["result"]
+        result = summary["result"]
+        assert result["candidates"]
+        masks = ReinforcementFamily(kind="cross", alpha=0.5, beta=2.5,
+                                    mu=float(np.pi / 8), centers_per_axis=3
+                                    ).candidates(Mesh(16, 4, 0.1))
+        argopt = masks[result["argopt"]["index"]]
+        assert result["argopt_mask"]["elements"] == argopt.elements.tolist()
 
     def test_idempotent_outputs(self, tmp_path):
         cfg = config_for("green-eval",

@@ -12,7 +12,7 @@ from hingedplate import (BoxConstraints, DofField, LoadSpec,
                          worst_gap_force)
 from hingedplate.fem import assemble_load
 from hingedplate.optimize import ForceClass, ObstacleFamily, ReinforcementFamily
-from hingedplate.solver import solve_obstacle
+from hingedplate.solver import PlateOperator, solve_obstacle
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +88,20 @@ class TestForceClasses:
         assert len(members) == 2 * 5 * 3
         assert all(m.load.total_point_mass() == 1.0 for m in members)
 
+    def test_signed_delta_members_respect_the_window(self, params):
+        window = ScanWindow(z0=0.1, w0=0.01)
+        fc = ForceClass(kind="signed-delta", window=window, nxi=5, neta=3)
+        members = fc.members(params)
+        # edge columns (6 sites), the midline (3) and the midline band (2)
+        assert len(members) == 2 * 11
+        for m in members:
+            site = dict(m.meta)
+            assert window.contains(site["xi"], site["eta"], params)
+
+    def test_bang_bang_rejects_a_window(self, window):
+        with pytest.raises(ValueError, match="point-load classes only"):
+            ForceClass(kind="bang-bang", window=window)
+
     def test_bang_bang_enumeration_and_cap(self, params):
         fc = ForceClass(kind="bang-bang", cells=(2, 2))
         members = fc.members(params)
@@ -107,8 +121,8 @@ class TestWorstForceAmplitude:
         fc = ForceClass(kind="signed-delta", nxi=5, neta=3)
         box = BoxConstraints.from_obstacle(
             mesh_small, ObstacleSpec.constant_level(0.1, region="full"))
-        res = worst_force_amplitude(mesh_small, params, mask, fc, box,
-                                    variant="E1")
+        op = PlateOperator.build(mesh_small, params, mask=mask)
+        res = worst_force_amplitude(op, box, fc, params)
         by_site = {}
         for row in res.rows:
             key = (row["params"]["xi"], row["params"]["eta"])
@@ -121,28 +135,27 @@ class TestWorstForceAmplitude:
         mask = ReinforcementMask(sel, alpha=1.0, beta=1.0)
         fc = ForceClass(kind="signed-delta", nxi=9, neta=5)
         box = BoxConstraints.unbounded(mesh_small)
-        res = worst_force_amplitude(mesh_small, params, mask, fc, box,
-                                    variant="E1")
+        op = PlateOperator.build(mesh_small, params, mask=mask)
+        res = worst_force_amplitude(op, box, fc, params)
         assert all(res.value >= row["value"] for row in res.rows)
         # randomized subset recomputation reproduces the scan rows
         rng = np.random.default_rng(17)
         members = fc.members(params)
         for k in rng.choice(len(members), size=5, replace=False):
             b = assemble_load(mesh_small, members[k].load)
-            from hingedplate.solver import PlateOperator
             op = PlateOperator.build(mesh_small, params)
             sol = solve_obstacle(op, b, box)
             assert sol.field.sup_norm() == pytest.approx(
                 res.rows[k]["value"], rel=1e-12)
 
-    def test_density_variant_needs_density_class(self, mesh_small, params):
+    def test_density_variant_needs_density_class(self, operator_small,
+                                                 mesh_small, params):
         sel = np.ones((mesh_small.ny, mesh_small.nx), dtype=bool)
         mask = ReinforcementMask(sel, alpha=0.5, beta=2.0)
         fc = ForceClass(kind="signed-delta", nxi=5, neta=3)
-        with pytest.raises(ValueError):
-            worst_force_amplitude(mesh_small, params, mask, fc,
-                                  BoxConstraints.unbounded(mesh_small),
-                                  variant="E2")
+        with pytest.raises(ValueError, match="integrable loads only"):
+            worst_force_amplitude(operator_small, BoxConstraints.unbounded(mesh_small),
+                                  fc, params, weight=mask)
 
 
 class TestBestReinforcement:
@@ -150,14 +163,10 @@ class TestBestReinforcement:
         sel = np.zeros((mesh_small.ny, mesh_small.nx), dtype=bool)
         sel[:, :4] = True
         mask = ReinforcementMask(sel, alpha=0.5, beta=2.5)
-        fam = ReinforcementFamily(kind="explicit", alpha=0.5, beta=2.5,
-                                  explicit_masks=(mask,))
         fc = ForceClass(kind="bang-bang", cells=(2, 1))
-        res = best_reinforcement(fam, mesh_small, params, fc,
-                                 BoxConstraints.unbounded(mesh_small),
-                                 variant="E2")
+        res = best_reinforcement([mask], mesh_small, params, fc,
+                                 BoxConstraints.unbounded(mesh_small), "E2")
         assert res.argopt_index == 0
-        assert res.meta["argopt_mask"] is mask
 
     def test_two_candidates_pick_smaller(self, mesh_small, params):
         edge = np.zeros((mesh_small.ny, mesh_small.nx), dtype=bool)
@@ -165,19 +174,17 @@ class TestBestReinforcement:
         edge[:, -2:] = True
         center = np.zeros_like(edge)
         center[:, 6:10] = True
-        fam = ReinforcementFamily(
-            kind="explicit", alpha=0.5, beta=2.5,
-            explicit_masks=(ReinforcementMask(edge, 0.5, 2.5),
-                            ReinforcementMask(center, 0.5, 2.5)))
+        masks = [ReinforcementMask(edge, 0.5, 2.5),
+                 ReinforcementMask(center, 0.5, 2.5)]
         fc = ForceClass(kind="bang-bang", cells=(2, 1))
-        res = best_reinforcement(fam, mesh_small, params, fc,
-                                 BoxConstraints.unbounded(mesh_small),
-                                 variant="E2")
+        res = best_reinforcement(masks, mesh_small, params, fc,
+                                 BoxConstraints.unbounded(mesh_small), "E2")
         vals = [row["value"] for row in res.rows]
         assert res.value == min(vals)
         assert res.argopt_index == int(np.argmin(vals))
 
-    def test_edge_strip_beats_center_strip(self, mesh_small, params):
+    def test_edge_strip_beats_center_strip(self, operator_small, mesh_small,
+                                           params):
         # one vertical strip: near a short edge vs over the midline x=pi/2
         cols = 4
         near_edge = np.zeros((mesh_small.ny, mesh_small.nx), dtype=bool)
@@ -189,8 +196,8 @@ class TestBestReinforcement:
         vals = []
         for sel in (near_edge, at_center):
             mask = ReinforcementMask(sel, alpha=0.5, beta=2.5)
-            vals.append(worst_force_amplitude(mesh_small, params, mask, fc,
-                                              box, variant="E2").value)
+            vals.append(worst_force_amplitude(operator_small, box, fc, params,
+                                              weight=mask).value)
         assert vals[0] <= vals[1]
 
     def test_monotone_under_family_growth(self, mesh_small, params):
@@ -203,10 +210,8 @@ class TestBestReinforcement:
         box = BoxConstraints.unbounded(mesh_small)
         prev = np.inf
         for k in (1, 2, 4):
-            fam = ReinforcementFamily(kind="explicit", alpha=0.5, beta=2.5,
-                                      explicit_masks=tuple(masks[:k]))
-            res = best_reinforcement(fam, mesh_small, params, fc, box,
-                                     variant="E2")
+            res = best_reinforcement(masks[:k], mesh_small, params, fc, box,
+                                     "E2")
             assert res.value <= prev + 1e-15
             prev = res.value
 
@@ -222,8 +227,7 @@ class TestBestReinforcement:
 
     def test_infeasible_family_raises(self, mesh_small):
         fam = ReinforcementFamily(kind="cross", alpha=0.5, beta=2.0,
-                                  n_xstrips=1, mu=0.01, centers_per_axis=3,
-                                  area_tol_elements=1.0)
+                                  n_xstrips=1, mu=0.01, centers_per_axis=3)
         with pytest.raises(ValueError, match="area balance"):
             fam.candidates(mesh_small)
 
@@ -369,7 +373,7 @@ class TestPlacementBounds:
                    for y in mesh_small.ys)
         assert rep["weighted_green_bound"] == pytest.approx(zmax, rel=1e-9)
 
-    def test_bound_chain(self, mesh_small, params):
+    def test_bound_chain(self, operator_small, mesh_small, params):
         state = SeriesState(params, m_max=200)
         sel = np.zeros((mesh_small.ny, mesh_small.nx), dtype=bool)
         sel[:, :4] = True
@@ -377,8 +381,8 @@ class TestPlacementBounds:
         rep = placement_bound_report(mask, state, mesh_small)
         fc = ForceClass(kind="bang-bang", cells=(3, 2))
         measured = worst_force_amplitude(
-            mesh_small, params, mask, fc,
-            BoxConstraints.unbounded(mesh_small), variant="E2").value
+            operator_small, BoxConstraints.unbounded(mesh_small), fc, params,
+            weight=mask).value
         slack = rep["series_tail"] + 1e-4  # discretization allowance
         assert measured <= rep["weighted_green_bound"] + slack
         assert rep["weighted_green_bound"] <= rep["coarse_bound"]

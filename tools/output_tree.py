@@ -1,0 +1,69 @@
+"""Write the output tree of a fixed set of configs, for byte-for-byte comparison.
+
+Usage: python tools/output_tree.py SRC_ROOT OUT_DIR
+
+Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
+``SRC_ROOT/perfbench/workloads.py``, then runs through ``cli.run``:
+
+* every op of the workloads ``guide-scan``, ``contact-full``, ``series-eval``,
+  ``reinforce-density`` and ``contact-limit`` at seed 20251106;
+* one ``solve``, one ``optimize-obstacle`` and one ``signed-delta``
+  ``gap-scan`` op, so that every problem kind is covered.
+
+Each op writes to ``OUT_DIR/<workload>/<label>/``; ``OUT_DIR/exit_codes.txt``
+lists the exit code of every op.  Output directories are relative to
+``OUT_DIR``, so the embedded configs do not depend on where the tree lives.
+Two trees from identical sources must not differ (``diff -r``).
+"""
+
+import os
+import sys
+from pathlib import Path
+
+SEED = 20251106
+WORKLOADS = ("guide-scan", "contact-full", "series-eval", "reinforce-density",
+             "contact-limit")
+
+
+def extra_ops(wl):
+    """One op each for the problems and force classes the workloads do not run."""
+    return [
+        ("solve", wl.config("solve", {"load": {"density": 1.0}})),
+        ("optimize-obstacle", wl.config("optimize-obstacle", {
+            "levels": [0.5 * wl.M_THRESHOLD, 2.0 * wl.M_THRESHOLD],
+            "force_class": {"nxi": 9, "neta": 5}})),
+        ("gap-scan-signed-delta", wl.config("gap-scan", {
+            "force_class": {"kind": "signed-delta", "nxi": 5, "neta": 3}})),
+    ]
+
+
+def main(argv):
+    if len(argv) != 3:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    root = Path(argv[1]).resolve()
+    out = Path(argv[2]).resolve()
+    sys.path[:0] = [str(root / "src"), str(root)]
+    from hingedplate import cli
+    from perfbench import workloads as wl
+
+    ops = []
+    for name in WORKLOADS:
+        workload = wl.WORKLOADS.get(name) or wl.EXTRA_WORKLOADS[name]
+        ops += [(f"{name}/{op.label}", op.config)
+                for op in wl.make_batch(workload, SEED)]
+    ops += [(f"extra/{label}", cfg) for label, cfg in extra_ops(wl)]
+
+    out.mkdir(parents=True, exist_ok=True)
+    os.chdir(out)
+    lines = []
+    for path, cfg in ops:
+        code, _ = cli.run({**cfg, "output_dir": path})
+        lines.append(f"{path} exit {code}")
+        print(lines[-1], flush=True)
+    Path("exit_codes.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
