@@ -3,9 +3,8 @@
 from .params import MaterialParams
 from .series import (AntisymDelta, ObstacleSpec, ScanWindow, SeriesState,
                      analytic_bound_C, antisym_solution, aux_pair,
-                     boundary_kernels, empty_contact_margin, envelope_g,
-                     gap_threshold_M, green_value, phi_m, tail_estimate,
-                     uniform_load_profile)
+                     empty_contact_margin, envelope_g, gap_threshold_M,
+                     green_value, phi_m, tail_estimate, uniform_load_profile)
 from .fem import (DofField, LoadSpec, Mesh, ReinforcementMask,
                   assemble_bilinear, assemble_load, energy_value, point_eval,
                   symmetry_decompose)

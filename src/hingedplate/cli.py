@@ -177,6 +177,32 @@ def _integer(value, name):
     return value
 
 
+def _real(value, name):
+    """``value`` as a float if it is a JSON number, else a TypeError naming it."""
+    if not _is_real(value):
+        raise TypeError(f"{name} must be a number: {value!r}")
+    return float(value)
+
+
+def _reals(value, name, n=2):
+    """``value`` as n floats if it is a list of n JSON numbers, else a
+    TypeError naming it."""
+    if len(_list(value, name)) != n or not all(map(_is_real, value)):
+        raise TypeError(f"{name} must be {'two' if n == 2 else 'three'} numbers: "
+                        f"{value!r}")
+    return tuple(map(float, value))
+
+
+def _grid(value, name, entries, is_entry):
+    """``value`` if it is a non-empty rectangular list of lists whose entries
+    pass ``is_entry``, else a TypeError naming it as ``entries``."""
+    if not (isinstance(value, list) and value and all(
+            isinstance(row, list) and row and len(row) == len(value[0])
+            and all(map(is_entry, row)) for row in value)):
+        raise TypeError(f"{name} must be {entries}")
+    return value
+
+
 def _is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
@@ -200,17 +226,18 @@ def _build_density(spec, half_width):
     if kind == "sin_x":
         return lambda x, y: np.sin(x)
     if kind == "cells":
-        return _cell_density(np.asarray(spec["signs"], dtype=float), half_width)
+        signs = _grid(spec["signs"], "signs", "a 2-D grid of numbers", _is_real)
+        return _cell_density(np.asarray(signs, dtype=float), half_width)
     raise ValueError(f"unknown density kind {kind!r}")
 
 
 def _build_load(spec, half_width):
     spec = _object(spec, "load", {"density", "point_masses", "antisym_delta"})
     if "antisym_delta" in spec:
-        xi, eta = _list(spec["antisym_delta"], "antisym_delta")
-        return LoadSpec.antisym_pair(float(xi), float(eta))
+        return LoadSpec.antisym_pair(*_reals(spec["antisym_delta"], "antisym_delta"))
+    masses = _list(spec.get("point_masses", []), "point_masses")
     return LoadSpec(density=_build_density(spec.get("density"), half_width),
-                    point_masses=_list(spec.get("point_masses", []), "point_masses"))
+                    point_masses=[_reals(q, "point_masses entry", 3) for q in masses])
 
 
 def _build_obstacle(spec):
@@ -218,10 +245,10 @@ def _build_obstacle(spec):
     kind = spec.get("kind", "constant_level")
     region = spec.get("region", "long_edges")
     if kind == "constant_level":
-        return ObstacleSpec.constant_level(float(spec["gamma"]), region=region)
+        return ObstacleSpec.constant_level(_real(spec["gamma"], "gamma"), region=region)
     if kind == "bounds":
-        return ObstacleSpec(lower=float(spec["lower"]), upper=float(spec["upper"]),
-                            region=region)
+        return ObstacleSpec(lower=_real(spec["lower"], "lower"),
+                            upper=_real(spec["upper"], "upper"), region=region)
     raise ValueError(f"unknown obstacle kind {kind!r}")
 
 
@@ -229,11 +256,14 @@ def _build_forces(spec, params):
     spec = _object(spec, "force_class", {"kind", "nxi", "neta", "cells", "window"})
     kind = spec.get("kind", "antisym-delta")
     wspec = spec.get("window", kind == "antisym-delta")
-    window = ScanWindow.default(params) if wspec is True else None
-    if wspec and wspec is not True:
+    if isinstance(wspec, bool):
+        window = ScanWindow.default(params) if wspec else None
+    elif isinstance(wspec, dict):
         wspec = _object(wspec, "window", {"z0", "w0"})
-        window = ScanWindow(z0=float(wspec["z0"]), w0=float(wspec["w0"]))
+        window = ScanWindow(z0=_real(wspec["z0"], "z0"), w0=_real(wspec["w0"], "w0"))
         window.validate(params)
+    else:
+        raise TypeError(f"window must be true, false or an object: {wspec!r}")
     cells = _list(spec.get("cells", [3, 2]), "cells")
     return ForceClass(kind=kind, window=window,
                       nxi=_integer(spec.get("nxi", 33), "nxi"),
@@ -261,14 +291,14 @@ def _build_family(params, half_width):
             kind="cross", alpha=alpha, beta=beta,
             n_xstrips=_integer(family.get("n_xstrips", 1), "n_xstrips"),
             n_ystrips=_integer(family.get("n_ystrips", 0), "n_ystrips"),
-            mu=float(family["mu"]), eps=float(family.get("eps", 0.01)),
+            mu=_real(family["mu"], "mu"), eps=_real(family.get("eps", 0.01), "eps"),
             centers_per_axis=_integer(family.get("centers_per_axis", 9),
                                       "centers_per_axis"))
     if kind == "tiles":
         return ReinforcementFamily(
             kind="tiles", alpha=alpha, beta=beta,
-            eps=float(family.get("eps", 0.01)),
-            tile_size=tuple(family["tile_size"]),
+            eps=_real(family.get("eps", 0.01), "eps"),
+            tile_size=_reals(family["tile_size"], "tile_size"),
             n_tiles=_integer(family.get("n_tiles", 1), "n_tiles"),
             centers_per_axis=_integer(family.get("centers_per_axis", 5),
                                       "centers_per_axis"))
@@ -276,7 +306,7 @@ def _build_family(params, half_width):
 
 
 def _plate_point(q, mesh, name):
-    x, y = map(float, _list(q, name))
+    x, y = _reals(q, name)
     if not mesh.contains(x, y):
         raise ValueError(f"{name} ({x}, {y}) outside the closed plate")
     return x, y
@@ -350,10 +380,14 @@ def _read_vi_solve(p, ctx):
     if variant not in (None, "base", "E1", "E2"):
         raise ValueError(f"vi-solve variant must be base, E1 or E2: {variant!r}")
     mask = None
-    if variant in ("E1", "E2") or "alpha" in p or "beta" in p:
+    if variant in ("E1", "E2"):
         alpha, beta = _densities(p)
-        mask = ReinforcementMask(np.asarray(p["mask"], dtype=bool), alpha, beta)
+        elements = _grid(p["mask"], "mask", "a grid of booleans",
+                         lambda v: isinstance(v, bool))
+        mask = ReinforcementMask(np.asarray(elements, dtype=bool), alpha, beta)
         mask.check_shape(mesh)
+    elif {"alpha", "beta", "mask"} & set(p):
+        raise ValueError("alpha, beta and mask apply to variants E1 and E2 only")
 
     def run(outdir):
         op = PlateOperator.build(mesh, ctx["params"],
@@ -402,8 +436,8 @@ def _read_optimize_reinforcement(p, ctx):
 
 
 def _read_optimize_obstacle(p, ctx):
-    family = ObstacleFamily.constant_levels(
-        _list(p["levels"], "levels"), region=p.get("region", "long_edges"))
+    levels = [_real(g, "levels entry") for g in _list(p["levels"], "levels")]
+    family = ObstacleFamily.constant_levels(levels, region=p.get("region", "long_edges"))
     forces = _build_forces(p.get("force_class", {}), ctx["params"])
 
     def run(outdir):

@@ -17,7 +17,7 @@ factorization is a cast of that matrix.  Loads and stiffness are assembled
 for the whole mesh at once from one (ny, nx, 16) element-dof table.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -270,24 +270,10 @@ class LoadSpec:
         """Antisymmetric pair (delta_(xi,eta) - delta_(xi,-eta)) / 2."""
         return cls(point_masses=((xi, eta, 0.5), (xi, -eta, -0.5)))
 
-    def total_point_mass(self):
-        return sum(abs(w) for (_, _, w) in self.point_masses)
-
     def validate(self, mesh):
         for (x, y, _) in self.point_masses:
             if not mesh.contains(x, y):
                 raise ValueError(f"point mass at ({x}, {y}) outside the closed plate")
-
-    def negated(self):
-        dens = self.density
-        if dens is not None:
-            if callable(dens):
-                orig = dens
-                dens = lambda x, y: -orig(x, y)
-            else:
-                dens = -np.asarray(dens) if np.ndim(dens) else -float(dens)
-        masses = tuple((x, y, -w) for (x, y, w) in self.point_masses)
-        return replace(self, density=dens, point_masses=masses)
 
 
 @dataclass(frozen=True)
@@ -338,9 +324,6 @@ class ReinforcementMask:
                 f"|D|={self.area(mesh):.6g} misses the density balance "
                 f"|Omega|(1-alpha)/(beta-alpha)={self.target_area(mesh):.6g} "
                 f"by more than {tol_elements:g} element(s)")
-
-    def complement(self):
-        return ReinforcementMask(~self.elements, self.alpha, self.beta)
 
     @classmethod
     def from_indicator(cls, mesh, indicator, alpha, beta):

@@ -2,8 +2,8 @@
 
 Every outer problem is an exhaustive, deterministic scan over a finite
 candidate list: unit point-load pairs on a window grid, signed unit point
-loads, bang-bang densities, rasterized reinforcement layouts, or parametric
-obstacle profiles.  Inner problems are box-constrained solves; reductions
+loads, bang-bang densities, rasterized reinforcement layouts, or constant
+guide levels.  Inner problems are box-constrained solves; reductions
 tie-break to the first candidate index so repeated runs are identical.
 """
 
@@ -80,10 +80,6 @@ class ForceMember:
     label: str
     load: LoadSpec
     meta: tuple = ()
-
-    def negated(self):
-        return ForceMember(label=f"-({self.label})", load=self.load.negated(),
-                           meta=self.meta)
 
 
 @dataclass(frozen=True)
@@ -172,7 +168,7 @@ def _cell_density(signs, half_width):
 
 @dataclass(frozen=True)
 class ObstacleFamily:
-    """Finite list of admissible two-sided obstacles."""
+    """Finite list of symmetric constant-level guides."""
 
     candidates: tuple
 
@@ -182,43 +178,8 @@ class ObstacleFamily:
 
     @classmethod
     def constant_levels(cls, gammas, region="long_edges"):
-        return cls(candidates=tuple(ObstacleSpec.constant_level(float(g), region=region)
+        return cls(candidates=tuple(ObstacleSpec.constant_level(g, region=region)
                                     for g in gammas))
-
-    @classmethod
-    def from_profiles(cls, profiles, gamma, kappa, holder_alpha, params,
-                      region="long_edges", check_points=64):
-        """Wrap sampled symmetric profiles psi >= gamma with class certificates.
-
-        Each profile is a callable psi(x, y); membership (psi >= gamma,
-        sup <= kappa, Hoelder quotient consistent with kappa) is spot-checked
-        on a sample grid.
-        """
-        if not 0.0 < holder_alpha < 1.0:
-            raise ValueError("Hoelder exponent must lie in (0, 1)")
-        if not kappa >= gamma > 0.0:
-            raise ValueError("class parameters need kappa >= gamma > 0")
-        l = params.half_width
-        xs = np.linspace(0.0, np.pi, check_points)
-        specs = []
-        for psi in profiles:
-            for y in (-l, l, 0.0):
-                vals = np.asarray(psi(xs, y), dtype=float)
-                if np.any(vals < gamma):
-                    raise ValueError("profile drops below its guaranteed level gamma")
-                if np.any(vals > kappa):
-                    raise ValueError("profile sup-norm exceeds kappa")
-                quot = np.abs(np.diff(vals)) / np.diff(xs) ** holder_alpha
-                if np.any(vals.max() + quot > kappa * (1 + 1e-9)):
-                    raise ValueError("profile Hoelder certificate exceeds kappa")
-            specs.append(ObstacleSpec(
-                lower=_negated_profile(psi), upper=psi, region=region,
-                gamma=gamma, kappa=kappa, holder_alpha=holder_alpha))
-        return cls(candidates=tuple(specs))
-
-
-def _negated_profile(psi):
-    return lambda x, y: -np.asarray(psi(x, y))
 
 
 @dataclass(frozen=True)
@@ -323,25 +284,6 @@ class ReinforcementFamily:
                 mesh, indicator, self.alpha, self.beta))
         return out
 
-    @staticmethod
-    def cross_mu_for_area(alpha, beta, params, n_xstrips=1, n_ystrips=0, eps=0.0,
-                          mesh=None):
-        """Vertical-strip half-width balancing |D| for a cross layout.
-
-        With a mesh given, the half-width snaps to a whole number of element
-        columns so that node-centered strips rasterize with zero area defect.
-        """
-        l = params.half_width
-        target = 2.0 * np.pi * l * (1.0 - alpha) / (beta - alpha)
-        if n_xstrips == 0:
-            raise ValueError("needs at least one vertical strip")
-        mu = (target - 2.0 * np.pi * n_ystrips * eps) / (
-            4.0 * n_xstrips * (l - n_ystrips * eps))
-        if mesh is not None:
-            cols = max(1.0, np.round(2.0 * mu / mesh.hx))
-            mu = cols * mesh.hx / 2.0
-        return mu
-
 
 def _tiles_overlap(rects, w, h):
     for (a, b) in itertools.combinations(rects, 2):
@@ -421,28 +363,25 @@ CEILING_RTOL = 1e-9
 def best_obstacle(family, operator, forces, params):
     """Best obstacle in a finite family: minimize the worst maximal gap.
 
-    Constant-level candidates whose region contains the long edges must stay
-    below the ceiling of twice their level; a violation fails the scan.
+    Every candidate's region contains the long edges, so its scanned gap must
+    stay below the ceiling of twice its level; a violation fails the scan.
+    A candidate's ``kappa`` (its sup-norm) is its level.
     """
     rows = []
-    for i, spec in enumerate(family.candidates):
+    for spec in family.candidates:
         inner = worst_gap_force(operator, spec, forces, params)
-        label = (f"level={spec.gamma:.6g}@{spec.region}" if spec.gamma is not None
-                 else f"profile[{i}]")
-        row = {
-            "label": label,
-            "params": {"gamma": spec.gamma, "kappa": spec.kappa,
+        ceiling = 2.0 * spec.gamma
+        if inner.value > ceiling * (1.0 + CEILING_RTOL):
+            raise RuntimeError(
+                f"scanned gap {inner.value} breaks the 2*gamma ceiling {ceiling}")
+        rows.append({
+            "label": f"level={spec.gamma:.6g}@{spec.region}",
+            "params": {"gamma": spec.gamma, "kappa": spec.gamma,
                        "region": spec.region},
             "value": inner.value,
             "worst_force": inner.argopt_label,
-        }
-        if spec.gamma is not None:
-            ceiling = 2.0 * spec.gamma
-            row["ceiling"] = ceiling
-            if inner.value > ceiling * (1.0 + CEILING_RTOL):
-                raise RuntimeError(
-                    f"scanned gap {inner.value} breaks the 2*gamma ceiling {ceiling}")
-        rows.append(row)
+            "ceiling": ceiling,
+        })
     return _scan("best-obstacle", rows, maximize=False)
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "ScanWindow",
     "ObstacleSpec",
     "aux_pair",
-    "boundary_kernels",
     "phi_m",
     "green_value",
     "antisym_solution",
@@ -61,43 +60,6 @@ def aux_pair(z, params):
     s = params.sigma
     base = (3.0 + s) / 2.0 * np.sinh(2.0 * z)
     return base - z * (1.0 - s), base + z * (1.0 - s)
-
-
-def boundary_kernels(r, z, params):
-    """Free-edge correction kernels (zeta, theta, psi, omega) at (r, z).
-
-    These four bilinear combinations of cosh/sinh products are the numerators
-    of the edge correction in :func:`phi_m`; ``r`` plays the role of the
-    scaled ordinate and ``z`` of the scaled half-width.  ``theta`` and
-    ``omega`` vanish at r = 0.
-    """
-    if z <= 0.0:
-        raise ValueError(f"argument must be positive, got z={z}")
-    s = params.sigma
-    cr, sr = np.cosh(r), np.sinh(r)
-    cz, sz = np.cosh(z), np.sinh(z)
-    a1 = 4.0 / (1.0 - s) - z * (1.0 + s)
-    a2 = (1.0 + s) ** 2 / (1.0 - s) + 2.0 * z
-    b1 = 2.0 + (1.0 - s) * z
-    b2 = -(1.0 + s) + z * (1.0 - s)
-    zeta = a1 * cr * cz + a2 * cr * sz - 2.0 * r * sr * cz + r * (1.0 + s) * sr * sz
-    theta = r * (1.0 + s) * cr * cz - 2.0 * r * cr * sz + a2 * sr * cz + a1 * sr * sz
-    psi = b1 * cr * cz + b2 * cr * sz - r * (1.0 - s) * sr * cz - r * (1.0 - s) * sr * sz
-    omega = -r * (1.0 - s) * cr * cz - r * (1.0 - s) * cr * sz + b2 * sr * cz + b1 * sr * sz
-    return zeta, theta, psi, omega
-
-
-def coefficient_bounds(params):
-    """Envelope constants (A, B) dominating the edge kernels on the edge.
-
-    |zeta(y, l)|, |theta(y, l)| <= A and |psi(y, l)|, |omega(y, l)| <= B for
-    all |y| <= l.
-    """
-    s, l = params.sigma, params.half_width
-    ch2 = np.cosh(l) ** 2
-    A = ((4.0 + (1.0 + s) ** 2) / (1.0 - s) + 2.0 * l * (3.0 + s)) * ch2
-    B = (3.0 + s + 4.0 * (1.0 - s) * l) * ch2
-    return A, B
 
 
 def phi_m(y, eta, m, params):
@@ -379,55 +341,33 @@ def analytic_bound_C(params):
 # obstacles and the empty-contact certificate
 # ---------------------------------------------------------------------------
 
-def _as_callable(spec):
-    if callable(spec):
-        return spec
-    level = float(spec)
-
-    def constant(x, y):
-        shape = np.broadcast(np.asarray(x), np.asarray(y)).shape
-        return np.full(shape, level) if shape else level
-
-    return constant
-
-
 @dataclass(frozen=True)
 class ObstacleSpec:
-    """Two-sided obstacle: lower/upper profiles on a region of the plate.
+    """Two-sided obstacle: constant heights lower <= 0 <= upper on a region.
 
-    ``lower``/``upper`` are constants or callables (x, y) -> level with
-    lower <= 0 <= upper on the region.  ``region`` is ``"full"`` for
-    obstacles over the whole closed plate or ``"long_edges"`` for the thin
-    case where only the free edges are constrained.  ``gamma``, ``kappa``
-    and ``holder_alpha`` carry the class certificates of parametric families
-    (distance from zero, Hoelder norm bound, Hoelder exponent); they are
-    metadata here and enforced by the family constructors.
+    ``region`` is ``"full"`` for obstacles over the whole closed plate or
+    ``"long_edges"`` for the thin case where only the free edges are
+    constrained.  ``gamma`` is the level of symmetric guides built by
+    :meth:`constant_level`, and None for other bounds.
     """
 
-    lower: object
-    upper: object
+    lower: float
+    upper: float
     region: str = "full"
     gamma: float | None = None
-    kappa: float | None = None
-    holder_alpha: float | None = None
 
     def __post_init__(self):
         if self.region not in ("full", "long_edges"):
             raise ValueError(f"unknown obstacle region {self.region!r}")
+        if not self.lower <= 0.0 <= self.upper:
+            raise ValueError("obstacles must satisfy lower <= 0 <= upper")
 
     @classmethod
     def constant_level(cls, gamma, region="long_edges"):
         """Symmetric guides at heights -gamma and +gamma."""
         if gamma <= 0.0:
             raise ValueError(f"guide level must be positive, got {gamma}")
-        return cls(lower=-gamma, upper=gamma, region=region, gamma=gamma,
-                   kappa=gamma, holder_alpha=1.0)
-
-    def lower_at(self, x, y):
-        return _as_callable(self.lower)(x, y)
-
-    def upper_at(self, x, y):
-        return _as_callable(self.upper)(x, y)
+        return cls(lower=-gamma, upper=gamma, region=region, gamma=gamma)
 
 
 def empty_contact_margin(obstacles, state, nx=33, ny=9):
@@ -444,12 +384,9 @@ def empty_contact_margin(obstacles, state, nx=33, ny=9):
     l = params.half_width
     xs = np.linspace(0.0, np.pi, nx)
     ys = np.linspace(-l, l, ny)
+    level = min(abs(obstacles.lower), obstacles.upper)
     margin = np.inf
     for y in ys:
-        lo = np.asarray(obstacles.lower_at(xs, y), dtype=float)
-        up = np.asarray(obstacles.upper_at(xs, y), dtype=float)
-        if np.any(lo > 0.0) or np.any(up < 0.0):
-            raise ValueError("obstacles must satisfy lower <= 0 <= upper")
         z = uniform_load_profile((xs, y), state)
-        margin = min(margin, float(np.min(np.minimum(np.abs(lo), up) - z)))
+        margin = min(margin, float(np.min(level - z)))
     return margin

@@ -86,13 +86,13 @@ class BoxConstraints:
     @classmethod
     def from_obstacle(cls, mesh, obstacle):
         """Nodewise bounds of an ObstacleSpec on its region of the mesh."""
-        X, Y = mesh.node_coordinates()
+        _, Y = mesh.node_coordinates()
         if obstacle.region == "long_edges":
             mask = np.isclose(np.abs(Y), mesh.half_width, rtol=0.0, atol=1e-12)
         else:
             mask = np.ones(mesh.n_nodes, dtype=bool)
-        lower = np.where(mask, obstacle.lower_at(X, Y), -np.inf)
-        upper = np.where(mask, obstacle.upper_at(X, Y), np.inf)
+        lower = np.where(mask, obstacle.lower, -np.inf)
+        upper = np.where(mask, obstacle.upper, np.inf)
         return cls(mask, lower, upper)
 
     @classmethod
@@ -111,10 +111,6 @@ class VISolution:
     multipliers: np.ndarray
     kkt_residual: float
     iterations: int
-
-    @property
-    def contact_free(self):
-        return not (self.lower_contact.size or self.upper_contact.size)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +226,7 @@ def _box_dof_arrays(operator, constraints):
     return dofs, constraints.lower[nodes], constraints.upper[nodes]
 
 
-def solve_obstacle(operator, rhs, constraints, warm_start=None):
+def solve_obstacle(operator, rhs, constraints):
     """Two-sided obstacle solve by a monotone primal active set iteration.
 
     Iterates stay feasible: each step solves the equality problem with the
@@ -251,14 +247,6 @@ def solve_obstacle(operator, rhs, constraints, warm_start=None):
     act_lo = pinned_eq.copy()
     act_hi = np.zeros(n_c, dtype=bool)
     x = np.zeros(operator.mesh.n_dofs, dtype=LONG)
-    if warm_start is not None:
-        start = warm_start.dofs.copy()
-        start[~operator.free] = 0.0
-        start[dofs] = np.clip(start[dofs], lo, hi)
-        x = start.astype(LONG)
-        vals = start[dofs]
-        act_lo = (np.isfinite(lo) & (vals <= lo)) | pinned_eq
-        act_hi = np.isfinite(hi) & (vals >= hi) & ~act_lo
 
     def residual(x):
         return (rhs - operator.form.matvec_extended(x)).astype(float)

@@ -58,13 +58,8 @@ def closed_bound(sig, l):
 if __name__ == "__main__":
     sig, l = mp.mpf("0.2"), mp.mpf("0.1")
     f, fbar = denominators(mp.mpf("0.5"), sig)
-    zeta, theta, psi, omega = kernels(mp.mpf("0.05"), mp.mpf("0.1"), sig)
     print("F_AT_HALF    =", mp.nstr(f, 17))
     print("FBAR_AT_HALF =", mp.nstr(fbar, 17))
-    print("ZETA_REF     =", mp.nstr(zeta, 17))
-    print("THETA_REF    =", mp.nstr(theta, 17))
-    print("PSI_REF      =", mp.nstr(psi, 17))
-    print("OMEGA_REF    =", mp.nstr(omega, 17))
     print("PHI3_REF     =", mp.nstr(coefficient(mp.mpf("0.01"), mp.mpf("-0.02"), 3, sig, l), 17))
     print("C_REF        =", mp.nstr(closed_bound(sig, l), 17))
     print("M_REF        =", mp.nstr(threshold(sig, l, 200_000), 17))

@@ -227,7 +227,7 @@ def test_criterion_5_empty_contact(mesh, operator, state):
 
         rhs = assemble_load(mesh, LoadSpec(density=f))
         sol = solve_obstacle(operator, rhs, box)
-        if not sol.contact_free:
+        if sol.lower_contact.size or sol.upper_contact.size:
             all_free = False
     elapsed = time.time() - t0
     ok = all_free and elapsed <= 120.0
@@ -342,7 +342,9 @@ def test_criterion_9_sign_symmetry(threshold):
     vals_pos, vals_neg = [], []
     for member in fc.members(PARAMS):
         a = solve_obstacle(op, assemble_load(m, member.load), box)
-        b = solve_obstacle(op, assemble_load(m, member.negated().load), box)
+        negated = LoadSpec(point_masses=[(x, y, -w) for (x, y, w)
+                                         in member.load.point_masses])
+        b = solve_obstacle(op, assemble_load(m, negated), box)
         ga, gb = gap_profile(a).maximal_gap, gap_profile(b).maximal_gap
         vals_pos.append(ga)
         vals_neg.append(gb)

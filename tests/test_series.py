@@ -11,20 +11,15 @@ import pytest
 
 from hingedplate import (AntisymDelta, MaterialParams, ObstacleSpec,
                          ScanWindow, SeriesState, analytic_bound_C,
-                         antisym_solution, aux_pair, boundary_kernels,
-                         empty_contact_margin, envelope_g, gap_threshold_M,
-                         green_value, phi_m, tail_estimate,
-                         uniform_load_profile)
-from hingedplate.series import coefficient_bounds
+                         antisym_solution, aux_pair, empty_contact_margin,
+                         envelope_g, gap_threshold_M, green_value, phi_m,
+                         tail_estimate, uniform_load_profile)
 from hingedplate.summation import SERIES_CHUNK, CompensatedSum, series_sum
+from oracles import highprec
 
 # 50-digit evaluations of the closed forms, truncated to double precision
 F_AT_HALF = 1.4803219098300823        # F(0.5), sigma = 0.2
 FBAR_AT_HALF = 2.2803219098300823     # Fbar(0.5), sigma = 0.2
-ZETA_REF = 5.106409622539415          # zeta(0.05, 0.1), sigma = 0.2
-THETA_REF = 0.17533961175740096       # theta(0.05, 0.1)
-PSI_REF = 1.978483939198606           # psi(0.05, 0.1)
-OMEGA_REF = -0.09014411011806892      # omega(0.05, 0.1)
 PHI3_REF = 6.889768288263896          # c_3(0.01, -0.02), sigma=0.2, l=0.1
 C_REF = 8.275152162980941             # closed-form bound, sigma=0.2, l=0.1
 M_REF = 0.023879949449088378          # threshold, sigma=0.2, l=0.1, m<=2e5
@@ -62,33 +57,20 @@ class TestAuxPair:
 
 
 class TestBoundaryKernels:
-    def test_odd_kernels_vanish_at_zero(self, params):
-        for z in (0.05, 0.3, 1.0):
-            _, theta, _, omega = boundary_kernels(0.0, z, params)
-            assert theta == 0.0
-            assert omega == 0.0
-
-    def test_frozen_values(self, params):
-        zeta, theta, psi, omega = boundary_kernels(0.05, 0.1, params)
-        assert zeta == pytest.approx(ZETA_REF, rel=1e-14)
-        assert theta == pytest.approx(THETA_REF, rel=1e-14)
-        assert psi == pytest.approx(PSI_REF, rel=1e-14)
-        assert omega == pytest.approx(OMEGA_REF, rel=1e-14)
-
     def test_edge_envelopes(self):
-        # |zeta|,|theta| <= A and |psi|,|omega| <= B along the edge line
+        # |zeta|,|theta| <= A and |psi|,|omega| <= B along the edge line, for
+        # the numerators of phi_m evaluated by the high-precision oracle
         for p in PARAM_GRID:
-            a_bound, b_bound = coefficient_bounds(p)
-            for y in np.linspace(-p.half_width, p.half_width, 41):
-                zeta, theta, psi, omega = boundary_kernels(y, p.half_width, p)
+            s, l = p.sigma, p.half_width
+            ch2 = np.cosh(l) ** 2
+            a_bound = ((4.0 + (1.0 + s) ** 2) / (1.0 - s) + 2.0 * l * (3.0 + s)) * ch2
+            b_bound = (3.0 + s + 4.0 * (1.0 - s) * l) * ch2
+            for y in np.linspace(-l, l, 41):
+                zeta, theta, psi, omega = highprec.kernels(float(y), l, s)
                 assert abs(zeta) <= a_bound
                 assert abs(theta) <= a_bound
                 assert abs(psi) <= b_bound
                 assert abs(omega) <= b_bound
-
-    def test_rejects_nonpositive_z(self, params):
-        with pytest.raises(ValueError):
-            boundary_kernels(0.1, 0.0, params)
 
 
 class TestPhiCoefficient:

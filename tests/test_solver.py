@@ -5,8 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from hingedplate import (AntisymDelta, BoxConstraints, DofField, LoadSpec,
-                         Mesh, ObstacleSpec, ReinforcementMask, SeriesState,
+from hingedplate import (AntisymDelta, BoxConstraints, LoadSpec, Mesh,
+                         ObstacleSpec, ReinforcementMask, SeriesState,
                          antisym_solution, kkt_report, solve_linear,
                          solve_obstacle, symmetry_decompose,
                          uniform_load_profile)
@@ -54,7 +54,7 @@ class TestSolveObstacle:
         linear = solve_linear(operator_small, b)
         sol = solve_obstacle(operator_small, b, far_box(mesh_small))
         assert np.array_equal(sol.field.dofs, linear.dofs)
-        assert sol.contact_free
+        assert not (sol.lower_contact.size or sol.upper_contact.size)
         assert sol.iterations == 1
         assert np.all(sol.multipliers == 0.0)
 
@@ -77,7 +77,7 @@ class TestSolveObstacle:
 
             b = assemble_load(mesh_small, LoadSpec(density=f))
             sol = solve_obstacle(operator_small, b, box)
-            assert sol.contact_free
+            assert not (sol.lower_contact.size or sol.upper_contact.size)
 
     def test_negating_data_negates_solution_exactly(self, operator_small,
                                                     mesh_small):
@@ -113,21 +113,6 @@ class TestSolveObstacle:
                                np.concatenate([sol.upper_contact,
                                                sol.lower_contact]))
         assert np.all(sol.multipliers[outside] == 0.0)
-
-    def test_warm_starts_agree(self, operator_small, mesh_small):
-        box = BoxConstraints.from_obstacle(
-            mesh_small, ObstacleSpec.constant_level(0.35, region="full"))
-        b = assemble_load(mesh_small, SIN_LOAD)
-        cold = solve_obstacle(operator_small, b, box)
-        lin = solve_linear(operator_small, b)
-        clipped = lin.dofs.copy()
-        vals = clipped[0::4]
-        clipped[0::4] = np.clip(vals, box.lower, box.upper)
-        warm = solve_obstacle(operator_small, b, box,
-                              warm_start=DofField(mesh_small, clipped))
-        tol = 10.0 * solver.TOL
-        scale = max(1.0, cold.field.sup_norm())
-        assert np.max(np.abs(warm.field.dofs - cold.field.dofs)) <= tol * scale
 
     def test_energy_below_random_feasible_fields(self, operator_small,
                                                  mesh_small):
@@ -213,7 +198,7 @@ class TestSettledIterate:
         calls = self._count_calls(monkeypatch, PlateOperator, "solve_free")
         sol = solve_obstacle(op, assemble_load(mesh_small, SIN_LOAD),
                              far_box(mesh_small))
-        assert sol.contact_free
+        assert not (sol.lower_contact.size or sol.upper_contact.size)
         assert len(calls) == 1
 
     def test_binding_solve_factors_once_per_iteration(self, mesh_small, params,
@@ -309,7 +294,7 @@ class TestReinforcedAndWeighted:
         b = assemble_load(mesh_small, SIN_LOAD)
         box = far_box(mesh_small)
         vals = []
-        for m in (mask, mask.complement()):
+        for m in (mask, ReinforcementMask(~sel, alpha=0.5, beta=2.0)):
             op = PlateOperator.build(mesh_small, params, mask=m)
             sol = solve_obstacle(op, b, box)
             x = sol.field.dofs

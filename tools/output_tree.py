@@ -8,7 +8,10 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
 * every op of the workloads ``guide-scan``, ``contact-full``, ``series-eval``,
   ``reinforce-density`` and ``contact-limit`` at seed 20251106;
 * one ``solve``, one ``optimize-obstacle`` and one ``signed-delta``
-  ``gap-scan`` op, so that every problem kind is covered.
+  ``gap-scan`` op, so that every problem kind is covered;
+* a 16x4 ``vi-solve`` under each reinforced energy (``E1`` and ``E2``, with a
+  mask) and a ``gap-scan`` under an explicit ``bounds`` obstacle, so that
+  every obstacle and energy reader is covered.
 
 Each op writes to ``OUT_DIR/<workload>/<label>/``; ``OUT_DIR/exit_codes.txt``
 lists the exit code of every op.  Output directories are relative to
@@ -26,7 +29,12 @@ WORKLOADS = ("guide-scan", "contact-full", "series-eval", "reinforce-density",
 
 
 def extra_ops(wl):
-    """One op each for the problems and force classes the workloads do not run."""
+    """One op each for the problems, force classes, energies and obstacle
+    kinds the workloads do not run."""
+    reinforced = {"load": {"density": {"kind": "sin_x"}},
+                  "obstacles": {"gamma": 0.3, "region": "full"},
+                  "alpha": 0.5, "beta": 2.5,
+                  "mask": [[i < 4 for i in range(16)] for _ in range(4)]}
     return [
         ("solve", wl.config("solve", {"load": {"density": 1.0}})),
         ("optimize-obstacle", wl.config("optimize-obstacle", {
@@ -34,6 +42,14 @@ def extra_ops(wl):
             "force_class": {"nxi": 9, "neta": 5}})),
         ("gap-scan-signed-delta", wl.config("gap-scan", {
             "force_class": {"kind": "signed-delta", "nxi": 5, "neta": 3}})),
+        ("vi-solve-E1", wl.config("vi-solve", {**reinforced, "variant": "E1"},
+                                  mesh=(16, 4))),
+        ("vi-solve-E2", wl.config("vi-solve", {**reinforced, "variant": "E2"},
+                                  mesh=(16, 4))),
+        ("gap-scan-bounds", wl.config("gap-scan", {
+            "obstacles": {"kind": "bounds", "lower": -0.5 * wl.M_THRESHOLD,
+                          "upper": 0.7 * wl.M_THRESHOLD},
+            "force_class": {"nxi": 9, "neta": 5}})),
     ]
 
 
