@@ -47,6 +47,17 @@ _PARAMS_KEYS = {
     "optimize-obstacle": {"levels", "region", "force_class"},
     "regime": {"gamma", "scan", "force_class"},
 }
+# the fields each kind of a nested object reads; a field of another kind is
+# unknown to it (see _kind_keys)
+_OBSTACLE_KEYS = {"constant_level": {"kind", "region", "gamma"},
+                  "bounds": {"kind", "region", "lower", "upper"}}
+_FORCE_KEYS = {"antisym-delta": {"kind", "nxi", "neta", "window"},
+               "signed-delta": {"kind", "nxi", "neta", "window"},
+               "bang-bang": {"kind", "cells", "window"}}
+_FAMILY_KEYS = {"cross": {"kind", "mu", "n_xstrips", "n_ystrips", "eps",
+                          "centers_per_axis"},
+                "tiles": {"kind", "tile_size", "n_tiles", "eps",
+                          "centers_per_axis"}}
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +174,12 @@ def _object(value, name, keys=None):
     return value
 
 
+def _kind_keys(table, kind):
+    """The fields of ``kind`` in ``table``; None (unchecked) for a kind not
+    in it, which the object's builder rejects by name."""
+    return table.get(kind) if isinstance(kind, str) else None
+
+
 def _list(value, name):
     """``value`` if it is a JSON list, else a TypeError naming it."""
     if not isinstance(value, (list, tuple)):
@@ -232,8 +249,10 @@ def _build_density(spec, half_width):
 
 
 def _build_load(spec, half_width):
-    spec = _object(spec, "load", {"density", "point_masses", "antisym_delta"})
-    if "antisym_delta" in spec:
+    antisym = "antisym_delta" in _object(spec, "load")
+    spec = _object(spec, "load", {"antisym_delta"} if antisym
+                   else {"density", "point_masses"})
+    if antisym:
         return LoadSpec.antisym_pair(*_reals(spec["antisym_delta"], "antisym_delta"))
     masses = _list(spec.get("point_masses", []), "point_masses")
     return LoadSpec(density=_build_density(spec.get("density"), half_width),
@@ -241,8 +260,8 @@ def _build_load(spec, half_width):
 
 
 def _build_obstacle(spec):
-    spec = _object(spec, "obstacles", {"kind", "gamma", "lower", "upper", "region"})
-    kind = spec.get("kind", "constant_level")
+    kind = _object(spec, "obstacles").get("kind", "constant_level")
+    spec = _object(spec, "obstacles", _kind_keys(_OBSTACLE_KEYS, kind))
     region = spec.get("region", "long_edges")
     if kind == "constant_level":
         return ObstacleSpec.constant_level(_real(spec["gamma"], "gamma"), region=region)
@@ -253,8 +272,8 @@ def _build_obstacle(spec):
 
 
 def _build_forces(spec, params):
-    spec = _object(spec, "force_class", {"kind", "nxi", "neta", "cells", "window"})
-    kind = spec.get("kind", "antisym-delta")
+    kind = _object(spec, "force_class").get("kind", "antisym-delta")
+    spec = _object(spec, "force_class", _kind_keys(_FORCE_KEYS, kind))
     wspec = spec.get("window", kind == "antisym-delta")
     if isinstance(wspec, bool):
         window = ScanWindow.default(params) if wspec else None
@@ -282,10 +301,8 @@ def _densities(params):
 
 def _build_family(params, half_width):
     alpha, beta = _densities(params)
-    family = _object(params["family"], "family",
-                     {"kind", "mu", "n_xstrips", "n_ystrips", "eps",
-                      "centers_per_axis", "tile_size", "n_tiles"})
-    kind = family["kind"]
+    kind = _object(params["family"], "family")["kind"]
+    family = _object(params["family"], "family", _kind_keys(_FAMILY_KEYS, kind))
     if kind == "cross":
         return ReinforcementFamily(
             kind="cross", alpha=alpha, beta=beta,
@@ -454,6 +471,8 @@ def _read_regime(p, ctx):
     scan = p.get("scan", True)
     if not isinstance(scan, bool):
         raise TypeError(f"scan must be true or false: {scan!r}")
+    if not scan:
+        _object(p, "params", {"gamma", "scan"})
     forces = _build_forces(p.get("force_class", {}), params) if scan else None
 
     def run(outdir):

@@ -565,17 +565,18 @@ def energy_value(field, load, params, variant="base", mask=None):
     if variant == "E1" and not mask.is_degenerate:
         k_full = assemble_bilinear(mesh, params)
         k_region = assemble_bilinear(mesh, params, region=mask)
-        quad = (mask.alpha * _quad_form(k_full, field)
-                + (mask.beta - mask.alpha) * _quad_form(k_region, field))
+        quad = (mask.alpha * quad_form(k_full, field)
+                + (mask.beta - mask.alpha) * quad_form(k_region, field))
     else:
-        quad = _quad_form(assemble_bilinear(mesh, params), field)
+        quad = quad_form(assemble_bilinear(mesh, params), field)
 
     weight = mask if variant == "E2" else None
     b = assemble_load(mesh, load, weight=weight)
     return 0.5 * quad - apply_functional(b, field)
 
 
-def _quad_form(form, field):
+def quad_form(form, field):
+    """x' K x of a form on a field, from the extended-precision product."""
     x = field.dofs.astype(LONG)
     return float(np.dot(x, form.matvec_extended(x)))
 

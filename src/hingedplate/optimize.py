@@ -4,7 +4,9 @@ Every outer problem is an exhaustive, deterministic scan over a finite
 candidate list: unit point-load pairs on a window grid, signed unit point
 loads, bang-bang densities, rasterized reinforcement layouts, or constant
 guide levels.  Inner problems are box-constrained solves; reductions
-tie-break to the first candidate index so repeated runs are identical.
+tie-break to the first candidate within ``TIE_RTOL`` of the optimum, so
+repeated runs are identical and round-off cannot choose between
+mirror-image candidates.
 """
 
 import itertools
@@ -315,13 +317,19 @@ class ScanResult:
         }
 
 
+#: relative distance from the optimum within which scan values tie
+TIE_RTOL = 1e-9
+
+
 def _scan(problem, rows, maximize):
-    # max and min keep the first of equal values, so the first candidate wins
-    best = (max if maximize else min)(range(len(rows)),
-                                      key=lambda i: rows[i]["value"])
-    return ScanResult(problem=problem, value=rows[best]["value"],
-                      argopt_index=best, argopt_label=rows[best]["label"],
-                      rows=rows)
+    # mirror-image candidates agree only up to round-off, so the argopt is the
+    # first candidate within TIE_RTOL of the optimum; the value is the optimum
+    values = [row["value"] for row in rows]
+    value = max(values) if maximize else min(values)
+    best = next(i for i, v in enumerate(values)
+                if abs(v - value) <= TIE_RTOL * abs(value))
+    return ScanResult(problem=problem, value=value, argopt_index=best,
+                      argopt_label=rows[best]["label"], rows=rows)
 
 
 def _member_solve(operator, member, box, weight=None):

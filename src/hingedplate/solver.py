@@ -7,10 +7,14 @@ The discrete two-sided obstacle problem is the quadratic program
 over the essential-constrained dof space, where only value dofs of nodes in
 the obstacle region are boxed.  A monotone primal active set iteration
 solves it with exact nodewise feasibility and finite termination; multipliers
-are nonnegative on upper contact and nonpositive on lower contact.  Inner
-linear systems use a sparse LU of the diagonally scaled matrix followed by
-extended-precision iterative refinement, so the fourth-order conditioning
-does not eat the certified residuals.
+are nonnegative on upper contact and nonpositive on lower contact.  Every
+block the solver factors is symmetric positive definite: the free block of
+the energy, scaled once per operator to unit diagonal, or a principal
+submatrix of it.  It is factored as such, by a symmetric elimination
+(SuperLU in symmetric mode: minimum-degree order on the pattern of A + A',
+diagonal pivots), and every solve is followed by extended-precision
+iterative refinement, so the fourth-order conditioning does not eat the
+certified residuals.
 """
 
 from dataclasses import dataclass
@@ -19,7 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import LONG, DOF_VALUE, DofField, assemble_bilinear
+from .fem import (LONG, DOF_VALUE, DofField, apply_functional,
+                  assemble_bilinear, quad_form)
 from .fem import assemble_load  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -51,7 +56,7 @@ class IterationLimitError(SolverError):
 TOL = 1e-9
 #: active-set iteration budget of one obstacle solve
 MAX_ITERATIONS = 200
-#: extended-precision refinement steps after each sparse LU solve
+#: extended-precision refinement steps after each factored solve
 REFINE_STEPS = 2
 
 
@@ -117,17 +122,19 @@ class VISolution:
 # operator wrapper: essential reduction + refined solves
 # ---------------------------------------------------------------------------
 
-def _scaled_lu(k):
-    """(s, LU of diag(s) k diag(s)) with s = diag(k)^(-1/2)."""
-    s = 1.0 / np.sqrt(k.diagonal())
-    return s, spla.splu((sp.diags(s) @ k @ sp.diags(s)).tocsc())
+def _spd_factor(a):
+    """Symmetric elimination of the SPD CSC block ``a``: minimum-degree order
+    on the pattern of a + a', diagonal pivots."""
+    return spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
 
 
 class PlateOperator:
     """An assembled bilinear form together with the essential constraints.
 
-    Owns the reduction to free dofs, a cached factorization of the scaled
-    free block, and extended-precision refinement of every solve.
+    Owns the reduction to free dofs, the free block scaled to unit diagonal
+    (``diag(s) K diag(s)`` with ``s = diag(K)^(-1/2)``), a cached factor of
+    it, and extended-precision refinement of every solve.
     """
 
     def __init__(self, mesh, form):
@@ -138,7 +145,9 @@ class PlateOperator:
         self._pos_of_dof = -np.ones(mesh.n_dofs, dtype=np.int64)
         self._pos_of_dof[self.free_idx] = np.arange(self.free_idx.size)
         csr = form.matrix
-        self.k_free = csr[self.free_idx][:, self.free_idx].tocsc()
+        k_free = csr[self.free_idx][:, self.free_idx]
+        self._s = 1.0 / np.sqrt(k_free.diagonal())
+        self._scaled = (sp.diags(self._s) @ k_free @ sp.diags(self._s)).tocsc()
         self._free_factor = None
         self._norm_estimate = float(np.abs(csr).sum(axis=1).max())
 
@@ -155,10 +164,11 @@ class PlateOperator:
     def solve_free(self, rhs_full):
         """Solve on the free dofs with all box constraints inactive."""
         if self._free_factor is None:
-            self._free_factor = _scaled_lu(self.k_free)
+            self._free_factor = _spd_factor(self._scaled)
         full = np.zeros(self.mesh.n_dofs, dtype=LONG)
         return self._refined_solve(rhs_full, full, self.free_idx,
-                                   rhs_full[self.free_idx], self._free_factor)
+                                   rhs_full[self.free_idx], self._s,
+                                   self._free_factor)
 
     def solve_pinned(self, rhs_full, pinned_dofs, pinned_values):
         """Solve with some free dofs pinned to prescribed values.
@@ -178,13 +188,13 @@ class PlateOperator:
         full[pinned_dofs] = pinned_values.astype(LONG)
         idx = self.free_idx[sub]
         r0 = (rhs_full - self.form.matvec_extended(full))[idx]
-        return self._refined_solve(rhs_full, full, idx, r0,
-                                   _scaled_lu(self.k_free[sub][:, sub].tocsc()))
+        return self._refined_solve(rhs_full, full, idx, r0, self._s[sub],
+                                   _spd_factor(self._scaled[sub][:, sub]))
 
-    def _refined_solve(self, rhs_full, full, idx, r0, factor):
-        """Fill ``full[idx]`` by the scaled LU ``factor`` of that block from
-        residual ``r0``, then refine against the extended-precision residual."""
-        s, lu = factor
+    def _refined_solve(self, rhs_full, full, idx, r0, s, lu):
+        """Fill ``full[idx]`` by ``lu``, the factor of that block scaled by
+        ``s``, from residual ``r0``, then refine against the
+        extended-precision residual."""
         x = (s * lu.solve(s * r0.astype(float))).astype(LONG)
         for _ in range(REFINE_STEPS):
             full[idx] = x
@@ -362,8 +372,8 @@ def kkt_report(solution, operator, rhs, constraints):
 def solution_to_json(solution, operator, rhs, constraints):
     """JSON-ready summary of a solve: contact sets, certificates, energy."""
     report = kkt_report(solution, operator, rhs, constraints)
-    x = solution.field.dofs
-    energy = 0.5 * float(x @ (operator.form.matrix @ x)) - float(rhs.astype(float) @ x)
+    energy = (0.5 * quad_form(operator.form, solution.field)
+              - apply_functional(rhs, solution.field))
     return {
         "contact_lower": [int(n) for n in solution.lower_contact],
         "contact_upper": [int(n) for n in solution.upper_contact],

@@ -8,7 +8,7 @@ import pytest
 from hingedplate import cli, solver
 from hingedplate.cli import (default_config, load_config, main, merge_config,
                              run, validate)
-from hingedplate.fem import Mesh, assemble_load
+from hingedplate.fem import LoadSpec, Mesh, assemble_bilinear, assemble_load
 from hingedplate.optimize import ForceClass, ReinforcementFamily
 from hingedplate.params import MaterialParams
 
@@ -127,6 +127,25 @@ class TestRun:
         assert res["kkt"]["stationarity"] <= 1e-8
         assert (tmp_path / "v" / "field.csv").exists()
         assert (tmp_path / "v" / "gap.csv").exists()
+
+    def test_vi_solve_energy_is_exact_to_round_off(self, tmp_path):
+        """The reported energy matches an extended-precision recomputation
+        from field.csv; a float64 K x loses ~1e-8 to cancellation at 64x16."""
+        cfg = config_for(
+            "vi-solve",
+            {"load": {"density": 1.0},
+             "obstacles": {"kind": "bounds", "lower": -1.0, "upper": 1.0,
+                           "region": "full"}},
+            nx=64, ny=16, outdir=tmp_path / "e")
+        code, summary = run(cfg)
+        assert code == 0 and summary["result"]["contact_upper"]
+        rows = np.loadtxt(tmp_path / "e" / "field.csv", delimiter=",", skiprows=1)
+        x = rows[:, 2:].ravel().astype(np.longdouble)
+        mesh = Mesh(64, 16, 0.1)
+        form = assemble_bilinear(mesh, MaterialParams(sigma=0.2, half_width=0.1))
+        b = assemble_load(mesh, LoadSpec(density=1.0)).astype(np.longdouble)
+        exact = float(0.5 * np.dot(x, form.matvec_extended(x)) - np.dot(b, x))
+        assert summary["result"]["energy"] == pytest.approx(exact, rel=1e-12)
 
     def test_non_converged_solve_writes_strict_json(self, tmp_path, monkeypatch):
         monkeypatch.setattr(solver, "MAX_ITERATIONS", 2)
@@ -416,6 +435,30 @@ class TestRun:
                       "variant": "E1", "alpha": 0.5, "beta": 2.0,
                       "mask": [["no"] * 16] * 4},
          "mask must be a grid of booleans"),
+        ("vi-solve", {"load": {"density": 1.0},
+                      "obstacles": {"gamma": 1.0, "lower": 0.5, "upper": 1.0}},
+         "unknown obstacles fields: ['lower', 'upper']"),
+        ("vi-solve", {"load": {"density": 1.0},
+                      "obstacles": {"kind": "bounds", "lower": -1.0, "upper": 1.0,
+                                    "gamma": "x"}},
+         "unknown obstacles fields: ['gamma']"),
+        ("vi-solve", {"load": {"antisym_delta": [1.0, 0.05], "density": 1.0,
+                               "point_masses": [[1.0, 0.0, 1.0]]},
+                      "obstacles": {"gamma": 1.0}},
+         "unknown load fields: ['density', 'point_masses']"),
+        ("optimize-reinforcement", {"alpha": 0.5, "beta": 2.5,
+                                    "family": {"kind": "cross",
+                                               "mu": float(np.pi / 8),
+                                               "centers_per_axis": 3,
+                                               "tile_size": "x", "n_tiles": 7}},
+         "unknown family fields: ['n_tiles', 'tile_size']"),
+        ("gap-scan", {"force_class": {"cells": [0, 0]}},
+         "unknown force_class fields: ['cells']"),
+        ("gap-scan", {"force_class": {"kind": "bang-bang", "nxi": 1000000}},
+         "unknown force_class fields: ['nxi']"),
+        ("regime", {"gamma": 0.01, "scan": False,
+                    "force_class": {"kind": "nope"}},
+         "unknown params fields: ['force_class']"),
     ], ids=["load-typo", "load-norm", "constant-density", "obstacles-typo",
             "force_class-typo", "window-typo", "params-typo", "family-typo",
             "no-levels", "no-grid", "one-cell-count", "too-many-patterns",
@@ -429,7 +472,10 @@ class TestRun:
             "string-point_masses-entry", "string-antisym_delta",
             "string-signs", "short-tile_size", "flat-signs", "number-window",
             "base-with-densities", "explicit-base-with-densities",
-            "string-mask"])
+            "string-mask", "level-obstacle-with-bounds",
+            "bounds-obstacle-with-gamma", "antisym-load-with-density",
+            "cross-family-with-tiles", "antisym-class-with-cells",
+            "bang-bang-class-with-grid", "unscanned-regime-with-force_class"])
     def test_malformed_params_are_diagnostics(self, tmp_path, problem, params,
                                               expected):
         # unknown fields, empty or oversized scans, non-list and non-integer

@@ -10,6 +10,7 @@ from hingedplate import (BoxConstraints, DofField, LoadSpec,
                          edge_gap_series_scan, gap_profile, gap_threshold_M,
                          placement_bound_report, worst_force_amplitude,
                          worst_gap_force)
+from hingedplate import optimize
 from hingedplate.fem import assemble_load
 from hingedplate.optimize import ForceClass, ObstacleFamily, ReinforcementFamily
 from hingedplate.solver import PlateOperator, solve_obstacle
@@ -34,6 +35,24 @@ def threshold(params):
 def unreachable_obstacle(params):
     return ObstacleSpec.constant_level(2.0 * analytic_bound_C(params),
                                        region="long_edges")
+
+
+class TestScanTies:
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_round_off_ties_pick_the_first(self, maximize):
+        v = 0.7589747822164721
+        near = v * (1.0 + 1e-13) if maximize else v * (1.0 - 1e-13)
+        rows = [{"label": "a", "value": v}, {"label": "b", "value": near}]
+        res = optimize._scan("p", rows, maximize=maximize)
+        assert res.argopt_index == 0 and res.argopt_label == "a"
+        assert res.value == near
+
+    def test_values_apart_beyond_the_tolerance_do_not_tie(self):
+        v = 0.7589747822164721
+        rows = [{"label": "a", "value": v},
+                {"label": "b", "value": v * (1.0 + 10 * optimize.TIE_RTOL)}]
+        assert optimize._scan("p", rows, maximize=True).argopt_index == 1
+        assert optimize._scan("p", rows, maximize=False).argopt_index == 0
 
 
 class TestGapProfile:
@@ -215,6 +234,22 @@ class TestBestReinforcement:
                                      "E2")
             assert res.value <= prev + 1e-15
             prev = res.value
+
+    def test_mirror_masks_tie_to_the_first(self, mesh_small, params):
+        # a mask and its mirror image x -> pi - x have the same worst load in
+        # exact arithmetic; round-off must not choose between them
+        sel = np.zeros((mesh_small.ny, mesh_small.nx), dtype=bool)
+        sel[:, :2] = True
+        mask = ReinforcementMask(sel, alpha=0.5, beta=2.5)
+        mirror = ReinforcementMask(sel[:, ::-1].copy(), alpha=0.5, beta=2.5)
+        fc = ForceClass(kind="bang-bang", cells=(2, 1))
+        box = BoxConstraints.unbounded(mesh_small)
+        for masks in ([mask, mirror], [mirror, mask]):
+            res = best_reinforcement(masks, mesh_small, params, fc, box, "E2")
+            vals = [row["value"] for row in res.rows]
+            assert vals[1] == pytest.approx(vals[0], rel=optimize.TIE_RTOL)
+            assert res.argopt_index == 0
+            assert res.value == min(vals)
 
     def test_cross_family_generation(self, mesh_small, params):
         # one vertical strip balancing |D|, snapped to whole element columns

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hingedplate import (AntisymDelta, BoxConstraints, LoadSpec, Mesh,
                          ObstacleSpec, ReinforcementMask, SeriesState,
@@ -224,6 +225,49 @@ class TestSettledIterate:
                                  box.upper[sol.upper_contact]])
         again = op.solve_pinned(b, 4 * nodes + DOF_VALUE, values)
         assert np.array_equal(again.astype(float), sol.field.dofs)
+
+
+class TestSPDFactor:
+    """Every block is factored by a symmetric elimination of the SPD block."""
+
+    @pytest.mark.parametrize("nx, ny", [(16, 4), (64, 16)])
+    @pytest.mark.parametrize("reinforced", [False, True], ids=["base", "E1"])
+    def test_blocks_are_symmetric_eliminations(self, params, nx, ny,
+                                               reinforced, monkeypatch):
+        mesh = Mesh(nx, ny, params.half_width)
+        sel = np.zeros((ny, nx), dtype=bool)
+        sel[:, :nx // 2] = True
+        mask = ReinforcementMask(sel, alpha=0.5, beta=2.5) if reinforced else None
+        op = PlateOperator.build(mesh, params, mask=mask)
+        seen = []
+        splu = solver.spla.splu
+
+        def recorded(a, **kwargs):
+            seen.append((a, splu(a, **kwargs)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(solver.spla, "splu", recorded)
+        b = assemble_load(mesh, SIN_LOAD)
+        op.solve_free(b)
+        value_dofs = op.free_idx[op.free_idx % 4 == DOF_VALUE]
+        pinned = value_dofs[[3, 17, 30]]
+        op.solve_pinned(b, pinned, np.array([0.01, -0.02, 0.0]))
+        assert len(seen) == 2
+        for a, lu in seen:
+            assert np.array_equal(lu.perm_r, lu.perm_c)
+            assert np.all(lu.U.diagonal() > 0.0)
+
+        # each block equals diag(s) K[idx][:, idx] diag(s), s = diag(K)^(-1/2),
+        # formed from the assembled matrix, bit for bit
+        k = op.form.matrix
+        for (a, _), idx in zip(seen, (op.free_idx,
+                                      np.setdiff1d(op.free_idx, pinned))):
+            k_idx = k[idx][:, idx].tocsc()
+            s = 1.0 / np.sqrt(k_idx.diagonal())
+            ref = (sp.diags(s) @ k_idx @ sp.diags(s)).tocsc()
+            assert a.format == "csc"
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(a, part), getattr(ref, part))
 
 
 class TestSymmetryTransfer:
