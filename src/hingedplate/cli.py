@@ -47,17 +47,6 @@ _PARAMS_KEYS = {
     "optimize-obstacle": {"levels", "region", "force_class"},
     "regime": {"gamma", "scan", "force_class"},
 }
-# the fields each kind of a nested object reads; a field of another kind is
-# unknown to it (see _kind_keys)
-_OBSTACLE_KEYS = {"constant_level": {"kind", "region", "gamma"},
-                  "bounds": {"kind", "region", "lower", "upper"}}
-_FORCE_KEYS = {"antisym-delta": {"kind", "nxi", "neta", "window"},
-               "signed-delta": {"kind", "nxi", "neta", "window"},
-               "bang-bang": {"kind", "cells", "window"}}
-_FAMILY_KEYS = {"cross": {"kind", "mu", "n_xstrips", "n_ystrips", "eps",
-                          "centers_per_axis"},
-                "tiles": {"kind", "tile_size", "n_tiles", "eps",
-                          "centers_per_axis"}}
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +163,6 @@ def _object(value, name, keys=None):
     return value
 
 
-def _kind_keys(table, kind):
-    """The fields of ``kind`` in ``table``; None (unchecked) for a kind not
-    in it, which the object's builder rejects by name."""
-    return table.get(kind) if isinstance(kind, str) else None
-
-
 def _list(value, name):
     """``value`` if it is a JSON list, else a TypeError naming it."""
     if not isinstance(value, (list, tuple)):
@@ -260,20 +243,26 @@ def _build_load(spec, half_width):
 
 
 def _build_obstacle(spec):
-    kind = _object(spec, "obstacles").get("kind", "constant_level")
-    spec = _object(spec, "obstacles", _kind_keys(_OBSTACLE_KEYS, kind))
+    spec = _object(spec, "obstacles")
+    kind = spec.get("kind", "constant_level")
     region = spec.get("region", "long_edges")
     if kind == "constant_level":
+        _object(spec, "obstacles", {"kind", "region", "gamma"})
         return ObstacleSpec.constant_level(_real(spec["gamma"], "gamma"), region=region)
     if kind == "bounds":
+        _object(spec, "obstacles", {"kind", "region", "lower", "upper"})
         return ObstacleSpec(lower=_real(spec["lower"], "lower"),
                             upper=_real(spec["upper"], "upper"), region=region)
     raise ValueError(f"unknown obstacle kind {kind!r}")
 
 
 def _build_forces(spec, params):
-    kind = _object(spec, "force_class").get("kind", "antisym-delta")
-    spec = _object(spec, "force_class", _kind_keys(_FORCE_KEYS, kind))
+    spec = _object(spec, "force_class")
+    kind = spec.get("kind", "antisym-delta")
+    if kind == "bang-bang":
+        _object(spec, "force_class", {"kind", "cells", "window"})
+    elif kind in ("antisym-delta", "signed-delta"):
+        _object(spec, "force_class", {"kind", "nxi", "neta", "window"})
     wspec = spec.get("window", kind == "antisym-delta")
     if isinstance(wspec, bool):
         window = ScanWindow.default(params) if wspec else None
@@ -301,9 +290,11 @@ def _densities(params):
 
 def _build_family(params, half_width):
     alpha, beta = _densities(params)
-    kind = _object(params["family"], "family")["kind"]
-    family = _object(params["family"], "family", _kind_keys(_FAMILY_KEYS, kind))
+    family = _object(params["family"], "family")
+    kind = family["kind"]
     if kind == "cross":
+        _object(family, "family", {"kind", "mu", "n_xstrips", "n_ystrips", "eps",
+                                   "centers_per_axis"})
         return ReinforcementFamily(
             kind="cross", alpha=alpha, beta=beta,
             n_xstrips=_integer(family.get("n_xstrips", 1), "n_xstrips"),
@@ -312,6 +303,8 @@ def _build_family(params, half_width):
             centers_per_axis=_integer(family.get("centers_per_axis", 9),
                                       "centers_per_axis"))
     if kind == "tiles":
+        _object(family, "family", {"kind", "tile_size", "n_tiles", "eps",
+                                   "centers_per_axis"})
         return ReinforcementFamily(
             kind="tiles", alpha=alpha, beta=beta,
             eps=_real(family.get("eps", 0.01), "eps"),
@@ -472,7 +465,7 @@ def _read_regime(p, ctx):
     if not isinstance(scan, bool):
         raise TypeError(f"scan must be true or false: {scan!r}")
     if not scan:
-        _object(p, "params", {"gamma", "scan"})
+        _object(p, "params", _PARAMS_KEYS["regime"] - {"force_class"})
     forces = _build_forces(p.get("force_class", {}), params) if scan else None
 
     def run(outdir):

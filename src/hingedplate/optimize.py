@@ -300,6 +300,11 @@ def _tiles_overlap(rects, w, h):
 
 @dataclass
 class ScanResult:
+    """A scan's optimum ``value`` over its candidate ``rows`` and its argopt:
+    the first candidate within ``TIE_RTOL`` (relative) of the optimum.  The
+    argopt's own row value, and the profile kept for a gap scan, may differ
+    from ``value`` by up to that tolerance."""
+
     problem: str
     value: float
     argopt_index: int

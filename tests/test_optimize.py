@@ -158,6 +158,10 @@ class TestWorstForceAmplitude:
         op = PlateOperator.build(mesh_small, params, mask=mask)
         res = worst_force_amplitude(op, box, fc, params)
         assert all(res.value >= row["value"] for row in res.rows)
+        # the argopt is the first member within TIE_RTOL of the optimum
+        near = [abs(row["value"] - res.value) <= optimize.TIE_RTOL * res.value
+                for row in res.rows]
+        assert res.argopt_index == near.index(True)
         # randomized subset recomputation reproduces the scan rows
         rng = np.random.default_rng(17)
         members = fc.members(params)
