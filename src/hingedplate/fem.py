@@ -353,7 +353,10 @@ class AssembledForm:
     @classmethod
     def from_triplets(cls, shape, rows, cols, vals):
         """Sum duplicate (row, col) entries in input order, then store."""
-        order = np.lexsort((cols, rows))
+        # one stable sort on the row-major key: the permutation of
+        # lexsort((cols, rows)), so duplicates keep their input order
+        key = rows.astype(np.int64) * shape[1] + cols
+        order = np.argsort(key, kind="stable")
         rows, cols, vals = rows[order], cols[order], vals[order]
         keep = np.ones(len(rows), dtype=bool)
         keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])

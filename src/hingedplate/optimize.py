@@ -44,7 +44,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GapProfile:
-    """Edge displacement difference u(x, l) - u(x, -l) sampled at mesh abscissae."""
+    """Edge displacement difference u(x, l) - u(x, -l) sampled at mesh abscissae.
+
+    ``argmax_x`` is the first abscissa whose |gap| is within ``TIE_RTOL`` of
+    ``maximal_gap``.  A profile whose largest |gap| is at most ``TIE_RTOL``
+    times the larger sup-norm of the two edges is zero up to round-off and
+    is reported as exactly zero: every gap 0.0, ``maximal_gap`` 0.0 and
+    ``argmax_x`` the first abscissa.
+    """
 
     xs: np.ndarray
     gaps: np.ndarray
@@ -64,9 +71,12 @@ def gap_profile(solution):
     grid = fld.value_grid()
     gaps = grid[-1, :] - grid[0, :]
     xs = fld.mesh.xs
-    k = int(np.argmax(np.abs(gaps)))  # first index wins ties
-    return GapProfile(xs=xs, gaps=gaps, maximal_gap=float(abs(gaps[k])),
-                      argmax_x=float(xs[k]))
+    top = float(np.max(np.abs(gaps)))
+    if top <= TIE_RTOL * float(np.max(np.abs(grid[[0, -1], :]))):
+        return GapProfile(xs=xs, gaps=np.zeros_like(gaps), maximal_gap=0.0,
+                          argmax_x=float(xs[0]))
+    k = int(np.argmax(np.abs(gaps) >= top * (1.0 - TIE_RTOL)))
+    return GapProfile(xs=xs, gaps=gaps, maximal_gap=top, argmax_x=float(xs[k]))
 
 
 # ---------------------------------------------------------------------------

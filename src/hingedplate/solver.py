@@ -11,8 +11,13 @@ are nonnegative on upper contact and nonpositive on lower contact.  Every
 block the solver factors is symmetric positive definite: the free block of
 the energy, scaled once per operator to unit diagonal, or a principal
 submatrix of it.  It is factored as such, by a symmetric elimination
-(SuperLU in symmetric mode: minimum-degree order on the pattern of A + A',
-diagonal pivots), and every solve is followed by extended-precision
+(SuperLU in symmetric mode, diagonal pivots).  Each operator orders its
+elimination once: the free dofs are numbered with the short axis fastest,
+the first factorization of the free block takes a minimum-degree order on
+the pattern of A + A' from there, and the scaled block is kept permuted into
+that order.  A pinned block is a principal submatrix of it, factored in its
+natural order, so it never fills more than the free factor and no later
+factorization reorders.  Every solve is followed by extended-precision
 iterative refinement, so the fourth-order conditioning does not eat the
 certified residuals.
 """
@@ -122,10 +127,11 @@ class VISolution:
 # operator wrapper: essential reduction + refined solves
 # ---------------------------------------------------------------------------
 
-def _spd_factor(a):
-    """Symmetric elimination of the SPD CSC block ``a``: minimum-degree order
-    on the pattern of a + a', diagonal pivots."""
-    return spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+def _spd_factor(a, permc_spec="MMD_AT_PLUS_A"):
+    """Symmetric elimination of the SPD CSC block ``a``, diagonal pivots: in
+    the minimum-degree order on the pattern of a + a', or in the block's own
+    order with ``permc_spec="NATURAL"``."""
+    return spla.splu(a, permc_spec=permc_spec, diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
 
 
@@ -133,15 +139,19 @@ class PlateOperator:
     """An assembled bilinear form together with the essential constraints.
 
     Owns the reduction to free dofs, the free block scaled to unit diagonal
-    (``diag(s) K diag(s)`` with ``s = diag(K)^(-1/2)``), a cached factor of
-    it, and extended-precision refinement of every solve.
+    (``diag(s) K diag(s)`` with ``s = diag(K)^(-1/2)``), its factor, built on
+    the first solve, and extended-precision refinement of every solve.  The
+    free dofs ``free_idx`` run with the short axis fastest: node column
+    slowest, then node row, then the dof.
     """
 
     def __init__(self, mesh, form):
         self.mesh = mesh
         self.form = form
         self.free = mesh.free_dof_mask()
-        self.free_idx = np.flatnonzero(self.free)
+        dofs = np.arange(mesh.n_dofs).reshape(mesh.ny + 1, mesh.nx + 1, 4)
+        dofs = dofs.transpose(1, 0, 2).ravel()
+        self.free_idx = dofs[self.free[dofs]]
         self._pos_of_dof = -np.ones(mesh.n_dofs, dtype=np.int64)
         self._pos_of_dof[self.free_idx] = np.arange(self.free_idx.size)
         csr = form.matrix
@@ -149,6 +159,8 @@ class PlateOperator:
         self._s = 1.0 / np.sqrt(k_free.diagonal())
         self._scaled = (sp.diags(self._s) @ k_free @ sp.diags(self._s)).tocsc()
         self._free_factor = None
+        # positions in free_idx of the elimination order, set by the factor
+        self._order = None
         self._norm_estimate = float(np.abs(csr).sum(axis=1).max())
 
     @classmethod
@@ -161,14 +173,22 @@ class PlateOperator:
         weighted = full.scaled(mask.alpha) + region.scaled(mask.beta - mask.alpha)
         return cls(mesh, weighted)
 
-    def solve_free(self, rhs_full):
-        """Solve on the free dofs with all box constraints inactive."""
+    def _factor_free(self):
+        """The free block's factor, built on first use.  Its minimum-degree
+        order becomes the operator's elimination order, and the scaled block
+        is kept permuted into it in place of the unordered copy."""
         if self._free_factor is None:
             self._free_factor = _spd_factor(self._scaled)
+            self._order = np.argsort(self._free_factor.perm_c)
+            self._scaled = self._scaled[self._order][:, self._order]
+        return self._free_factor
+
+    def solve_free(self, rhs_full):
+        """Solve on the free dofs with all box constraints inactive."""
+        lu = self._factor_free()
         full = np.zeros(self.mesh.n_dofs, dtype=LONG)
         return self._refined_solve(rhs_full, full, self.free_idx,
-                                   rhs_full[self.free_idx], self._s,
-                                   self._free_factor)
+                                   rhs_full[self.free_idx], self._s, lu)
 
     def solve_pinned(self, rhs_full, pinned_dofs, pinned_values):
         """Solve with some free dofs pinned to prescribed values.
@@ -181,15 +201,19 @@ class PlateOperator:
         pin_pos = self._pos_of_dof[pinned_dofs]
         if np.any(pin_pos < 0):
             raise SolverError("cannot pin an essentially constrained dof")
+        self._factor_free()
         keep = np.ones(self.free_idx.size, dtype=bool)
         keep[pin_pos] = False
-        sub = np.flatnonzero(keep)
+        # the principal submatrix of the ordered block, eliminated in order
+        sub = np.flatnonzero(keep[self._order])
+        pos = self._order[sub]
         full = np.zeros(self.mesh.n_dofs, dtype=LONG)
         full[pinned_dofs] = pinned_values.astype(LONG)
-        idx = self.free_idx[sub]
+        idx = self.free_idx[pos]
         r0 = (rhs_full - self.form.matvec_extended(full))[idx]
-        return self._refined_solve(rhs_full, full, idx, r0, self._s[sub],
-                                   _spd_factor(self._scaled[sub][:, sub]))
+        return self._refined_solve(rhs_full, full, idx, r0, self._s[pos],
+                                   _spd_factor(self._scaled[sub][:, sub],
+                                               "NATURAL"))
 
     def _refined_solve(self, rhs_full, full, idx, r0, s, lu):
         """Fill ``full[idx]`` by ``lu``, the factor of that block scaled by

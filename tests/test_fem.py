@@ -8,7 +8,7 @@ from hingedplate import (DofField, LoadSpec, Mesh, ReinforcementMask,
                          assemble_bilinear, assemble_load, energy_value,
                          point_eval, symmetry_decompose)
 from hingedplate.fem import (DOF_VALUE, LONG, _GAUSS_PTS, _GAUSS_WTS,
-                             _density_evaluator, _hermite_1d, _local_rows,
+                             AssembledForm, _density_evaluator, _hermite_1d, _local_rows,
                              apply_functional, element_stiffness, field_to_csv,
                              reflect_x, reflect_y)
 from hingedplate.optimize import _cell_density
@@ -317,6 +317,33 @@ class TestKernelsBitForBit:
         b = assemble_load(mesh, load, weight=weight)
         assert b.dtype == LONG
         assert np.array_equal(b, _reference_load(mesh, load, weight))
+
+    @pytest.mark.parametrize("shape", [(40, 40), (25, 70), (70, 25)])
+    def test_from_triplets_matches_lexsort(self, shape):
+        # random triplets, many duplicates; every order of the same entries
+        # is summed in input order, as a lexsort on (row, col) would
+        rng = np.random.default_rng(7)
+        n = 4000
+        rows = rng.integers(0, shape[0], size=n)
+        cols = rng.integers(0, shape[1], size=n)
+        vals = rng.normal(size=n).astype(LONG) / LONG(3)
+        order = np.lexsort((cols, rows))
+        assert np.array_equal(
+            np.argsort(rows.astype(np.int64) * shape[1] + cols, kind="stable"),
+            order)
+        r, c, v = rows[order], cols[order], vals[order]
+        keep = np.ones(n, dtype=bool)
+        keep[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        starts = np.flatnonzero(keep)
+        assert starts.size < n  # the draw has duplicates
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(r[starts], minlength=shape[0]), out=indptr[1:])
+        want = sp.csr_matrix((np.add.reduceat(v, starts), c[starts], indptr),
+                             shape=shape)
+        got = AssembledForm.from_triplets(shape, rows, cols, vals).csr
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def _local_rows_reference(tx, ty, hx, hy):

@@ -90,6 +90,34 @@ class TestGapProfile:
         prof = gap_profile(fld)
         assert prof.argmax_x == mesh_small.xs[3]
 
+    def test_mirror_maxima_tie_to_the_first(self, mesh_small):
+        # two peaks equal up to round-off; the larger one comes second
+        fld = DofField.zeros(mesh_small)
+        for i, g in ((3, 1.0), (9, 1.0 + 1e-13)):
+            fld.dofs[4 * mesh_small.node_index(i, mesh_small.ny)] = g
+        prof = gap_profile(fld)
+        assert prof.argmax_x == mesh_small.xs[3]
+        assert prof.maximal_gap == 1.0 + 1e-13
+
+    @pytest.mark.parametrize("mesh_name", ["mesh_small", "mesh_mid"])
+    def test_signed_delta_on_the_axis_is_exactly_zero(self, request, params,
+                                                      mesh_name):
+        # a point load on eta = 0 is even in y, so its gap is zero in exact
+        # arithmetic; round-off must not choose a maximal gap or its place
+        mesh = request.getfixturevalue(mesh_name)
+        op = request.getfixturevalue(mesh_name.replace("mesh", "operator"))
+        fc = ForceClass(kind="signed-delta", window=None, nxi=5, neta=3)
+        box = BoxConstraints.from_obstacle(mesh, unreachable_obstacle(params))
+        on_axis = [m for m in fc.members(params)
+                   if dict(m.meta)["eta"] == 0.0 and 0.0 < dict(m.meta)["xi"] < np.pi]
+        assert len(on_axis) == 6
+        for member in on_axis:
+            sol = solve_obstacle(op, assemble_load(mesh, member.load), box)
+            assert sol.field.sup_norm() > 0.0
+            prof = gap_profile(sol)
+            assert prof.maximal_gap == 0.0 and np.all(prof.gaps == 0.0)
+            assert prof.argmax_x == mesh.xs[0]
+
 
 class TestForceClasses:
     def test_antisym_members_have_unit_mass_and_skip_midline(self, params,

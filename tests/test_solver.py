@@ -228,7 +228,31 @@ class TestSettledIterate:
 
 
 class TestSPDFactor:
-    """Every block is factored by a symmetric elimination of the SPD block."""
+    """Every block is factored by a symmetric elimination of the SPD block,
+    all of them in the one order the free factor chose."""
+
+    @staticmethod
+    def _record_factors(monkeypatch):
+        seen = []
+        splu = solver.spla.splu
+
+        def recorded(a, **kwargs):
+            seen.append((a, splu(a, **kwargs)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(solver.spla, "splu", recorded)
+        return seen
+
+    @staticmethod
+    def _free_then_pinned(op, mesh):
+        """A free solve, then one with three value dofs pinned; returns the
+        pinned dofs."""
+        b = assemble_load(mesh, SIN_LOAD)
+        op.solve_free(b)
+        value_dofs = op.free_idx[op.free_idx % 4 == DOF_VALUE]
+        pinned = value_dofs[[3, 17, 30]]
+        op.solve_pinned(b, pinned, np.array([0.01, -0.02, 0.0]))
+        return pinned
 
     @pytest.mark.parametrize("nx, ny", [(16, 4), (64, 16)])
     @pytest.mark.parametrize("reinforced", [False, True], ids=["base", "E1"])
@@ -239,35 +263,67 @@ class TestSPDFactor:
         sel[:, :nx // 2] = True
         mask = ReinforcementMask(sel, alpha=0.5, beta=2.5) if reinforced else None
         op = PlateOperator.build(mesh, params, mask=mask)
-        seen = []
-        splu = solver.spla.splu
-
-        def recorded(a, **kwargs):
-            seen.append((a, splu(a, **kwargs)))
-            return seen[-1][1]
-
-        monkeypatch.setattr(solver.spla, "splu", recorded)
-        b = assemble_load(mesh, SIN_LOAD)
-        op.solve_free(b)
-        value_dofs = op.free_idx[op.free_idx % 4 == DOF_VALUE]
-        pinned = value_dofs[[3, 17, 30]]
-        op.solve_pinned(b, pinned, np.array([0.01, -0.02, 0.0]))
+        seen = self._record_factors(monkeypatch)
+        pinned = self._free_then_pinned(op, mesh)
         assert len(seen) == 2
         for a, lu in seen:
             assert np.array_equal(lu.perm_r, lu.perm_c)
             assert np.all(lu.U.diagonal() > 0.0)
 
         # each block equals diag(s) K[idx][:, idx] diag(s), s = diag(K)^(-1/2),
-        # formed from the assembled matrix, bit for bit
+        # formed from the assembled matrix, bit for bit: the free block over
+        # free_idx, the pinned one over the rest of the elimination order
         k = op.form.matrix
+        elim = op.free_idx[op._order]
         for (a, _), idx in zip(seen, (op.free_idx,
-                                      np.setdiff1d(op.free_idx, pinned))):
+                                      elim[~np.isin(elim, pinned)])):
             k_idx = k[idx][:, idx].tocsc()
             s = 1.0 / np.sqrt(k_idx.diagonal())
             ref = (sp.diags(s) @ k_idx @ sp.diags(s)).tocsc()
             assert a.format == "csc"
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(a, part), getattr(ref, part))
+
+    def test_pinned_blocks_keep_the_free_order(self, params, monkeypatch):
+        mesh = Mesh(64, 16, params.half_width)
+        op = PlateOperator.build(mesh, params)
+        seen = self._record_factors(monkeypatch)
+        self._free_then_pinned(op, mesh)
+        (_, free_lu), (_, pinned_lu) = seen
+        assert np.array_equal(op._order, np.argsort(free_lu.perm_c))
+        n = pinned_lu.shape[0]
+        assert np.array_equal(pinned_lu.perm_c, np.arange(n))
+        assert np.array_equal(pinned_lu.perm_r, np.arange(n))
+        assert (pinned_lu.L.nnz + pinned_lu.U.nnz
+                <= free_lu.L.nnz + free_lu.U.nnz)
+
+    def test_pinned_first_solve_orders_the_operator(self, mesh_small, params,
+                                                    monkeypatch):
+        # a fresh operator whose first solve pins factors its free block for
+        # the order, and solves as one that solved free first
+        b = assemble_load(mesh_small, SIN_LOAD)
+        pinned = np.array([4 * mesh_small.node_index(5, 2) + DOF_VALUE])
+        warm = PlateOperator.build(mesh_small, params)
+        warm.solve_free(b)
+        want = warm.solve_pinned(b, pinned, np.array([0.01]))
+        fresh = PlateOperator.build(mesh_small, params)
+        seen = self._record_factors(monkeypatch)
+        got = fresh.solve_pinned(b, pinned, np.array([0.01]))
+        assert len(seen) == 2 and seen[1][1].shape[0] == fresh.free_idx.size - 1
+        assert np.array_equal(fresh._order, warm._order)
+        assert np.array_equal(got, want)
+
+    def test_short_axis_start_fills_less(self, params):
+        mesh = Mesh(64, 16, params.half_width)
+        op = PlateOperator.build(mesh, params)
+        op.solve_free(assemble_load(mesh, SIN_LOAD))
+        lu = op._free_factor
+        # the same block in plain dof order, under the same minimum degree
+        idx = np.flatnonzero(op.free)
+        k_idx = op.form.matrix[idx][:, idx]
+        s = 1.0 / np.sqrt(k_idx.diagonal())
+        plain = solver._spd_factor((sp.diags(s) @ k_idx @ sp.diags(s)).tocsc())
+        assert lu.L.nnz + lu.U.nnz < plain.L.nnz + plain.U.nnz
 
 
 class TestSymmetryTransfer:
