@@ -2,11 +2,11 @@
 
 from .params import MaterialParams
 from .series import (AntisymDelta, ObstacleSpec, ScanWindow, SeriesState,
-                     analytic_bound_C, antisym_solution, aux_pair,
-                     empty_contact_margin, envelope_g, gap_threshold_M,
-                     green_value, phi_m, tail_estimate, uniform_load_profile)
+                     analytic_bound_C, antisym_solution, aux_pair, envelope_g,
+                     gap_threshold_M, green_value, phi_m, tail_estimate,
+                     uniform_load_profile)
 from .fem import (DofField, LoadSpec, Mesh, ReinforcementMask,
-                  assemble_bilinear, assemble_load, energy_value, point_eval,
+                  assemble_bilinear, assemble_load, energy, point_eval,
                   symmetry_decompose)
 from .solver import (BoxConstraints, PlateOperator, VISolution, kkt_report,
                      solve_linear, solve_obstacle)

@@ -80,8 +80,9 @@ class Mesh:
         """Flat node number; nodes are row-major in x then y (x fastest)."""
         return j * (self.nx + 1) + i
 
-    def dof_index(self, i, j, d):
-        return 4 * self.node_index(i, j) + d
+    def dof_grid(self):
+        """(ny+1, nx+1, 4) global dofs of every node, indexed [j, i, dof]."""
+        return np.arange(self.n_dofs).reshape(self.ny + 1, self.nx + 1, 4)
 
     def node_coordinates(self):
         """(x, y) arrays of all nodes in flat node order."""
@@ -124,10 +125,7 @@ class Mesh:
     def free_dof_mask(self):
         """Essential constraints: value and y-derivative pinned on short edges."""
         free = np.ones(self.n_dofs, dtype=bool)
-        for j in range(self.ny + 1):
-            for i in (0, self.nx):
-                free[self.dof_index(i, j, DOF_VALUE)] = False
-                free[self.dof_index(i, j, DOF_DY)] = False
+        free[self.dof_grid()[:, [0, -1]][..., [DOF_VALUE, DOF_DY]]] = False
         return free
 
 
@@ -158,9 +156,6 @@ class DofField:
 
     def sup_norm(self):
         return float(np.max(np.abs(self.node_values)))
-
-    def __add__(self, other):
-        return DofField(self.mesh, self.dofs + other.dofs)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +241,9 @@ def element_stiffness(hx, hy, sigma):
 class LoadSpec:
     """A load: bounded density and/or finitely many signed point masses.
 
-    ``density`` is a callable (x, y) -> values, a constant, or an array of
-    per-node samples (interpolated bilinearly).  Assembly calls a callable
-    once, on (ny, nx, 4, 4) arrays of all Gauss points, so it must broadcast
-    over arrays; a scalar result counts as a constant.
+    ``density`` is a callable (x, y) -> values or a constant.  Assembly calls
+    a callable once, on (ny, nx, 4, 4) arrays of all Gauss points, so it must
+    broadcast over arrays; a scalar result counts as a constant.
     ``point_masses`` is a tuple of (x, y, weight).
     """
 
@@ -297,6 +291,11 @@ class ReinforcementMask:
     @property
     def is_degenerate(self):
         return self.alpha == 1.0 and self.beta == 1.0
+
+    @property
+    def weights(self):
+        """(ny, nx) element weights: beta on D, alpha off D."""
+        return np.where(self.elements, self.beta, self.alpha)
 
     def target_area(self, mesh):
         """|D| imposed by the density balance |D| = |Omega| (1-a)/(b-a)."""
@@ -424,27 +423,14 @@ def assemble_bilinear(mesh, params, region=None):
     return AssembledForm.from_triplets((mesh.n_dofs, mesh.n_dofs), rows, cols, vals)
 
 
-def _density_evaluator(mesh, density):
+def _density_evaluator(density):
     if callable(density):
         return density
     arr = np.asarray(density, dtype=float)
-    if arr.ndim == 0:
-        c = float(arr)
-        return lambda x, y: np.full(np.shape(x), c)
-    if arr.shape == (mesh.n_nodes,):
-        grid = arr.reshape(mesh.ny + 1, mesh.nx + 1)
-
-        def interp(x, y):
-            fi = np.clip(np.asarray(x) / mesh.hx, 0, mesh.nx)
-            fj = np.clip((np.asarray(y) + mesh.half_width) / mesh.hy, 0, mesh.ny)
-            i0 = np.clip(fi.astype(int), 0, mesh.nx - 1)
-            j0 = np.clip(fj.astype(int), 0, mesh.ny - 1)
-            tx, ty = fi - i0, fj - j0
-            return ((1 - tx) * (1 - ty) * grid[j0, i0] + tx * (1 - ty) * grid[j0, i0 + 1]
-                    + (1 - tx) * ty * grid[j0 + 1, i0] + tx * ty * grid[j0 + 1, i0 + 1])
-
-        return interp
-    raise ValueError("density must be callable, scalar, or per-node samples")
+    if arr.ndim != 0:
+        raise ValueError("density must be callable or a constant")
+    c = float(arr)
+    return lambda x, y: np.full(np.shape(x), c)
 
 
 def assemble_load(mesh, load, weight=None):
@@ -461,7 +447,7 @@ def assemble_load(mesh, load, weight=None):
                          "remove point masses")
     b = np.zeros(mesh.n_dofs, dtype=LONG)
     if load.density is not None:
-        f = _density_evaluator(mesh, load.density)
+        f = _density_evaluator(load.density)
         tq = (_GAUSS_PTS + 1) / 2
         wq = _GAUSS_WTS / 2
         # quadrature point (x0 + tq[a] hx, y0 + tq[bq] hy) of element (ei, ej)
@@ -476,7 +462,7 @@ def assemble_load(mesh, load, weight=None):
         w_elem = np.ones((mesh.ny, mesh.nx))
         if weight is not None and not weight.is_degenerate:
             weight.check_shape(mesh)
-            w_elem = np.where(weight.elements, weight.beta, weight.alpha)
+            w_elem = weight.weights
         coef = (np.outer(wq, wq) * w_elem[..., None, None] * fv).astype(LONG)
         fe = np.zeros((mesh.ny, mesh.nx, 16), dtype=LONG)
         for a, tx in enumerate(tq):
@@ -510,18 +496,8 @@ def point_eval(field, q):
 
 def _mirror_permutation(mesh, axis):
     """Dof permutation and signs realizing y -> -y (axis='y') or x -> pi - x."""
-    perm = np.empty(mesh.n_dofs, dtype=np.int64)
-    signs = np.empty(mesh.n_dofs)
-    dof_signs = _Y_MIRROR_SIGNS if axis == "y" else _X_MIRROR_SIGNS
-    for j in range(mesh.ny + 1):
-        for i in range(mesh.nx + 1):
-            mi, mj = (i, mesh.ny - j) if axis == "y" else (mesh.nx - i, j)
-            src = 4 * mesh.node_index(mi, mj)
-            dst = 4 * mesh.node_index(i, j)
-            for d in range(4):
-                perm[dst + d] = src + d
-                signs[dst + d] = dof_signs[d]
-    return perm, signs
+    flip, dof_signs = (0, _Y_MIRROR_SIGNS) if axis == "y" else (1, _X_MIRROR_SIGNS)
+    return np.flip(mesh.dof_grid(), flip).ravel(), np.tile(dof_signs, mesh.n_nodes)
 
 
 def reflect_y(field):
@@ -548,40 +524,16 @@ def symmetry_decompose(field):
 # energies
 # ---------------------------------------------------------------------------
 
-def energy_value(field, load, params, variant="base", mask=None):
-    """Total energy of a field under a load: quadratic part minus work.
-
-    ``variant`` selects the plain energy, the stiffness-weighted one ("E1",
-    weights alpha off D and beta on D inside the quadratic part) or the
-    density-weighted one ("E2", weights multiply the load density).  The
-    density-weighted variant requires an integrable load: point masses are
-    rejected.
-    """
-    mesh = field.mesh
-    if variant not in ("base", "E1", "E2"):
-        raise ValueError(f"unknown energy variant {variant!r}")
-    if variant in ("E1", "E2") and mask is None:
-        raise ValueError(f"variant {variant} needs a reinforcement mask")
-    if variant == "E2" and load.point_masses:
-        raise ValueError("density-weighted energy is undefined for point masses")
-
-    if variant == "E1" and not mask.is_degenerate:
-        k_full = assemble_bilinear(mesh, params)
-        k_region = assemble_bilinear(mesh, params, region=mask)
-        quad = (mask.alpha * quad_form(k_full, field)
-                + (mask.beta - mask.alpha) * quad_form(k_region, field))
-    else:
-        quad = quad_form(assemble_bilinear(mesh, params), field)
-
-    weight = mask if variant == "E2" else None
-    b = assemble_load(mesh, load, weight=weight)
-    return 0.5 * quad - apply_functional(b, field)
-
-
 def quad_form(form, field):
     """x' K x of a form on a field, from the extended-precision product."""
     x = field.dofs.astype(LONG)
     return float(np.dot(x, form.matvec_extended(x)))
+
+
+def energy(form, rhs, field):
+    """Energy 1/2 x' K x - b' x of a field under an assembled form and load;
+    a weighted energy is the one whose form or load carries the weights."""
+    return 0.5 * quad_form(form, field) - apply_functional(rhs, field)
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,8 @@ class ForceClass:
             raise ValueError("a scan window applies to point-load classes only")
         if self.kind == "bang-bang" and not (
                 len(self.cells) == 2 and min(self.cells) >= 1
-                and 2 ** (self.cells[0] * self.cells[1]) <= MAX_MEMBERS):
+                # 2**n <= MAX_MEMBERS, without forming 2**n
+                and self.cells[0] * self.cells[1] <= MAX_MEMBERS.bit_length() - 1):
             raise ValueError(f"bang-bang cells must be two counts >= 1 with at most "
                              f"{MAX_MEMBERS} sign patterns: {list(self.cells)}")
 
@@ -501,20 +502,17 @@ def placement_bound_report(mask, state, mesh, quad_points=8):
     """
     params = state.params
     mask.check_shape(mesh)
-    l = params.half_width
     xs, ys = mesh.xs, mesh.ys
-    x_edges = np.linspace(0.0, np.pi, mesh.nx + 1)
-    y_edges = np.linspace(-l, l, mesh.ny + 1)
     gauss_t, gauss_w = np.polynomial.legendre.leggauss(quad_points)
-    mid = 0.5 * (y_edges[:-1] + y_edges[1:])
-    half = 0.5 * (y_edges[1:] - y_edges[:-1])
-    w_elem = np.where(mask.elements, mask.beta, mask.alpha)  # (ny, nx)
+    mid = 0.5 * (ys[:-1] + ys[1:])
+    half = 0.5 * (ys[1:] - ys[:-1])
+    w_elem = mask.weights  # (ny, nx)
 
     def weighted_rows(m):
         """Weighted kernel integrals per index and node row, (m.size, ys.size)."""
         mc = m[:, None]
         # exact column integrals of sin(m xi)
-        sx = (np.cos(mc * x_edges[:-1]) - np.cos(mc * x_edges[1:])) / mc
+        sx = (np.cos(mc * xs[:-1]) - np.cos(mc * xs[1:])) / mc
         # Gauss ordinate integrals of the coefficient, per node y, per row
         q = half * sum(w * phi_m(ys[:, None], mid + half * t, mc[:, None], params)
                        for t, w in zip(gauss_t, gauss_w))

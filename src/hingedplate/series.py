@@ -9,7 +9,7 @@ the free-edge conditions on the long edges.  This module evaluates that
 kernel, the antisymmetric point-pair solution built from it, the deflection
 profile under a uniform load, the explicit series threshold separating the
 regimes in which edge guides do or do not bind, and the analytic envelopes
-used for truncation-error and empty-contact certificates.
+used for truncation-error certificates.
 
 All hyperbolic factors are evaluated in exponentially rescaled form so that
 coefficients stay finite for arbitrarily large Fourier index (raw sinh/cosh
@@ -38,7 +38,6 @@ __all__ = [
     "analytic_bound_C",
     "envelope_g",
     "tail_estimate",
-    "empty_contact_margin",
 ]
 
 
@@ -338,7 +337,7 @@ def analytic_bound_C(params):
 
 
 # ---------------------------------------------------------------------------
-# obstacles and the empty-contact certificate
+# obstacles
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -368,25 +367,3 @@ class ObstacleSpec:
         if gamma <= 0.0:
             raise ValueError(f"guide level must be positive, got {gamma}")
         return cls(lower=-gamma, upper=gamma, region=region, gamma=gamma)
-
-
-def empty_contact_margin(obstacles, state, nx=33, ny=9):
-    """Certified margin of the contact-free criterion at sample resolution.
-
-    Returns min over an (nx x ny) closed grid of min(|lower|, upper) - z(x,y)
-    where z is the uniform-load deflection.  A strictly positive value
-    certifies (at this resolution) that no load with sup-norm at most one can
-    push the plate onto either obstacle.
-    """
-    if obstacles.region != "full":
-        raise ValueError("empty-contact margin needs obstacles on the full plate")
-    params = state.params
-    l = params.half_width
-    xs = np.linspace(0.0, np.pi, nx)
-    ys = np.linspace(-l, l, ny)
-    level = min(abs(obstacles.lower), obstacles.upper)
-    margin = np.inf
-    for y in ys:
-        z = uniform_load_profile((xs, y), state)
-        margin = min(margin, float(np.min(level - z)))
-    return margin

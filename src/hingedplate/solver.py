@@ -28,8 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import (LONG, DOF_VALUE, DofField, apply_functional,
-                  assemble_bilinear, quad_form)
+from .fem import LONG, DOF_VALUE, DofField, assemble_bilinear, energy
 from .fem import assemble_load  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -149,8 +148,7 @@ class PlateOperator:
         self.mesh = mesh
         self.form = form
         self.free = mesh.free_dof_mask()
-        dofs = np.arange(mesh.n_dofs).reshape(mesh.ny + 1, mesh.nx + 1, 4)
-        dofs = dofs.transpose(1, 0, 2).ravel()
+        dofs = mesh.dof_grid().transpose(1, 0, 2).ravel()
         self.free_idx = dofs[self.free[dofs]]
         self._pos_of_dof = -np.ones(mesh.n_dofs, dtype=np.int64)
         self._pos_of_dof[self.free_idx] = np.arange(self.free_idx.size)
@@ -395,14 +393,11 @@ def kkt_report(solution, operator, rhs, constraints):
 
 def solution_to_json(solution, operator, rhs, constraints):
     """JSON-ready summary of a solve: contact sets, certificates, energy."""
-    report = kkt_report(solution, operator, rhs, constraints)
-    energy = (0.5 * quad_form(operator.form, solution.field)
-              - apply_functional(rhs, solution.field))
     return {
         "contact_lower": [int(n) for n in solution.lower_contact],
         "contact_upper": [int(n) for n in solution.upper_contact],
-        "kkt": report,
-        "energy": energy,
+        "kkt": kkt_report(solution, operator, rhs, constraints),
+        "energy": energy(operator.form, rhs, solution.field),
         "sup_norm": solution.field.sup_norm(),
         "iterations": solution.iterations,
     }

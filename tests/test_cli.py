@@ -1,6 +1,8 @@
 """Batch front door: validation diagnostics, runs, exports, idempotence."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,6 +350,10 @@ class TestRun:
                                                     "cells": [20, 20]}},
          "bang-bang cells must be two counts >= 1 with at most 4096 sign "
          "patterns: [20, 20]"),
+        ("gap-scan", {"force_class": {"kind": "bang-bang",
+                                      "cells": [10_000_000, 10_000_000]}},
+         "bang-bang cells must be two counts >= 1 with at most 4096 sign "
+         "patterns: [10000000, 10000000]"),
         ("green-eval", {"points": 5}, "points must be a list: 5"),
         ("green-eval", {"points": [7]}, "point must be a list: 7"),
         ("green-eval", {"source": 3, "points": [[1.0, 0.0]]},
@@ -462,6 +468,7 @@ class TestRun:
     ], ids=["load-typo", "load-norm", "constant-density", "obstacles-typo",
             "force_class-typo", "window-typo", "params-typo", "family-typo",
             "no-levels", "no-grid", "one-cell-count", "too-many-patterns",
+            "huge-patterns",
             "list-points", "list-point", "list-source", "list-antisym_delta",
             "list-point_masses", "list-levels", "list-cells", "float-nxi",
             "bool-neta", "float-cells", "float-n_xstrips", "string-n_ystrips",
@@ -622,3 +629,23 @@ class TestMain:
              "--config", str(path)], capture_output=True, text=True)
         assert proc.returncode == 0
         assert (tmp_path / "m" / "summary.json").exists()
+
+
+def _readme_params_keys():
+    """{problem: keys} from the README "Command line" list of ``params`` keys:
+    the backticked names of each problem bullet, outside parentheses."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("Each problem reads these `params` keys", 1)[1]
+    section = section.split("The nested objects:", 1)[0]
+    bullets = re.split(r"^\* ", section, flags=re.M)[1:]
+    out = {}
+    for bullet in bullets:
+        problem, body = re.match(r"`([a-z-]+)`:(.*)", " ".join(bullet.split())).groups()
+        while re.search(r"\([^()]*\)", body):
+            body = re.sub(r"\([^()]*\)", "", body)
+        out[problem] = set(re.findall(r"`([a-z_]+)`", body))
+    return out
+
+
+def test_readme_params_keys_match_the_readers():
+    assert _readme_params_keys() == cli._PARAMS_KEYS

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hingedplate import (DofField, LoadSpec, Mesh, ReinforcementMask,
-                         assemble_bilinear, assemble_load, energy_value,
-                         point_eval, symmetry_decompose)
-from hingedplate.fem import (DOF_VALUE, LONG, _GAUSS_PTS, _GAUSS_WTS,
-                             AssembledForm, _density_evaluator, _hermite_1d, _local_rows,
-                             apply_functional, element_stiffness, field_to_csv,
+from hingedplate import (DofField, LoadSpec, Mesh, PlateOperator,
+                         ReinforcementMask, assemble_bilinear, assemble_load,
+                         energy, point_eval, symmetry_decompose)
+from hingedplate.fem import (DOF_DY, DOF_VALUE, LONG, _GAUSS_PTS, _GAUSS_WTS,
+                             _X_MIRROR_SIGNS, _Y_MIRROR_SIGNS, AssembledForm,
+                             _density_evaluator, _hermite_1d, _local_rows,
+                             _mirror_permutation, apply_functional,
+                             element_stiffness, field_to_csv, quad_form,
                              reflect_x, reflect_y)
 from hingedplate.optimize import _cell_density
 
@@ -51,6 +53,57 @@ class TestMesh:
     def test_grid_symmetry(self, mesh_small):
         assert np.allclose(mesh_small.ys, -mesh_small.ys[::-1])
         assert np.allclose(mesh_small.xs, np.pi - mesh_small.xs[::-1])
+
+
+# ---------------------------------------------------------------------------
+# reference dof layout: the node loops that the dof grid replaces
+# ---------------------------------------------------------------------------
+
+def _reference_free_dof_mask(mesh):
+    free = np.ones(mesh.n_dofs, dtype=bool)
+    for j in range(mesh.ny + 1):
+        for i in (0, mesh.nx):
+            free[4 * mesh.node_index(i, j) + DOF_VALUE] = False
+            free[4 * mesh.node_index(i, j) + DOF_DY] = False
+    return free
+
+
+def _reference_mirror_permutation(mesh, axis):
+    perm = np.empty(mesh.n_dofs, dtype=np.int64)
+    signs = np.empty(mesh.n_dofs)
+    dof_signs = _Y_MIRROR_SIGNS if axis == "y" else _X_MIRROR_SIGNS
+    for j in range(mesh.ny + 1):
+        for i in range(mesh.nx + 1):
+            mi, mj = (i, mesh.ny - j) if axis == "y" else (mesh.nx - i, j)
+            src = 4 * mesh.node_index(mi, mj)
+            dst = 4 * mesh.node_index(i, j)
+            for d in range(4):
+                perm[dst + d] = src + d
+                signs[dst + d] = dof_signs[d]
+    return perm, signs
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 2), (7, 3), (16, 4)])
+class TestDofGrid:
+    def test_grid_numbers_nodes_x_fastest(self, nx, ny):
+        mesh = Mesh(nx, ny, 0.1)
+        grid = mesh.dof_grid()
+        assert grid.shape == (ny + 1, nx + 1, 4)
+        for j in range(ny + 1):
+            for i in range(nx + 1):
+                assert np.array_equal(grid[j, i], 4 * mesh.node_index(i, j) + np.arange(4))
+
+    def test_free_dof_mask_matches_the_loop(self, nx, ny):
+        mesh = Mesh(nx, ny, 0.1)
+        assert np.array_equal(mesh.free_dof_mask(), _reference_free_dof_mask(mesh))
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_mirror_permutation_matches_the_loop(self, nx, ny, axis):
+        mesh = Mesh(nx, ny, 0.1)
+        perm, signs = _mirror_permutation(mesh, axis)
+        want_perm, want_signs = _reference_mirror_permutation(mesh, axis)
+        assert perm.dtype == want_perm.dtype and np.array_equal(perm, want_perm)
+        assert signs.dtype == want_signs.dtype and np.array_equal(signs, want_signs)
 
 
 class TestAssembly:
@@ -221,7 +274,7 @@ def _reference_load(mesh, load, weight=None):
     """Dof functional with one density call per Gauss point."""
     b = np.zeros(mesh.n_dofs, dtype=LONG)
     if load.density is not None:
-        f = _density_evaluator(mesh, load.density)
+        f = _density_evaluator(load.density)
         tq = (_GAUSS_PTS + 1) / 2
         wq = _GAUSS_WTS / 2
         brows = [[_local_rows(tx, ty, mesh.hx, mesh.hy) for ty in tq] for tx in tq]
@@ -291,7 +344,7 @@ class TestKernelsBitForBit:
 
     @pytest.mark.parametrize("mesh_name", ["mesh_small", "mesh_mid"])
     @pytest.mark.parametrize("kind", [
-        "constant", "callable", "mixed-sign", "node-samples", "cells",
+        "constant", "callable", "mixed-sign", "cells",
         "weighted", "point-masses"])
     def test_assemble_load(self, request, mesh_name, kind):
         mesh = request.getfixturevalue(mesh_name)
@@ -303,8 +356,6 @@ class TestKernelsBitForBit:
         elif kind == "mixed-sign":
             load = LoadSpec(density=lambda x, y: (0.3 * np.sin(x) + 0.2 * np.cos(3 * x)
                                                   - 0.5 * np.sign(y)))
-        elif kind == "node-samples":
-            load = LoadSpec(density=np.sin(0.37 * np.arange(mesh.n_nodes)))
         elif kind == "cells":
             signs = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]])
             load = LoadSpec(density=_cell_density(signs, mesh.half_width))
@@ -463,8 +514,8 @@ class TestSymmetry:
 class TestEnergies:
     def test_zero_field_zero_load(self, mesh_small, params):
         fld = DofField.zeros(mesh_small)
-        e = energy_value(fld, LoadSpec(density=0.0), params)
-        assert e == 0.0
+        b = assemble_load(mesh_small, LoadSpec(density=0.0))
+        assert energy(assemble_bilinear(mesh_small, params), b, fld) == 0.0
 
     def test_degenerate_weights_collapse_to_base(self, mesh_small, params):
         rng = np.random.default_rng(10)
@@ -473,24 +524,40 @@ class TestEnergies:
         sel = np.zeros((mesh_small.ny, mesh_small.nx), dtype=bool)
         sel[:, :5] = True
         mask = ReinforcementMask(sel, alpha=1.0, beta=1.0)
-        base = energy_value(fld, load, params)
-        e1 = energy_value(fld, load, params, variant="E1", mask=mask)
+        b = assemble_load(mesh_small, load)
+        base = energy(PlateOperator.build(mesh_small, params).form, b, fld)
+        e1 = energy(PlateOperator.build(mesh_small, params, mask=mask).form, b, fld)
+        e2 = energy(PlateOperator.build(mesh_small, params).form,
+                    assemble_load(mesh_small, load, weight=mask), fld)
         assert e1 == pytest.approx(base, rel=1e-14)
+        assert e2 == pytest.approx(base, rel=1e-14)
 
     def test_quadratic_part_matches_matrix_form(self, mesh_small, params):
         rng = np.random.default_rng(12)
         fld = DofField(mesh_small, rng.normal(size=mesh_small.n_dofs))
-        e = energy_value(fld, LoadSpec(density=0.0), params)
-        k = assemble_bilinear(mesh_small, params).matrix
+        form = assemble_bilinear(mesh_small, params)
+        e = energy(form, assemble_load(mesh_small, LoadSpec(density=0.0)), fld)
+        k = form.matrix
         assert e == pytest.approx(0.5 * fld.dofs @ (k @ fld.dofs), rel=1e-12)
 
-    def test_density_weighted_rejects_point_masses(self, mesh_small, params):
-        fld = DofField.zeros(mesh_small)
+    def test_stiffness_weighted_energy_splits_by_region(self, mesh_small, params):
+        # E1 weights the quadratic part: alpha off D, beta on D
+        rng = np.random.default_rng(15)
+        fld = DofField(mesh_small, rng.normal(size=mesh_small.n_dofs))
+        mask = ReinforcementMask(_region(mesh_small), alpha=0.5, beta=2.5)
+        b = assemble_load(mesh_small, LoadSpec(density=lambda x, y: np.sin(x)))
+        e1 = energy(PlateOperator.build(mesh_small, params, mask=mask).form, b, fld)
+        quad = (mask.alpha * quad_form(assemble_bilinear(mesh_small, params), fld)
+                + (mask.beta - mask.alpha)
+                * quad_form(assemble_bilinear(mesh_small, params, region=mask), fld))
+        assert e1 == pytest.approx(0.5 * quad - apply_functional(b, fld), rel=1e-12)
+
+    def test_density_weighted_rejects_point_masses(self, mesh_small):
         sel = np.ones((mesh_small.ny, mesh_small.nx), dtype=bool)
         mask = ReinforcementMask(sel, alpha=0.5, beta=2.0)
         load = LoadSpec(point_masses=((1.0, 0.0, 1.0),))
         with pytest.raises(ValueError):
-            energy_value(fld, load, params, variant="E2", mask=mask)
+            assemble_load(mesh_small, load, weight=mask)
 
 
 class TestReinforcementMask:

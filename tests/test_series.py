@@ -9,9 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from hingedplate import (AntisymDelta, MaterialParams, ObstacleSpec,
-                         ScanWindow, SeriesState, analytic_bound_C,
-                         antisym_solution, aux_pair, empty_contact_margin,
+from hingedplate import (AntisymDelta, MaterialParams, ScanWindow, SeriesState,
+                         analytic_bound_C, antisym_solution, aux_pair,
                          envelope_g, gap_threshold_M, green_value, phi_m,
                          tail_estimate, uniform_load_profile)
 from hingedplate.summation import SERIES_CHUNK, CompensatedSum, series_sum
@@ -342,6 +341,15 @@ class TestEnvelope:
             for eta in grid:
                 assert np.all(phi_m(grid, eta, 1, p) <= envelope_g(eta, p))
 
+    def test_levels_dominate_uniform_profile(self, state):
+        # the level l g(l) pi^2/6 bounds the uniform-load deflection, hence
+        # every response to a load of sup-norm at most one
+        p = state.params
+        level = p.half_width * float(envelope_g(p.half_width, p)) * np.pi ** 2 / 6.0
+        xs = np.linspace(0.0, np.pi, 33)
+        for y in np.linspace(-p.half_width, p.half_width, 9):
+            assert np.all(uniform_load_profile((xs, y), state) < level)
+
 
 class TestTailEstimate:
     def test_monotone_to_zero_with_quartic_halving(self, params):
@@ -363,39 +371,6 @@ class TestTailEstimate:
             q = (rng.uniform(0.2, np.pi - 0.2), rng.uniform(-l, l))
             err = abs(green_value(p, q, state_lo) - green_value(p, q, state_hi))
             assert err <= state_lo.tail_bound
-
-
-class TestEmptyContactMargin:
-    def test_levels_above_reach_give_unit_margin(self, state):
-        zmax = _profile_max(state)
-        spec = ObstacleSpec(lower=-(zmax + 1.0), upper=zmax + 1.0, region="full")
-        assert empty_contact_margin(spec, state) >= 1.0 - 1e-9
-
-    def test_envelope_levels_certify(self, state):
-        p = state.params
-        level = p.half_width * float(envelope_g(p.half_width, p)) * np.pi ** 2 / 6.0
-        spec = ObstacleSpec(lower=-(level + 1e-6), upper=level + 1e-6, region="full")
-        assert empty_contact_margin(spec, state) > 0.0
-
-    def test_low_ceiling_reports_negative(self, state):
-        half = float(uniform_load_profile((np.pi / 2, 0.0), state)) / 2.0
-        spec = ObstacleSpec(lower=-10.0, upper=half, region="full")
-        assert empty_contact_margin(spec, state) < 0.0
-
-    def test_rejects_bad_obstacles(self, state):
-        with pytest.raises(ValueError):
-            empty_contact_margin(
-                ObstacleSpec(lower=0.5, upper=1.0, region="full"), state)
-        with pytest.raises(ValueError):
-            empty_contact_margin(
-                ObstacleSpec.constant_level(1.0, region="long_edges"), state)
-
-
-def _profile_max(state):
-    l = state.params.half_width
-    xs = np.linspace(0.0, np.pi, 33)
-    return max(float(np.max(uniform_load_profile((xs, y), state)))
-               for y in np.linspace(-l, l, 9))
 
 
 class TestStateAndWindow:
