@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fem import LoadSpec, Mesh, ReinforcementMask, assemble_load, field_to_csv
+from .fem import (LoadSpec, Mesh, OrbitBasis, ReinforcementMask, assemble_load,
+                  field_to_csv)
 from .optimize import (ForceClass, ObstacleFamily, ReinforcementFamily,
                        _cell_density, best_obstacle, best_reinforcement,
                        classify_regime, gap_profile, worst_gap_force)
@@ -24,8 +25,8 @@ from .params import MaterialParams
 from .series import (ObstacleSpec, ScanWindow, SeriesState, analytic_bound_C,
                      green_value, uniform_load_profile)
 from .solver import (BoxConstraints, IterationLimitError, PlateOperator,
-                     SolverError, solve_linear, solve_obstacle,
-                     solution_to_json)
+                     SolverError, expand_solution, reduce_problem, solve_linear,
+                     solve_obstacle, solution_to_json)
 
 SCHEMA_VERSION = 1
 
@@ -47,6 +48,17 @@ _PARAMS_KEYS = {
     "optimize-obstacle": {"levels", "region", "force_class"},
     "regime": {"gamma", "scan", "force_class"},
 }
+#: fields of the nested ``params`` objects, per kind
+_LOAD_KEYS = {"antisym_delta": {"antisym_delta"},
+              "density": {"density", "point_masses"}}
+_OBSTACLE_KEYS = {"constant_level": {"kind", "region", "gamma"},
+                  "bounds": {"kind", "region", "lower", "upper"}}
+_FORCE_CLASS_KEYS = {"bang-bang": {"kind", "cells", "window"},
+                     "antisym-delta": {"kind", "nxi", "neta", "window"},
+                     "signed-delta": {"kind", "nxi", "neta", "window"}}
+_FAMILY_KEYS = {"cross": {"kind", "mu", "n_xstrips", "n_ystrips", "eps",
+                          "centers_per_axis"},
+                "tiles": {"kind", "tile_size", "n_tiles", "eps", "centers_per_axis"}}
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +147,21 @@ def _parse(config):
         return [f"missing required problem parameter: {exc}"], None
     except (TypeError, ValueError) as exc:
         return [str(exc)], None
+    except MemoryError as exc:
+        return [_out_of_memory(config, exc)], None
 
     def run(outdir):
         return {"tolerances": {"series_tail": ctx["state"].tail_bound},
                 "mesh": {"nx": nx, "ny": ny}, "series": {"m_max": m_max},
                 "result": solve(outdir)}
     return [], run
+
+
+def _out_of_memory(config, exc):
+    """Diagnostic of a run or read that ran out of memory: the mesh sets the size."""
+    mesh = config["mesh"]
+    return (f"mesh {mesh['nx']}x{mesh['ny']} does not fit in memory"
+            + (f": {exc}" if str(exc) else ""))
 
 
 def _section(config, name, keys, diags):
@@ -233,8 +254,7 @@ def _build_density(spec, half_width):
 
 def _build_load(spec, half_width):
     antisym = "antisym_delta" in _object(spec, "load")
-    spec = _object(spec, "load", {"antisym_delta"} if antisym
-                   else {"density", "point_masses"})
+    spec = _object(spec, "load", _LOAD_KEYS["antisym_delta" if antisym else "density"])
     if antisym:
         return LoadSpec.antisym_pair(*_reals(spec["antisym_delta"], "antisym_delta"))
     masses = _list(spec.get("point_masses", []), "point_masses")
@@ -247,10 +267,10 @@ def _build_obstacle(spec):
     kind = spec.get("kind", "constant_level")
     region = spec.get("region", "long_edges")
     if kind == "constant_level":
-        _object(spec, "obstacles", {"kind", "region", "gamma"})
+        _object(spec, "obstacles", _OBSTACLE_KEYS[kind])
         return ObstacleSpec.constant_level(_real(spec["gamma"], "gamma"), region=region)
     if kind == "bounds":
-        _object(spec, "obstacles", {"kind", "region", "lower", "upper"})
+        _object(spec, "obstacles", _OBSTACLE_KEYS[kind])
         return ObstacleSpec(lower=_real(spec["lower"], "lower"),
                             upper=_real(spec["upper"], "upper"), region=region)
     raise ValueError(f"unknown obstacle kind {kind!r}")
@@ -259,10 +279,8 @@ def _build_obstacle(spec):
 def _build_forces(spec, params):
     spec = _object(spec, "force_class")
     kind = spec.get("kind", "antisym-delta")
-    if kind == "bang-bang":
-        _object(spec, "force_class", {"kind", "cells", "window"})
-    elif kind in ("antisym-delta", "signed-delta"):
-        _object(spec, "force_class", {"kind", "nxi", "neta", "window"})
+    if kind in ("bang-bang", "antisym-delta", "signed-delta"):
+        _object(spec, "force_class", _FORCE_CLASS_KEYS[kind])
     wspec = spec.get("window", kind == "antisym-delta")
     if isinstance(wspec, bool):
         window = ScanWindow.default(params) if wspec else None
@@ -293,8 +311,7 @@ def _build_family(params, half_width):
     family = _object(params["family"], "family")
     kind = family["kind"]
     if kind == "cross":
-        _object(family, "family", {"kind", "mu", "n_xstrips", "n_ystrips", "eps",
-                                   "centers_per_axis"})
+        _object(family, "family", _FAMILY_KEYS[kind])
         return ReinforcementFamily(
             kind="cross", alpha=alpha, beta=beta,
             n_xstrips=_integer(family.get("n_xstrips", 1), "n_xstrips"),
@@ -303,8 +320,7 @@ def _build_family(params, half_width):
             centers_per_axis=_integer(family.get("centers_per_axis", 9),
                                       "centers_per_axis"))
     if kind == "tiles":
-        _object(family, "family", {"kind", "tile_size", "n_tiles", "eps",
-                                   "centers_per_axis"})
+        _object(family, "family", _FAMILY_KEYS[kind])
         return ReinforcementFamily(
             kind="tiles", alpha=alpha, beta=beta,
             eps=_real(family.get("eps", 0.01), "eps"),
@@ -385,7 +401,8 @@ def _read_vi_solve(p, ctx):
     mesh = ctx["mesh"]
     load = _build_load(p["load"], ctx["params"].half_width)
     load.validate(mesh)
-    box = BoxConstraints.from_obstacle(mesh, _build_obstacle(p["obstacles"]))
+    obstacle = _build_obstacle(p["obstacles"])
+    box = BoxConstraints.from_obstacle(mesh, obstacle)
     variant = p.get("variant")
     if variant not in (None, "base", "E1", "E2"):
         raise ValueError(f"vi-solve variant must be base, E1 or E2: {variant!r}")
@@ -398,16 +415,66 @@ def _read_vi_solve(p, ctx):
         mask.check_shape(mesh)
     elif {"alpha", "beta", "mask"} & set(p):
         raise ValueError("alpha, beta and mask apply to variants E1 and E2 only")
+    group = _mirror_group(p["load"], load, obstacle, mask)
 
     def run(outdir):
         op = PlateOperator.build(mesh, ctx["params"],
                                  mask=mask if variant == "E1" else None)
         rhs = assemble_load(mesh, load, weight=mask if variant == "E2" else None)
-        sol = solve_obstacle(op, rhs, box)
+        if group:
+            basis = OrbitBasis(mesh, group)
+            sol = expand_solution(solve_obstacle(*reduce_problem(op, rhs, box, basis)),
+                                  op, rhs, box, basis)
+        else:
+            sol = solve_obstacle(op, rhs, box)
         field_to_csv(sol.field, outdir / "field.csv")
         gap_profile(sol).to_csv(outdir / "gap.csv")
         return solution_to_json(sol, op, rhs, box)
     return run
+
+
+#: axis of a (ny, nx)-shaped grid that each mirror flips
+_GRID_AXIS = {"x": 1, "y": 0}
+
+
+def _mirror_group(load_spec, load, obstacle, mask):
+    """The mirrors that map a vi-solve's data onto themselves, as the group
+    of an ``OrbitBasis``: each axis maps to +1 when its mirror leaves the
+    load, the obstacle and the mask as they are, else to -1 when the mirror
+    combined with negation does, else is left out.  Decided from the
+    config's structure: the density kind, the ``cells`` signs, the point
+    masses (mirrored exactly in floating point) and the mask's elements."""
+    group = {}
+    for axis in ("x", "y"):
+        for eps in (1, -1):
+            if (_density_invariant(load_spec.get("density"), axis, eps)
+                    and _mirrored_masses(load.point_masses, axis, eps)
+                    == sorted(load.point_masses)
+                    and (eps == 1 or obstacle.lower == -obstacle.upper)
+                    and (mask is None or np.array_equal(
+                        np.flip(mask.elements, _GRID_AXIS[axis]), mask.elements))):
+                group[axis] = eps
+                break
+    return group
+
+
+def _mirrored_masses(masses, axis, eps):
+    """The point masses (x, y, w) under the mirror of ``axis`` times ``eps``, sorted."""
+    return sorted((np.pi - x, y, eps * w) if axis == "x" else (x, -y, eps * w)
+                  for x, y, w in masses)
+
+
+def _density_invariant(spec, axis, eps):
+    """Whether the mirror of ``axis`` times ``eps`` maps a density spec,
+    as read by ``_build_density``, onto itself."""
+    if spec is None:
+        return True
+    if _is_real(spec):
+        return eps * spec == spec
+    if spec["kind"] == "sin_x":
+        return eps == 1
+    signs = np.asarray(spec["signs"], dtype=float)
+    return np.array_equal(np.flip(signs, _GRID_AXIS[axis]), eps * signs)
 
 
 def _read_gap_scan(p, ctx):
@@ -510,6 +577,8 @@ def run(config):
             code = 0
         except ValueError as exc:
             summary["diagnostics"] = [str(exc)]
+        except MemoryError as exc:
+            summary["diagnostics"] = [_out_of_memory(config, exc)]
         except IterationLimitError as exc:
             code = 3
             summary.update(error=str(exc), residual=exc.residual)

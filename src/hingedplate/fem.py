@@ -500,6 +500,94 @@ def _mirror_permutation(mesh, axis):
     return np.flip(mesh.dof_grid(), flip).ravel(), np.tile(dof_signs, mesh.n_nodes)
 
 
+class OrbitBasis:
+    """Coordinates of the fields invariant under a group of mirrors of a mesh.
+
+    ``group`` maps an axis, ``"x"`` (x -> pi - x) or ``"y"`` (y -> -y), to
+    +1 for its mirror or to -1 for its mirror combined with negation; the
+    group is generated by these elements.  An invariant field is fixed by one
+    coordinate per dof orbit, laid out like a mesh's dof table over the
+    representative nodes (i <= nx/2 when x is in the group, j <= ny/2 when y
+    is): ``dof_grid``, ``free_dof_mask``, ``n_nodes`` and ``n_dofs`` read as
+    on a Mesh of ``nx`` x ``ny`` elements.  Each full dof ``k`` is the signed
+    copy ``sign[k] * coords[coordinate[k]]``; its sign is 0 where some group
+    element maps it to its own negative (ux and uxy on x = pi/2, uy and uxy
+    on y = 0, and the value there under a negating element).  Such a
+    coordinate is not free.  ``R`` below is the ``n_dofs(mesh) x n_dofs``
+    matrix of this map.
+    """
+
+    def __init__(self, mesh, group):
+        if set(group) - {"x", "y"} or set(group.values()) - {1, -1}:
+            raise ValueError(f"a mirror group maps 'x' and 'y' to +1 or -1: {group!r}")
+        self.mesh = mesh
+        self.group = dict(group)
+        self.nx = mesh.nx // 2 if "x" in group else mesh.nx
+        self.ny = mesh.ny // 2 if "y" in group else mesh.ny
+        # every group element as the signed dof permutation it applies
+        elements = [(np.arange(mesh.n_dofs), np.ones(mesh.n_dofs))]
+        for axis, eps in sorted(self.group.items()):
+            perm, signs = _mirror_permutation(mesh, axis)
+            elements += [(p[perm], eps * signs * s[perm]) for p, s in elements]
+        images = np.stack([p for p, _ in elements])
+        signs = np.stack([s for _, s in elements])
+        # the smallest image of a dof lies on a representative node
+        first = np.argmin(images, axis=0)
+        rep = images[first, np.arange(mesh.n_dofs)]
+        self.representatives = mesh.dof_grid()[:self.ny + 1, :self.nx + 1].ravel()
+        position = np.empty(mesh.n_dofs, dtype=np.int64)
+        position[self.representatives] = np.arange(self.n_dofs)
+        self.coordinate = position[rep]
+        negated = np.any((images == np.arange(mesh.n_dofs)) & (signs < 0.0), axis=0)
+        self.sign = np.where(negated, 0.0, signs[first, np.arange(mesh.n_dofs)])
+
+    @property
+    def n_nodes(self):
+        return (self.nx + 1) * (self.ny + 1)
+
+    @property
+    def n_dofs(self):
+        return 4 * self.n_nodes
+
+    def dof_grid(self):
+        """(ny+1, nx+1, 4) coordinate numbers, indexed [j, i, dof] as on a Mesh."""
+        return np.arange(self.n_dofs).reshape(self.ny + 1, self.nx + 1, 4)
+
+    def free_dof_mask(self):
+        """Coordinates whose representative dof is free and not forced to zero."""
+        rep = self.representatives
+        return self.mesh.free_dof_mask()[rep] & (self.sign[rep] != 0.0)
+
+    @property
+    def representative_nodes(self):
+        """Full node of each orbit node."""
+        return self.representatives[DOF_VALUE::4] // 4
+
+    @property
+    def node_orbit(self):
+        """Orbit node of each full node."""
+        return self.coordinate[DOF_VALUE::4] // 4
+
+    def expand(self, coords):
+        """The full dof vector ``R coords``; exact, each entry one signed copy."""
+        return self.sign * coords[self.coordinate]
+
+    def restrict(self, vector):
+        """``R' vector``, the functional of a full load on the coordinates."""
+        out = np.zeros(self.n_dofs, dtype=vector.dtype)
+        np.add.at(out, self.coordinate, self.sign * vector)
+        return out
+
+    def restrict_form(self, form):
+        """``R' K R`` from the assembled form, in its extended precision."""
+        coo = form.csr.tocoo()
+        s = self.sign[coo.row] * self.sign[coo.col]
+        keep = s != 0.0
+        return AssembledForm.from_triplets(
+            (self.n_dofs, self.n_dofs), self.coordinate[coo.row[keep]],
+            self.coordinate[coo.col[keep]], coo.data[keep] * s[keep])
+
+
 def reflect_y(field):
     """The field composed with the reflection y -> -y."""
     perm, signs = _mirror_permutation(field.mesh, "y")

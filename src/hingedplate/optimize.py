@@ -498,9 +498,13 @@ def placement_bound_report(mask, state, mesh, quad_points=8):
         (pi/12) * [alpha int_{D^c} + beta int_D] c_1(y, eta) sin(xi),
 
     which dominates it.  Both bound the measured worst amplitude of the
-    density-weighted problem for sup-norm-one loads.
+    density-weighted problem for sup-norm-one loads.  The mesh must cover
+    the plate of ``state``.
     """
     params = state.params
+    if mesh.half_width != params.half_width:
+        raise ValueError(f"mesh half-width {mesh.half_width!r} is not the plate's "
+                         f"{params.half_width!r}")
     mask.check_shape(mesh)
     xs, ys = mesh.xs, mesh.ys
     gauss_t, gauss_w = np.polynomial.legendre.leggauss(quad_points)

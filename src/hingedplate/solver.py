@@ -20,6 +20,17 @@ natural order, so it never fills more than the free factor and no later
 factorization reorders.  Every solve is followed by extended-precision
 iterative refinement, so the fourth-order conditioning does not eat the
 certified residuals.
+
+When the caller knows mirrors of the plate that map its data onto
+themselves (``fem.OrbitBasis``), the energy is strictly convex, so the
+minimizer is unique and invariant under them.  ``reduce_problem`` then
+restricts the problem to the invariant fields, with one coordinate per dof
+orbit (``K_r = R' K R``, ``b_r = R' b``), and the same active set iteration
+runs on that quarter- or half-sized operator.  ``expand_solution`` expands
+the field exactly and certifies it in the full space, on the full operator
+against the full load, by the closing step every obstacle solve ends with;
+a field that fails it is an error, never a result.  The solver never picks
+a group itself.
 """
 
 from dataclasses import dataclass
@@ -39,6 +50,8 @@ __all__ = [
     "IterationLimitError",
     "solve_linear",
     "solve_obstacle",
+    "reduce_problem",
+    "expand_solution",
     "kkt_report",
     "solution_to_json",
 ]
@@ -280,18 +293,6 @@ def solve_obstacle(operator, rhs, constraints):
     act_hi = np.zeros(n_c, dtype=bool)
     x = np.zeros(operator.mesh.n_dofs, dtype=LONG)
 
-    def residual(x):
-        return (rhs - operator.form.matvec_extended(x)).astype(float)
-
-    def kkt_violation(x, resid):
-        """Relative stationarity residual of ``x``, except at contacts whose
-        multiplier has the admissible sign."""
-        lam = resid[dofs]
-        resid = resid.copy()
-        resid[dofs[pinned_eq | (act_hi & (lam >= 0.0)) | (act_lo & (lam <= 0.0))]] = 0.0
-        return (float(np.max(np.abs(resid[operator.free_idx])))
-                / operator.residual_scale(rhs, x))
-
     for it in range(1, MAX_ITERATIONS + 1):
         x_star = operator.solve_pinned(
             rhs, np.concatenate([dofs[act_lo], dofs[act_hi]]),
@@ -321,34 +322,60 @@ def solve_obstacle(operator, rhs, constraints):
 
         # contact-set optimum reached; check multiplier signs
         x = x_star
-        resid = residual(x)
+        resid = _residual(operator, rhs, x)
         lam = resid[dofs]
-        wrong_hi = act_hi & ~pinned_eq & (lam < 0.0)
-        wrong_lo = act_lo & ~pinned_eq & (lam > 0.0)
-        if not (np.any(wrong_hi) or np.any(wrong_lo)):
-            break
+        wrong = _wrong_sign(lam, act_lo, act_hi, pinned_eq)
+        if not np.any(wrong):
+            return _certified(operator, rhs, (dofs, lo, hi), x, resid,
+                              act_lo, act_hi, it)
         # release the single worst offender, lowest node index on ties
-        badness = np.where(wrong_hi | wrong_lo, np.abs(lam), -np.inf)
-        k = int(np.argmax(badness))
+        k = int(np.argmax(np.where(wrong, np.abs(lam), -np.inf)))
         act_hi[k] = False
         act_lo[k] = False
-    else:
-        raise IterationLimitError(
-            f"active set did not settle in {MAX_ITERATIONS} iterations",
-            kkt_violation(x, residual(x)))
+    raise IterationLimitError(
+        f"active set did not settle in {MAX_ITERATIONS} iterations",
+        _kkt_violation(operator, rhs, x, _residual(operator, rhs, x), dofs,
+                       pinned_eq, act_lo, act_hi))
 
-    # x solves the settled contact set, where every multiplier has its sign
-    stat = kkt_violation(x, resid)
+
+def _residual(operator, rhs, x):
+    """b - K x from the extended-precision product, rounded to float64."""
+    return (rhs - operator.form.matvec_extended(x)).astype(float)
+
+
+def _wrong_sign(lam, act_lo, act_hi, pinned_eq):
+    """Contacts, degenerate pins aside, whose multiplier points into the box."""
+    return ~pinned_eq & ((act_hi & (lam < 0.0)) | (act_lo & (lam > 0.0)))
+
+
+def _kkt_violation(operator, rhs, x, resid, dofs, pinned_eq, act_lo, act_hi):
+    """Relative stationarity residual of ``x``, except at contacts whose
+    multiplier has the admissible sign."""
+    lam = resid[dofs]
+    resid = resid.copy()
+    resid[dofs[pinned_eq | (act_hi & (lam >= 0.0)) | (act_lo & (lam <= 0.0))]] = 0.0
+    return (float(np.max(np.abs(resid[operator.free_idx])))
+            / operator.residual_scale(rhs, x))
+
+
+def _certified(operator, rhs, box, x, resid, act_lo, act_hi, iterations):
+    """The solution ``x`` with contact sets ``act_lo``/``act_hi`` on the box
+    dofs, once certified: every contact multiplier has its sign and the
+    stationarity residual ``resid`` of ``x`` is at most TOL.  Degenerate pins
+    report the side their multiplier points to, and a multiplier of exactly
+    zero classifies its node inactive."""
+    dofs, lo, hi = box
+    pinned_eq = lo == hi
+    lam = resid[dofs]
+    if np.any(_wrong_sign(lam, act_lo, act_hi, pinned_eq)):
+        raise SolverError("a contact multiplier points into the box")
+    stat = _kkt_violation(operator, rhs, x, resid, dofs, pinned_eq, act_lo, act_hi)
     if stat > TOL:
         raise SolverError(f"stationarity residual {stat:.3e} above tol {TOL}")
     lam = np.where(act_lo | act_hi, lam, 0.0)
-    # degenerate pins report the side their multiplier points to
     swap = pinned_eq & act_lo & (lam > 0.0)
-    act_hi |= swap
-    act_lo &= ~swap
-    # a multiplier of exactly zero on the active-set boundary means inactive
-    act_lo &= lam != 0.0
-    act_hi &= lam != 0.0
+    act_hi = (act_hi | swap) & (lam != 0.0)
+    act_lo = act_lo & ~swap & (lam != 0.0)
 
     nodes = dofs // 4
     multipliers = np.zeros(operator.mesh.n_nodes)
@@ -358,7 +385,52 @@ def solve_obstacle(operator, rhs, constraints):
                       upper_contact=np.sort(nodes[act_hi]),
                       multipliers=multipliers,
                       kkt_residual=stat,
-                      iterations=it)
+                      iterations=iterations)
+
+
+def reduce_problem(operator, rhs, constraints, basis):
+    """The obstacle problem on the coordinates of the orbit basis ``basis``:
+    the operator ``R' K R``, the load ``R' b`` and, on each orbit node, the
+    box of its representative node.  The caller picks the group from the
+    data; a box the group does not map onto itself is a SolverError."""
+    rep = basis.representative_nodes
+    box = BoxConstraints(constraints.node_mask[rep], constraints.lower[rep],
+                         constraints.upper[rep])
+    # the box each node gets from its orbit under the group
+    orbit, s = basis.node_orbit, basis.sign[DOF_VALUE::4]
+    lower = np.where(s < 0.0, -box.upper[orbit], box.lower[orbit])
+    upper = np.where(s < 0.0, -box.lower[orbit], box.upper[orbit])
+    m = constraints.node_mask
+    if not (np.array_equal(box.node_mask[orbit], m)
+            and np.array_equal(constraints.lower[m], lower[m])
+            and np.array_equal(constraints.upper[m], upper[m])
+            and np.all((constraints.lower == -constraints.upper)[m & (s == 0.0)])):
+        raise SolverError(f"the obstacle is not invariant under the group {basis.group}")
+    return (PlateOperator(basis, basis.restrict_form(operator.form)),
+            basis.restrict(rhs), box)
+
+
+def expand_solution(reduced, operator, rhs, constraints, basis):
+    """The solution of the full problem from ``reduced``, the solve of its
+    ``reduce_problem`` on the coordinates of ``basis``, certified in the full
+    space.
+
+    The field is expanded exactly, so contacts sit exactly on the obstacle,
+    and each contact orbit puts its nodes in contact, on the opposite side
+    where the group negates.  The certificate is the one of
+    ``solve_obstacle``, on the full operator against the full load; a field
+    that fails it is a SolverError, never a result.
+    """
+    dofs, lo, hi = _box_dof_arrays(operator, constraints)
+    x = basis.expand(reduced.field.dofs).astype(LONG)
+    orbit, s = basis.node_orbit[dofs // 4], basis.sign[dofs]
+    on_lo = np.isin(orbit, reduced.lower_contact)
+    on_hi = np.isin(orbit, reduced.upper_contact)
+    pinned_eq = lo == hi
+    act_lo = pinned_eq | np.where(s > 0.0, on_lo, (s < 0.0) & on_hi)
+    act_hi = ~pinned_eq & np.where(s > 0.0, on_hi, (s < 0.0) & on_lo)
+    return _certified(operator, rhs, (dofs, lo, hi), x, _residual(operator, rhs, x),
+                      act_lo, act_hi, reduced.iterations)
 
 
 def kkt_report(solution, operator, rhs, constraints):

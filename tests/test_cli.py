@@ -1,6 +1,7 @@
 """Batch front door: validation diagnostics, runs, exports, idempotence."""
 
 import json
+import os
 import re
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import pytest
 from hingedplate import cli, solver
 from hingedplate.cli import (default_config, load_config, main, merge_config,
                              run, validate)
-from hingedplate.fem import LoadSpec, Mesh, assemble_bilinear, assemble_load
+from hingedplate.fem import (LoadSpec, Mesh, OrbitBasis, assemble_bilinear,
+                             assemble_load)
 from hingedplate.optimize import ForceClass, ReinforcementFamily
 from hingedplate.params import MaterialParams
 
@@ -162,6 +164,73 @@ class TestRun:
         stored = json.loads((tmp_path / "n" / "summary.json").read_text(),
                             parse_constant=_reject_constant)
         assert np.isfinite(stored["residual"]) and stored["residual"] > 0.0
+
+    def test_full_plate_contact_limit_settles(self, tmp_path):
+        """The full-plate box at 0.05 z_max: hundreds of contacts, solved on
+        the mirror-invariant subspace and certified in the full space."""
+        upper = 0.05 * 1.3217633217236697
+        cfg = config_for(
+            "vi-solve",
+            {"load": {"density": 1.0},
+             "obstacles": {"kind": "bounds", "lower": -1.0, "upper": upper,
+                           "region": "full"}},
+            nx=64, ny=16, outdir=tmp_path / "c")
+        code, summary = run(cfg)
+        assert code == 0
+        res = summary["result"]
+        assert len(res["contact_upper"]) >= 300 and res["contact_lower"] == []
+        assert res["kkt"]["stationarity"] <= 1e-9
+        assert res["kkt"]["feasibility"] == 0.0
+        u = np.loadtxt(tmp_path / "c" / "field.csv", delimiter=",", skiprows=1)[:, 2]
+        assert np.all(u[res["contact_upper"]] == upper) and np.all(u <= upper)
+
+    @pytest.mark.parametrize("params, group", [
+        ({"load": {"density": 1.0},
+          "obstacles": {"kind": "bounds", "lower": -1.0, "upper": 0.5}},
+         {"x": 1, "y": 1}),
+        ({"load": {"density": {"kind": "sin_x"}}, "obstacles": {"gamma": 0.3}},
+         {"x": 1, "y": 1}),
+        ({"load": {"antisym_delta": [1.0, 0.05]}, "obstacles": {"gamma": 0.001}},
+         {"y": -1}),
+        ({"load": {"antisym_delta": [1.0, 0.05]},
+          "obstacles": {"kind": "bounds", "lower": -0.001, "upper": 0.002}}, None),
+        ({"load": {"density": {"kind": "cells", "signs": [[1, -1], [1, -1]]}},
+          "obstacles": {"gamma": 0.01, "region": "full"}}, {"x": -1, "y": 1}),
+        ({"load": {"density": {"kind": "cells", "signs": [[1, -1], [1, 0.5]]}},
+          "obstacles": {"gamma": 0.01, "region": "full"}}, None),
+        ({"load": {"point_masses": [[1.0, 0.05, 1.0], [np.pi - 1.0, 0.05, 1.0]]},
+          "obstacles": {"gamma": 0.001}}, {"x": 1}),
+        # pi - (pi - 0.4) is not 0.4 in floating point
+        ({"load": {"point_masses": [[0.4, 0.0, 1.0], [np.pi - 0.4, 0.0, 1.0]]},
+          "obstacles": {"gamma": 0.001}}, {"y": 1}),
+        ({"load": {"density": 1.0}, "obstacles": {"gamma": 0.3, "region": "full"},
+          "variant": "E1", "alpha": 0.5, "beta": 2.5,
+          "mask": [[i < 4 for i in range(16)] for _ in range(4)]}, {"y": 1}),
+        ({"load": {"density": 1.0}, "obstacles": {"gamma": 0.3, "region": "full"},
+          "variant": "E2", "alpha": 0.5, "beta": 2.5,
+          "mask": [[j == 0 for i in range(16)] for j in range(4)]}, {"x": 1}),
+    ], ids=["uniform", "sin_x", "antisym", "antisym-uneven-box", "cells-x-odd",
+            "cells-none", "masses-x", "masses-y", "E1-mask", "E2-mask"])
+    def test_vi_solve_reduces_by_the_data_symmetry(self, tmp_path, monkeypatch,
+                                                   params, group):
+        """The reader picks the mirrors the data are invariant under, and the
+        certified result is the full solve's."""
+        chosen = []
+
+        def recording(mesh, g):
+            chosen.append(g)
+            return OrbitBasis(mesh, g)
+        monkeypatch.setattr(cli, "OrbitBasis", recording)
+        code, summary = run(config_for("vi-solve", params, outdir=tmp_path / "g"))
+        assert code == 0 and summary["result"]["contact_upper"]
+        assert chosen == ([group] if group else [])
+        # the same data solved without the reduction
+        monkeypatch.setattr(cli, "_mirror_group", lambda *args: {})
+        code, full = run(config_for("vi-solve", params, outdir=tmp_path / "f"))
+        assert code == 0
+        for key in ("contact_lower", "contact_upper"):
+            assert summary["result"][key] == full["result"][key]
+        assert summary["result"]["kkt"]["stationarity"] <= 1e-9
 
     def test_non_finite_config_is_a_diagnostic(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -631,21 +700,56 @@ class TestMain:
         assert (tmp_path / "m" / "summary.json").exists()
 
 
-def _readme_params_keys():
-    """{problem: keys} from the README "Command line" list of ``params`` keys:
-    the backticked names of each problem bullet, outside parentheses."""
+@pytest.mark.parametrize("command, problem, params", [
+    ("validate", "vi-solve", {"load": {"density": 1.0}, "obstacles": {"gamma": 1.0}}),
+    ("vi-solve", "vi-solve", {"load": {"density": 1.0}, "obstacles": {"gamma": 1.0}}),
+    ("gap-scan", "gap-scan", {}),
+])
+def test_mesh_beyond_memory_is_a_diagnostic(tmp_path, command, problem, params):
+    """A mesh whose arrays cannot be allocated is an exit-2 diagnostic naming
+    it, and a run still writes strict-JSON ``summary.json``.  The child
+    process caps its own address space at 1 GiB, so no allocation it tries
+    can use more memory than that."""
+    import subprocess
+    import sys
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config_for(problem, params, nx=100_000, ny=100_000,
+                                          outdir=tmp_path / "h")))
+    child = ("import resource, sys; "
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+             "from hingedplate.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", child, command, "--config", str(path)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 2, proc.stderr
+    out = proc.stdout if command == "validate" else proc.stderr
+    assert out.startswith("violation: mesh 100000x100000 does not fit in memory")
+    if command != "validate":
+        stored = json.loads((tmp_path / "h" / "summary.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert stored["diagnostics"][0].startswith("mesh 100000x100000")
+
+
+def _readme_keys(start, end):
+    """{name: keys} from a README "Command line" bullet list between the
+    lines ``start`` and ``end``: the backticked names of each bullet, outside
+    parentheses."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = text.split("Each problem reads these `params` keys", 1)[1]
-    section = section.split("The nested objects:", 1)[0]
+    section = text.split(start, 1)[1].split(end, 1)[0]
     bullets = re.split(r"^\* ", section, flags=re.M)[1:]
     out = {}
     for bullet in bullets:
-        problem, body = re.match(r"`([a-z-]+)`:(.*)", " ".join(bullet.split())).groups()
+        name, body = re.match(r"`([a-z_-]+)`:(.*)", " ".join(bullet.split())).groups()
         while re.search(r"\([^()]*\)", body):
             body = re.sub(r"\([^()]*\)", "", body)
-        out[problem] = set(re.findall(r"`([a-z_]+)`", body))
+        out[name] = set(re.findall(r"`([a-z_]+)`", body))
     return out
 
 
 def test_readme_params_keys_match_the_readers():
-    assert _readme_params_keys() == cli._PARAMS_KEYS
+    assert _readme_keys("Each problem reads these `params` keys",
+                        "The nested objects:") == cli._PARAMS_KEYS
+    nested = {"load": cli._LOAD_KEYS, "obstacles": cli._OBSTACLE_KEYS,
+              "force_class": cli._FORCE_CLASS_KEYS, "family": cli._FAMILY_KEYS}
+    assert _readme_keys("The nested objects:", "As in `material`") == {
+        name: set().union(*kinds.values()) for name, kinds in nested.items()}

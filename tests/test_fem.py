@@ -7,8 +7,9 @@ import scipy.sparse as sp
 from hingedplate import (DofField, LoadSpec, Mesh, PlateOperator,
                          ReinforcementMask, assemble_bilinear, assemble_load,
                          energy, point_eval, symmetry_decompose)
-from hingedplate.fem import (DOF_DY, DOF_VALUE, LONG, _GAUSS_PTS, _GAUSS_WTS,
-                             _X_MIRROR_SIGNS, _Y_MIRROR_SIGNS, AssembledForm,
+from hingedplate.fem import (DOF_DX, DOF_DXY, DOF_DY, DOF_VALUE, LONG,
+                             _GAUSS_PTS, _GAUSS_WTS, _X_MIRROR_SIGNS,
+                             _Y_MIRROR_SIGNS, AssembledForm, OrbitBasis,
                              _density_evaluator, _hermite_1d, _local_rows,
                              _mirror_permutation, apply_functional,
                              element_stiffness, field_to_csv, quad_form,
@@ -104,6 +105,104 @@ class TestDofGrid:
         want_perm, want_signs = _reference_mirror_permutation(mesh, axis)
         assert perm.dtype == want_perm.dtype and np.array_equal(perm, want_perm)
         assert signs.dtype == want_signs.dtype and np.array_equal(signs, want_signs)
+
+
+GROUPS = [{"x": 1, "y": 1}, {"x": 1}, {"y": 1}, {"y": -1}, {"x": -1, "y": 1},
+          {"x": -1, "y": -1}]
+
+
+def _orbit_matrix(basis):
+    """Dense R: column a is the full field of coordinate vector e_a."""
+    return np.stack([basis.expand(e) for e in np.eye(basis.n_dofs)], axis=1)
+
+
+def _group_average(mesh, group, field):
+    """Mean of the images of ``field`` under every element of ``group``."""
+    images = [field]
+    for axis, eps in group.items():
+        reflect = reflect_x if axis == "x" else reflect_y
+        images += [DofField(mesh, eps * reflect(f).dofs) for f in images]
+    return sum(f.dofs for f in images) / len(images)
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 2), (7, 3), (16, 4)])
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: "".join(
+    f"{a}{'+' if s > 0 else '-'}" for a, s in g.items()))
+class TestOrbitBasis:
+    def test_expanded_fields_are_invariant(self, nx, ny, group):
+        mesh = Mesh(nx, ny, 0.1)
+        basis = OrbitBasis(mesh, group)
+        fld = DofField(mesh, basis.expand(np.random.default_rng(3).normal(
+            size=basis.n_dofs)))
+        for axis, eps in group.items():
+            reflect = reflect_x if axis == "x" else reflect_y
+            assert np.array_equal(reflect(fld).dofs, eps * fld.dofs)
+
+    def test_spans_every_invariant_field(self, nx, ny, group):
+        mesh = Mesh(nx, ny, 0.1)
+        basis = OrbitBasis(mesh, group)
+        x = _group_average(mesh, group, DofField(
+            mesh, np.random.default_rng(4).normal(size=mesh.n_dofs)))
+        # R'R is diagonal: the orbit sizes, 0 on the coordinates forced to zero
+        sizes = basis.restrict(basis.sign)
+        coords = np.divide(basis.restrict(x), sizes, out=np.zeros(basis.n_dofs),
+                           where=sizes > 0)
+        assert np.allclose(basis.expand(coords), x, rtol=0.0, atol=1e-14)
+
+    def test_layout_is_a_dof_grid_of_representatives(self, nx, ny, group):
+        mesh = Mesh(nx, ny, 0.1)
+        basis = OrbitBasis(mesh, group)
+        assert (basis.nx, basis.ny) == (nx // 2 if "x" in group else nx,
+                                       ny // 2 if "y" in group else ny)
+        rep = basis.representatives
+        assert np.array_equal(basis.coordinate[rep], np.arange(basis.n_dofs))
+        assert np.array_equal(rep[basis.dof_grid()],
+                              mesh.dof_grid()[:basis.ny + 1, :basis.nx + 1])
+        assert np.array_equal(basis.free_dof_mask(),
+                              mesh.free_dof_mask()[rep] & (basis.sign[rep] != 0.0))
+        assert np.array_equal(basis.node_orbit[basis.representative_nodes],
+                              np.arange(basis.n_nodes))
+
+    def test_restricted_form_is_rt_k_r(self, nx, ny, group, params):
+        mesh = Mesh(nx, ny, 0.1)
+        basis = OrbitBasis(mesh, group)
+        form = assemble_bilinear(mesh, params)
+        r = _orbit_matrix(basis)
+        want = r.T @ form.matrix.toarray() @ r
+        got = basis.restrict_form(form).csr.toarray().astype(float)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+        b = assemble_load(mesh, LoadSpec(density=1.0))
+        assert np.allclose(basis.restrict(b).astype(float), r.T @ b.astype(float),
+                           rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("group, line_dofs", [
+    ({"x": 1}, {"x": [DOF_DX, DOF_DXY]}),
+    ({"y": 1}, {"y": [DOF_DY, DOF_DXY]}),
+    ({"y": -1}, {"y": [DOF_VALUE, DOF_DX]}),
+    ({"x": 1, "y": 1}, {"x": [DOF_DX, DOF_DXY], "y": [DOF_DY, DOF_DXY]}),
+    ({"x": -1, "y": 1}, {"x": [DOF_VALUE, DOF_DY], "y": [DOF_DY, DOF_DXY]}),
+])
+def test_orbit_basis_zeroes_the_dofs_a_mirror_negates(group, line_dofs):
+    """On the fixed line of a mirror (x = pi/2, y = 0), the dofs it maps to
+    their own negative are zero in every invariant field; no other dof is,
+    and odd element counts have no fixed line."""
+    mesh = Mesh(8, 4, 0.1)
+    zero = np.zeros_like(mesh.dof_grid(), dtype=bool)
+    for axis, dofs in line_dofs.items():
+        if axis == "x":
+            zero[:, 4, dofs] = True
+        else:
+            zero[2, :, dofs] = True
+    assert np.array_equal(OrbitBasis(mesh, group).sign == 0.0, zero.ravel())
+    assert np.all(OrbitBasis(Mesh(9, 5, 0.1), group).sign != 0.0)
+
+
+def test_orbit_basis_rejects_other_groups():
+    with pytest.raises(ValueError, match="mirror group"):
+        OrbitBasis(Mesh(8, 4, 0.1), {"z": 1})
+    with pytest.raises(ValueError, match="mirror group"):
+        OrbitBasis(Mesh(8, 4, 0.1), {"x": 2})
 
 
 class TestAssembly:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hingedplate import (BoxConstraints, DofField, LoadSpec,
+from hingedplate import (BoxConstraints, DofField, LoadSpec, Mesh,
                          ObstacleSpec, ReinforcementMask, ScanWindow,
                          SeriesState, analytic_bound_C, best_obstacle,
                          best_reinforcement, classify_regime,
@@ -434,6 +434,17 @@ class TestPlacementBounds:
         zmax = max(float(np.max(uniform_load_profile((mesh_small.xs, y), state)))
                    for y in mesh_small.ys)
         assert rep["weighted_green_bound"] == pytest.approx(zmax, rel=1e-9)
+
+    def test_rejects_a_mesh_of_another_plate(self, slim_params):
+        """The kernel is the plate of ``state``; a mesh of another width
+        would integrate it over the wrong strip and report no bound."""
+        state = SeriesState(slim_params, m_max=200)
+        mesh = Mesh(32, 8, 0.01)
+        mask = ReinforcementMask(np.zeros((8, 32), dtype=bool), 1.0, 1.0)
+        with pytest.raises(ValueError, match="half-width"):
+            placement_bound_report(mask, state, mesh)
+        matching = Mesh(32, 8, slim_params.half_width)
+        assert placement_bound_report(mask, state, matching)["weighted_green_bound"] > 1.0
 
     def test_bound_chain(self, operator_small, mesh_small, params):
         state = SeriesState(params, m_max=200)

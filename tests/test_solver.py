@@ -12,8 +12,10 @@ from hingedplate import (AntisymDelta, BoxConstraints, LoadSpec, Mesh,
                          solve_obstacle, symmetry_decompose,
                          uniform_load_profile)
 from hingedplate import solver
-from hingedplate.fem import DOF_VALUE, assemble_load
-from hingedplate.solver import IterationLimitError, PlateOperator
+from hingedplate.fem import DOF_VALUE, OrbitBasis, assemble_load
+from hingedplate.optimize import _cell_density
+from hingedplate.solver import (IterationLimitError, PlateOperator, SolverError,
+                                expand_solution, reduce_problem)
 
 SIN_LOAD = LoadSpec(density=lambda x, y: np.sin(x))
 
@@ -355,6 +357,97 @@ class TestSymmetryTransfer:
         mirrored = reflect_x(sol.field)
         diff = np.max(np.abs(mirrored.dofs - sol.field.dofs))
         assert diff <= 1e-10 * max(sol.field.sup_norm(), 1e-30)
+
+
+def _cells(signs):
+    return LoadSpec(density=_cell_density(np.array(signs), 0.1))
+
+
+#: (group, load, obstacle): data invariant under each group, with contacts
+REDUCIBLE = {
+    "x+y+": ({"x": 1, "y": 1}, LoadSpec(density=1.0),
+             ObstacleSpec(lower=-1.0, upper=0.25, region="full")),
+    "x+": ({"x": 1}, _cells([[1.0, 1.0], [0.2, 0.2]]),
+           ObstacleSpec(lower=-1.0, upper=0.2, region="full")),
+    "y+": ({"y": 1}, _cells([[1.0, 0.3], [1.0, 0.3]]),
+           ObstacleSpec(lower=-1.0, upper=0.3, region="full")),
+    "y-": ({"y": -1}, _cells([[-1.0, -0.3], [1.0, 0.3]]),
+           ObstacleSpec.constant_level(0.002, region="long_edges")),
+}
+
+
+def _reduced_solve(op, rhs, box, group):
+    basis = OrbitBasis(op.mesh, group)
+    return expand_solution(solve_obstacle(*reduce_problem(op, rhs, box, basis)),
+                           op, rhs, box, basis)
+
+
+class TestOrbitReduction:
+    """Solves on the invariant subspace, certified in the full space, against
+    the full solve of the same data."""
+
+    # odd element counts have no fixed line
+    @pytest.mark.parametrize("nx, ny, case", [
+        (nx, ny, case) for nx, ny in [(32, 8), (64, 16)] for case in sorted(REDUCIBLE)]
+        + [(33, 9, "x+y+")])
+    def test_reduced_and_full_solves_agree(self, params, nx, ny, case):
+        group, load, obstacle = REDUCIBLE[case]
+        mesh = Mesh(nx, ny, params.half_width)
+        op = PlateOperator.build(mesh, params)
+        rhs = assemble_load(mesh, load)
+        box = BoxConstraints.from_obstacle(mesh, obstacle)
+        full = solve_obstacle(op, rhs, box)
+        reduced = _reduced_solve(op, rhs, box, group)
+        assert full.upper_contact.size > 0
+        assert np.array_equal(reduced.upper_contact, full.upper_contact)
+        assert np.array_equal(reduced.lower_contact, full.lower_contact)
+        scale = np.max(np.abs(full.field.dofs))
+        assert np.max(np.abs(reduced.field.dofs - full.field.dofs)) <= 1e-9 * scale
+        rep = kkt_report(reduced, op, rhs, box)
+        assert rep["stationarity"] <= 1e-9
+        assert rep["feasibility"] == 0.0 and rep["complementarity"] == 0.0
+        vals = reduced.field.node_values
+        assert np.all(vals[reduced.upper_contact] == obstacle.upper)
+        assert np.all(vals[reduced.lower_contact] == obstacle.lower)
+        assert reduced.iterations <= full.iterations
+
+    def test_wrong_group_on_a_load_is_an_error(self, operator_mid, mesh_mid):
+        """The y+ load is not x-invariant: the x-reduced field fails the
+        full-space certificate and is never returned."""
+        _, load, obstacle = REDUCIBLE["y+"]
+        rhs = assemble_load(mesh_mid, load)
+        box = BoxConstraints.from_obstacle(mesh_mid, obstacle)
+        with pytest.raises(SolverError):
+            _reduced_solve(operator_mid, rhs, box, {"x": 1})
+
+    def test_wrong_group_on_a_box_is_an_error(self, operator_mid, mesh_mid):
+        """Negation maps the box [-1, 0.25] onto [-0.25, 1]: no reduced solve."""
+        rhs = assemble_load(mesh_mid, _cells([[-1.0, -1.0], [1.0, 1.0]]))
+        box = BoxConstraints.from_obstacle(
+            mesh_mid, ObstacleSpec(lower=-1.0, upper=0.25, region="full"))
+        with pytest.raises(SolverError, match="not invariant"):
+            reduce_problem(operator_mid, rhs, box, OrbitBasis(mesh_mid, {"y": -1}))
+
+    def test_closing_certificate_rejects_a_wrong_sign(self, operator_small,
+                                                     mesh_small):
+        """The shared closing step refuses a contact whose multiplier points
+        into the box, whichever path built it."""
+        rhs = assemble_load(mesh_small, LoadSpec(density=1.0))
+        box = BoxConstraints.from_obstacle(
+            mesh_small, ObstacleSpec(lower=-1.0, upper=0.25, region="full"))
+        sol = solve_obstacle(operator_small, rhs, box)
+        dofs, lo, hi = solver._box_dof_arrays(operator_small, box)
+        x = sol.field.dofs.astype(np.longdouble)
+        act_hi = np.isin(dofs // 4, sol.upper_contact)
+        act_lo = np.zeros_like(act_hi)
+        # call a free node a lower contact whose multiplier points up
+        resid = solver._residual(operator_small, rhs, x)
+        k = int(np.flatnonzero(~act_hi)[0])
+        resid[dofs[k]] = 1e-30
+        act_lo[k] = True
+        with pytest.raises(SolverError, match="points into the box"):
+            solver._certified(operator_small, rhs, (dofs, lo, hi), x, resid,
+                              act_lo, act_hi, sol.iterations)
 
 
 class TestReinforcedAndWeighted:
