@@ -400,7 +400,6 @@ def _read_solve(p, ctx):
 def _read_vi_solve(p, ctx):
     mesh = ctx["mesh"]
     load = _build_load(p["load"], ctx["params"].half_width)
-    load.validate(mesh)
     obstacle = _build_obstacle(p["obstacles"])
     box = BoxConstraints.from_obstacle(mesh, obstacle)
     variant = p.get("variant")
@@ -415,6 +414,7 @@ def _read_vi_solve(p, ctx):
         mask.check_shape(mesh)
     elif {"alpha", "beta", "mask"} & set(p):
         raise ValueError("alpha, beta and mask apply to variants E1 and E2 only")
+    load.validate(mesh, weight=mask if variant == "E2" else None)
     group = _mirror_group(p["load"], load, obstacle, mask)
 
     def run(outdir):

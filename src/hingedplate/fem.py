@@ -14,7 +14,8 @@ the fourth-order operator's conditioning (~h^-4) otherwise drowns the
 fine-mesh discretization error in assembly roundoff.  An assembled operator
 is stored once, as a longdouble CSR matrix; its float64 view for the sparse
 factorization is a cast of that matrix.  Loads and stiffness are assembled
-for the whole mesh at once from one (ny, nx, 16) element-dof table.
+for the whole mesh at once from one (ny, nx, 16) element-dof table, each
+element weighted by a reinforcement mask's weights when one is given.
 """
 
 from dataclasses import dataclass
@@ -264,10 +265,15 @@ class LoadSpec:
         """Antisymmetric pair (delta_(xi,eta) - delta_(xi,-eta)) / 2."""
         return cls(point_masses=((xi, eta, 0.5), (xi, -eta, -0.5)))
 
-    def validate(self, mesh):
+    def validate(self, mesh, weight=None):
+        """Raise unless every point mass lies on the plate and, with a density
+        ``weight`` given, there is none: point masses cannot be weighted."""
         for (x, y, _) in self.point_masses:
             if not mesh.contains(x, y):
                 raise ValueError(f"point mass at ({x}, {y}) outside the closed plate")
+        if weight is not None and self.point_masses and not weight.is_degenerate:
+            raise ValueError("density weighting applies to integrable loads only; "
+                             "remove point masses")
 
 
 @dataclass(frozen=True)
@@ -341,9 +347,7 @@ class AssembledForm:
     """Symmetric operator on the dof space, kept in extended precision.
 
     Stored once, as a longdouble CSR matrix whose rows hold sorted,
-    duplicate-free columns.  Weighted combinations (for two-material
-    energies) stay exact: a sum concatenates the triplets of both forms and
-    reduces them again.
+    duplicate-free columns.
     """
 
     def __init__(self, csr):
@@ -367,10 +371,6 @@ class AssembledForm:
                                  shape=shape))
 
     @property
-    def shape(self):
-        return self.csr.shape
-
-    @property
     def matrix(self):
         """float64 CSR cast of the operator."""
         return self.csr.astype(float)
@@ -382,44 +382,28 @@ class AssembledForm:
         """
         return self.csr @ x
 
-    def scaled(self, c):
-        return AssembledForm(self.csr * LONG(c))
 
-    def __add__(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        a, b = self.csr.tocoo(), other.csr.tocoo()
-        return AssembledForm.from_triplets(
-            self.shape, np.concatenate([a.row, b.row]),
-            np.concatenate([a.col, b.col]), np.concatenate([a.data, b.data]))
+def _element_weights(mesh, weight):
+    """(ny, nx) weights of a ReinforcementMask: beta on D, alpha off D; ones,
+    which multiply exactly, without one."""
+    if weight is None:
+        return np.ones((mesh.ny, mesh.nx))
+    weight.check_shape(mesh)
+    return weight.weights
 
 
-def _element_selector(mesh, region):
-    if region is None:
-        return np.ones((mesh.ny, mesh.nx), dtype=bool)
-    if isinstance(region, ReinforcementMask):
-        region.check_shape(mesh)
-        return region.elements
-    sel = np.asarray(region, dtype=bool)
-    if sel.shape != (mesh.ny, mesh.nx):
-        raise ValueError(f"region shape {sel.shape} does not match mesh")
-    return sel
+def assemble_bilinear(mesh, params, weight=None):
+    """Galerkin matrix of the energy inner product, in extended precision.
 
-
-def assemble_bilinear(mesh, params, region=None):
-    """Galerkin matrix of the energy inner product over ``region``.
-
-    ``region`` is None for the whole plate, a ReinforcementMask, or a boolean
-    (ny, nx) element selector.  Restriction to a region simply drops the
-    element contributions outside it; matrices over complementary regions add
-    exactly to the full one.
+    With a ReinforcementMask ``weight``, each element matrix is multiplied
+    by beta on D and alpha off D, as ``assemble_load`` weights the density:
+    the stiffness of the stiffness-weighted energy.
     """
-    sel = _element_selector(mesh, region)
     Ke = element_stiffness(mesh.hx, mesh.hy, params.sigma)
-    gl = mesh.element_dof_table()[sel]  # (n_sel, 16), elements row-major
+    gl = mesh.element_dof_table().reshape(-1, 16)  # elements row-major
     rows = np.repeat(gl, 16, axis=1).ravel()
     cols = np.tile(gl, 16).ravel()
-    vals = np.tile(Ke.ravel(), len(gl))
+    vals = (_element_weights(mesh, weight).astype(LONG)[..., None] * Ke.ravel()).ravel()
     return AssembledForm.from_triplets((mesh.n_dofs, mesh.n_dofs), rows, cols, vals)
 
 
@@ -441,10 +425,7 @@ def assemble_load(mesh, load, weight=None):
     given, the density is multiplied by beta on D and alpha off D; point
     masses cannot be weighted.
     """
-    load.validate(mesh)
-    if weight is not None and load.point_masses and not weight.is_degenerate:
-        raise ValueError("density weighting applies to integrable loads only; "
-                         "remove point masses")
+    load.validate(mesh, weight)
     b = np.zeros(mesh.n_dofs, dtype=LONG)
     if load.density is not None:
         f = _density_evaluator(load.density)
@@ -459,10 +440,7 @@ def assemble_load(mesh, load, weight=None):
         X = np.broadcast_to(x0[:, None, None] + (tq * mesh.hx)[:, None], shape).copy()
         Y = np.broadcast_to(y0[:, None, None, None] + tq * mesh.hy, shape).copy()
         fv = np.asarray(f(X, Y), dtype=float)
-        w_elem = np.ones((mesh.ny, mesh.nx))
-        if weight is not None and not weight.is_degenerate:
-            weight.check_shape(mesh)
-            w_elem = weight.weights
+        w_elem = _element_weights(mesh, weight)
         coef = (np.outer(wq, wq) * w_elem[..., None, None] * fv).astype(LONG)
         fe = np.zeros((mesh.ny, mesh.nx, 16), dtype=LONG)
         for a, tx in enumerate(tq):

@@ -485,7 +485,11 @@ def edge_gap_series_scan(state, window=None, nxi=33, neta=9, n_abscissae=65):
     }
 
 
-def placement_bound_report(mask, state, mesh, quad_points=8):
+#: Gauss-Legendre points per element row in ``placement_bound_report``
+PLACEMENT_QUAD_POINTS = 8
+
+
+def placement_bound_report(mask, state, mesh):
     """Certified upper bounds for the worst amplitude of one layout.
 
     Evaluates, over the mesh node grid, the weighted kernel integral
@@ -507,7 +511,7 @@ def placement_bound_report(mask, state, mesh, quad_points=8):
                          f"{params.half_width!r}")
     mask.check_shape(mesh)
     xs, ys = mesh.xs, mesh.ys
-    gauss_t, gauss_w = np.polynomial.legendre.leggauss(quad_points)
+    gauss_t, gauss_w = np.polynomial.legendre.leggauss(PLACEMENT_QUAD_POINTS)
     mid = 0.5 * (ys[:-1] + ys[1:])
     half = 0.5 * (ys[1:] - ys[:-1])
     w_elem = mask.weights  # (ny, nx)

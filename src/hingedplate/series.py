@@ -253,22 +253,22 @@ def antisym_solution(load, q, state):
     return series_sum(term, state.m_max)
 
 
-def antisym_edge_profile(xi_grid, eta_grid, x_grid, state, y=None):
-    """Vectorized antisymmetric solutions on the long edge.
+def antisym_edge_profile(xi_grid, eta_grid, x_grid, state):
+    """Vectorized antisymmetric solutions on the upper long edge.
 
-    Returns the array v[i, j, k] of deflections at (x_grid[k], y) for the
-    point-pair load at (xi_grid[i], eta_grid[j]); y defaults to the upper
-    edge.  One pass over the Fourier index serves the whole scan.
+    Returns the array v[i, j, k] of deflections at (x_grid[k], l) for the
+    point-pair load at (xi_grid[i], eta_grid[j]).  One pass over the Fourier
+    index serves the whole scan.
     """
     params = state.params
-    y_eval = params.half_width if y is None else y
+    l = params.half_width
     xi = np.asarray(xi_grid, dtype=float)
     eta = np.asarray(eta_grid, dtype=float)
     x = np.asarray(x_grid, dtype=float)
 
     def term(m):
         mc = m[:, None]
-        dphi = phi_m(y_eval, eta, mc, params) - phi_m(y_eval, -eta, mc, params)
+        dphi = phi_m(l, eta, mc, params) - phi_m(l, -eta, mc, params)
         # one (xi, eta, x) tensor per index, formed as the sum consumes it
         return (np.einsum("i,j,k->ijk", a, b, c) / (4.0 * np.pi * (mk * mk * mk))
                 for a, b, c, mk in zip(np.sin(mc * xi), dphi, np.sin(mc * x), m))
@@ -276,7 +276,11 @@ def antisym_edge_profile(xi_grid, eta_grid, x_grid, state, y=None):
     return series_sum(term, state.m_max)
 
 
-def uniform_load_profile(q, state, quad_points=32):
+#: Gauss-Legendre points of the ordinate integral in ``uniform_load_profile``
+PROFILE_QUAD_POINTS = 32
+
+
+def uniform_load_profile(q, state):
     """Deflection z(x, y) under the unit uniform load, by term-wise integration.
 
     The abscissa integral of sin(m xi) over (0, pi) is 2/m for odd m and 0
@@ -286,7 +290,7 @@ def uniform_load_profile(q, state, quad_points=32):
     x, y = q
     params = state.params
     l = params.half_width
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    nodes, weights = np.polynomial.legendre.leggauss(PROFILE_QUAD_POINTS)
     eta_q = nodes * l
     w_q = weights * l
     nd = np.broadcast(x, y).ndim

@@ -176,13 +176,9 @@ class PlateOperator:
 
     @classmethod
     def build(cls, mesh, params, mask=None):
-        """Operator of the base or stiffness-weighted energy."""
-        full = assemble_bilinear(mesh, params)
-        if mask is None or mask.is_degenerate:
-            return cls(mesh, full)
-        region = assemble_bilinear(mesh, params, region=mask)
-        weighted = full.scaled(mask.alpha) + region.scaled(mask.beta - mask.alpha)
-        return cls(mesh, weighted)
+        """Operator of the base energy, or of the stiffness-weighted one whose
+        elements ``mask.weights`` weights, from one assembly."""
+        return cls(mesh, assemble_bilinear(mesh, params, weight=mask))
 
     def _factor_free(self):
         """The free block's factor, built on first use.  Its minimum-degree
@@ -238,12 +234,10 @@ class PlateOperator:
         full[idx] = x
         return full
 
-    def residual_scale(self, rhs_full, x=None):
+    def residual_scale(self, rhs_full, x):
         """Backward-stable normalization |b| + |K| |x| for relative residuals."""
-        scale = float(np.max(np.abs(rhs_full.astype(float))))
-        if x is not None:
-            scale += self._norm_estimate * float(
-                np.max(np.abs(np.asarray(x, dtype=float))))
+        scale = (float(np.max(np.abs(rhs_full.astype(float))))
+                 + self._norm_estimate * float(np.max(np.abs(np.asarray(x, dtype=float)))))
         return max(scale, 1e-300)
 
 

@@ -348,12 +348,19 @@ class TestRun:
                                                "centers_per_axis": 3},
                                     "obstacles": {"kind": "bounds", "lower": 0.5,
                                                   "upper": 1.0}}),
+        ("vi-solve", {"load": {"density": 1.0, "point_masses": [[1.0, 0.0, 1.0]]},
+                      "obstacles": {"gamma": 1.0}, "variant": "E2", "alpha": 0.5,
+                      "beta": 2.5, "mask": [[i < 4 for i in range(16)]] * 4}),
+        ("vi-solve", {"load": {"antisym_delta": [1.0, 0.05]},
+                      "obstacles": {"gamma": 1.0}, "variant": "E2", "alpha": 0.5,
+                      "beta": 2.5, "mask": [[i < 4 for i in range(16)]] * 4}),
     ], ids=["string-obstacles", "number-force_class", "number-point_masses",
             "number-levels", "number-points", "number-source",
             "number-antisym_delta", "list-force_class", "missing-points",
             "unknown-density-kind", "unknown-obstacle-kind", "E1-without-mask",
             "unknown-family-kind", "string-mu", "E2-point-loads",
-            "gap-scan-positive-lower", "reinforcement-positive-lower"])
+            "gap-scan-positive-lower", "reinforcement-positive-lower",
+            "vi-solve-E2-point-masses", "vi-solve-E2-antisym-delta"])
     def test_validate_reports_what_run_reports(self, tmp_path, problem, params):
         cfg = config_for(problem, params, outdir=tmp_path / "p")
         code, summary = run(cfg)

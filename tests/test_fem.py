@@ -207,14 +207,17 @@ def test_orbit_basis_rejects_other_groups():
 
 class TestAssembly:
     def test_region_additivity_is_exact_to_rounding(self, mesh_small, params):
-        # integrals over D and its complement add with no quadrature or
-        # cut-cell error; only final-rounding ulps may differ
+        # weightings over D and its complement add to (alpha + beta) K with
+        # no quadrature or cut-cell error; only final-rounding ulps may differ
         sel = np.zeros((mesh_small.ny, mesh_small.nx), dtype=bool)
         sel[:, : mesh_small.nx // 3] = True
         sel[2, 5] = True
-        full = assemble_bilinear(mesh_small, params).matrix
-        part = (assemble_bilinear(mesh_small, params, region=sel).matrix
-                + assemble_bilinear(mesh_small, params, region=~sel).matrix)
+        alpha, beta = 0.5, 2.0
+        full = (alpha + beta) * assemble_bilinear(mesh_small, params).matrix
+        part = (assemble_bilinear(mesh_small, params,
+                                  weight=ReinforcementMask(sel, alpha, beta)).matrix
+                + assemble_bilinear(mesh_small, params,
+                                    weight=ReinforcementMask(~sel, alpha, beta)).matrix)
         diff = (full - part)
         scale = np.max(np.abs(full.data))
         assert diff.nnz == 0 or np.max(np.abs(diff.data)) <= 1e-15 * scale
@@ -238,16 +241,21 @@ class TestAssembly:
         assert quad == pytest.approx(np.pi * params.half_width, rel=1e-5)
 
     def test_weighted_combination(self, mesh_small, params):
+        # weighting each element is alpha K + (beta - alpha) K_D, with K_D
+        # the stiffness of D alone: no quadrature or cut-cell error, only
+        # final-rounding ulps may differ
         sel = np.zeros((mesh_small.ny, mesh_small.nx), dtype=bool)
-        sel[:, :4] = True
-        alpha, beta = 0.5, 2.0
-        full = assemble_bilinear(mesh_small, params)
-        region = assemble_bilinear(mesh_small, params, region=sel)
-        weighted = full.scaled(alpha) + region.scaled(beta - alpha)
-        probe = np.sin(np.arange(mesh_small.n_dofs))
-        lhs = weighted.matrix @ probe
-        rhs = alpha * (full.matrix @ probe) + (beta - alpha) * (region.matrix @ probe)
-        assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-18)
+        sel[:, : mesh_small.nx // 3] = True
+        sel[2, 5] = True
+        mask = ReinforcementMask(sel, alpha=0.5, beta=2.0)
+        k_d = _reference_matrix(mesh_small.n_dofs,
+                                _reference_triplets(mesh_small, params, sel))
+        want = (mask.alpha * assemble_bilinear(mesh_small, params).matrix
+                + (mask.beta - mask.alpha) * k_d)
+        got = assemble_bilinear(mesh_small, params, weight=mask).matrix
+        diff = got - want
+        scale = np.max(np.abs(got.data))
+        assert diff.nnz == 0 or np.max(np.abs(diff.data)) <= 1e-15 * scale
 
 
 class TestLoads:
@@ -320,19 +328,19 @@ def _reference_element_dofs(mesh, ei, ej):
     return np.array(out, dtype=np.int64)
 
 
-def _reference_triplets(mesh, params, sel=None):
+def _reference_triplets(mesh, params, w_elem=None):
     """Deduplicated (rows, cols, vals) of the Galerkin matrix, one element
-    at a time, duplicates summed in element order."""
+    at a time, each element matrix times its entry of the (ny, nx) weights
+    ``w_elem`` when given, duplicates summed in element order."""
     Ke = element_stiffness(mesh.hx, mesh.hy, params.sigma)
     rows, cols, vals = [], [], []
     for ej in range(mesh.ny):
         for ei in range(mesh.nx):
-            if sel is not None and not sel[ej, ei]:
-                continue
+            w = 1.0 if w_elem is None else w_elem[ej, ei]
             gl = _reference_element_dofs(mesh, ei, ej)
             rows.append(np.repeat(gl, 16))
             cols.append(np.tile(gl, 16))
-            vals.append(Ke.ravel())
+            vals.append(LONG(w) * Ke.ravel())
     return _reference_reduce(np.concatenate(rows), np.concatenate(cols),
                              np.concatenate(vals))
 
@@ -344,15 +352,6 @@ def _reference_reduce(rows, cols, vals):
     keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
     starts = np.flatnonzero(keep)
     return rows[starts], cols[starts], np.add.reduceat(vals, starts)
-
-
-def _reference_weighted(mesh, params, sel, alpha, beta):
-    """Triplets of alpha K + (beta - alpha) K_D."""
-    r0, c0, v0 = _reference_triplets(mesh, params)
-    r1, c1, v1 = _reference_triplets(mesh, params, sel)
-    return _reference_reduce(np.concatenate([r0, r1]), np.concatenate([c0, c1]),
-                             np.concatenate([v0 * LONG(alpha),
-                                             v1 * LONG(beta - alpha)]))
 
 
 def _reference_matvec(triplets, x):
@@ -378,7 +377,7 @@ def _reference_load(mesh, load, weight=None):
         wq = _GAUSS_WTS / 2
         brows = [[_local_rows(tx, ty, mesh.hx, mesh.hy) for ty in tq] for tx in tq]
         wsel = None
-        if weight is not None and not weight.is_degenerate:
+        if weight is not None:
             wsel = np.where(weight.elements, weight.beta, weight.alpha)
         scale = LONG(mesh.hx) * LONG(mesh.hy)
         for ej in range(mesh.ny):
@@ -409,19 +408,15 @@ def _region(mesh):
 class TestKernelsBitForBit:
     """Whole-array assembly and the longdouble CSR reproduce the loops."""
 
-    @pytest.fixture(params=["full", "region", "weighted"])
+    @pytest.fixture(params=["full", "weighted"])
     def form_pair(self, request, mesh_small, params):
-        sel = _region(mesh_small)
         if request.param == "full":
             return (assemble_bilinear(mesh_small, params),
                     _reference_triplets(mesh_small, params))
-        if request.param == "region":
-            return (assemble_bilinear(mesh_small, params, region=sel),
-                    _reference_triplets(mesh_small, params, sel))
-        full = assemble_bilinear(mesh_small, params)
-        region = assemble_bilinear(mesh_small, params, region=sel)
-        return (full.scaled(0.5) + region.scaled(2.5 - 0.5),
-                _reference_weighted(mesh_small, params, sel, 0.5, 2.5))
+        sel = _region(mesh_small)
+        return (assemble_bilinear(mesh_small, params,
+                                  weight=ReinforcementMask(sel, alpha=0.5, beta=2.5)),
+                _reference_triplets(mesh_small, params, np.where(sel, 2.5, 0.5)))
 
     def test_matvec_extended(self, form_pair, mesh_small):
         form, triplets = form_pair
@@ -623,7 +618,15 @@ class TestEnergies:
         sel = np.zeros((mesh_small.ny, mesh_small.nx), dtype=bool)
         sel[:, :5] = True
         mask = ReinforcementMask(sel, alpha=1.0, beta=1.0)
+        # weights of one multiply exactly: the weighted form and load are
+        # the base ones bit for bit
+        got = PlateOperator.build(mesh_small, params, mask=mask).form.csr
+        want = assemble_bilinear(mesh_small, params).csr
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.dtype == want.dtype
         b = assemble_load(mesh_small, load)
+        assert np.array_equal(assemble_load(mesh_small, load, weight=mask), b)
         base = energy(PlateOperator.build(mesh_small, params).form, b, fld)
         e1 = energy(PlateOperator.build(mesh_small, params, mask=mask).form, b, fld)
         e2 = energy(PlateOperator.build(mesh_small, params).form,
@@ -646,9 +649,10 @@ class TestEnergies:
         mask = ReinforcementMask(_region(mesh_small), alpha=0.5, beta=2.5)
         b = assemble_load(mesh_small, LoadSpec(density=lambda x, y: np.sin(x)))
         e1 = energy(PlateOperator.build(mesh_small, params, mask=mask).form, b, fld)
+        x = fld.dofs.astype(LONG)
+        k_d = _reference_triplets(mesh_small, params, mask.elements)
         quad = (mask.alpha * quad_form(assemble_bilinear(mesh_small, params), fld)
-                + (mask.beta - mask.alpha)
-                * quad_form(assemble_bilinear(mesh_small, params, region=mask), fld))
+                + (mask.beta - mask.alpha) * float(np.dot(x, _reference_matvec(k_d, x))))
         assert e1 == pytest.approx(0.5 * quad - apply_functional(b, fld), rel=1e-12)
 
     def test_density_weighted_rejects_point_masses(self, mesh_small):

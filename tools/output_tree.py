@@ -11,7 +11,11 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
   ``gap-scan`` op, so that every problem kind is covered;
 * a 16x4 ``vi-solve`` under each reinforced energy (``E1`` and ``E2``, with a
   mask) and a ``gap-scan`` under an explicit ``bounds`` obstacle, so that
-  every obstacle and energy reader is covered.
+  every obstacle and energy reader is covered;
+* three more 16x4 ``vi-solve`` ops, so that every mirror group the solve
+  reduces by is covered: an antisymmetric point pair (``{x: 1, y: -1}``), an
+  x-odd ``cells`` density (``{x: -1, y: 1}``) and ``E1`` with a mask
+  symmetric in both axes (``{x: 1, y: 1}``).
 
 Each op writes to ``OUT_DIR/<workload>/<label>/``; ``OUT_DIR/exit_codes.txt``
 lists the exit code of every op.  Output directories are relative to
@@ -19,6 +23,7 @@ lists the exit code of every op.  Output directories are relative to
 Two trees from identical sources must not differ (``diff -r``).
 """
 
+import math
 import os
 import sys
 from pathlib import Path
@@ -50,6 +55,16 @@ def extra_ops(wl):
             "obstacles": {"kind": "bounds", "lower": -0.5 * wl.M_THRESHOLD,
                           "upper": 0.7 * wl.M_THRESHOLD},
             "force_class": {"nxi": 9, "neta": 5}})),
+        ("vi-solve-antisym", wl.config("vi-solve", {
+            "load": {"antisym_delta": [math.pi / 2, 0.075]},
+            "obstacles": {"gamma": 0.5 * wl.M_THRESHOLD}}, mesh=(16, 4))),
+        ("vi-solve-cells-x-odd", wl.config("vi-solve", {
+            "load": {"density": {"kind": "cells", "signs": [[1, -1], [1, -1]]}},
+            "obstacles": {"gamma": 0.01, "region": "full"}}, mesh=(16, 4))),
+        ("vi-solve-E1-xy", wl.config("vi-solve", {
+            **reinforced, "variant": "E1",
+            "mask": [[i < 4 or i >= 12 for i in range(16)] for _ in range(4)]},
+            mesh=(16, 4))),
     ]
 
 
