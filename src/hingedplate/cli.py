@@ -25,8 +25,9 @@ from .params import MaterialParams
 from .series import (ObstacleSpec, ScanWindow, SeriesState, analytic_bound_C,
                      green_value, uniform_load_profile)
 from .solver import (BoxConstraints, IterationLimitError, PlateOperator,
-                     SolverError, expand_solution, reduce_problem, solve_linear,
-                     solve_obstacle, solution_to_json)
+                     SolverError, expand_solution, mirror_symmetries,
+                     reduce_problem, solve_linear, solve_obstacle,
+                     solution_to_json)
 
 SCHEMA_VERSION = 1
 
@@ -415,7 +416,7 @@ def _read_vi_solve(p, ctx):
     elif {"alpha", "beta", "mask"} & set(p):
         raise ValueError("alpha, beta and mask apply to variants E1 and E2 only")
     load.validate(mesh, weight=mask if variant == "E2" else None)
-    group = _mirror_group(p["load"], load, obstacle, mask)
+    group = _mirror_group(p["load"], load, mesh, box, mask)
 
     def run(outdir):
         op = PlateOperator.build(mesh, ctx["params"],
@@ -437,22 +438,22 @@ def _read_vi_solve(p, ctx):
 _GRID_AXIS = {"x": 1, "y": 0}
 
 
-def _mirror_group(load_spec, load, obstacle, mask):
+def _mirror_group(load_spec, load, mesh, box, mask):
     """The mirrors that map a vi-solve's data onto themselves, as the group
     of an ``OrbitBasis``: each axis maps to +1 when its mirror leaves the
-    load, the obstacle and the mask as they are, else to -1 when the mirror
-    combined with negation does, else is left out.  Decided from the
-    config's structure: the density kind, the ``cells`` signs, the point
-    masses (mirrored exactly in floating point) and the mask's elements."""
+    load, the box and the mask as they are, else to -1 when the mirror
+    combined with negation does, else is left out.  The box and the mask
+    are checked by ``mirror_symmetries``, as a scan's are; the load from the
+    config's structure: the density kind, the ``cells`` signs and the point
+    masses (mirrored exactly in floating point)."""
+    allowed = mirror_symmetries(mesh, box, [mask] if mask is not None else [])
     group = {}
     for axis in ("x", "y"):
         for eps in (1, -1):
-            if (_density_invariant(load_spec.get("density"), axis, eps)
+            if ((axis == "x", axis == "y", eps) in allowed
+                    and _density_invariant(load_spec.get("density"), axis, eps)
                     and _mirrored_masses(load.point_masses, axis, eps)
-                    == sorted(load.point_masses)
-                    and (eps == 1 or obstacle.lower == -obstacle.upper)
-                    and (mask is None or np.array_equal(
-                        np.flip(mask.elements, _GRID_AXIS[axis]), mask.elements))):
+                    == sorted(load.point_masses)):
                 group[axis] = eps
                 break
     return group

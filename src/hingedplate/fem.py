@@ -97,14 +97,18 @@ class Mesh:
         return -tol <= x <= np.pi + tol and -l - tol <= y <= l + tol
 
     def locate(self, x, y):
-        """Element (ei, ej) containing (x, y) and local coordinates in [0,1]^2."""
+        """Element (ei, ej) containing (x, y) and local coordinates in [0,1]^2.
+
+        A point on the closing edge x = pi (y = l) gets the exact local
+        coordinate 1, as one on x = 0 (y = -l) gets the exact 0, so its load
+        sits on the edge's nodes alone."""
         if not self.contains(x, y):
             raise ValueError(f"point ({x}, {y}) outside the closed plate")
         l = self.half_width
         ei = min(int(np.clip(x / self.hx, 0, self.nx - 1)), self.nx - 1)
         ej = min(int(np.clip((y + l) / self.hy, 0, self.ny - 1)), self.ny - 1)
-        tx = (x - ei * self.hx) / self.hx
-        ty = (y + l - ej * self.hy) / self.hy
+        tx = 1.0 if x >= np.pi else (x - ei * self.hx) / self.hx
+        ty = 1.0 if y >= l else (y + l - ej * self.hy) / self.hy
         return ei, ej, float(np.clip(tx, 0.0, 1.0)), float(np.clip(ty, 0.0, 1.0))
 
     def element_dofs(self, ei, ej):
@@ -476,6 +480,20 @@ def _mirror_permutation(mesh, axis):
     """Dof permutation and signs realizing y -> -y (axis='y') or x -> pi - x."""
     flip, dof_signs = (0, _Y_MIRROR_SIGNS) if axis == "y" else (1, _X_MIRROR_SIGNS)
     return np.flip(mesh.dof_grid(), flip).ravel(), np.tile(dof_signs, mesh.n_nodes)
+
+
+def mirror_map(mesh, element):
+    """Dof permutation ``perm`` and signs of the mirror ``element = (fx, fy,
+    s)``: x -> pi - x when ``fx``, y -> -y when ``fy``, then multiplication
+    by ``s`` (+1 or -1).  The image of a dof vector ``v`` is
+    ``signs * v[perm]``; every element is its own inverse."""
+    fx, fy, s = element
+    perm, signs = np.arange(mesh.n_dofs), np.full(mesh.n_dofs, float(s))
+    for axis, flip in (("x", fx), ("y", fy)):
+        if flip:
+            p, q = _mirror_permutation(mesh, axis)
+            perm, signs = perm[p], signs[p] * q
+    return perm, signs
 
 
 class OrbitBasis:

@@ -3,10 +3,13 @@
 Every outer problem is an exhaustive, deterministic scan over a finite
 candidate list: unit point-load pairs on a window grid, signed unit point
 loads, bang-bang densities, rasterized reinforcement layouts, or constant
-guide levels.  Inner problems are box-constrained solves; reductions
-tie-break to the first candidate within ``TIE_RTOL`` of the optimum, so
-repeated runs are identical and round-off cannot choose between
-mirror-image candidates.
+guide levels.  Inner problems are box-constrained solves.  The loads of a
+force class come in mirror orbits; a scan solves the first member of each
+orbit and maps that solve onto the others exactly, each image certified
+against its own load, so mirror-image loads get exactly equal values.
+Reductions tie-break to the first candidate within ``TIE_RTOL`` of the
+optimum, so repeated runs are identical and round-off cannot choose between
+other near-equal candidates, such as mirror-image reinforcement layouts.
 """
 
 import itertools
@@ -17,7 +20,8 @@ import numpy as np
 from .fem import LoadSpec, ReinforcementMask, assemble_load
 from .series import (ObstacleSpec, ScanWindow, antisym_edge_profile,
                      gap_threshold_M, phi_m)
-from .solver import BoxConstraints, PlateOperator, solve_obstacle
+from .solver import (BoxConstraints, PlateOperator, SolverError, mirror_solution,
+                     mirror_symmetries, solve_obstacle)
 from .summation import series_sum
 
 __all__ = [
@@ -89,9 +93,15 @@ MAX_MEMBERS = 4096
 
 @dataclass(frozen=True)
 class ForceMember:
+    """One load of a force class.  ``sites`` holds the signs of the load on
+    the class's index grid, ``((j, i, sign), ...)`` sorted: row ``j`` (eta
+    or cell row) and column ``i`` (xi or cell column) of each point mass or
+    density cell."""
+
     label: str
     load: LoadSpec
     meta: tuple = ()
+    sites: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -100,8 +110,9 @@ class ForceClass:
 
     The point-load kinds share an nxi x neta site grid over the closure,
     restricted to ``window`` when given:
-      * ``antisym-delta``: pairs (delta_(xi,eta)-delta_(xi,-eta))/2; sites
-        with eta = 0 are dropped (they are the zero load, not unit norm).
+      * ``antisym-delta``: pairs (delta_(xi,eta)-delta_(xi,-eta))/2; the
+        midline sites (eta = 0, the middle row of an odd ``neta``) are
+        dropped: they are the zero load, not unit norm.
       * ``signed-delta``: +-delta_p.
     ``bang-bang`` densities take the values +-1, constant on a cells_x x
     cells_y partition; all sign patterns are enumerated, and a window is an error.
@@ -140,7 +151,9 @@ class ForceClass:
                 out.append(ForceMember(
                     label=f"bb[{bits:0{n_cells}b}]",
                     load=LoadSpec(density=_cell_density(signs, l)),
-                    meta=(("pattern", bits),)))
+                    meta=(("pattern", bits),),
+                    sites=tuple((j, i, int(signs[j, i]))
+                                for j in range(ky) for i in range(kx))))
             return out
         for i, xi in enumerate(np.linspace(0.0, np.pi, self.nxi)):
             for j, eta in enumerate(np.linspace(-l, l, self.neta)):
@@ -153,14 +166,27 @@ class ForceClass:
                         out.append(ForceMember(
                             label=f"{tag}d[{i},{j}]",
                             load=LoadSpec.point(xi, eta, sign),
-                            meta=site + (("sign", sign),)))
-                elif eta != 0.0:
+                            meta=site + (("sign", sign),),
+                            sites=((j, i, int(sign)),)))
+                # by index: linspace need not put the middle eta at exactly 0
+                elif 2 * j != self.neta - 1:
                     out.append(ForceMember(
                         label=f"T[{i},{j}]", load=LoadSpec.antisym_pair(xi, eta),
-                        meta=site))
+                        meta=site,
+                        sites=tuple(sorted(((j, i, 1), (self.neta - 1 - j, i, -1))))))
         if not out:
             raise ValueError("force class discretization produced no members")
         return out
+
+    def mirror(self, sites, element):
+        """The ``sites`` of the image of a member's load under the mirror
+        ``element = (fx, fy, s)`` of ``solver.MIRRORS``: ``fx`` flips the
+        grid's columns, ``fy`` its rows, and ``s`` multiplies the signs."""
+        fx, fy, s = element
+        rows, cols = ((self.cells[1], self.cells[0]) if self.kind == "bang-bang"
+                      else (self.neta, self.nxi))
+        return tuple(sorted((rows - 1 - j if fy else j, cols - 1 - i if fx else i,
+                             s * sign) for j, i, sign in sites))
 
 
 def _cell_density(signs, half_width):
@@ -314,7 +340,8 @@ class ScanResult:
     """A scan's optimum ``value`` over its candidate ``rows`` and its argopt:
     the first candidate within ``TIE_RTOL`` (relative) of the optimum.  The
     argopt's own row value, and the profile kept for a gap scan, may differ
-    from ``value`` by up to that tolerance."""
+    from ``value`` by up to that tolerance; mirror-image loads have exactly
+    equal values, so the first of them is the argopt."""
 
     problem: str
     value: float
@@ -338,8 +365,9 @@ TIE_RTOL = 1e-9
 
 
 def _scan(problem, rows, maximize):
-    # mirror-image candidates agree only up to round-off, so the argopt is the
-    # first candidate within TIE_RTOL of the optimum; the value is the optimum
+    # near-equal candidates other than mirror-image loads (mirror-image
+    # layouts, say) agree only up to round-off, so the argopt is the first
+    # candidate within TIE_RTOL of the optimum; the value is the optimum
     values = [row["value"] for row in rows]
     value = max(values) if maximize else min(values)
     best = next(i for i, v in enumerate(values)
@@ -353,13 +381,48 @@ def _member_solve(operator, member, box, weight=None):
     return solve_obstacle(operator, rhs, box)
 
 
+def _orbits(forces, members, elements):
+    """For each member, the index of the first member of its orbit under the
+    mirrors ``elements`` (the identity first) and an element mapping that
+    member's load to its own; the orbits come from the members' sites."""
+    index = {m.sites: k for k, m in enumerate(members)}
+    out = []
+    for m in members:
+        images = ((index.get(forces.mirror(m.sites, g)), g) for g in elements)
+        out.append(min(((k, g) for k, g in images if k is not None),
+                       key=lambda image: image[0]))
+    return out
+
+
 def _member_rows(operator, obstacles, forces, params, weight=None):
     """Solve each force-class member under one operator and obstacle box,
-    yielding ``(solution, row)`` with the row fields both worst-load scans share."""
+    yielding ``(solution, row)`` with the row fields both worst-load scans share.
+
+    The mirrors that map the box, the operator's mask and ``weight`` onto
+    themselves split the members into orbits.  The first member of each
+    orbit is solved; every other member's solution is the image of that
+    solve, certified against the member's own load, and a member whose image
+    fails its certificate is solved as well.
+    """
     box = (obstacles if isinstance(obstacles, BoxConstraints)
            else BoxConstraints.from_obstacle(operator.mesh, obstacles))
-    for member in forces.members(params):
-        sol = _member_solve(operator, member, box, weight=weight)
+    members = forces.members(params)
+    masks = [m for m in (operator.mask, weight) if m is not None]
+    orbits = _orbits(forces, members,
+                     mirror_symmetries(operator.mesh, box, masks))
+    last = {first: k for k, (first, _) in enumerate(orbits)}
+    solved = {}
+    for k, (member, (first, element)) in enumerate(zip(members, orbits)):
+        if first == k:
+            sol = solved[k] = _member_solve(operator, member, box, weight=weight)
+        else:
+            rhs = assemble_load(operator.mesh, member.load, weight=weight)
+            try:
+                sol = mirror_solution(solved[first], operator, rhs, box, element)
+            except SolverError:
+                sol = _member_solve(operator, member, box, weight=weight)
+        if last[first] == k:
+            del solved[first]
         yield sol, {
             "label": member.label,
             "params": dict(member.meta),

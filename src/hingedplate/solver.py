@@ -31,6 +31,12 @@ the field exactly and certifies it in the full space, on the full operator
 against the full load, by the closing step every obstacle solve ends with;
 a field that fails it is an error, never a result.  The solver never picks
 a group itself.
+
+A scan over loads that are mirror images of one another solves one of them:
+``mirror_symmetries`` lists the mirrors (``MIRRORS``) that map a box, and
+the reinforcement masks of an energy, onto themselves, and
+``mirror_solution`` maps a solve through one of them exactly and certifies
+the image, by the same closing step, against its own load.
 """
 
 from dataclasses import dataclass
@@ -39,7 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import LONG, DOF_VALUE, DofField, assemble_bilinear, energy
+from .fem import LONG, DOF_VALUE, DofField, assemble_bilinear, energy, mirror_map
 from .fem import assemble_load  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -52,6 +58,9 @@ __all__ = [
     "solve_obstacle",
     "reduce_problem",
     "expand_solution",
+    "MIRRORS",
+    "mirror_symmetries",
+    "mirror_solution",
     "kkt_report",
     "solution_to_json",
 ]
@@ -154,12 +163,14 @@ class PlateOperator:
     (``diag(s) K diag(s)`` with ``s = diag(K)^(-1/2)``), its factor, built on
     the first solve, and extended-precision refinement of every solve.  The
     free dofs ``free_idx`` run with the short axis fastest: node column
-    slowest, then node row, then the dof.
+    slowest, then node row, then the dof.  ``mask`` is the reinforcement
+    mask whose weights the form carries, None for the base energy.
     """
 
-    def __init__(self, mesh, form):
+    def __init__(self, mesh, form, mask=None):
         self.mesh = mesh
         self.form = form
+        self.mask = mask
         self.free = mesh.free_dof_mask()
         dofs = mesh.dof_grid().transpose(1, 0, 2).ravel()
         self.free_idx = dofs[self.free[dofs]]
@@ -178,7 +189,7 @@ class PlateOperator:
     def build(cls, mesh, params, mask=None):
         """Operator of the base energy, or of the stiffness-weighted one whose
         elements ``mask.weights`` weights, from one assembly."""
-        return cls(mesh, assemble_bilinear(mesh, params, weight=mask))
+        return cls(mesh, assemble_bilinear(mesh, params, weight=mask), mask)
 
     def _factor_free(self):
         """The free block's factor, built on first use.  Its minimum-degree
@@ -387,19 +398,13 @@ def reduce_problem(operator, rhs, constraints, basis):
     the operator ``R' K R``, the load ``R' b`` and, on each orbit node, the
     box of its representative node.  The caller picks the group from the
     data; a box the group does not map onto itself is a SolverError."""
+    allowed = mirror_symmetries(operator.mesh, constraints)
+    if any((axis == "x", axis == "y", eps) not in allowed
+           for axis, eps in basis.group.items()):
+        raise SolverError(f"the obstacle is not invariant under the group {basis.group}")
     rep = basis.representative_nodes
     box = BoxConstraints(constraints.node_mask[rep], constraints.lower[rep],
                          constraints.upper[rep])
-    # the box each node gets from its orbit under the group
-    orbit, s = basis.node_orbit, basis.sign[DOF_VALUE::4]
-    lower = np.where(s < 0.0, -box.upper[orbit], box.lower[orbit])
-    upper = np.where(s < 0.0, -box.lower[orbit], box.upper[orbit])
-    m = constraints.node_mask
-    if not (np.array_equal(box.node_mask[orbit], m)
-            and np.array_equal(constraints.lower[m], lower[m])
-            and np.array_equal(constraints.upper[m], upper[m])
-            and np.all((constraints.lower == -constraints.upper)[m & (s == 0.0)])):
-        raise SolverError(f"the obstacle is not invariant under the group {basis.group}")
     return (PlateOperator(basis, basis.restrict_form(operator.form)),
             basis.restrict(rhs), box)
 
@@ -425,6 +430,65 @@ def expand_solution(reduced, operator, rhs, constraints, basis):
     act_hi = ~pinned_eq & np.where(s > 0.0, on_hi, (s < 0.0) & on_lo)
     return _certified(operator, rhs, (dofs, lo, hi), x, _residual(operator, rhs, x),
                       act_lo, act_hi, reduced.iterations)
+
+
+#: the mirrors of the plate as elements ``(fx, fy, s)``: x -> pi - x when
+#: ``fx``, y -> -y when ``fy``, then multiplication by ``s``; the identity
+#: first, the negating elements last
+MIRRORS = tuple((fx, fy, s) for s in (1, -1) for fy in (False, True)
+                for fx in (False, True))
+
+
+def mirror_symmetries(mesh, constraints, masks=()):
+    """The elements of ``MIRRORS`` that map the box ``constraints`` and the
+    elements of each reinforcement mask in ``masks`` onto themselves, by
+    exact comparison: node mask and bounds under the node permutation, the
+    bounds swapped and negated under a negating element.  These are the
+    mirrors under which a problem on the plate with those data is invariant
+    whenever its load is."""
+    m, lower, upper = constraints.node_mask, constraints.lower, constraints.upper
+    nodes = np.arange(mesh.n_nodes).reshape(mesh.ny + 1, mesh.nx + 1)
+    out = []
+    for element in MIRRORS:
+        fx, fy, s = element
+        # the axes of a (ny, nx) node or element grid that the mirrors flip
+        axes = [axis for axis, flip in ((1, fx), (0, fy)) if flip]
+        perm = np.flip(nodes, axes).ravel()
+        lo, hi = (lower, upper) if s > 0 else (-upper, -lower)
+        if (np.array_equal(m[perm], m) and np.array_equal(lo[perm][m], lower[m])
+                and np.array_equal(hi[perm][m], upper[m])
+                and all(np.array_equal(np.flip(mask.elements, axes), mask.elements)
+                        for mask in masks)):
+            out.append(element)
+    return out
+
+
+def mirror_solution(solution, operator, rhs, constraints, element):
+    """The solution of the problem with load ``rhs`` as the image of
+    ``solution`` under the mirror ``element``, certified.
+
+    ``solution`` solves the problem whose load is the mirror image of
+    ``rhs``, on an operator and box that ``element`` maps onto themselves
+    (``mirror_symmetries``).  The field is its exact signed permutation and
+    the contacts are its contacts' images, on the opposite side under a
+    negating element.  The image must lie in the box exactly, and the
+    certificate is the one of ``solve_obstacle``, on the operator against
+    ``rhs`` itself; an image that fails either is a SolverError, never a
+    result.
+    """
+    perm, signs = mirror_map(operator.mesh, element)
+    x = (signs * solution.field.dofs[perm]).astype(LONG)
+    dofs, lo, hi = _box_dof_arrays(operator, constraints)
+    if np.any(x[dofs] < lo) or np.any(x[dofs] > hi):
+        raise SolverError("the image leaves the box")
+    source = perm[dofs] // 4
+    on_lo = np.isin(source, solution.lower_contact)
+    on_hi = np.isin(source, solution.upper_contact)
+    if element[2] < 0:
+        on_lo, on_hi = on_hi, on_lo
+    pinned_eq = lo == hi
+    return _certified(operator, rhs, (dofs, lo, hi), x, _residual(operator, rhs, x),
+                      pinned_eq | on_lo, ~pinned_eq & on_hi, solution.iterations)
 
 
 def kkt_report(solution, operator, rhs, constraints):

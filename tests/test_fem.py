@@ -51,6 +51,26 @@ class TestMesh:
         with pytest.raises(ValueError):
             mesh_small.locate(-0.5, 0.0)
 
+    @pytest.mark.parametrize("nx, ny", [(64, 16), (128, 32), (33, 9)])
+    def test_closing_edges_get_local_coordinate_one(self, params, slim_params,
+                                                    nx, ny):
+        """A point load on x = pi puts nothing on the free dofs, as one on
+        x = 0 does, and the load at (x, l) is the exact y-mirror of the load
+        at (x, -l): the closing edges get the exact local coordinate 1."""
+        for p in (params, slim_params):
+            mesh = Mesh(nx, ny, p.half_width)
+            l = mesh.half_width
+            free = mesh.free_dof_mask()
+            perm, signs = _mirror_permutation(mesh, "y")
+            for y in (-l, -0.3 * l, 0.0, 0.7 * l, l):
+                assert not np.any(assemble_load(mesh, LoadSpec.point(np.pi, y))[free])
+                assert mesh.locate(np.pi, y)[2] == 1.0
+            for x in (0.0, 0.4, np.pi / 2, 2.9, np.pi):
+                top = assemble_load(mesh, LoadSpec.point(x, l))
+                bottom = assemble_load(mesh, LoadSpec.point(x, -l))
+                assert np.array_equal(top, signs * bottom[perm])
+                assert mesh.locate(x, l)[3] == 1.0
+
     def test_grid_symmetry(self, mesh_small):
         assert np.allclose(mesh_small.ys, -mesh_small.ys[::-1])
         assert np.allclose(mesh_small.xs, np.pi - mesh_small.xs[::-1])

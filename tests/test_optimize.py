@@ -1,5 +1,7 @@
 """Outer scans: determinism, symmetry of maximizers, regime logic, bounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from hingedplate import (BoxConstraints, DofField, LoadSpec, Mesh,
 from hingedplate import optimize
 from hingedplate.fem import assemble_load
 from hingedplate.optimize import ForceClass, ObstacleFamily, ReinforcementFamily
-from hingedplate.solver import PlateOperator, solve_obstacle
+from hingedplate.solver import (MIRRORS, PlateOperator, mirror_symmetries,
+                                solve_obstacle)
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +131,17 @@ class TestForceClasses:
         for m in members:
             assert sum(abs(w) for (_, _, w) in m.load.point_masses) == pytest.approx(1.0)
             assert dict(m.meta)["eta"] != 0.0
+
+    @pytest.mark.parametrize("neta", [5, 9, 23, 39])
+    def test_antisym_midline_is_dropped_by_index(self, params, neta):
+        """linspace need not put the middle eta at exactly 0 (1.39e-17 for
+        neta 23 and 39 at half-width 0.1); the midline pair is still the
+        zero load, never a member."""
+        fc = ForceClass(kind="antisym-delta", window=None, nxi=3, neta=neta)
+        members = fc.members(params)
+        assert len(members) == 3 * (neta - 1)
+        assert all(abs(dict(m.meta)["eta"]) > 0.5 * params.half_width / neta
+                   for m in members)
 
     def test_signed_delta_members_come_in_pairs(self, params):
         fc = ForceClass(kind="signed-delta", nxi=5, neta=3)
@@ -351,6 +365,151 @@ class TestWorstGapForce:
         assert r1.argopt_index == r2.argopt_index
         assert r1.value == r2.value
         assert r1.rows == r2.rows
+
+
+def _member_solutions(monkeypatch, operator, box, forces, params, weight=None,
+                      direct=False):
+    """The member solutions of one scan and the number of members solved;
+    with ``direct``, no mirror applies, so every member is solved."""
+    calls = []
+    solve = optimize._member_solve
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return solve(*args, **kw)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(optimize, "_member_solve", counted)
+        if direct:
+            mp.setattr(optimize, "mirror_symmetries", lambda *args: [MIRRORS[0]])
+        sols = [sol for sol, _ in optimize._member_rows(operator, box, forces,
+                                                        params, weight=weight)]
+    return sols, len(calls)
+
+
+def _rows(values):
+    return [{"label": str(k), "value": v} for k, v in enumerate(values)]
+
+
+def _x_asymmetric_mask(mesh):
+    sel = np.zeros((mesh.ny, mesh.nx), dtype=bool)
+    sel[:, :mesh.nx // 4] = True
+    return ReinforcementMask(sel, alpha=0.5, beta=2.5)
+
+
+class TestOrbitScans:
+    """A scan solves the first member of each mirror orbit and certifies the
+    images of that solve, against direct solves of every member."""
+
+    CLASSES = {
+        "antisym-delta": lambda p: ForceClass(kind="antisym-delta",
+                                              window=ScanWindow.default(p)),
+        "signed-delta": lambda p: ForceClass(kind="signed-delta", nxi=5, neta=3),
+        "bang-bang": lambda p: ForceClass(kind="bang-bang", cells=(3, 2)),
+    }
+    #: a deflection scale of each class at 16x4: the gap threshold for the
+    #: point loads, the largest bang-bang deflection for the densities
+    SCALE = {"antisym-delta": 1.0, "signed-delta": 1.0, "bang-bang": 55.0}
+    BOXES = {
+        "unbounded": lambda mesh, m: BoxConstraints.unbounded(mesh),
+        "guides": lambda mesh, m: BoxConstraints.from_obstacle(
+            mesh, ObstacleSpec.constant_level(0.5 * m)),
+        # lower != -upper: negation maps it onto no box of the scan
+        "bounds": lambda mesh, m: BoxConstraints.from_obstacle(
+            mesh, ObstacleSpec(lower=-0.5 * m, upper=0.7 * m, region="full")),
+    }
+
+    def _check(self, monkeypatch, orbits, operator, box, forces, params,
+               weight=None):
+        direct, n_direct = _member_solutions(monkeypatch, operator, box, forces,
+                                             params, weight, direct=True)
+        sols, n = _member_solutions(monkeypatch, operator, box, forces, params,
+                                    weight)
+        assert n_direct == len(sols) and n == orbits
+        for sol, ref in zip(sols, direct):
+            assert np.array_equal(sol.lower_contact, ref.lower_contact)
+            assert np.array_equal(sol.upper_contact, ref.upper_contact)
+        masks = [m for m in (operator.mask, weight) if m is not None]
+        orbit = optimize._orbits(forces, forces.members(params), mirror_symmetries(
+            operator.mesh, box, masks))
+        assert len({first for first, _ in orbit}) == orbits
+        for measure in (lambda s: gap_profile(s).maximal_gap,
+                        lambda s: s.field.sup_norm()):
+            got, want = [measure(s) for s in sols], [measure(s) for s in direct]
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            for maximize in (True, False):
+                assert (optimize._scan("p", _rows(got), maximize).argopt_index
+                        == optimize._scan("p", _rows(want), maximize).argopt_index)
+            # the members of an orbit have exactly equal values
+            assert all(got[k] == got[first] for k, (first, _) in enumerate(orbit))
+        return sols
+
+    @pytest.mark.parametrize("kind, box_kind, orbits", [
+        ("antisym-delta", "unbounded", 48), ("antisym-delta", "guides", 48),
+        ("antisym-delta", "bounds", 48),
+        ("signed-delta", "unbounded", 6), ("signed-delta", "guides", 6),
+        ("signed-delta", "bounds", 12),
+        ("bang-bang", "unbounded", 14), ("bang-bang", "guides", 14),
+        ("bang-bang", "bounds", 24)])
+    def test_orbit_scan_matches_direct_solves(self, monkeypatch, operator_small,
+                                              mesh_small, params, threshold,
+                                              kind, box_kind, orbits):
+        box = self.BOXES[box_kind](mesh_small, self.SCALE[kind] * threshold)
+        sols = self._check(monkeypatch, orbits, operator_small, box,
+                           self.CLASSES[kind](params), params)
+        if box_kind != "unbounded":
+            assert any(s.upper_contact.size for s in sols)
+        if box_kind == "bounds":
+            assert any(s.lower_contact.size for s in sols)
+
+    @pytest.mark.parametrize("variant, kind, orbits", [
+        ("E1", "signed-delta", 10), ("E1", "bang-bang", 20),
+        ("E2", "bang-bang", 20)])
+    def test_x_asymmetric_masks_drop_the_x_mirror(self, monkeypatch, mesh_small,
+                                                  operator_small, params,
+                                                  threshold, variant, kind,
+                                                  orbits):
+        mask = _x_asymmetric_mask(mesh_small)
+        box = self.BOXES["guides"](mesh_small, self.SCALE[kind] * threshold)
+        if variant == "E1":
+            self._check(monkeypatch, orbits,
+                        PlateOperator.build(mesh_small, params, mask=mask), box,
+                        self.CLASSES[kind](params), params)
+        else:
+            self._check(monkeypatch, orbits, operator_small, box,
+                        self.CLASSES[kind](params), params, weight=mask)
+
+    def test_a_failed_image_is_solved_directly(self, monkeypatch, mesh_small,
+                                               operator_small, params,
+                                               threshold):
+        """Images of a doubled solve fail the certificate, so every member is
+        solved, and the solutions are those of direct solves."""
+        box = self.BOXES["guides"](mesh_small, self.SCALE["bang-bang"] * threshold)
+        forces = ForceClass(kind="bang-bang", cells=(3, 1))  # 8 members, 3 orbits
+        direct, _ = _member_solutions(monkeypatch, operator_small, box, forces,
+                                      params, direct=True)
+        _, n = _member_solutions(monkeypatch, operator_small, box, forces, params)
+        assert n == 3
+        image = optimize.mirror_solution
+
+        def doubled(solution, *args):
+            field = DofField(mesh_small, 2.0 * solution.field.dofs)
+            return image(dataclasses.replace(solution, field=field), *args)
+
+        monkeypatch.setattr(optimize, "mirror_solution", doubled)
+        sols, n = _member_solutions(monkeypatch, operator_small, box, forces, params)
+        assert n == len(sols) == 8
+        for sol, ref in zip(sols, direct):
+            assert np.array_equal(sol.field.dofs, ref.field.dofs)
+            assert np.array_equal(sol.lower_contact, ref.lower_contact)
+            assert np.array_equal(sol.upper_contact, ref.upper_contact)
+
+    def test_default_window_has_48_orbits(self, params):
+        forces = ForceClass(kind="antisym-delta", window=ScanWindow.default(params))
+        members = forces.members(params)
+        orbit = optimize._orbits(forces, members, list(MIRRORS))
+        assert len(members) == 164
+        assert len({first for first, _ in orbit}) == 48
 
 
 class TestBestObstacle:

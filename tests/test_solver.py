@@ -1,12 +1,13 @@
 """Box-constrained solves: certificates, symmetry transfer, oracle agreement."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hingedplate import (AntisymDelta, BoxConstraints, LoadSpec, Mesh,
+from hingedplate import (AntisymDelta, BoxConstraints, DofField, LoadSpec, Mesh,
                          ObstacleSpec, ReinforcementMask, SeriesState,
                          antisym_solution, kkt_report, solve_linear,
                          solve_obstacle, symmetry_decompose,
@@ -14,8 +15,9 @@ from hingedplate import (AntisymDelta, BoxConstraints, LoadSpec, Mesh,
 from hingedplate import solver
 from hingedplate.fem import DOF_VALUE, OrbitBasis, assemble_load
 from hingedplate.optimize import _cell_density
-from hingedplate.solver import (IterationLimitError, PlateOperator, SolverError,
-                                expand_solution, reduce_problem)
+from hingedplate.solver import (MIRRORS, IterationLimitError, PlateOperator,
+                                SolverError, expand_solution, mirror_solution,
+                                mirror_symmetries, reduce_problem)
 
 SIN_LOAD = LoadSpec(density=lambda x, y: np.sin(x))
 
@@ -374,6 +376,77 @@ REDUCIBLE = {
     "y-": ({"y": -1}, _cells([[-1.0, -0.3], [1.0, 0.3]]),
            ObstacleSpec.constant_level(0.002, region="long_edges")),
 }
+
+
+class TestMirrorImages:
+    """A solve mapped through a mirror of the box onto the mirrored load."""
+
+    def test_symmetries_of_boxes_and_masks(self, mesh_small):
+        guides = BoxConstraints.from_obstacle(
+            mesh_small, ObstacleSpec.constant_level(0.01, region="long_edges"))
+        assert mirror_symmetries(mesh_small, guides) == list(MIRRORS)
+        bounds = BoxConstraints.from_obstacle(
+            mesh_small, ObstacleSpec(lower=-1.0, upper=0.25, region="full"))
+        assert mirror_symmetries(mesh_small, bounds) == [
+            g for g in MIRRORS if g[2] == 1]
+        sel = np.zeros((mesh_small.ny, mesh_small.nx), dtype=bool)
+        sel[:, :3] = True
+        mask = ReinforcementMask(sel, 0.5, 2.5)
+        assert mirror_symmetries(mesh_small, guides, [mask]) == [
+            g for g in MIRRORS if not g[0]]
+        # guides on the lower long edge only
+        upper = np.where(guides.node_mask, 0.01, np.inf)
+        upper[-(mesh_small.nx + 1):] = np.inf
+        one_edge = BoxConstraints(guides.node_mask & np.isfinite(upper),
+                                  -upper, upper)
+        assert mirror_symmetries(mesh_small, one_edge) == [
+            g for g in MIRRORS if not g[1]]
+
+    @pytest.mark.parametrize("element", MIRRORS)
+    def test_image_is_the_solve_of_the_mirrored_load(self, operator_small,
+                                                     mesh_small, element):
+        box = BoxConstraints.from_obstacle(
+            mesh_small, ObstacleSpec.constant_level(0.002, region="long_edges"))
+        signs = np.array([[1.0, 0.3], [-0.2, 0.7]])
+        fx, fy, s = element
+        mirrored = s * np.flip(signs, [a for a, f in ((1, fx), (0, fy)) if f])
+        source = solve_obstacle(
+            operator_small, assemble_load(mesh_small, _cells(signs)), box)
+        rhs = assemble_load(mesh_small, _cells(mirrored))
+        direct = solve_obstacle(operator_small, rhs, box)
+        image = mirror_solution(source, operator_small, rhs, box, element)
+        assert direct.upper_contact.size + direct.lower_contact.size > 0
+        assert np.array_equal(image.upper_contact, direct.upper_contact)
+        assert np.array_equal(image.lower_contact, direct.lower_contact)
+        scale = np.max(np.abs(direct.field.dofs))
+        assert np.max(np.abs(image.field.dofs - direct.field.dofs)) <= 1e-9 * scale
+        assert kkt_report(image, operator_small, rhs, box)["stationarity"] <= 1e-9
+        assert image.field.sup_norm() == source.field.sup_norm()
+
+    def test_image_off_the_box_is_an_error(self, operator_small, mesh_small):
+        """A field 1e-6 off passes the stationarity test (relative to
+        |b| + |K| |x|), but its contacts sit above the guides: no image."""
+        box = BoxConstraints.from_obstacle(
+            mesh_small, ObstacleSpec.constant_level(0.012, region="long_edges"))
+        source = solve_obstacle(
+            operator_small, assemble_load(mesh_small, LoadSpec.point(0.8, 0.1)), box)
+        assert source.upper_contact.size > 0
+        rhs = assemble_load(mesh_small, LoadSpec.point(np.pi - 0.8, 0.1))
+        off = dataclasses.replace(
+            source, field=DofField(mesh_small, (1.0 + 1e-6) * source.field.dofs))
+        with pytest.raises(SolverError, match="leaves the box"):
+            mirror_solution(off, operator_small, rhs, box, (True, False, 1))
+
+    def test_image_under_a_wrong_mirror_is_an_error(self, operator_small,
+                                                    mesh_small):
+        box = BoxConstraints.from_obstacle(
+            mesh_small, ObstacleSpec.constant_level(0.002, region="long_edges"))
+        signs = np.array([[1.0, 0.3], [-0.2, 0.7]])
+        source = solve_obstacle(
+            operator_small, assemble_load(mesh_small, _cells(signs)), box)
+        rhs = assemble_load(mesh_small, _cells(np.flip(signs, 1)))
+        with pytest.raises(SolverError):
+            mirror_solution(source, operator_small, rhs, box, (False, True, 1))
 
 
 def _reduced_solve(op, rhs, box, group):

@@ -15,7 +15,11 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
 * three more 16x4 ``vi-solve`` ops, so that every mirror group the solve
   reduces by is covered: an antisymmetric point pair (``{x: 1, y: -1}``), an
   x-odd ``cells`` density (``{x: -1, y: 1}``) and ``E1`` with a mask
-  symmetric in both axes (``{x: 1, y: 1}``).
+  symmetric in both axes (``{x: 1, y: 1}``);
+* two 16x4 ``gap-scan`` ops whose mirror-image members have contacts: a
+  ``signed-delta`` class under binding guides, and a ``bang-bang`` class
+  under a full-plate ``bounds`` box with ``lower != -upper``, which no
+  negation maps onto itself.
 
 Each op writes to ``OUT_DIR/<workload>/<label>/``; ``OUT_DIR/exit_codes.txt``
 lists the exit code of every op.  Output directories are relative to
@@ -64,6 +68,15 @@ def extra_ops(wl):
         ("vi-solve-E1-xy", wl.config("vi-solve", {
             **reinforced, "variant": "E1",
             "mask": [[i < 4 or i >= 12 for i in range(16)] for _ in range(4)]},
+            mesh=(16, 4))),
+        ("gap-scan-signed-delta-guides", wl.config("gap-scan", {
+            "obstacles": {"gamma": 0.5 * wl.M_THRESHOLD},
+            "force_class": {"kind": "signed-delta", "nxi": 9, "neta": 5}},
+            mesh=(16, 4))),
+        ("gap-scan-bang-bang-bounds", wl.config("gap-scan", {
+            "obstacles": {"kind": "bounds", "lower": -0.6, "upper": 0.9,
+                          "region": "full"},
+            "force_class": {"kind": "bang-bang", "cells": [3, 2]}},
             mesh=(16, 4))),
     ]
 
