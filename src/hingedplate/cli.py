@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .fem import (LoadSpec, Mesh, OrbitBasis, ReinforcementMask, assemble_load,
-                  field_to_csv)
+                  field_to_csv, mirror_axes)
 from .optimize import (ForceClass, ObstacleFamily, ReinforcementFamily,
                        _cell_density, best_obstacle, best_reinforcement,
                        classify_regime, gap_profile, worst_gap_force)
@@ -434,48 +434,39 @@ def _read_vi_solve(p, ctx):
     return run
 
 
-#: axis of a (ny, nx)-shaped grid that each mirror flips
-_GRID_AXIS = {"x": 1, "y": 0}
-
-
 def _mirror_group(load_spec, load, mesh, box, mask):
-    """The mirrors that map a vi-solve's data onto themselves, as the group
-    of an ``OrbitBasis``: each axis maps to +1 when its mirror leaves the
-    load, the box and the mask as they are, else to -1 when the mirror
-    combined with negation does, else is left out.  The box and the mask
-    are checked by ``mirror_symmetries``, as a scan's are; the load from the
-    config's structure: the density kind, the ``cells`` signs and the point
-    masses (mirrored exactly in floating point)."""
-    allowed = mirror_symmetries(mesh, box, [mask] if mask is not None else [])
+    """The generators of an ``OrbitBasis`` for a vi-solve's data: for each
+    axis, the first element of ``mirror_symmetries`` that flips that axis
+    alone and maps the load onto itself, the mirror before the mirror
+    combined with negation.  The box and the mask are checked by
+    ``mirror_symmetries``, as a scan's are; the load from the config's
+    structure: the density kind, the ``cells`` signs and the point masses
+    (mirrored exactly in floating point)."""
     group = {}
-    for axis in ("x", "y"):
-        for eps in (1, -1):
-            if ((axis == "x", axis == "y", eps) in allowed
-                    and _density_invariant(load_spec.get("density"), axis, eps)
-                    and _mirrored_masses(load.point_masses, axis, eps)
-                    == sorted(load.point_masses)):
-                group[axis] = eps
-                break
-    return group
+    for g in mirror_symmetries(mesh, box, [mask] if mask is not None else []):
+        if (len(mirror_axes(g)) == 1 and _density_invariant(load_spec.get("density"), g)
+                and _mirrored_masses(load.point_masses, g) == sorted(load.point_masses)):
+            group.setdefault(g[:2], g)
+    return tuple(group.values())
 
 
-def _mirrored_masses(masses, axis, eps):
-    """The point masses (x, y, w) under the mirror of ``axis`` times ``eps``, sorted."""
-    return sorted((np.pi - x, y, eps * w) if axis == "x" else (x, -y, eps * w)
-                  for x, y, w in masses)
+def _mirrored_masses(masses, element):
+    """The point masses (x, y, w) under the mirror ``element``, sorted."""
+    fx, fy, s = element
+    return sorted((np.pi - x if fx else x, -y if fy else y, s * w) for x, y, w in masses)
 
 
-def _density_invariant(spec, axis, eps):
-    """Whether the mirror of ``axis`` times ``eps`` maps a density spec,
-    as read by ``_build_density``, onto itself."""
+def _density_invariant(spec, element):
+    """Whether the mirror ``element`` maps a density spec, as read by
+    ``_build_density``, onto itself."""
     if spec is None:
         return True
     if _is_real(spec):
-        return eps * spec == spec
+        return element[2] * spec == spec
     if spec["kind"] == "sin_x":
-        return eps == 1
+        return element[2] == 1
     signs = np.asarray(spec["signs"], dtype=float)
-    return np.array_equal(np.flip(signs, _GRID_AXIS[axis]), eps * signs)
+    return np.array_equal(np.flip(signs, mirror_axes(element)), element[2] * signs)
 
 
 def _read_gap_scan(p, ctx):

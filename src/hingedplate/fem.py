@@ -16,6 +16,11 @@ is stored once, as a longdouble CSR matrix; its float64 view for the sparse
 factorization is a cast of that matrix.  Loads and stiffness are assembled
 for the whole mesh at once from one (ny, nx, 16) element-dof table, each
 element weighted by a reinforcement mask's weights when one is given.
+
+The mirrors of the plate, x -> pi - x and y -> -y, each optionally combined
+with negation, are the elements of ``MIRRORS``; this is the one vocabulary
+for symmetry throughout the package.  ``mirror_map`` is their one dof map, a
+flip of the dof grid, and ``OrbitBasis`` is generated by them.
 """
 
 from dataclasses import dataclass
@@ -476,55 +481,70 @@ def point_eval(field, q):
     return float(B @ field.dofs[mesh.element_dofs(ei, ej)])
 
 
-def _mirror_permutation(mesh, axis):
-    """Dof permutation and signs realizing y -> -y (axis='y') or x -> pi - x."""
-    flip, dof_signs = (0, _Y_MIRROR_SIGNS) if axis == "y" else (1, _X_MIRROR_SIGNS)
-    return np.flip(mesh.dof_grid(), flip).ravel(), np.tile(dof_signs, mesh.n_nodes)
+#: the mirrors of the plate as elements ``(fx, fy, s)``: x -> pi - x when
+#: ``fx``, y -> -y when ``fy``, then multiplication by ``s``; the identity
+#: first, the negating elements last
+MIRRORS = tuple((fx, fy, s) for s in (1, -1) for fy in (False, True)
+                for fx in (False, True))
+
+
+def mirror_axes(element):
+    """The axes of a (ny, nx)-shaped node, element or cell grid that the
+    mirror ``element`` flips."""
+    fx, fy, _ = element
+    return [axis for axis, flip in ((1, fx), (0, fy)) if flip]
 
 
 def mirror_map(mesh, element):
-    """Dof permutation ``perm`` and signs of the mirror ``element = (fx, fy,
-    s)``: x -> pi - x when ``fx``, y -> -y when ``fy``, then multiplication
-    by ``s`` (+1 or -1).  The image of a dof vector ``v`` is
-    ``signs * v[perm]``; every element is its own inverse."""
+    """Dof permutation ``perm`` and signs of the mirror ``element`` of
+    ``MIRRORS``.  The image of a dof vector ``v`` is ``signs * v[perm]``;
+    every element is its own inverse, and ``perm[DOF_VALUE::4] // 4`` is its
+    node permutation."""
     fx, fy, s = element
-    perm, signs = np.arange(mesh.n_dofs), np.full(mesh.n_dofs, float(s))
-    for axis, flip in (("x", fx), ("y", fy)):
-        if flip:
-            p, q = _mirror_permutation(mesh, axis)
-            perm, signs = perm[p], signs[p] * q
-    return perm, signs
+    dof_signs = s * np.where(fx, _X_MIRROR_SIGNS, 1.0) * np.where(fy, _Y_MIRROR_SIGNS, 1.0)
+    return (np.flip(mesh.dof_grid(), mirror_axes(element)).ravel(),
+            np.tile(dof_signs, mesh.n_nodes))
+
+
+def mirror_field(field, element):
+    """The field composed with the mirror ``element`` of ``MIRRORS``."""
+    perm, signs = mirror_map(field.mesh, element)
+    return DofField(field.mesh, signs * field.dofs[perm])
 
 
 class OrbitBasis:
     """Coordinates of the fields invariant under a group of mirrors of a mesh.
 
-    ``group`` maps an axis, ``"x"`` (x -> pi - x) or ``"y"`` (y -> -y), to
-    +1 for its mirror or to -1 for its mirror combined with negation; the
-    group is generated by these elements.  An invariant field is fixed by one
-    coordinate per dof orbit, laid out like a mesh's dof table over the
-    representative nodes (i <= nx/2 when x is in the group, j <= ny/2 when y
-    is): ``dof_grid``, ``free_dof_mask``, ``n_nodes`` and ``n_dofs`` read as
-    on a Mesh of ``nx`` x ``ny`` elements.  Each full dof ``k`` is the signed
-    copy ``sign[k] * coords[coordinate[k]]``; its sign is 0 where some group
+    The group is generated by ``generators``, elements of ``MIRRORS`` that
+    each flip one axis, one per axis: ``(True, False, s)`` flips x -> pi - x
+    and ``(False, True, s)`` flips y -> -y, combined with negation when
+    ``s`` is -1.  An invariant field is fixed by one coordinate per dof
+    orbit, laid out like a mesh's dof table over the representative nodes
+    (i <= nx/2 when x is flipped, j <= ny/2 when y is): ``dof_grid``,
+    ``free_dof_mask``, ``n_nodes`` and ``n_dofs`` read as on a Mesh of
+    ``nx`` x ``ny`` elements.  Each full dof ``k`` is the signed copy
+    ``sign[k] * coords[coordinate[k]]``; its sign is 0 where some group
     element maps it to its own negative (ux and uxy on x = pi/2, uy and uxy
     on y = 0, and the value there under a negating element).  Such a
     coordinate is not free.  ``R`` below is the ``n_dofs(mesh) x n_dofs``
     matrix of this map.
     """
 
-    def __init__(self, mesh, group):
-        if set(group) - {"x", "y"} or set(group.values()) - {1, -1}:
-            raise ValueError(f"a mirror group maps 'x' and 'y' to +1 or -1: {group!r}")
+    def __init__(self, mesh, generators):
+        flips = [g[:2] for g in generators]
+        if (not set(generators) <= set(MIRRORS) or len(set(flips)) < len(flips)
+                or not set(flips) <= {(True, False), (False, True)}):
+            raise ValueError("a mirror group is generated by elements of MIRRORS "
+                             f"that each flip one axis, one per axis: {generators!r}")
         self.mesh = mesh
-        self.group = dict(group)
-        self.nx = mesh.nx // 2 if "x" in group else mesh.nx
-        self.ny = mesh.ny // 2 if "y" in group else mesh.ny
+        self.group = tuple(generators)
+        self.nx = mesh.nx // 2 if (True, False) in flips else mesh.nx
+        self.ny = mesh.ny // 2 if (False, True) in flips else mesh.ny
         # every group element as the signed dof permutation it applies
         elements = [(np.arange(mesh.n_dofs), np.ones(mesh.n_dofs))]
-        for axis, eps in sorted(self.group.items()):
-            perm, signs = _mirror_permutation(mesh, axis)
-            elements += [(p[perm], eps * signs * s[perm]) for p, s in elements]
+        for generator in self.group:
+            perm, signs = mirror_map(mesh, generator)
+            elements += [(p[perm], signs * s[perm]) for p, s in elements]
         images = np.stack([p for p, _ in elements])
         signs = np.stack([s for _, s in elements])
         # the smallest image of a dof lies on a representative node
@@ -584,21 +604,9 @@ class OrbitBasis:
             self.coordinate[coo.col[keep]], coo.data[keep] * s[keep])
 
 
-def reflect_y(field):
-    """The field composed with the reflection y -> -y."""
-    perm, signs = _mirror_permutation(field.mesh, "y")
-    return DofField(field.mesh, signs * field.dofs[perm])
-
-
-def reflect_x(field):
-    """The field composed with the mirror x -> pi - x."""
-    perm, signs = _mirror_permutation(field.mesh, "x")
-    return DofField(field.mesh, signs * field.dofs[perm])
-
-
 def symmetry_decompose(field):
     """Even and odd parts in y; the parts are energy-orthogonal."""
-    mirrored = reflect_y(field)
+    mirrored = mirror_field(field, (False, True, 1))
     even = DofField(field.mesh, 0.5 * (field.dofs + mirrored.dofs))
     odd = DofField(field.mesh, 0.5 * (field.dofs - mirrored.dofs))
     return even, odd

@@ -180,8 +180,9 @@ class ForceClass:
 
     def mirror(self, sites, element):
         """The ``sites`` of the image of a member's load under the mirror
-        ``element = (fx, fy, s)`` of ``solver.MIRRORS``: ``fx`` flips the
-        grid's columns, ``fy`` its rows, and ``s`` multiplies the signs."""
+        ``element = (fx, fy, s)`` of ``fem.MIRRORS``, the one mirror
+        vocabulary of the package: ``fx`` flips the grid's columns, ``fy``
+        its rows, and ``s`` multiplies the signs."""
         fx, fy, s = element
         rows, cols = ((self.cells[1], self.cells[0]) if self.kind == "bang-bang"
                       else (self.neta, self.nxi))

@@ -21,22 +21,22 @@ factorization reorders.  Every solve is followed by extended-precision
 iterative refinement, so the fourth-order conditioning does not eat the
 certified residuals.
 
-When the caller knows mirrors of the plate that map its data onto
-themselves (``fem.OrbitBasis``), the energy is strictly convex, so the
-minimizer is unique and invariant under them.  ``reduce_problem`` then
-restricts the problem to the invariant fields, with one coordinate per dof
-orbit (``K_r = R' K R``, ``b_r = R' b``), and the same active set iteration
-runs on that quarter- or half-sized operator.  ``expand_solution`` expands
-the field exactly and certifies it in the full space, on the full operator
-against the full load, by the closing step every obstacle solve ends with;
-a field that fails it is an error, never a result.  The solver never picks
-a group itself.
+Mirrors are the elements of ``fem.MIRRORS``, the package's one symmetry
+vocabulary.  ``mirror_symmetries`` lists those that map a box, and the
+reinforcement masks of an energy, onto themselves.  When the caller knows
+mirrors that also map its load onto itself, the energy is strictly convex,
+so the minimizer is unique and invariant under them.  ``reduce_problem``
+then restricts the problem to the invariant fields of their group
+(``fem.OrbitBasis``), with one coordinate per dof orbit (``K_r = R' K R``,
+``b_r = R' b``), and the same active set iteration runs on that quarter- or
+half-sized operator.  The solver never picks a group itself.  A scan over
+loads that are mirror images of one another solves one of them.
 
-A scan over loads that are mirror images of one another solves one of them:
-``mirror_symmetries`` lists the mirrors (``MIRRORS``) that map a box, and
-the reinforcement masks of an energy, onto themselves, and
-``mirror_solution`` maps a solve through one of them exactly and certifies
-the image, by the same closing step, against its own load.
+Both kinds of image, ``expand_solution`` of a reduced solve and
+``mirror_solution`` of a solve through one mirror, are built exactly and
+end in one closing step: the image must lie in the box exactly and pass the
+certificate every obstacle solve ends with, on the full operator against
+its own load.  A field that fails it is an error, never a result.
 """
 
 from dataclasses import dataclass
@@ -45,7 +45,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import LONG, DOF_VALUE, DofField, assemble_bilinear, energy, mirror_map
+from .fem import (LONG, DOF_VALUE, MIRRORS, DofField, assemble_bilinear, energy,
+                  mirror_axes, mirror_map)
 from .fem import assemble_load  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -58,7 +59,6 @@ __all__ = [
     "solve_obstacle",
     "reduce_problem",
     "expand_solution",
-    "MIRRORS",
     "mirror_symmetries",
     "mirror_solution",
     "kkt_report",
@@ -398,9 +398,7 @@ def reduce_problem(operator, rhs, constraints, basis):
     the operator ``R' K R``, the load ``R' b`` and, on each orbit node, the
     box of its representative node.  The caller picks the group from the
     data; a box the group does not map onto itself is a SolverError."""
-    allowed = mirror_symmetries(operator.mesh, constraints)
-    if any((axis == "x", axis == "y", eps) not in allowed
-           for axis, eps in basis.group.items()):
+    if not set(basis.group) <= set(mirror_symmetries(operator.mesh, constraints)):
         raise SolverError(f"the obstacle is not invariant under the group {basis.group}")
     rep = basis.representative_nodes
     box = BoxConstraints(constraints.node_mask[rep], constraints.lower[rep],
@@ -412,83 +410,76 @@ def reduce_problem(operator, rhs, constraints, basis):
 def expand_solution(reduced, operator, rhs, constraints, basis):
     """The solution of the full problem from ``reduced``, the solve of its
     ``reduce_problem`` on the coordinates of ``basis``, certified in the full
-    space.
+    space by ``_certified_image``.
 
-    The field is expanded exactly, so contacts sit exactly on the obstacle,
-    and each contact orbit puts its nodes in contact, on the opposite side
-    where the group negates.  The certificate is the one of
-    ``solve_obstacle``, on the full operator against the full load; a field
-    that fails it is a SolverError, never a result.
+    The field is expanded exactly, and each contact orbit puts its nodes in
+    contact, on the opposite side where the group negates.
     """
-    dofs, lo, hi = _box_dof_arrays(operator, constraints)
     x = basis.expand(reduced.field.dofs).astype(LONG)
-    orbit, s = basis.node_orbit[dofs // 4], basis.sign[dofs]
+    orbit, s = basis.node_orbit, basis.sign[DOF_VALUE::4]
     on_lo = np.isin(orbit, reduced.lower_contact)
     on_hi = np.isin(orbit, reduced.upper_contact)
-    pinned_eq = lo == hi
-    act_lo = pinned_eq | np.where(s > 0.0, on_lo, (s < 0.0) & on_hi)
-    act_hi = ~pinned_eq & np.where(s > 0.0, on_hi, (s < 0.0) & on_lo)
-    return _certified(operator, rhs, (dofs, lo, hi), x, _residual(operator, rhs, x),
-                      act_lo, act_hi, reduced.iterations)
-
-
-#: the mirrors of the plate as elements ``(fx, fy, s)``: x -> pi - x when
-#: ``fx``, y -> -y when ``fy``, then multiplication by ``s``; the identity
-#: first, the negating elements last
-MIRRORS = tuple((fx, fy, s) for s in (1, -1) for fy in (False, True)
-                for fx in (False, True))
+    return _certified_image(operator, rhs, constraints, x,
+                            np.where(s > 0.0, on_lo, (s < 0.0) & on_hi),
+                            np.where(s > 0.0, on_hi, (s < 0.0) & on_lo),
+                            reduced.iterations)
 
 
 def mirror_symmetries(mesh, constraints, masks=()):
-    """The elements of ``MIRRORS`` that map the box ``constraints`` and the
-    elements of each reinforcement mask in ``masks`` onto themselves, by
+    """The elements of ``fem.MIRRORS`` that map the box ``constraints`` and
+    the elements of each reinforcement mask in ``masks`` onto themselves, by
     exact comparison: node mask and bounds under the node permutation, the
     bounds swapped and negated under a negating element.  These are the
     mirrors under which a problem on the plate with those data is invariant
     whenever its load is."""
     m, lower, upper = constraints.node_mask, constraints.lower, constraints.upper
-    nodes = np.arange(mesh.n_nodes).reshape(mesh.ny + 1, mesh.nx + 1)
     out = []
     for element in MIRRORS:
-        fx, fy, s = element
-        # the axes of a (ny, nx) node or element grid that the mirrors flip
-        axes = [axis for axis, flip in ((1, fx), (0, fy)) if flip]
-        perm = np.flip(nodes, axes).ravel()
-        lo, hi = (lower, upper) if s > 0 else (-upper, -lower)
+        perm = mirror_map(mesh, element)[0][DOF_VALUE::4] // 4
+        lo, hi = (lower, upper) if element[2] > 0 else (-upper, -lower)
         if (np.array_equal(m[perm], m) and np.array_equal(lo[perm][m], lower[m])
                 and np.array_equal(hi[perm][m], upper[m])
-                and all(np.array_equal(np.flip(mask.elements, axes), mask.elements)
-                        for mask in masks)):
+                and all(np.array_equal(np.flip(mask.elements, mirror_axes(element)),
+                                       mask.elements) for mask in masks)):
             out.append(element)
     return out
 
 
 def mirror_solution(solution, operator, rhs, constraints, element):
     """The solution of the problem with load ``rhs`` as the image of
-    ``solution`` under the mirror ``element``, certified.
+    ``solution`` under the mirror ``element``, certified against ``rhs``
+    itself by ``_certified_image``.
 
     ``solution`` solves the problem whose load is the mirror image of
     ``rhs``, on an operator and box that ``element`` maps onto themselves
     (``mirror_symmetries``).  The field is its exact signed permutation and
     the contacts are its contacts' images, on the opposite side under a
-    negating element.  The image must lie in the box exactly, and the
-    certificate is the one of ``solve_obstacle``, on the operator against
-    ``rhs`` itself; an image that fails either is a SolverError, never a
-    result.
+    negating element.
     """
     perm, signs = mirror_map(operator.mesh, element)
     x = (signs * solution.field.dofs[perm]).astype(LONG)
-    dofs, lo, hi = _box_dof_arrays(operator, constraints)
-    if np.any(x[dofs] < lo) or np.any(x[dofs] > hi):
-        raise SolverError("the image leaves the box")
-    source = perm[dofs] // 4
+    source = perm[DOF_VALUE::4] // 4
     on_lo = np.isin(source, solution.lower_contact)
     on_hi = np.isin(source, solution.upper_contact)
     if element[2] < 0:
         on_lo, on_hi = on_hi, on_lo
-    pinned_eq = lo == hi
+    return _certified_image(operator, rhs, constraints, x, on_lo, on_hi,
+                            solution.iterations)
+
+
+def _certified_image(operator, rhs, constraints, x, on_lo, on_hi, iterations):
+    """The solution ``x``, built exactly from a certified solve (an expanded
+    reduced solve or a mirror image), with the nodes in ``on_lo`` and
+    ``on_hi`` as its contacts, once certified: ``x`` must lie in the box
+    exactly, and the certificate is the one of ``solve_obstacle``, on the
+    operator against ``rhs``; a field that fails either is a SolverError,
+    never a result."""
+    dofs, lo, hi = _box_dof_arrays(operator, constraints)
+    if np.any(x[dofs] < lo) or np.any(x[dofs] > hi):
+        raise SolverError("the image leaves the box")
+    nodes, pinned_eq = dofs // 4, lo == hi
     return _certified(operator, rhs, (dofs, lo, hi), x, _residual(operator, rhs, x),
-                      pinned_eq | on_lo, ~pinned_eq & on_hi, solution.iterations)
+                      pinned_eq | on_lo[nodes], ~pinned_eq & on_hi[nodes], iterations)
 
 
 def kkt_report(solution, operator, rhs, constraints):

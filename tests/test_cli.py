@@ -16,6 +16,10 @@ from hingedplate.fem import (LoadSpec, Mesh, OrbitBasis, assemble_bilinear,
 from hingedplate.optimize import ForceClass, ReinforcementFamily
 from hingedplate.params import MaterialParams
 
+#: the one-axis elements of MIRRORS that generate an orbit basis
+X_PLUS, X_MINUS = (True, False, 1), (True, False, -1)
+Y_PLUS, Y_MINUS = (False, True, 1), (False, True, -1)
+
 
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
@@ -187,30 +191,35 @@ class TestRun:
     @pytest.mark.parametrize("params, group", [
         ({"load": {"density": 1.0},
           "obstacles": {"kind": "bounds", "lower": -1.0, "upper": 0.5}},
-         {"x": 1, "y": 1}),
+         (X_PLUS, Y_PLUS)),
         ({"load": {"density": {"kind": "sin_x"}}, "obstacles": {"gamma": 0.3}},
-         {"x": 1, "y": 1}),
+         (X_PLUS, Y_PLUS)),
         ({"load": {"antisym_delta": [1.0, 0.05]}, "obstacles": {"gamma": 0.001}},
-         {"y": -1}),
+         (Y_MINUS,)),
         ({"load": {"antisym_delta": [1.0, 0.05]},
           "obstacles": {"kind": "bounds", "lower": -0.001, "upper": 0.002}}, None),
         ({"load": {"density": {"kind": "cells", "signs": [[1, -1], [1, -1]]}},
-          "obstacles": {"gamma": 0.01, "region": "full"}}, {"x": -1, "y": 1}),
+          "obstacles": {"gamma": 0.01, "region": "full"}}, (Y_PLUS, X_MINUS)),
         ({"load": {"density": {"kind": "cells", "signs": [[1, -1], [1, 0.5]]}},
           "obstacles": {"gamma": 0.01, "region": "full"}}, None),
+        # invariant under the composed mirror (both axes, with negation)
+        # alone, which generates no orbit basis
+        ({"load": {"density": {"kind": "cells", "signs": [[1, 2], [-2, -1]]}},
+          "obstacles": {"gamma": 0.01, "region": "full"}}, None),
         ({"load": {"point_masses": [[1.0, 0.05, 1.0], [np.pi - 1.0, 0.05, 1.0]]},
-          "obstacles": {"gamma": 0.001}}, {"x": 1}),
+          "obstacles": {"gamma": 0.001}}, (X_PLUS,)),
         # pi - (pi - 0.4) is not 0.4 in floating point
         ({"load": {"point_masses": [[0.4, 0.0, 1.0], [np.pi - 0.4, 0.0, 1.0]]},
-          "obstacles": {"gamma": 0.001}}, {"y": 1}),
+          "obstacles": {"gamma": 0.001}}, (Y_PLUS,)),
         ({"load": {"density": 1.0}, "obstacles": {"gamma": 0.3, "region": "full"},
           "variant": "E1", "alpha": 0.5, "beta": 2.5,
-          "mask": [[i < 4 for i in range(16)] for _ in range(4)]}, {"y": 1}),
+          "mask": [[i < 4 for i in range(16)] for _ in range(4)]}, (Y_PLUS,)),
         ({"load": {"density": 1.0}, "obstacles": {"gamma": 0.3, "region": "full"},
           "variant": "E2", "alpha": 0.5, "beta": 2.5,
-          "mask": [[j == 0 for i in range(16)] for j in range(4)]}, {"x": 1}),
+          "mask": [[j == 0 for i in range(16)] for j in range(4)]}, (X_PLUS,)),
     ], ids=["uniform", "sin_x", "antisym", "antisym-uneven-box", "cells-x-odd",
-            "cells-none", "masses-x", "masses-y", "E1-mask", "E2-mask"])
+            "cells-none", "cells-composed", "masses-x", "masses-y", "E1-mask",
+            "E2-mask"])
     def test_vi_solve_reduces_by_the_data_symmetry(self, tmp_path, monkeypatch,
                                                    params, group):
         """The reader picks the mirrors the data are invariant under, and the
@@ -225,7 +234,7 @@ class TestRun:
         assert code == 0 and summary["result"]["contact_upper"]
         assert chosen == ([group] if group else [])
         # the same data solved without the reduction
-        monkeypatch.setattr(cli, "_mirror_group", lambda *args: {})
+        monkeypatch.setattr(cli, "_mirror_group", lambda *args: ())
         code, full = run(config_for("vi-solve", params, outdir=tmp_path / "f"))
         assert code == 0
         for key in ("contact_lower", "contact_upper"):

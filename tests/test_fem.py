@@ -8,12 +8,11 @@ from hingedplate import (DofField, LoadSpec, Mesh, PlateOperator,
                          ReinforcementMask, assemble_bilinear, assemble_load,
                          energy, point_eval, symmetry_decompose)
 from hingedplate.fem import (DOF_DX, DOF_DXY, DOF_DY, DOF_VALUE, LONG,
-                             _GAUSS_PTS, _GAUSS_WTS, _X_MIRROR_SIGNS,
+                             MIRRORS, _GAUSS_PTS, _GAUSS_WTS, _X_MIRROR_SIGNS,
                              _Y_MIRROR_SIGNS, AssembledForm, OrbitBasis,
                              _density_evaluator, _hermite_1d, _local_rows,
-                             _mirror_permutation, apply_functional,
-                             element_stiffness, field_to_csv, quad_form,
-                             reflect_x, reflect_y)
+                             apply_functional, element_stiffness, field_to_csv,
+                             mirror_field, mirror_map, quad_form)
 from hingedplate.optimize import _cell_density
 
 
@@ -28,6 +27,10 @@ def interpolate(mesh, fn, dfx, dfy, dfxy):
             fld.dofs[base + 2] = dfy(x, y)
             fld.dofs[base + 3] = dfxy(x, y)
     return fld
+
+
+#: the mirrors x -> pi - x and y -> -y as elements of MIRRORS
+X_MIRROR, Y_MIRROR = (True, False, 1), (False, True, 1)
 
 
 class TestMesh:
@@ -61,7 +64,7 @@ class TestMesh:
             mesh = Mesh(nx, ny, p.half_width)
             l = mesh.half_width
             free = mesh.free_dof_mask()
-            perm, signs = _mirror_permutation(mesh, "y")
+            perm, signs = mirror_map(mesh, Y_MIRROR)
             for y in (-l, -0.3 * l, 0.0, 0.7 * l, l):
                 assert not np.any(assemble_load(mesh, LoadSpec.point(np.pi, y))[free])
                 assert mesh.locate(np.pi, y)[2] == 1.0
@@ -121,14 +124,33 @@ class TestDofGrid:
     @pytest.mark.parametrize("axis", ["x", "y"])
     def test_mirror_permutation_matches_the_loop(self, nx, ny, axis):
         mesh = Mesh(nx, ny, 0.1)
-        perm, signs = _mirror_permutation(mesh, axis)
+        perm, signs = mirror_map(mesh, X_MIRROR if axis == "x" else Y_MIRROR)
         want_perm, want_signs = _reference_mirror_permutation(mesh, axis)
         assert perm.dtype == want_perm.dtype and np.array_equal(perm, want_perm)
         assert signs.dtype == want_signs.dtype and np.array_equal(signs, want_signs)
 
+    @pytest.mark.parametrize("element", MIRRORS)
+    def test_mirror_map_composes_the_loops(self, nx, ny, element):
+        """Every element of MIRRORS is its axis mirrors in turn, times its sign."""
+        mesh = Mesh(nx, ny, 0.1)
+        perm, signs = mirror_map(mesh, element)
+        want_perm = np.arange(mesh.n_dofs)
+        want_signs = np.full(mesh.n_dofs, float(element[2]))
+        for axis, flip in zip("xy", element[:2]):
+            if flip:
+                p, q = _reference_mirror_permutation(mesh, axis)
+                want_perm, want_signs = want_perm[p], want_signs[p] * q
+        assert np.array_equal(perm, want_perm) and np.array_equal(signs, want_signs)
 
-GROUPS = [{"x": 1, "y": 1}, {"x": 1}, {"y": 1}, {"y": -1}, {"x": -1, "y": 1},
-          {"x": -1, "y": -1}]
+
+GROUPS = [((True, False, 1), (False, True, 1)), ((True, False, 1),),
+          ((False, True, 1),), ((False, True, -1),),
+          ((True, False, -1), (False, True, 1)),
+          ((True, False, -1), (False, True, -1))]
+
+
+def _group_id(group):
+    return "".join(f"{'x' if fx else 'y'}{'+' if s > 0 else '-'}" for fx, _, s in group)
 
 
 def _orbit_matrix(basis):
@@ -139,24 +161,21 @@ def _orbit_matrix(basis):
 def _group_average(mesh, group, field):
     """Mean of the images of ``field`` under every element of ``group``."""
     images = [field]
-    for axis, eps in group.items():
-        reflect = reflect_x if axis == "x" else reflect_y
-        images += [DofField(mesh, eps * reflect(f).dofs) for f in images]
+    for generator in group:
+        images += [mirror_field(f, generator) for f in images]
     return sum(f.dofs for f in images) / len(images)
 
 
 @pytest.mark.parametrize("nx, ny", [(4, 2), (7, 3), (16, 4)])
-@pytest.mark.parametrize("group", GROUPS, ids=lambda g: "".join(
-    f"{a}{'+' if s > 0 else '-'}" for a, s in g.items()))
+@pytest.mark.parametrize("group", GROUPS, ids=_group_id)
 class TestOrbitBasis:
     def test_expanded_fields_are_invariant(self, nx, ny, group):
         mesh = Mesh(nx, ny, 0.1)
         basis = OrbitBasis(mesh, group)
         fld = DofField(mesh, basis.expand(np.random.default_rng(3).normal(
             size=basis.n_dofs)))
-        for axis, eps in group.items():
-            reflect = reflect_x if axis == "x" else reflect_y
-            assert np.array_equal(reflect(fld).dofs, eps * fld.dofs)
+        for generator in group:
+            assert np.array_equal(mirror_field(fld, generator).dofs, fld.dofs)
 
     def test_spans_every_invariant_field(self, nx, ny, group):
         mesh = Mesh(nx, ny, 0.1)
@@ -172,8 +191,9 @@ class TestOrbitBasis:
     def test_layout_is_a_dof_grid_of_representatives(self, nx, ny, group):
         mesh = Mesh(nx, ny, 0.1)
         basis = OrbitBasis(mesh, group)
-        assert (basis.nx, basis.ny) == (nx // 2 if "x" in group else nx,
-                                       ny // 2 if "y" in group else ny)
+        flips = [g[:2] for g in group]
+        assert (basis.nx, basis.ny) == (nx // 2 if (True, False) in flips else nx,
+                                       ny // 2 if (False, True) in flips else ny)
         rep = basis.representatives
         assert np.array_equal(basis.coordinate[rep], np.arange(basis.n_dofs))
         assert np.array_equal(rep[basis.dof_grid()],
@@ -197,11 +217,13 @@ class TestOrbitBasis:
 
 
 @pytest.mark.parametrize("group, line_dofs", [
-    ({"x": 1}, {"x": [DOF_DX, DOF_DXY]}),
-    ({"y": 1}, {"y": [DOF_DY, DOF_DXY]}),
-    ({"y": -1}, {"y": [DOF_VALUE, DOF_DX]}),
-    ({"x": 1, "y": 1}, {"x": [DOF_DX, DOF_DXY], "y": [DOF_DY, DOF_DXY]}),
-    ({"x": -1, "y": 1}, {"x": [DOF_VALUE, DOF_DY], "y": [DOF_DY, DOF_DXY]}),
+    (((True, False, 1),), {"x": [DOF_DX, DOF_DXY]}),
+    (((False, True, 1),), {"y": [DOF_DY, DOF_DXY]}),
+    (((False, True, -1),), {"y": [DOF_VALUE, DOF_DX]}),
+    (((True, False, 1), (False, True, 1)),
+     {"x": [DOF_DX, DOF_DXY], "y": [DOF_DY, DOF_DXY]}),
+    (((True, False, -1), (False, True, 1)),
+     {"x": [DOF_VALUE, DOF_DY], "y": [DOF_DY, DOF_DXY]}),
 ])
 def test_orbit_basis_zeroes_the_dofs_a_mirror_negates(group, line_dofs):
     """On the fixed line of a mirror (x = pi/2, y = 0), the dofs it maps to
@@ -219,10 +241,11 @@ def test_orbit_basis_zeroes_the_dofs_a_mirror_negates(group, line_dofs):
 
 
 def test_orbit_basis_rejects_other_groups():
-    with pytest.raises(ValueError, match="mirror group"):
-        OrbitBasis(Mesh(8, 4, 0.1), {"z": 1})
-    with pytest.raises(ValueError, match="mirror group"):
-        OrbitBasis(Mesh(8, 4, 0.1), {"x": 2})
+    """A generator flips one axis, times +1 or -1, and each axis has at most one."""
+    for generators in [((False, False, 1),), ((True, False, 2),),
+                       ((True, True, -1),), ((True, False, 1), (True, False, -1))]:
+        with pytest.raises(ValueError, match="mirror group"):
+            OrbitBasis(Mesh(8, 4, 0.1), generators)
 
 
 class TestAssembly:
@@ -303,7 +326,7 @@ class TestLoads:
         b = assemble_load(mesh_small, LoadSpec.antisym_pair(1.2, 0.07))
         rng = np.random.default_rng(9)
         fld = DofField(mesh_small, rng.normal(size=mesh_small.n_dofs))
-        assert apply_functional(b, reflect_y(fld)) == pytest.approx(
+        assert apply_functional(b, mirror_field(fld, Y_MIRROR)) == pytest.approx(
             -apply_functional(b, fld), rel=1e-12)
 
     def test_mass_outside_plate_rejected(self, mesh_small):
@@ -618,10 +641,11 @@ class TestSymmetry:
     def test_x_mirror_involution(self, mesh_small):
         rng = np.random.default_rng(8)
         fld = DofField(mesh_small, rng.normal(size=mesh_small.n_dofs))
-        assert np.array_equal(reflect_x(reflect_x(fld)).dofs, fld.dofs)
+        twice = mirror_field(mirror_field(fld, X_MIRROR), X_MIRROR)
+        assert np.array_equal(twice.dofs, fld.dofs)
         # mirrored field evaluates at mirrored points
         q = (0.9, 0.04)
-        assert point_eval(reflect_x(fld), q) == pytest.approx(
+        assert point_eval(mirror_field(fld, X_MIRROR), q) == pytest.approx(
             point_eval(fld, (np.pi - q[0], q[1])), rel=1e-11)
 
 

@@ -13,10 +13,9 @@ from hingedplate import (BoxConstraints, DofField, LoadSpec, Mesh,
                          placement_bound_report, worst_force_amplitude,
                          worst_gap_force)
 from hingedplate import optimize
-from hingedplate.fem import assemble_load
+from hingedplate.fem import MIRRORS, assemble_load
 from hingedplate.optimize import ForceClass, ObstacleFamily, ReinforcementFamily
-from hingedplate.solver import (MIRRORS, PlateOperator, mirror_symmetries,
-                                solve_obstacle)
+from hingedplate.solver import PlateOperator, mirror_symmetries, solve_obstacle
 
 
 @pytest.fixture(scope="module")

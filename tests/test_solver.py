@@ -13,9 +13,10 @@ from hingedplate import (AntisymDelta, BoxConstraints, DofField, LoadSpec, Mesh,
                          solve_obstacle, symmetry_decompose,
                          uniform_load_profile)
 from hingedplate import solver
-from hingedplate.fem import DOF_VALUE, OrbitBasis, assemble_load
+from hingedplate.fem import (DOF_VALUE, MIRRORS, OrbitBasis, assemble_load,
+                             mirror_axes, mirror_field)
 from hingedplate.optimize import _cell_density
-from hingedplate.solver import (MIRRORS, IterationLimitError, PlateOperator,
+from hingedplate.solver import (IterationLimitError, PlateOperator,
                                 SolverError, expand_solution, mirror_solution,
                                 mirror_symmetries, reduce_problem)
 
@@ -351,12 +352,11 @@ class TestSymmetryTransfer:
         assert odd.sup_norm() <= 1e-10 * max(sol.field.sup_norm(), 1e-30)
 
     def test_x_mirror_invariance(self, operator_mid, mesh_mid):
-        from hingedplate.fem import reflect_x
         box = BoxConstraints.from_obstacle(
             mesh_mid, ObstacleSpec.constant_level(0.6, region="full"))
         b = assemble_load(mesh_mid, SIN_LOAD)  # sin(x) = sin(pi - x)
         sol = solve_obstacle(operator_mid, b, box)
-        mirrored = reflect_x(sol.field)
+        mirrored = mirror_field(sol.field, (True, False, 1))
         diff = np.max(np.abs(mirrored.dofs - sol.field.dofs))
         assert diff <= 1e-10 * max(sol.field.sup_norm(), 1e-30)
 
@@ -367,13 +367,13 @@ def _cells(signs):
 
 #: (group, load, obstacle): data invariant under each group, with contacts
 REDUCIBLE = {
-    "x+y+": ({"x": 1, "y": 1}, LoadSpec(density=1.0),
+    "x+y+": (((True, False, 1), (False, True, 1)), LoadSpec(density=1.0),
              ObstacleSpec(lower=-1.0, upper=0.25, region="full")),
-    "x+": ({"x": 1}, _cells([[1.0, 1.0], [0.2, 0.2]]),
+    "x+": (((True, False, 1),), _cells([[1.0, 1.0], [0.2, 0.2]]),
            ObstacleSpec(lower=-1.0, upper=0.2, region="full")),
-    "y+": ({"y": 1}, _cells([[1.0, 0.3], [1.0, 0.3]]),
+    "y+": (((False, True, 1),), _cells([[1.0, 0.3], [1.0, 0.3]]),
            ObstacleSpec(lower=-1.0, upper=0.3, region="full")),
-    "y-": ({"y": -1}, _cells([[-1.0, -0.3], [1.0, 0.3]]),
+    "y-": (((False, True, -1),), _cells([[-1.0, -0.3], [1.0, 0.3]]),
            ObstacleSpec.constant_level(0.002, region="long_edges")),
 }
 
@@ -408,8 +408,7 @@ class TestMirrorImages:
         box = BoxConstraints.from_obstacle(
             mesh_small, ObstacleSpec.constant_level(0.002, region="long_edges"))
         signs = np.array([[1.0, 0.3], [-0.2, 0.7]])
-        fx, fy, s = element
-        mirrored = s * np.flip(signs, [a for a, f in ((1, fx), (0, fy)) if f])
+        mirrored = element[2] * np.flip(signs, mirror_axes(element))
         source = solve_obstacle(
             operator_small, assemble_load(mesh_small, _cells(signs)), box)
         rhs = assemble_load(mesh_small, _cells(mirrored))
@@ -491,7 +490,7 @@ class TestOrbitReduction:
         rhs = assemble_load(mesh_mid, load)
         box = BoxConstraints.from_obstacle(mesh_mid, obstacle)
         with pytest.raises(SolverError):
-            _reduced_solve(operator_mid, rhs, box, {"x": 1})
+            _reduced_solve(operator_mid, rhs, box, ((True, False, 1),))
 
     def test_wrong_group_on_a_box_is_an_error(self, operator_mid, mesh_mid):
         """Negation maps the box [-1, 0.25] onto [-0.25, 1]: no reduced solve."""
@@ -499,7 +498,23 @@ class TestOrbitReduction:
         box = BoxConstraints.from_obstacle(
             mesh_mid, ObstacleSpec(lower=-1.0, upper=0.25, region="full"))
         with pytest.raises(SolverError, match="not invariant"):
-            reduce_problem(operator_mid, rhs, box, OrbitBasis(mesh_mid, {"y": -1}))
+            reduce_problem(operator_mid, rhs, box, OrbitBasis(mesh_mid, ((False, True, -1),)))
+
+    def test_expanded_field_off_the_box_is_an_error(self, operator_small,
+                                                    mesh_small):
+        """An expanded field 1e-6 off passes the stationarity test, but its
+        contacts sit above the guides: the closing step of every image
+        refuses it, as it refuses a mirror image."""
+        rhs = assemble_load(mesh_small, LoadSpec(density=1.0))
+        box = BoxConstraints.from_obstacle(
+            mesh_small, ObstacleSpec.constant_level(0.012, region="long_edges"))
+        basis = OrbitBasis(mesh_small, ((True, False, 1), (False, True, 1)))
+        reduced = solve_obstacle(*reduce_problem(operator_small, rhs, box, basis))
+        assert reduced.upper_contact.size > 0
+        off = dataclasses.replace(reduced, field=DofField(
+            basis, (1.0 + 1e-6) * reduced.field.dofs))
+        with pytest.raises(SolverError, match="leaves the box"):
+            expand_solution(off, operator_small, rhs, box, basis)
 
     def test_closing_certificate_rejects_a_wrong_sign(self, operator_small,
                                                      mesh_small):

@@ -12,10 +12,13 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
 * a 16x4 ``vi-solve`` under each reinforced energy (``E1`` and ``E2``, with a
   mask) and a ``gap-scan`` under an explicit ``bounds`` obstacle, so that
   every obstacle and energy reader is covered;
-* three more 16x4 ``vi-solve`` ops, so that every mirror group the solve
-  reduces by is covered: an antisymmetric point pair (``{x: 1, y: -1}``), an
-  x-odd ``cells`` density (``{x: -1, y: 1}``) and ``E1`` with a mask
-  symmetric in both axes (``{x: 1, y: 1}``);
+* four more 16x4 ``vi-solve`` ops, so that every branch of the choice of
+  mirror group is covered, each group written as its generators in
+  ``fem.MIRRORS``: an antisymmetric point pair (y with negation), an x-odd
+  ``cells`` density (x with negation, y), ``E1`` with a mask symmetric in
+  both axes (x, y), and a ``cells`` density invariant only under the
+  composed mirror of both axes with negation, which generates no group, so
+  the solve is not reduced;
 * two 16x4 ``gap-scan`` ops whose mirror-image members have contacts: a
   ``signed-delta`` class under binding guides, and a ``bang-bang`` class
   under a full-plate ``bounds`` box with ``lower != -upper``, which no
@@ -64,6 +67,9 @@ def extra_ops(wl):
             "obstacles": {"gamma": 0.5 * wl.M_THRESHOLD}}, mesh=(16, 4))),
         ("vi-solve-cells-x-odd", wl.config("vi-solve", {
             "load": {"density": {"kind": "cells", "signs": [[1, -1], [1, -1]]}},
+            "obstacles": {"gamma": 0.01, "region": "full"}}, mesh=(16, 4))),
+        ("vi-solve-cells-composed", wl.config("vi-solve", {
+            "load": {"density": {"kind": "cells", "signs": [[1, 2], [-2, -1]]}},
             "obstacles": {"gamma": 0.01, "region": "full"}}, mesh=(16, 4))),
         ("vi-solve-E1-xy", wl.config("vi-solve", {
             **reinforced, "variant": "E1",
