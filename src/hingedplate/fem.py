@@ -104,17 +104,15 @@ class Mesh:
     def locate(self, x, y):
         """Element (ei, ej) containing (x, y) and local coordinates in [0,1]^2.
 
-        A point on the closing edge x = pi (y = l) gets the exact local
-        coordinate 1, as one on x = 0 (y = -l) gets the exact 0, so its load
-        sits on the edge's nodes alone."""
+        A point within a few ulps of a grid line lies on it: its local
+        coordinate is exactly 0, or exactly 1 on the closing edge x = pi
+        (y = l).  So a point load on a node sits on that node alone, and the
+        loads at mirror points are exact mirror images."""
         if not self.contains(x, y):
             raise ValueError(f"point ({x}, {y}) outside the closed plate")
-        l = self.half_width
-        ei = min(int(np.clip(x / self.hx, 0, self.nx - 1)), self.nx - 1)
-        ej = min(int(np.clip((y + l) / self.hy, 0, self.ny - 1)), self.ny - 1)
-        tx = 1.0 if x >= np.pi else (x - ei * self.hx) / self.hx
-        ty = 1.0 if y >= l else (y + l - ej * self.hy) / self.hy
-        return ei, ej, float(np.clip(tx, 0.0, 1.0)), float(np.clip(ty, 0.0, 1.0))
+        ei, tx = _grid_coordinate(x, self.hx, self.nx)
+        ej, ty = _grid_coordinate(y + self.half_width, self.hy, self.ny)
+        return ei, ej, tx, ty
 
     def element_dofs(self, ei, ej):
         """Global dof numbers of the 16 local dofs of element (ei, ej).
@@ -137,6 +135,18 @@ class Mesh:
         free = np.ones(self.n_dofs, dtype=bool)
         free[self.dof_grid()[:, [0, -1]][..., [DOF_VALUE, DOF_DY]]] = False
         return free
+
+
+def _grid_coordinate(u, h, n):
+    """Element and local coordinate in [0, 1] of the offset ``u`` along an
+    axis of ``n`` elements of length ``h``, an offset within a few ulps of
+    a node snapped onto it."""
+    t = u / h
+    node = round(t)
+    if abs(t - node) <= 4 * np.spacing(max(node, 1)):
+        return min(node, n - 1), float(node >= n)
+    e = min(int(np.clip(t, 0, n - 1)), n - 1)
+    return e, float(np.clip((u - e * h) / h, 0.0, 1.0))
 
 
 @dataclass

@@ -74,6 +74,22 @@ class TestMesh:
                 assert np.array_equal(top, signs * bottom[perm])
                 assert mesh.locate(x, l)[3] == 1.0
 
+    def test_mirror_sites_get_exact_mirror_loads(self, params, slim_params):
+        """At 64x16 every site of the default 33x9 scan grid lies on a node,
+        and the point load at each site is the exact mirror image of the
+        load at its mirror site, under either mirror."""
+        for p in (params, slim_params):
+            mesh = Mesh(64, 16, p.half_width)
+            xs = np.linspace(0.0, np.pi, 33)
+            ys = np.linspace(-p.half_width, p.half_width, 9)
+            loads = {(i, j): assemble_load(mesh, LoadSpec.point(x, y))
+                     for i, x in enumerate(xs) for j, y in enumerate(ys)}
+            for element in (X_MIRROR, Y_MIRROR):
+                perm, signs = mirror_map(mesh, element)
+                for (i, j), b in loads.items():
+                    site = (32 - i if element[0] else i, 8 - j if element[1] else j)
+                    assert np.array_equal(signs * b[perm], loads[site]), (element, i, j)
+
     def test_grid_symmetry(self, mesh_small):
         assert np.allclose(mesh_small.ys, -mesh_small.ys[::-1])
         assert np.allclose(mesh_small.xs, np.pi - mesh_small.xs[::-1])
