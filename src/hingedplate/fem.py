@@ -499,8 +499,7 @@ MIRRORS = tuple((fx, fy, s) for s in (1, -1) for fy in (False, True)
 
 
 def mirror_axes(element):
-    """The axes of a (ny, nx)-shaped node, element or cell grid that the
-    mirror ``element`` flips."""
+    """The axes of a (ny, nx)-shaped node or cell grid that ``element`` flips."""
     fx, fy, _ = element
     return [axis for axis, flip in ((1, fx), (0, fy)) if flip]
 

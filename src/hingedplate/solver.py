@@ -22,21 +22,20 @@ iterative refinement, so the fourth-order conditioning does not eat the
 certified residuals.
 
 Mirrors are the elements of ``fem.MIRRORS``, the package's one symmetry
-vocabulary.  ``mirror_symmetries`` lists those that map a box, and the
+vocabulary; ``mirror_symmetries`` lists those that map a box, and the
 reinforcement masks of an energy, onto themselves.  When the caller knows
 mirrors that also map its load onto itself, the energy is strictly convex,
 so the minimizer is unique and invariant under them.  ``reduce_problem``
 then restricts the problem to the invariant fields of their group
-(``fem.OrbitBasis``), with one coordinate per dof orbit (``K_r = R' K R``,
+(``fem.OrbitBasis``), one coordinate per dof orbit (``K_r = R' K R``,
 ``b_r = R' b``), and the same active set iteration runs on that quarter- or
-half-sized operator.  The solver never picks a group itself.  A scan over
-loads that are mirror images of one another solves one of them.
-
-Both kinds of image, ``expand_solution`` of a reduced solve and
-``mirror_solution`` of a solve through one mirror, are built exactly and
-end in one closing step: the image must lie in the box exactly and pass the
-certificate every obstacle solve ends with, on the full operator against
-its own load.  A field that fails it is an error, never a result.
+half-sized operator.  The solver never picks a group itself.  Both kinds of
+image, ``expand_solution`` of a reduced solve and ``mirror_solution`` of a
+solve through one mirror (a scan solves one load of each mirror orbit), are
+built exactly and end in one closing step: the image must lie in the box
+exactly and pass the certificate every obstacle solve ends with, on the
+full operator against its own load.  A field that fails is an error, never
+a result.
 """
 
 from dataclasses import dataclass
@@ -468,12 +467,9 @@ def mirror_solution(solution, operator, rhs, constraints, element):
 
 
 def _certified_image(operator, rhs, constraints, x, on_lo, on_hi, iterations):
-    """The solution ``x``, built exactly from a certified solve (an expanded
-    reduced solve or a mirror image), with the nodes in ``on_lo`` and
-    ``on_hi`` as its contacts, once certified: ``x`` must lie in the box
-    exactly, and the certificate is the one of ``solve_obstacle``, on the
-    operator against ``rhs``; a field that fails either is a SolverError,
-    never a result."""
+    """The image ``x`` of a solve, with contact nodes ``on_lo`` and ``on_hi``,
+    once it lies in the box exactly and passes the certificate of
+    ``solve_obstacle`` against ``rhs``; else a SolverError, never a result."""
     dofs, lo, hi = _box_dof_arrays(operator, constraints)
     if np.any(x[dofs] < lo) or np.any(x[dofs] > hi):
         raise SolverError("the image leaves the box")
