@@ -588,11 +588,6 @@ class OrbitBasis:
         """Full node of each orbit node."""
         return self.representatives[DOF_VALUE::4] // 4
 
-    @property
-    def node_orbit(self):
-        """Orbit node of each full node."""
-        return self.coordinate[DOF_VALUE::4] // 4
-
     def expand(self, coords):
         """The full dof vector ``R coords``; exact, each entry one signed copy."""
         return self.sign * coords[self.coordinate]

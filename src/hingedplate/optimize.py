@@ -377,8 +377,7 @@ def _scan(problem, rows, maximize):
                       argopt_label=rows[best]["label"], rows=rows)
 
 
-def _member_solve(operator, member, box, weight=None):
-    rhs = assemble_load(operator.mesh, member.load, weight=weight)
+def _member_solve(operator, rhs, box):
     return solve_obstacle(operator, rhs, box)
 
 
@@ -414,14 +413,14 @@ def _member_rows(operator, obstacles, forces, params, weight=None):
     last = {first: k for k, (first, _) in enumerate(orbits)}
     solved = {}
     for k, (member, (first, element)) in enumerate(zip(members, orbits)):
+        rhs = assemble_load(operator.mesh, member.load, weight=weight)
         if first == k:
-            sol = solved[k] = _member_solve(operator, member, box, weight=weight)
+            sol = solved[k] = _member_solve(operator, rhs, box)
         else:
-            rhs = assemble_load(operator.mesh, member.load, weight=weight)
             try:
                 sol = mirror_solution(solved[first], operator, rhs, box, element)
             except SolverError:
-                sol = _member_solve(operator, member, box, weight=weight)
+                sol = _member_solve(operator, rhs, box)
         if last[first] == k:
             del solved[first]
         yield sol, {

@@ -32,10 +32,11 @@ then restricts the problem to the invariant fields of their group
 half-sized operator.  The solver never picks a group itself.  Both kinds of
 image, ``expand_solution`` of a reduced solve and ``mirror_solution`` of a
 solve through one mirror (a scan solves one load of each mirror orbit), are
-built exactly and end in one closing step: the image must lie in the box
-exactly and pass the certificate every obstacle solve ends with, on the
-full operator against its own load.  A field that fails is an error, never
-a result.
+exact signed copies of a solve, built by one function.  Every result, a
+direct solve's and an image's alike, ends in one closing step on the full
+operator against its own load: its float64 field must lie in the box
+exactly and pass the KKT certificate.  A field that fails is an error,
+never a result.
 """
 
 from dataclasses import dataclass
@@ -364,11 +365,15 @@ def _kkt_violation(operator, rhs, x, resid, dofs, pinned_eq, act_lo, act_hi):
 
 def _certified(operator, rhs, box, x, resid, act_lo, act_hi, iterations):
     """The solution ``x`` with contact sets ``act_lo``/``act_hi`` on the box
-    dofs, once certified: every contact multiplier has its sign and the
-    stationarity residual ``resid`` of ``x`` is at most TOL.  Degenerate pins
-    report the side their multiplier points to, and a multiplier of exactly
-    zero classifies its node inactive."""
+    dofs, once certified: its float64 field lies in the box exactly, every
+    contact multiplier has its sign and the stationarity residual ``resid``
+    of ``x`` is at most TOL; else a SolverError.  Every VISolution is built
+    here.  Degenerate pins report the side their multiplier points to, and a
+    multiplier of exactly zero classifies its node inactive."""
     dofs, lo, hi = box
+    vals = x[dofs].astype(float)
+    if np.any(vals < lo) or np.any(vals > hi):
+        raise SolverError("the field leaves the box")
     pinned_eq = lo == hi
     lam = resid[dofs]
     if np.any(_wrong_sign(lam, act_lo, act_hi, pinned_eq)):
@@ -408,20 +413,9 @@ def reduce_problem(operator, rhs, constraints, basis):
 
 def expand_solution(reduced, operator, rhs, constraints, basis):
     """The solution of the full problem from ``reduced``, the solve of its
-    ``reduce_problem`` on the coordinates of ``basis``, certified in the full
-    space by ``_certified_image``.
-
-    The field is expanded exactly, and each contact orbit puts its nodes in
-    contact, on the opposite side where the group negates.
-    """
-    x = basis.expand(reduced.field.dofs).astype(LONG)
-    orbit, s = basis.node_orbit, basis.sign[DOF_VALUE::4]
-    on_lo = np.isin(orbit, reduced.lower_contact)
-    on_hi = np.isin(orbit, reduced.upper_contact)
-    return _certified_image(operator, rhs, constraints, x,
-                            np.where(s > 0.0, on_lo, (s < 0.0) & on_hi),
-                            np.where(s > 0.0, on_hi, (s < 0.0) & on_lo),
-                            reduced.iterations)
+    ``reduce_problem`` on the coordinates of ``basis``: its exact expansion,
+    by ``_image``."""
+    return _image(reduced, operator, rhs, constraints, basis.coordinate, basis.sign)
 
 
 def mirror_symmetries(mesh, constraints, masks=()):
@@ -446,36 +440,35 @@ def mirror_symmetries(mesh, constraints, masks=()):
 
 def mirror_solution(solution, operator, rhs, constraints, element):
     """The solution of the problem with load ``rhs`` as the image of
-    ``solution`` under the mirror ``element``, certified against ``rhs``
-    itself by ``_certified_image``.
+    ``solution`` under the mirror ``element``, by ``_image``.
 
     ``solution`` solves the problem whose load is the mirror image of
     ``rhs``, on an operator and box that ``element`` maps onto themselves
-    (``mirror_symmetries``).  The field is its exact signed permutation and
-    the contacts are its contacts' images, on the opposite side under a
-    negating element.
+    (``mirror_symmetries``).
     """
-    perm, signs = mirror_map(operator.mesh, element)
-    x = (signs * solution.field.dofs[perm]).astype(LONG)
-    source = perm[DOF_VALUE::4] // 4
+    return _image(solution, operator, rhs, constraints,
+                  *mirror_map(operator.mesh, element))
+
+
+def _image(solution, operator, rhs, constraints, index, sign):
+    """The signed copy ``sign * solution.field.dofs[index]`` of a solve,
+    certified against ``rhs`` by ``_certified``; else a SolverError, never a
+    result.
+
+    Each box node takes the contact of the node its value dof is copied from,
+    on the opposite side where the sign is negative and none where it is
+    zero; degenerate pins stay pinned.
+    """
+    x = (sign * solution.field.dofs[index]).astype(LONG)
+    dofs, lo, hi = _box_dof_arrays(operator, constraints)
+    source, s = index[dofs] // 4, sign[dofs]
     on_lo = np.isin(source, solution.lower_contact)
     on_hi = np.isin(source, solution.upper_contact)
-    if element[2] < 0:
-        on_lo, on_hi = on_hi, on_lo
-    return _certified_image(operator, rhs, constraints, x, on_lo, on_hi,
-                            solution.iterations)
-
-
-def _certified_image(operator, rhs, constraints, x, on_lo, on_hi, iterations):
-    """The image ``x`` of a solve, with contact nodes ``on_lo`` and ``on_hi``,
-    once it lies in the box exactly and passes the certificate of
-    ``solve_obstacle`` against ``rhs``; else a SolverError, never a result."""
-    dofs, lo, hi = _box_dof_arrays(operator, constraints)
-    if np.any(x[dofs] < lo) or np.any(x[dofs] > hi):
-        raise SolverError("the image leaves the box")
-    nodes, pinned_eq = dofs // 4, lo == hi
+    pinned_eq = lo == hi
     return _certified(operator, rhs, (dofs, lo, hi), x, _residual(operator, rhs, x),
-                      pinned_eq | on_lo[nodes], ~pinned_eq & on_hi[nodes], iterations)
+                      pinned_eq | np.where(s > 0.0, on_lo, (s < 0.0) & on_hi),
+                      ~pinned_eq & np.where(s > 0.0, on_hi, (s < 0.0) & on_lo),
+                      solution.iterations)
 
 
 def kkt_report(solution, operator, rhs, constraints):

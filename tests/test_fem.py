@@ -216,7 +216,8 @@ class TestOrbitBasis:
                               mesh.dof_grid()[:basis.ny + 1, :basis.nx + 1])
         assert np.array_equal(basis.free_dof_mask(),
                               mesh.free_dof_mask()[rep] & (basis.sign[rep] != 0.0))
-        assert np.array_equal(basis.node_orbit[basis.representative_nodes],
+        node_orbit = basis.coordinate[DOF_VALUE::4] // 4
+        assert np.array_equal(node_orbit[basis.representative_nodes],
                               np.arange(basis.n_nodes))
 
     def test_restricted_form_is_rt_k_r(self, nx, ny, group, params):

@@ -15,7 +15,8 @@ from hingedplate import (BoxConstraints, DofField, LoadSpec, Mesh,
 from hingedplate import optimize
 from hingedplate.fem import MIRRORS, assemble_load
 from hingedplate.optimize import ForceClass, ObstacleFamily, ReinforcementFamily
-from hingedplate.solver import PlateOperator, mirror_symmetries, solve_obstacle
+from hingedplate.solver import (PlateOperator, SolverError, mirror_symmetries,
+                                solve_obstacle)
 
 
 @pytest.fixture(scope="module")
@@ -416,6 +417,9 @@ class TestOrbitScans:
         # lower != -upper: negation maps it onto no box of the scan
         "bounds": lambda mesh, m: BoxConstraints.from_obstacle(
             mesh, ObstacleSpec(lower=-0.5 * m, upper=0.7 * m, region="full")),
+        # lower == upper: every image maps degenerate pins onto pins
+        "pinned": lambda mesh, m: BoxConstraints.from_obstacle(
+            mesh, ObstacleSpec(lower=0.0, upper=0.0, region="long_edges")),
     }
 
     def _check(self, monkeypatch, orbits, operator, box, forces, params,
@@ -449,7 +453,8 @@ class TestOrbitScans:
         ("signed-delta", "unbounded", 6), ("signed-delta", "guides", 6),
         ("signed-delta", "bounds", 12),
         ("bang-bang", "unbounded", 14), ("bang-bang", "guides", 14),
-        ("bang-bang", "bounds", 24)])
+        ("bang-bang", "bounds", 24), ("antisym-delta", "pinned", 48),
+        ("signed-delta", "pinned", 6), ("bang-bang", "pinned", 14)])
     def test_orbit_scan_matches_direct_solves(self, monkeypatch, operator_small,
                                               mesh_small, params, threshold,
                                               kind, box_kind, orbits):
@@ -458,7 +463,7 @@ class TestOrbitScans:
                            self.CLASSES[kind](params), params)
         if box_kind != "unbounded":
             assert any(s.upper_contact.size for s in sols)
-        if box_kind == "bounds":
+        if box_kind in ("bounds", "pinned"):
             assert any(s.lower_contact.size for s in sols)
 
     @pytest.mark.parametrize("variant, kind, orbits", [
@@ -502,6 +507,28 @@ class TestOrbitScans:
             assert np.array_equal(sol.field.dofs, ref.field.dofs)
             assert np.array_equal(sol.lower_contact, ref.lower_contact)
             assert np.array_equal(sol.upper_contact, ref.upper_contact)
+
+    def test_each_member_load_is_assembled_once(self, monkeypatch, mesh_small,
+                                                operator_small, params,
+                                                threshold):
+        """A member whose image fails is solved from the load its image was
+        certified against, not from a second assembly."""
+        box = self.BOXES["guides"](mesh_small, self.SCALE["bang-bang"] * threshold)
+        forces = ForceClass(kind="bang-bang", cells=(3, 1))  # 8 members, 3 orbits
+        calls = []
+        assemble = optimize.assemble_load
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return assemble(*args, **kw)
+
+        def failed(*args):
+            raise SolverError("no image")
+
+        monkeypatch.setattr(optimize, "assemble_load", counted)
+        monkeypatch.setattr(optimize, "mirror_solution", failed)
+        sols, n = _member_solutions(monkeypatch, operator_small, box, forces, params)
+        assert n == len(sols) == len(calls) == 8
 
     def test_default_window_has_48_orbits(self, params):
         forces = ForceClass(kind="antisym-delta", window=ScanWindow.default(params))

@@ -516,6 +516,41 @@ class TestOrbitReduction:
         with pytest.raises(SolverError, match="leaves the box"):
             expand_solution(off, operator_small, rhs, box, basis)
 
+    def test_pinned_edges_keep_their_sides(self, operator_small, mesh_small):
+        """lower == upper on the long edges: the expanded solve pins every
+        edge node on the side its multiplier points to, as the direct solve
+        does."""
+        rhs = assemble_load(mesh_small, LoadSpec(density=1.0))
+        box = BoxConstraints.from_obstacle(
+            mesh_small, ObstacleSpec(lower=0.0, upper=0.0, region="long_edges"))
+        full = solve_obstacle(operator_small, rhs, box)
+        reduced = _reduced_solve(operator_small, rhs, box,
+                                 ((True, False, 1), (False, True, 1)))
+        assert reduced.upper_contact.size == 30 and reduced.lower_contact.size == 0
+        assert np.array_equal(reduced.upper_contact, full.upper_contact)
+        assert np.array_equal(reduced.lower_contact, full.lower_contact)
+        assert np.all(reduced.multipliers[reduced.upper_contact] > 0.0)
+        assert np.all(reduced.field.node_values[reduced.upper_contact] == 0.0)
+
+    def test_direct_field_off_the_box_is_an_error(self, operator_small,
+                                                  mesh_small):
+        """A direct solve's field 1e-6 off, with its own contacts and
+        residual, passes the stationarity test, but its contacts sit above
+        the guides: the closing step refuses it as it refuses an image."""
+        rhs = assemble_load(mesh_small, LoadSpec.point(0.8, 0.1))
+        box = BoxConstraints.from_obstacle(
+            mesh_small, ObstacleSpec.constant_level(0.012, region="long_edges"))
+        sol = solve_obstacle(operator_small, rhs, box)
+        assert sol.upper_contact.size > 0
+        dofs, lo, hi = solver._box_dof_arrays(operator_small, box)
+        x = (1.0 + 1e-6) * sol.field.dofs.astype(np.longdouble)
+        with pytest.raises(SolverError, match="leaves the box"):
+            solver._certified(operator_small, rhs, (dofs, lo, hi), x,
+                              solver._residual(operator_small, rhs, x),
+                              np.isin(dofs // 4, sol.lower_contact),
+                              np.isin(dofs // 4, sol.upper_contact),
+                              sol.iterations)
+
     def test_closing_certificate_rejects_a_wrong_sign(self, operator_small,
                                                      mesh_small):
         """The shared closing step refuses a contact whose multiplier points

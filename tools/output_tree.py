@@ -22,7 +22,11 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
 * two 16x4 ``gap-scan`` ops whose mirror-image members have contacts: a
   ``signed-delta`` class under binding guides, and a ``bang-bang`` class
   under a full-plate ``bounds`` box with ``lower != -upper``, which no
-  negation maps onto itself.
+  negation maps onto itself;
+* two 16x4 ops under degenerate pins, a ``bounds`` box with lower = upper = 0
+  on the long edges, so that both kinds of image cover them: a uniform-load
+  ``vi-solve`` reduced under x and y, and a ``signed-delta`` ``gap-scan``
+  whose mirror images have contacts on both sides.
 
 Each op writes to ``OUT_DIR/<workload>/<label>/``; ``OUT_DIR/exit_codes.txt``
 lists the exit code of every op.  Output directories are relative to
@@ -47,6 +51,7 @@ def extra_ops(wl):
                   "obstacles": {"gamma": 0.3, "region": "full"},
                   "alpha": 0.5, "beta": 2.5,
                   "mask": [[i < 4 for i in range(16)] for _ in range(4)]}
+    pinned = {"kind": "bounds", "lower": 0.0, "upper": 0.0, "region": "long_edges"}
     return [
         ("solve", wl.config("solve", {"load": {"density": 1.0}})),
         ("optimize-obstacle", wl.config("optimize-obstacle", {
@@ -83,6 +88,12 @@ def extra_ops(wl):
             "obstacles": {"kind": "bounds", "lower": -0.6, "upper": 0.9,
                           "region": "full"},
             "force_class": {"kind": "bang-bang", "cells": [3, 2]}},
+            mesh=(16, 4))),
+        ("vi-solve-pinned-edges", wl.config("vi-solve", {
+            "load": {"density": 1.0}, "obstacles": pinned}, mesh=(16, 4))),
+        ("gap-scan-pinned-edges", wl.config("gap-scan", {
+            "obstacles": pinned,
+            "force_class": {"kind": "signed-delta", "nxi": 5, "neta": 3}},
             mesh=(16, 4))),
     ]
 
