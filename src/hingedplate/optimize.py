@@ -6,7 +6,13 @@ loads, bang-bang densities, rasterized reinforcement layouts, or constant
 guide levels.  Inner problems are box-constrained solves.  The loads of a
 force class come in mirror orbits; a scan solves the first member of each
 orbit and maps that solve onto the others exactly, each image certified
-against its own load, so mirror-image loads get exactly equal values.
+against its own load, so mirror-image loads get exactly equal values.  A
+first member whose load a mirror of the scan that flips y alone maps onto
+itself (an antisymmetric point pair under guides with ``lower == -upper``,
+a midline point load, a bang-bang pattern even or odd in y) is solved on
+that mirror's y-parity subspace and expanded; its ``iterations`` are the
+reduced solve's.  Every other first member, and every member whose image
+fails its certificate, is solved on the full space.
 Reductions tie-break to the first candidate within ``TIE_RTOL`` of the
 optimum, so repeated runs are identical and round-off cannot choose between
 other near-equal candidates, such as mirror-image reinforcement layouts.
@@ -17,11 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import LoadSpec, ReinforcementMask, assemble_load
+from .fem import LoadSpec, OrbitBasis, ReinforcementMask, assemble_load, mirror_axes
 from .series import (ObstacleSpec, ScanWindow, antisym_edge_profile,
                      gap_threshold_M, phi_m)
-from .solver import (BoxConstraints, PlateOperator, SolverError, mirror_solution,
-                     mirror_symmetries, solve_obstacle)
+from .solver import (BoxConstraints, PlateOperator, SolverError, expand_solution,
+                     mirror_solution, mirror_symmetries, restrict_box,
+                     solve_obstacle)
 from .summation import series_sum
 
 __all__ = [
@@ -381,6 +388,26 @@ def _member_solve(operator, rhs, box):
     return solve_obstacle(operator, rhs, box)
 
 
+def _y_stabilizer(forces, sites, elements):
+    """The element of ``elements`` that flips y alone and maps a member's
+    ``sites`` onto themselves, else None.  At most one does: y -> -y with
+    and without negation cannot both fix a nonzero load."""
+    return next((g for g in elements
+                 if mirror_axes(g) == [0] and forces.mirror(sites, g) == sites), None)
+
+
+def _representative_solve(operator, rhs, box, basis):
+    """The solve of an orbit's first member: on the y-parity subspace
+    ``basis`` of its y-stabilizer (``operator.reduced``), expanded and
+    certified in the full space, or on the full space when ``basis`` is None."""
+    if basis is None:
+        return _member_solve(operator, rhs, box)
+    return expand_solution(
+        _member_solve(operator.reduced(basis), basis.restrict(rhs),
+                      restrict_box(box, basis)),
+        operator, rhs, box, basis)
+
+
 def _orbits(forces, members, elements):
     """For each member, the index of the first member of its orbit under the
     mirrors ``elements`` (the identity first) and an element mapping that
@@ -400,22 +427,27 @@ def _member_rows(operator, obstacles, forces, params, weight=None):
 
     The mirrors that map the box, the operator's mask and ``weight`` onto
     themselves split the members into orbits.  The first member of each
-    orbit is solved; every other member's solution is the image of that
-    solve, certified against the member's own load, and a member whose image
-    fails its certificate is solved as well.
+    orbit is solved, on the y-parity subspace when one of those mirrors
+    flips y alone and fixes its load; every other member's solution is the
+    image of that solve, certified against the member's own load, and a
+    member whose image fails its certificate is solved on the full space.
     """
     box = (obstacles if isinstance(obstacles, BoxConstraints)
            else BoxConstraints.from_obstacle(operator.mesh, obstacles))
     members = forces.members(params)
     masks = [m for m in (operator.mask, weight) if m is not None]
-    orbits = _orbits(forces, members,
-                     mirror_symmetries(operator.mesh, box, masks))
+    elements = mirror_symmetries(operator.mesh, box, masks)
+    orbits = _orbits(forces, members, elements)
     last = {first: k for k, (first, _) in enumerate(orbits)}
     solved = {}
+    bases = {}  # the orbit basis of each y-stabilizer met
     for k, (member, (first, element)) in enumerate(zip(members, orbits)):
         rhs = assemble_load(operator.mesh, member.load, weight=weight)
         if first == k:
-            sol = solved[k] = _member_solve(operator, rhs, box)
+            g = _y_stabilizer(forces, member.sites, elements)
+            if g is not None and g not in bases:
+                bases[g] = OrbitBasis(operator.mesh, (g,))
+            sol = solved[k] = _representative_solve(operator, rhs, box, bases.get(g))
         else:
             try:
                 sol = mirror_solution(solved[first], operator, rhs, box, element)

@@ -29,7 +29,11 @@ so the minimizer is unique and invariant under them.  ``reduce_problem``
 then restricts the problem to the invariant fields of their group
 (``fem.OrbitBasis``), one coordinate per dof orbit (``K_r = R' K R``,
 ``b_r = R' b``), and the same active set iteration runs on that quarter- or
-half-sized operator.  The solver never picks a group itself.  Both kinds of
+half-sized operator; its ``iterations`` count that run's steps.  Each
+operator builds ``K_r`` once per group (``PlateOperator.reduced``), so a
+scan's y-fixed members (``optimize``) and the levels of an obstacle scan
+share one reduced operator and its factor.  The solver never picks a group
+itself.  Both kinds of
 image, ``expand_solution`` of a reduced solve and ``mirror_solution`` of a
 solve through one mirror (a scan solves one load of each mirror orbit), are
 exact signed copies of a solve, built by one function.  Every result, a
@@ -58,6 +62,7 @@ __all__ = [
     "solve_linear",
     "solve_obstacle",
     "reduce_problem",
+    "restrict_box",
     "expand_solution",
     "mirror_symmetries",
     "mirror_solution",
@@ -71,11 +76,15 @@ class SolverError(RuntimeError):
 
 
 class IterationLimitError(SolverError):
-    """Active-set loop hit its iteration budget; carries the iterate's KKT violation."""
+    """Active-set loop hit its iteration budget; carries the state it stopped
+    in: the iterate's KKT violation ``residual``, the ``iterations`` spent and
+    the number of ``contacts`` (box dofs on a bound) of that iterate."""
 
-    def __init__(self, message, residual):
+    def __init__(self, message, residual, iterations, contacts):
         super().__init__(message)
         self.residual = residual
+        self.iterations = iterations
+        self.contacts = contacts
 
 
 #: relative KKT stationarity a solve must reach to be certified
@@ -161,8 +170,9 @@ class PlateOperator:
 
     Owns the reduction to free dofs, the free block scaled to unit diagonal
     (``diag(s) K diag(s)`` with ``s = diag(K)^(-1/2)``), its factor, built on
-    the first solve, and extended-precision refinement of every solve.  The
-    free dofs ``free_idx`` run with the short axis fastest: node column
+    the first solve, its restrictions to mirror-invariant subspaces, each
+    built on first use, and extended-precision refinement of every solve.
+    The free dofs ``free_idx`` run with the short axis fastest: node column
     slowest, then node row, then the dof.  ``mask`` is the reinforcement
     mask whose weights the form carries, None for the base energy.
     """
@@ -181,6 +191,7 @@ class PlateOperator:
         self._s = 1.0 / np.sqrt(k_free.diagonal())
         self._scaled = (sp.diags(self._s) @ k_free @ sp.diags(self._s)).tocsc()
         self._free_factor = None
+        self._reduced = {}
         # positions in free_idx of the elimination order, set by the factor
         self._order = None
         self._norm_estimate = float(np.abs(csr).sum(axis=1).max())
@@ -200,6 +211,15 @@ class PlateOperator:
             self._order = np.argsort(self._free_factor.perm_c)
             self._scaled = self._scaled[self._order][:, self._order]
         return self._free_factor
+
+    def reduced(self, basis):
+        """The operator ``R' K R`` on the coordinates of ``basis``, an
+        ``OrbitBasis`` of this operator's mesh: built on first use per mirror
+        group, as the free factor is, and shared by every basis of that group."""
+        if basis.group not in self._reduced:
+            self._reduced[basis.group] = PlateOperator(basis,
+                                                       basis.restrict_form(self.form))
+        return self._reduced[basis.group]
 
     def solve_free(self, rhs_full):
         """Solve on the free dofs with all box constraints inactive."""
@@ -340,7 +360,8 @@ def solve_obstacle(operator, rhs, constraints):
     raise IterationLimitError(
         f"active set did not settle in {MAX_ITERATIONS} iterations",
         _kkt_violation(operator, rhs, x, _residual(operator, rhs, x), dofs,
-                       pinned_eq, act_lo, act_hi))
+                       pinned_eq, act_lo, act_hi),
+        MAX_ITERATIONS, int(np.count_nonzero(act_lo | act_hi)))
 
 
 def _residual(operator, rhs, x):
@@ -399,16 +420,22 @@ def _certified(operator, rhs, box, x, resid, act_lo, act_hi, iterations):
 
 def reduce_problem(operator, rhs, constraints, basis):
     """The obstacle problem on the coordinates of the orbit basis ``basis``:
-    the operator ``R' K R``, the load ``R' b`` and, on each orbit node, the
-    box of its representative node.  The caller picks the group from the
-    data; a box the group does not map onto itself is a SolverError."""
+    the operator ``R' K R`` (``operator.reduced``), the load ``R' b`` and
+    ``restrict_box``.  The caller picks the group from the data; a box the
+    group does not map onto itself is a SolverError."""
     if not set(basis.group) <= set(mirror_symmetries(operator.mesh, constraints)):
         raise SolverError(f"the obstacle is not invariant under the group {basis.group}")
+    return (operator.reduced(basis), basis.restrict(rhs),
+            restrict_box(constraints, basis))
+
+
+def restrict_box(constraints, basis):
+    """The box on the orbit nodes of ``basis``: on each, the box of its
+    representative node.  A box the group of ``basis`` does not map onto
+    itself has no restriction; ``mirror_symmetries`` tells."""
     rep = basis.representative_nodes
-    box = BoxConstraints(constraints.node_mask[rep], constraints.lower[rep],
-                         constraints.upper[rep])
-    return (PlateOperator(basis, basis.restrict_form(operator.form)),
-            basis.restrict(rhs), box)
+    return BoxConstraints(constraints.node_mask[rep], constraints.lower[rep],
+                          constraints.upper[rep])
 
 
 def expand_solution(reduced, operator, rhs, constraints, basis):

@@ -168,6 +168,8 @@ class TestRun:
         stored = json.loads((tmp_path / "n" / "summary.json").read_text(),
                             parse_constant=_reject_constant)
         assert np.isfinite(stored["residual"]) and stored["residual"] > 0.0
+        # the error's iteration and contact counts stay out of the summary
+        assert not {"iterations", "contacts"} & set(stored)
 
     def test_full_plate_contact_limit_settles(self, tmp_path):
         """The full-plate box at 0.05 z_max: hundreds of contacts, solved on

@@ -12,11 +12,15 @@ from hingedplate import (BoxConstraints, DofField, LoadSpec, Mesh,
                          edge_gap_series_scan, gap_profile, gap_threshold_M,
                          placement_bound_report, worst_force_amplitude,
                          worst_gap_force)
-from hingedplate import optimize
-from hingedplate.fem import MIRRORS, assemble_load
+from hingedplate import optimize, solver
+from hingedplate.fem import MIRRORS, OrbitBasis, assemble_load
 from hingedplate.optimize import ForceClass, ObstacleFamily, ReinforcementFamily
-from hingedplate.solver import (PlateOperator, SolverError, mirror_symmetries,
+from hingedplate.solver import (PlateOperator, SolverError, expand_solution,
+                                mirror_symmetries, reduce_problem,
                                 solve_obstacle)
+
+#: y -> -y, and y -> -y with negation: the y-parity subspaces of the scans
+Y_EVEN, Y_ODD = (False, True, 1), (False, True, -1)
 
 
 @pytest.fixture(scope="module")
@@ -369,22 +373,24 @@ class TestWorstGapForce:
 
 def _member_solutions(monkeypatch, operator, box, forces, params, weight=None,
                       direct=False):
-    """The member solutions of one scan and the number of members solved;
-    with ``direct``, no mirror applies, so every member is solved."""
-    calls = []
+    """The member solutions of one scan and, for each member solved, the
+    group of the orbit basis its solve runs on, ``()`` on the full space;
+    with ``direct``, no mirror applies, so every member is solved on the
+    full space."""
+    groups = []
     solve = optimize._member_solve
 
-    def counted(*args, **kw):
-        calls.append(1)
-        return solve(*args, **kw)
+    def recording(op, rhs, b):
+        groups.append(getattr(op.mesh, "group", ()))
+        return solve(op, rhs, b)
 
     with monkeypatch.context() as mp:
-        mp.setattr(optimize, "_member_solve", counted)
+        mp.setattr(optimize, "_member_solve", recording)
         if direct:
             mp.setattr(optimize, "mirror_symmetries", lambda *args: [MIRRORS[0]])
         sols = [sol for sol, _ in optimize._member_rows(operator, box, forces,
                                                         params, weight=weight)]
-    return sols, len(calls)
+    return sols, groups
 
 
 def _rows(values):
@@ -424,11 +430,11 @@ class TestOrbitScans:
 
     def _check(self, monkeypatch, orbits, operator, box, forces, params,
                weight=None):
-        direct, n_direct = _member_solutions(monkeypatch, operator, box, forces,
-                                             params, weight, direct=True)
-        sols, n = _member_solutions(monkeypatch, operator, box, forces, params,
-                                    weight)
-        assert n_direct == len(sols) and n == orbits
+        direct, full = _member_solutions(monkeypatch, operator, box, forces,
+                                         params, weight, direct=True)
+        sols, solved = _member_solutions(monkeypatch, operator, box, forces,
+                                         params, weight)
+        assert len(full) == len(sols) and len(solved) == orbits
         for sol, ref in zip(sols, direct):
             assert np.array_equal(sol.lower_contact, ref.lower_contact)
             assert np.array_equal(sol.upper_contact, ref.upper_contact)
@@ -487,13 +493,18 @@ class TestOrbitScans:
                                                operator_small, params,
                                                threshold):
         """Images of a doubled solve fail the certificate, so every member is
-        solved, and the solutions are those of direct solves."""
+        solved: the first of each orbit on the y-even subspace (one cell row
+        is y-even), the others on the full space.  Each solution is, bit for
+        bit, that member's solve by its own path, and agrees with the direct
+        full-space solve."""
         box = self.BOXES["guides"](mesh_small, self.SCALE["bang-bang"] * threshold)
         forces = ForceClass(kind="bang-bang", cells=(3, 1))  # 8 members, 3 orbits
+        members = forces.members(params)
         direct, _ = _member_solutions(monkeypatch, operator_small, box, forces,
                                       params, direct=True)
-        _, n = _member_solutions(monkeypatch, operator_small, box, forces, params)
-        assert n == 3
+        _, solved = _member_solutions(monkeypatch, operator_small, box, forces,
+                                      params)
+        assert solved == [(Y_EVEN,)] * 3
         image = optimize.mirror_solution
 
         def doubled(solution, *args):
@@ -501,12 +512,26 @@ class TestOrbitScans:
             return image(dataclasses.replace(solution, field=field), *args)
 
         monkeypatch.setattr(optimize, "mirror_solution", doubled)
-        sols, n = _member_solutions(monkeypatch, operator_small, box, forces, params)
-        assert n == len(sols) == 8
-        for sol, ref in zip(sols, direct):
-            assert np.array_equal(sol.field.dofs, ref.field.dofs)
-            assert np.array_equal(sol.lower_contact, ref.lower_contact)
-            assert np.array_equal(sol.upper_contact, ref.upper_contact)
+        sols, solved = _member_solutions(monkeypatch, operator_small, box, forces,
+                                         params)
+        assert len(solved) == len(sols) == 8
+        firsts = {first for first, _ in optimize._orbits(
+            forces, members, mirror_symmetries(mesh_small, box))}
+        basis = OrbitBasis(mesh_small, (Y_EVEN,))
+        for k, (member, sol, full) in enumerate(zip(members, sols, direct)):
+            rhs = assemble_load(mesh_small, member.load)
+            if k in firsts:
+                ref = expand_solution(
+                    solve_obstacle(*reduce_problem(operator_small, rhs, box, basis)),
+                    operator_small, rhs, box, basis)
+            else:
+                ref = solve_obstacle(operator_small, rhs, box)
+            assert sol.field.dofs.tobytes() == ref.field.dofs.tobytes()
+            for got in (ref, full):
+                assert np.array_equal(sol.lower_contact, got.lower_contact)
+                assert np.array_equal(sol.upper_contact, got.upper_contact)
+            scale = np.max(np.abs(full.field.dofs))
+            assert np.max(np.abs(sol.field.dofs - full.field.dofs)) <= 1e-12 * scale
 
     def test_each_member_load_is_assembled_once(self, monkeypatch, mesh_small,
                                                 operator_small, params,
@@ -527,8 +552,9 @@ class TestOrbitScans:
 
         monkeypatch.setattr(optimize, "assemble_load", counted)
         monkeypatch.setattr(optimize, "mirror_solution", failed)
-        sols, n = _member_solutions(monkeypatch, operator_small, box, forces, params)
-        assert n == len(sols) == len(calls) == 8
+        sols, solved = _member_solutions(monkeypatch, operator_small, box, forces,
+                                         params)
+        assert len(solved) == len(sols) == len(calls) == 8
 
     def test_default_window_has_48_orbits(self, params):
         forces = ForceClass(kind="antisym-delta", window=ScanWindow.default(params))
@@ -536,6 +562,94 @@ class TestOrbitScans:
         orbit = optimize._orbits(forces, members, list(MIRRORS))
         assert len(members) == 164
         assert len({first for first, _ in orbit}) == 48
+
+
+class TestRepresentativeSubspace:
+    """The first member of an orbit is solved on the y-parity subspace when a
+    mirror of the scan flips y alone and fixes its load."""
+
+    def test_antisym_pairs_under_guides_run_y_odd(self, monkeypatch, mesh_small,
+                                                  operator_small, params,
+                                                  threshold):
+        box = TestOrbitScans.BOXES["guides"](mesh_small, threshold)
+        forces = TestOrbitScans.CLASSES["antisym-delta"](params)
+        sols, groups = _member_solutions(monkeypatch, operator_small, box, forces,
+                                         params)
+        assert groups == [(Y_ODD,)] * 48
+        assert any(s.upper_contact.size for s in sols)
+
+    def test_uneven_bounds_keep_the_full_space(self, monkeypatch, mesh_small,
+                                               operator_small, params,
+                                               threshold):
+        """lower != -upper: no negating mirror maps the box onto itself, so
+        no antisymmetric pair has a y-stabilizer."""
+        box = TestOrbitScans.BOXES["bounds"](mesh_small, threshold)
+        forces = TestOrbitScans.CLASSES["antisym-delta"](params)
+        _, groups = _member_solutions(monkeypatch, operator_small, box, forces,
+                                      params)
+        assert groups == [()] * 48
+
+    def test_midline_point_loads_run_y_even(self, monkeypatch, mesh_small,
+                                            operator_small, params, threshold):
+        box = TestOrbitScans.BOXES["guides"](mesh_small, threshold)
+        forces = TestOrbitScans.CLASSES["signed-delta"](params)
+        members = forces.members(params)
+        firsts = sorted({first for first, _ in optimize._orbits(
+            forces, members, mirror_symmetries(mesh_small, box))})
+        _, groups = _member_solutions(monkeypatch, operator_small, box, forces,
+                                      params)
+        midline = [2 * members[k].sites[0][0] == forces.neta - 1 for k in firsts]
+        assert groups == [(Y_EVEN,) if mid else () for mid in midline]
+        assert midline.count(True) == midline.count(False) == 3
+
+    def test_levels_share_one_reduced_operator(self, monkeypatch, mesh_small,
+                                               params, threshold):
+        """The reduced operator is built once per operator and group, so the
+        levels of an obstacle scan share it."""
+        calls = []
+        restrict = OrbitBasis.restrict_form
+
+        def counted(basis, form):
+            calls.append(basis.group)
+            return restrict(basis, form)
+
+        monkeypatch.setattr(OrbitBasis, "restrict_form", counted)
+        fam = ObstacleFamily.constant_levels([0.5 * threshold, 2.0 * threshold])
+        forces = ForceClass(kind="antisym-delta", window=ScanWindow.default(params),
+                            nxi=9, neta=5)
+        res = best_obstacle(fam, PlateOperator.build(mesh_small, params), forces,
+                            params)
+        assert len(res.rows) == 2 and calls == [(Y_ODD,)]
+
+    def test_y_mirror_contacts_enter_together(self, monkeypatch, params,
+                                              threshold):
+        """The guide-scan warm-up op: regime at 64x16 on the 5x3 site grid,
+        guides at 0.6 M.  The contact member's y-mirror pair of edge nodes is
+        one coordinate of the y-odd subspace, so it enters in one blocking
+        step: 2 iterations and 2 factorizations in the scan.  On the full
+        space its two nodes reached their guides at step ratios apart by
+        round-off and entered one at a time: 3 and 3."""
+        mesh = Mesh(64, 16, params.half_width)
+        box = BoxConstraints.from_obstacle(
+            mesh, ObstacleSpec.constant_level(0.6 * threshold))
+        forces = ForceClass(kind="antisym-delta", window=ScanWindow.default(params),
+                            nxi=5, neta=3)
+        factorizations = []
+        factor = solver._spd_factor
+
+        def counted(*args, **kw):
+            factorizations.append(1)
+            return factor(*args, **kw)
+
+        monkeypatch.setattr(solver, "_spd_factor", counted)
+        sols, groups = _member_solutions(
+            monkeypatch, PlateOperator.build(mesh, params), box, forces, params)
+        assert groups == [(Y_ODD,)] * 2
+        contact = [s for s in sols if s.upper_contact.size]
+        assert contact and all(s.iterations == 2 for s in contact)
+        # one node on each long edge, mirror images of each other
+        assert all(s.upper_contact.size == s.lower_contact.size == 1 for s in contact)
+        assert len(factorizations) == 2
 
 
 class TestBestObstacle:

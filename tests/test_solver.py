@@ -179,6 +179,23 @@ class TestSolveObstacle:
         assert np.isfinite(err.value.residual)
         assert err.value.residual > solver.TOL
 
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_iteration_budget_error_carries_the_iterate_state(
+            self, operator_small, mesh_small, monkeypatch, budget):
+        """The error names the iterations spent and the contacts of the
+        iterate it stopped at: here each blocking step puts one more node on
+        the guide, and the settled solve has 5 contacts in 5 iterations."""
+        box = BoxConstraints.from_obstacle(
+            mesh_small, ObstacleSpec.constant_level(0.2, region="full"))
+        b = assemble_load(mesh_small, SIN_LOAD)
+        settled = solve_obstacle(operator_small, b, box)
+        assert settled.iterations == settled.upper_contact.size == 5
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", budget)
+        with pytest.raises(IterationLimitError) as err:
+            solve_obstacle(operator_small, b, box)
+        assert err.value.iterations == budget
+        assert err.value.contacts == budget + 1
+
 
 class TestSettledIterate:
     """The iterate that settles the active set is the returned solve.
