@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fem import (LoadSpec, Mesh, OrbitBasis, ReinforcementMask, assemble_load,
-                  field_to_csv, mirror_axes)
+from .fem import (LoadSpec, Mesh, ReinforcementMask, assemble_load, field_to_csv,
+                  mirror_axes)
 from .optimize import (ForceClass, ObstacleFamily, ReinforcementFamily,
                        _cell_density, best_obstacle, best_reinforcement,
                        classify_regime, gap_profile, worst_gap_force)
@@ -246,6 +246,7 @@ def _build_density(spec, half_width):
         raise TypeError(f"load density must be a number or an object: {spec!r}")
     kind = _object(spec, "density", {"kind", "signs"}).get("kind")
     if kind == "sin_x":
+        _object(spec, "density", {"kind"})
         return lambda x, y: np.sin(x)
     if kind == "cells":
         signs = _grid(spec["signs"], "signs", "a 2-D grid of numbers", _is_real)
@@ -423,9 +424,8 @@ def _read_vi_solve(p, ctx):
                                  mask=mask if variant == "E1" else None)
         rhs = assemble_load(mesh, load, weight=mask if variant == "E2" else None)
         if group:
-            basis = OrbitBasis(mesh, group)
-            sol = expand_solution(solve_obstacle(*reduce_problem(op, rhs, box, basis)),
-                                  op, rhs, box, basis)
+            sol = expand_solution(solve_obstacle(*reduce_problem(op, rhs, box, group)),
+                                  op, rhs, box)
         else:
             sol = solve_obstacle(op, rhs, box)
         field_to_csv(sol.field, outdir / "field.csv")
@@ -435,7 +435,7 @@ def _read_vi_solve(p, ctx):
 
 
 def _mirror_group(load_spec, load, mesh, box, mask):
-    """The generators of an ``OrbitBasis`` for a vi-solve's data: for each
+    """The generators of the mirror group of a vi-solve's data: for each
     axis, the first element of ``mirror_symmetries`` that flips that axis
     alone and maps the load onto itself, the mirror before the mirror
     combined with negation.  The box and the mask are checked by

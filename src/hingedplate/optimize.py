@@ -10,7 +10,8 @@ against its own load, so mirror-image loads get exactly equal values.  A
 first member whose load a mirror of the scan that flips y alone maps onto
 itself (an antisymmetric point pair under guides with ``lower == -upper``,
 a midline point load, a bang-bang pattern even or odd in y) is solved on
-that mirror's y-parity subspace and expanded; its ``iterations`` are the
+that mirror's y-parity subspace and expanded, through ``reduce_problem``
+and ``expand_solution`` as a ``vi-solve`` is; its ``iterations`` are the
 reduced solve's.  Every other first member, and every member whose image
 fails its certificate, is solved on the full space.
 Reductions tie-break to the first candidate within ``TIE_RTOL`` of the
@@ -23,11 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import LoadSpec, OrbitBasis, ReinforcementMask, assemble_load, mirror_axes
+from .fem import LoadSpec, ReinforcementMask, assemble_load, mirror_axes
 from .series import (ObstacleSpec, ScanWindow, antisym_edge_profile,
                      gap_threshold_M, phi_m)
 from .solver import (BoxConstraints, PlateOperator, SolverError, expand_solution,
-                     mirror_solution, mirror_symmetries, restrict_box,
+                     mirror_solution, mirror_symmetries, reduce_problem,
                      solve_obstacle)
 from .summation import series_sum
 
@@ -396,18 +397,6 @@ def _y_stabilizer(forces, sites, elements):
                  if mirror_axes(g) == [0] and forces.mirror(sites, g) == sites), None)
 
 
-def _representative_solve(operator, rhs, box, basis):
-    """The solve of an orbit's first member: on the y-parity subspace
-    ``basis`` of its y-stabilizer (``operator.reduced``), expanded and
-    certified in the full space, or on the full space when ``basis`` is None."""
-    if basis is None:
-        return _member_solve(operator, rhs, box)
-    return expand_solution(
-        _member_solve(operator.reduced(basis), basis.restrict(rhs),
-                      restrict_box(box, basis)),
-        operator, rhs, box, basis)
-
-
 def _orbits(forces, members, elements):
     """For each member, the index of the first member of its orbit under the
     mirrors ``elements`` (the identity first) and an element mapping that
@@ -440,14 +429,14 @@ def _member_rows(operator, obstacles, forces, params, weight=None):
     orbits = _orbits(forces, members, elements)
     last = {first: k for k, (first, _) in enumerate(orbits)}
     solved = {}
-    bases = {}  # the orbit basis of each y-stabilizer met
     for k, (member, (first, element)) in enumerate(zip(members, orbits)):
         rhs = assemble_load(operator.mesh, member.load, weight=weight)
         if first == k:
             g = _y_stabilizer(forces, member.sites, elements)
-            if g is not None and g not in bases:
-                bases[g] = OrbitBasis(operator.mesh, (g,))
-            sol = solved[k] = _representative_solve(operator, rhs, box, bases.get(g))
+            sol = solved[k] = (
+                _member_solve(operator, rhs, box) if g is None else expand_solution(
+                    _member_solve(*reduce_problem(operator, rhs, box, (g,))),
+                    operator, rhs, box))
         else:
             try:
                 sol = mirror_solution(solved[first], operator, rhs, box, element)

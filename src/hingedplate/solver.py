@@ -26,17 +26,19 @@ vocabulary; ``mirror_symmetries`` lists those that map a box, and the
 reinforcement masks of an energy, onto themselves.  When the caller knows
 mirrors that also map its load onto itself, the energy is strictly convex,
 so the minimizer is unique and invariant under them.  ``reduce_problem``
-then restricts the problem to the invariant fields of their group
-(``fem.OrbitBasis``), one coordinate per dof orbit (``K_r = R' K R``,
-``b_r = R' b``), and the same active set iteration runs on that quarter- or
-half-sized operator; its ``iterations`` count that run's steps.  Each
-operator builds ``K_r`` once per group (``PlateOperator.reduced``), so a
-scan's y-fixed members (``optimize``) and the levels of an obstacle scan
-share one reduced operator and its factor.  The solver never picks a group
-itself.  Both kinds of
-image, ``expand_solution`` of a reduced solve and ``mirror_solution`` of a
-solve through one mirror (a scan solves one load of each mirror orbit), are
-exact signed copies of a solve, built by one function.  Every result, a
+then restricts the problem to the invariant fields of their group, one
+coordinate per dof orbit (``K_r = R' K R``, ``b_r = R' b``), and the same
+active set iteration runs on that quarter- or half-sized operator; its
+``iterations`` count that run's steps.  Each operator builds ``K_r`` and its
+``fem.OrbitBasis`` once per group (``PlateOperator.reduced``); the basis is
+the reduced operator's ``mesh``, so ``expand_solution`` reads it from the
+reduced solve's field.  A ``vi-solve`` (``cli``) and a scan's y-fixed
+members (``optimize``) take this one path, and the levels of an obstacle
+scan share one reduced operator and its factor.  The solver never picks a
+group itself.  Both kinds of image, ``expand_solution`` of a reduced solve
+and ``mirror_solution`` of a solve through one mirror (a scan solves one
+load of each mirror orbit), are exact signed copies of a solve, built by one
+function.  Every result, a
 direct solve's and an image's alike, ends in one closing step on the full
 operator against its own load: its float64 field must lie in the box
 exactly and pass the KKT certificate.  A field that fails is an error,
@@ -49,8 +51,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .fem import (LONG, DOF_VALUE, MIRRORS, DofField, assemble_bilinear, energy,
-                  mirror_axes, mirror_map)
+from .fem import (LONG, DOF_VALUE, MIRRORS, DofField, OrbitBasis, assemble_bilinear,
+                  energy, mirror_axes, mirror_map)
 from .fem import assemble_load  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 __all__ = [
@@ -62,7 +64,6 @@ __all__ = [
     "solve_linear",
     "solve_obstacle",
     "reduce_problem",
-    "restrict_box",
     "expand_solution",
     "mirror_symmetries",
     "mirror_solution",
@@ -170,8 +171,9 @@ class PlateOperator:
 
     Owns the reduction to free dofs, the free block scaled to unit diagonal
     (``diag(s) K diag(s)`` with ``s = diag(K)^(-1/2)``), its factor, built on
-    the first solve, its restrictions to mirror-invariant subspaces, each
-    built on first use, and extended-precision refinement of every solve.
+    the first solve, its restrictions to mirror-invariant subspaces with
+    their orbit bases, each built on first use per mirror group, and
+    extended-precision refinement of every solve.
     The free dofs ``free_idx`` run with the short axis fastest: node column
     slowest, then node row, then the dof.  ``mask`` is the reinforcement
     mask whose weights the form carries, None for the base energy.
@@ -212,14 +214,15 @@ class PlateOperator:
             self._scaled = self._scaled[self._order][:, self._order]
         return self._free_factor
 
-    def reduced(self, basis):
-        """The operator ``R' K R`` on the coordinates of ``basis``, an
-        ``OrbitBasis`` of this operator's mesh: built on first use per mirror
-        group, as the free factor is, and shared by every basis of that group."""
-        if basis.group not in self._reduced:
-            self._reduced[basis.group] = PlateOperator(basis,
-                                                       basis.restrict_form(self.form))
-        return self._reduced[basis.group]
+    def reduced(self, group):
+        """The operator ``R' K R`` on the invariant fields of the mirror group
+        generated by the tuple ``group``: its ``mesh`` is the
+        ``OrbitBasis(self.mesh, group)`` of those fields.  Built on first use
+        per group, as the free factor is."""
+        if group not in self._reduced:
+            basis = OrbitBasis(self.mesh, group)
+            self._reduced[group] = PlateOperator(basis, basis.restrict_form(self.form))
+        return self._reduced[group]
 
     def solve_free(self, rhs_full):
         """Solve on the free dofs with all box constraints inactive."""
@@ -418,51 +421,52 @@ def _certified(operator, rhs, box, x, resid, act_lo, act_hi, iterations):
                       iterations=iterations)
 
 
-def reduce_problem(operator, rhs, constraints, basis):
-    """The obstacle problem on the coordinates of the orbit basis ``basis``:
-    the operator ``R' K R`` (``operator.reduced``), the load ``R' b`` and
-    ``restrict_box``.  The caller picks the group from the data; a box the
-    group does not map onto itself is a SolverError."""
-    if not set(basis.group) <= set(mirror_symmetries(operator.mesh, constraints)):
-        raise SolverError(f"the obstacle is not invariant under the group {basis.group}")
-    return (operator.reduced(basis), basis.restrict(rhs),
-            restrict_box(constraints, basis))
+def reduce_problem(operator, rhs, constraints, group):
+    """The obstacle problem on the invariant fields of the mirror group
+    generated by ``group``: the operator ``R' K R`` (``operator.reduced``),
+    the load ``R' b`` and, on each orbit node, the box of its representative
+    node.  The caller picks the group from the data; a generator that does
+    not map the box, and the operator's reinforcement mask, onto itself is a
+    SolverError, for then the box has no restriction."""
+    masks = [operator.mask] if operator.mask is not None else []
+    if not all(_maps_onto_itself(operator.mesh, constraints, masks, g) for g in group):
+        raise SolverError("the box or the reinforcement mask is not invariant "
+                          f"under the group {group}")
+    reduced = operator.reduced(group)
+    rep = reduced.mesh.representative_nodes
+    return (reduced, reduced.mesh.restrict(rhs),
+            BoxConstraints(constraints.node_mask[rep], constraints.lower[rep],
+                           constraints.upper[rep]))
 
 
-def restrict_box(constraints, basis):
-    """The box on the orbit nodes of ``basis``: on each, the box of its
-    representative node.  A box the group of ``basis`` does not map onto
-    itself has no restriction; ``mirror_symmetries`` tells."""
-    rep = basis.representative_nodes
-    return BoxConstraints(constraints.node_mask[rep], constraints.lower[rep],
-                          constraints.upper[rep])
-
-
-def expand_solution(reduced, operator, rhs, constraints, basis):
+def expand_solution(reduced, operator, rhs, constraints):
     """The solution of the full problem from ``reduced``, the solve of its
-    ``reduce_problem`` on the coordinates of ``basis``: its exact expansion,
-    by ``_image``."""
+    ``reduce_problem``: its exact expansion by the orbit basis the solve's
+    field lives on, by ``_image``."""
+    basis = reduced.field.mesh
     return _image(reduced, operator, rhs, constraints, basis.coordinate, basis.sign)
 
 
 def mirror_symmetries(mesh, constraints, masks=()):
     """The elements of ``fem.MIRRORS`` that map the box ``constraints`` and
-    the elements of each reinforcement mask in ``masks`` onto themselves, by
+    each reinforcement mask in ``masks`` onto themselves: the mirrors under
+    which a problem on the plate with those data is invariant whenever its
+    load is."""
+    return [g for g in MIRRORS if _maps_onto_itself(mesh, constraints, masks, g)]
+
+
+def _maps_onto_itself(mesh, constraints, masks, element):
+    """Whether the mirror ``element`` maps the box ``constraints`` and the
+    elements of each reinforcement mask in ``masks`` onto themselves, by
     exact comparison: node mask and bounds under the node permutation, the
-    bounds swapped and negated under a negating element.  These are the
-    mirrors under which a problem on the plate with those data is invariant
-    whenever its load is."""
+    bounds swapped and negated under a negating element."""
     m, lower, upper = constraints.node_mask, constraints.lower, constraints.upper
-    out = []
-    for element in MIRRORS:
-        perm = mirror_map(mesh, element)[0][DOF_VALUE::4] // 4
-        lo, hi = (lower, upper) if element[2] > 0 else (-upper, -lower)
-        if (np.array_equal(m[perm], m) and np.array_equal(lo[perm][m], lower[m])
-                and np.array_equal(hi[perm][m], upper[m])
-                and all(np.array_equal(np.flip(mask.elements, mirror_axes(element)),
-                                       mask.elements) for mask in masks)):
-            out.append(element)
-    return out
+    perm = mirror_map(mesh, element)[0][DOF_VALUE::4] // 4
+    lo, hi = (lower, upper) if element[2] > 0 else (-upper, -lower)
+    return (np.array_equal(m[perm], m) and np.array_equal(lo[perm][m], lower[m])
+            and np.array_equal(hi[perm][m], upper[m])
+            and all(np.array_equal(np.flip(mask.elements, mirror_axes(element)),
+                                   mask.elements) for mask in masks))
 
 
 def mirror_solution(solution, operator, rhs, constraints, element):

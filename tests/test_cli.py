@@ -11,8 +11,7 @@ import pytest
 from hingedplate import cli, solver
 from hingedplate.cli import (default_config, load_config, main, merge_config,
                              run, validate)
-from hingedplate.fem import (LoadSpec, Mesh, OrbitBasis, assemble_bilinear,
-                             assemble_load)
+from hingedplate.fem import LoadSpec, Mesh, assemble_bilinear, assemble_load
 from hingedplate.optimize import ForceClass, ReinforcementFamily
 from hingedplate.params import MaterialParams
 
@@ -228,10 +227,12 @@ class TestRun:
         certified result is the full solve's."""
         chosen = []
 
-        def recording(mesh, g):
+        reduce = cli.reduce_problem
+
+        def recording(op, rhs, box, g):
             chosen.append(g)
-            return OrbitBasis(mesh, g)
-        monkeypatch.setattr(cli, "OrbitBasis", recording)
+            return reduce(op, rhs, box, g)
+        monkeypatch.setattr(cli, "reduce_problem", recording)
         code, summary = run(config_for("vi-solve", params, outdir=tmp_path / "g"))
         assert code == 0 and summary["result"]["contact_upper"]
         assert chosen == ([group] if group else [])
@@ -407,6 +408,8 @@ class TestRun:
          "unknown load fields: ['norm']"),
         ("solve", {"load": {"density": {"kind": "constant", "value": 1.0}}},
          "unknown density fields: ['value']"),
+        ("solve", {"load": {"density": {"kind": "sin_x", "signs": [[1, -1]]}}},
+         "unknown density fields: ['signs']"),
         ("vi-solve", {"load": {"density": 1.0},
                       "obstacles": {"kind": "bounds", "lower": -1.0,
                                     "upper": 1.0, "regoin": "full"}},
@@ -552,9 +555,10 @@ class TestRun:
         ("regime", {"gamma": 0.01, "scan": False,
                     "force_class": {"kind": "nope"}},
          "unknown params fields: ['force_class']"),
-    ], ids=["load-typo", "load-norm", "constant-density", "obstacles-typo",
-            "force_class-typo", "window-typo", "params-typo", "family-typo",
-            "no-levels", "no-grid", "one-cell-count", "too-many-patterns",
+    ], ids=["load-typo", "load-norm", "constant-density", "sin_x-signs",
+            "obstacles-typo", "force_class-typo", "window-typo", "params-typo",
+            "family-typo", "no-levels", "no-grid", "one-cell-count",
+            "too-many-patterns",
             "huge-patterns",
             "list-points", "list-point", "list-source", "list-antisym_delta",
             "list-point_masses", "list-levels", "list-cells", "float-nxi",

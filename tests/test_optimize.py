@@ -12,7 +12,7 @@ from hingedplate import (BoxConstraints, DofField, LoadSpec, Mesh,
                          edge_gap_series_scan, gap_profile, gap_threshold_M,
                          placement_bound_report, worst_force_amplitude,
                          worst_gap_force)
-from hingedplate import optimize, solver
+from hingedplate import cli, optimize, solver
 from hingedplate.fem import MIRRORS, OrbitBasis, assemble_load
 from hingedplate.optimize import ForceClass, ObstacleFamily, ReinforcementFamily
 from hingedplate.solver import (PlateOperator, SolverError, expand_solution,
@@ -517,13 +517,12 @@ class TestOrbitScans:
         assert len(solved) == len(sols) == 8
         firsts = {first for first, _ in optimize._orbits(
             forces, members, mirror_symmetries(mesh_small, box))}
-        basis = OrbitBasis(mesh_small, (Y_EVEN,))
         for k, (member, sol, full) in enumerate(zip(members, sols, direct)):
             rhs = assemble_load(mesh_small, member.load)
             if k in firsts:
                 ref = expand_solution(
-                    solve_obstacle(*reduce_problem(operator_small, rhs, box, basis)),
-                    operator_small, rhs, box, basis)
+                    solve_obstacle(*reduce_problem(operator_small, rhs, box, (Y_EVEN,))),
+                    operator_small, rhs, box)
             else:
                 ref = solve_obstacle(operator_small, rhs, box)
             assert sol.field.dofs.tobytes() == ref.field.dofs.tobytes()
@@ -602,24 +601,41 @@ class TestRepresentativeSubspace:
         assert groups == [(Y_EVEN,) if mid else () for mid in midline]
         assert midline.count(True) == midline.count(False) == 3
 
-    def test_levels_share_one_reduced_operator(self, monkeypatch, mesh_small,
-                                               params, threshold):
-        """The reduced operator is built once per operator and group, so the
-        levels of an obstacle scan share it."""
-        calls = []
+    def test_levels_share_one_reduced_operator(self, monkeypatch, tmp_path,
+                                               mesh_small, params, threshold):
+        """The reduced operator and its orbit basis are built once per
+        operator and group, so the levels of an obstacle scan share them, and
+        a reduced vi-solve builds one basis."""
+        calls, built = [], []
         restrict = OrbitBasis.restrict_form
+        init = OrbitBasis.__init__
 
         def counted(basis, form):
             calls.append(basis.group)
             return restrict(basis, form)
 
+        def constructed(basis, mesh, generators):
+            built.append(tuple(generators))
+            init(basis, mesh, generators)
+
         monkeypatch.setattr(OrbitBasis, "restrict_form", counted)
+        monkeypatch.setattr(OrbitBasis, "__init__", constructed)
         fam = ObstacleFamily.constant_levels([0.5 * threshold, 2.0 * threshold])
         forces = ForceClass(kind="antisym-delta", window=ScanWindow.default(params),
                             nxi=9, neta=5)
         res = best_obstacle(fam, PlateOperator.build(mesh_small, params), forces,
                             params)
-        assert len(res.rows) == 2 and calls == [(Y_ODD,)]
+        assert len(res.rows) == 2 and calls == built == [(Y_ODD,)]
+        built.clear()
+        cfg = cli.default_config()
+        cfg.update(material={"sigma": params.sigma, "half_width": params.half_width},
+                   mesh={"nx": mesh_small.nx, "ny": mesh_small.ny},
+                   problem="vi-solve", output_dir=str(tmp_path),
+                   params={"load": {"density": 1.0},
+                           "obstacles": {"gamma": threshold, "region": "full"}})
+        code, summary = cli.run(cfg)
+        assert code == 0 and summary["result"]["contact_upper"]
+        assert len(built) == 1
 
     def test_y_mirror_contacts_enter_together(self, monkeypatch, params,
                                               threshold):

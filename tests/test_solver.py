@@ -13,8 +13,8 @@ from hingedplate import (AntisymDelta, BoxConstraints, DofField, LoadSpec, Mesh,
                          solve_obstacle, symmetry_decompose,
                          uniform_load_profile)
 from hingedplate import solver
-from hingedplate.fem import (DOF_VALUE, MIRRORS, OrbitBasis, assemble_load,
-                             mirror_axes, mirror_field)
+from hingedplate.fem import (DOF_VALUE, MIRRORS, assemble_load, mirror_axes,
+                             mirror_field)
 from hingedplate.optimize import _cell_density
 from hingedplate.solver import (IterationLimitError, PlateOperator,
                                 SolverError, expand_solution, mirror_solution,
@@ -466,9 +466,8 @@ class TestMirrorImages:
 
 
 def _reduced_solve(op, rhs, box, group):
-    basis = OrbitBasis(op.mesh, group)
-    return expand_solution(solve_obstacle(*reduce_problem(op, rhs, box, basis)),
-                           op, rhs, box, basis)
+    return expand_solution(solve_obstacle(*reduce_problem(op, rhs, box, group)),
+                           op, rhs, box)
 
 
 class TestOrbitReduction:
@@ -515,7 +514,20 @@ class TestOrbitReduction:
         box = BoxConstraints.from_obstacle(
             mesh_mid, ObstacleSpec(lower=-1.0, upper=0.25, region="full"))
         with pytest.raises(SolverError, match="not invariant"):
-            reduce_problem(operator_mid, rhs, box, OrbitBasis(mesh_mid, ((False, True, -1),)))
+            reduce_problem(operator_mid, rhs, box, ((False, True, -1),))
+
+    def test_wrong_group_on_a_mask_is_an_error(self, params, mesh_mid):
+        """An E1 mask on the left quarter: the x mirror maps the box and the
+        load onto themselves, but not the stiffness, so no reduced solve."""
+        sel = np.zeros((mesh_mid.ny, mesh_mid.nx), dtype=bool)
+        sel[:, :mesh_mid.nx // 4] = True
+        op = PlateOperator.build(mesh_mid, params,
+                                 mask=ReinforcementMask(sel, 0.5, 2.5))
+        _, load, obstacle = REDUCIBLE["x+"]
+        rhs = assemble_load(mesh_mid, load)
+        box = BoxConstraints.from_obstacle(mesh_mid, obstacle)
+        with pytest.raises(SolverError, match="not invariant"):
+            reduce_problem(op, rhs, box, ((True, False, 1),))
 
     def test_expanded_field_off_the_box_is_an_error(self, operator_small,
                                                     mesh_small):
@@ -525,13 +537,13 @@ class TestOrbitReduction:
         rhs = assemble_load(mesh_small, LoadSpec(density=1.0))
         box = BoxConstraints.from_obstacle(
             mesh_small, ObstacleSpec.constant_level(0.012, region="long_edges"))
-        basis = OrbitBasis(mesh_small, ((True, False, 1), (False, True, 1)))
-        reduced = solve_obstacle(*reduce_problem(operator_small, rhs, box, basis))
+        reduced = solve_obstacle(*reduce_problem(
+            operator_small, rhs, box, ((True, False, 1), (False, True, 1))))
         assert reduced.upper_contact.size > 0
         off = dataclasses.replace(reduced, field=DofField(
-            basis, (1.0 + 1e-6) * reduced.field.dofs))
+            reduced.field.mesh, (1.0 + 1e-6) * reduced.field.dofs))
         with pytest.raises(SolverError, match="leaves the box"):
-            expand_solution(off, operator_small, rhs, box, basis)
+            expand_solution(off, operator_small, rhs, box)
 
     def test_pinned_edges_keep_their_sides(self, operator_small, mesh_small):
         """lower == upper on the long edges: the expanded solve pins every

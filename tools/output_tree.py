@@ -26,7 +26,10 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
 * two 16x4 ops under degenerate pins, a ``bounds`` box with lower = upper = 0
   on the long edges, so that both kinds of image cover them: a uniform-load
   ``vi-solve`` reduced under x and y, and a ``signed-delta`` ``gap-scan``
-  whose mirror images have contacts on both sides.
+  whose mirror images have contacts on both sides;
+* one 16x4 ``vi-solve`` whose ``sin_x`` density carries a ``signs`` field,
+  listed only for ``cells``: a config error, so the tree holds one exit-2
+  ``summary.json`` with its diagnostic.
 
 Each op writes to ``OUT_DIR/<workload>/<label>/``; ``OUT_DIR/exit_codes.txt``
 lists the exit code of every op.  Output directories are relative to
@@ -95,6 +98,9 @@ def extra_ops(wl):
             "obstacles": pinned,
             "force_class": {"kind": "signed-delta", "nxi": 5, "neta": 3}},
             mesh=(16, 4))),
+        ("vi-solve-sin-x-signs", wl.config("vi-solve", {
+            "load": {"density": {"kind": "sin_x", "signs": [[1, -1]]}},
+            "obstacles": {"gamma": 0.01, "region": "full"}}, mesh=(16, 4))),
     ]
 
 
