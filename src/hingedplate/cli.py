@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fem import (LoadSpec, Mesh, ReinforcementMask, assemble_load, field_to_csv,
-                  mirror_axes)
+from .fem import LoadSpec, Mesh, ReinforcementMask, assemble_load, field_to_csv
 from .optimize import (ForceClass, ObstacleFamily, ReinforcementFamily,
                        _cell_density, best_obstacle, best_reinforcement,
                        classify_regime, gap_profile, worst_gap_force)
@@ -25,9 +24,8 @@ from .params import MaterialParams
 from .series import (ObstacleSpec, ScanWindow, SeriesState, analytic_bound_C,
                      green_value, uniform_load_profile)
 from .solver import (BoxConstraints, IterationLimitError, PlateOperator,
-                     SolverError, expand_solution, mirror_symmetries,
-                     reduce_problem, solve_linear, solve_obstacle,
-                     solution_to_json)
+                     SolverError, expand_solution, reduce_problem,
+                     solve_linear, solve_obstacle, solution_to_json)
 
 SCHEMA_VERSION = 1
 
@@ -417,56 +415,19 @@ def _read_vi_solve(p, ctx):
     elif {"alpha", "beta", "mask"} & set(p):
         raise ValueError("alpha, beta and mask apply to variants E1 and E2 only")
     load.validate(mesh, weight=mask if variant == "E2" else None)
-    group = _mirror_group(p["load"], load, mesh, box, mask)
 
     def run(outdir):
         op = PlateOperator.build(mesh, ctx["params"],
                                  mask=mask if variant == "E1" else None)
         rhs = assemble_load(mesh, load, weight=mask if variant == "E2" else None)
-        if group:
-            sol = expand_solution(solve_obstacle(*reduce_problem(op, rhs, box, group)),
-                                  op, rhs, box)
-        else:
-            sol = solve_obstacle(op, rhs, box)
+        # solved on the invariant fields of the mirrors of x and y that fix the data
+        reduced = reduce_problem(op, rhs, box, ((True, False), (False, True)))
+        sol = (solve_obstacle(op, rhs, box) if reduced is None
+               else expand_solution(solve_obstacle(*reduced), op, rhs, box))
         field_to_csv(sol.field, outdir / "field.csv")
         gap_profile(sol).to_csv(outdir / "gap.csv")
         return solution_to_json(sol, op, rhs, box)
     return run
-
-
-def _mirror_group(load_spec, load, mesh, box, mask):
-    """The generators of the mirror group of a vi-solve's data: for each
-    axis, the first element of ``mirror_symmetries`` that flips that axis
-    alone and maps the load onto itself, the mirror before the mirror
-    combined with negation.  The box and the mask are checked by
-    ``mirror_symmetries``, as a scan's are; the load from the config's
-    structure: the density kind, the ``cells`` signs and the point masses
-    (mirrored exactly in floating point)."""
-    group = {}
-    for g in mirror_symmetries(mesh, box, [mask] if mask is not None else []):
-        if (len(mirror_axes(g)) == 1 and _density_invariant(load_spec.get("density"), g)
-                and _mirrored_masses(load.point_masses, g) == sorted(load.point_masses)):
-            group.setdefault(g[:2], g)
-    return tuple(group.values())
-
-
-def _mirrored_masses(masses, element):
-    """The point masses (x, y, w) under the mirror ``element``, sorted."""
-    fx, fy, s = element
-    return sorted((np.pi - x if fx else x, -y if fy else y, s * w) for x, y, w in masses)
-
-
-def _density_invariant(spec, element):
-    """Whether the mirror ``element`` maps a density spec, as read by
-    ``_build_density``, onto itself."""
-    if spec is None:
-        return True
-    if _is_real(spec):
-        return element[2] * spec == spec
-    if spec["kind"] == "sin_x":
-        return element[2] == 1
-    signs = np.asarray(spec["signs"], dtype=float)
-    return np.array_equal(np.flip(signs, mirror_axes(element)), element[2] * signs)
 
 
 def _read_gap_scan(p, ctx):

@@ -6,14 +6,14 @@ loads, bang-bang densities, rasterized reinforcement layouts, or constant
 guide levels.  Inner problems are box-constrained solves.  The loads of a
 force class come in mirror orbits; a scan solves the first member of each
 orbit and maps that solve onto the others exactly, each image certified
-against its own load, so mirror-image loads get exactly equal values.  A
-first member whose load a mirror of the scan that flips y alone maps onto
-itself (an antisymmetric point pair under guides with ``lower == -upper``,
-a midline point load, a bang-bang pattern even or odd in y) is solved on
-that mirror's y-parity subspace and expanded, through ``reduce_problem``
-and ``expand_solution`` as a ``vi-solve`` is; its ``iterations`` are the
-reduced solve's.  Every other first member, and every member whose image
-fails its certificate, is solved on the full space.
+against its own load, so mirror-image loads get exactly equal values.
+A first member whose data a mirror that flips y alone maps onto itself,
+as ``reduce_problem`` decides for a ``vi-solve`` too (an antisymmetric
+point pair under guides with ``lower == -upper``, a midline point load, a
+bang-bang pattern even or odd in y), is solved on that mirror's y-parity
+subspace and expanded; its ``iterations`` are the reduced solve's.  Every
+other first member, and every member whose image fails its certificate, is
+solved on the full space.
 Reductions tie-break to the first candidate within ``TIE_RTOL`` of the
 optimum, so repeated runs are identical and round-off cannot choose between
 other near-equal candidates, such as mirror-image reinforcement layouts.
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import LoadSpec, ReinforcementMask, assemble_load, mirror_axes
+from .fem import LoadSpec, ReinforcementMask, assemble_load
 from .series import (ObstacleSpec, ScanWindow, antisym_edge_profile,
                      gap_threshold_M, phi_m)
 from .solver import (BoxConstraints, PlateOperator, SolverError, expand_solution,
@@ -95,7 +95,8 @@ def gap_profile(solution):
 # force classes
 # ---------------------------------------------------------------------------
 
-#: largest bang-bang enumeration a force class may ask for
+#: largest enumeration a scan may ask for: the sign patterns of a bang-bang
+#: class, or the layouts of a reinforcement family before any is dropped
 MAX_MEMBERS = 4096
 
 
@@ -257,6 +258,19 @@ class ReinforcementFamily:
     def __post_init__(self):
         if self.kind not in ("cross", "tiles"):
             raise ValueError(f"unknown reinforcement family kind {self.kind!r}")
+        for name in ("n_tiles", "centers_per_axis"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1: {getattr(self, name)}")
+        c = self.centers_per_axis
+        if self.kind == "cross":
+            counts = f"n_xstrips {self.n_xstrips}, n_ystrips {self.n_ystrips}"
+            layouts = _choose(c, self.n_xstrips) * _choose(c, self.n_ystrips)
+        else:
+            counts = f"n_tiles {self.n_tiles}"
+            layouts = _choose(c * max(2, c // 2), self.n_tiles)
+        if layouts > MAX_MEMBERS:
+            raise ValueError(f"{self.kind} family enumerates more than {MAX_MEMBERS} "
+                             f"layouts: centers_per_axis {c}, {counts}")
 
     def candidates(self, mesh):
         # the area tolerance is the rasterization granularity: a strip snaps
@@ -333,6 +347,17 @@ class ReinforcementFamily:
         return out
 
 
+def _choose(n, k):
+    """The number C(n, k) of k-subsets of n items, or MAX_MEMBERS + 1 once
+    it exceeds MAX_MEMBERS, without forming a larger integer."""
+    count = 1 if 0 <= k <= n else 0
+    for i in range(min(k, n - k)):
+        count = count * (n - i) // (i + 1)
+        if count > MAX_MEMBERS:
+            return MAX_MEMBERS + 1
+    return count
+
+
 def _tiles_overlap(rects, w, h):
     for (a, b) in itertools.combinations(rects, 2):
         if abs(a[0] - b[0]) < w and abs(a[1] - b[1]) < h:
@@ -389,14 +414,6 @@ def _member_solve(operator, rhs, box):
     return solve_obstacle(operator, rhs, box)
 
 
-def _y_stabilizer(forces, sites, elements):
-    """The element of ``elements`` that flips y alone and maps a member's
-    ``sites`` onto themselves, else None.  At most one does: y -> -y with
-    and without negation cannot both fix a nonzero load."""
-    return next((g for g in elements
-                 if mirror_axes(g) == [0] and forces.mirror(sites, g) == sites), None)
-
-
 def _orbits(forces, members, elements):
     """For each member, the index of the first member of its orbit under the
     mirrors ``elements`` (the identity first) and an element mapping that
@@ -416,10 +433,11 @@ def _member_rows(operator, obstacles, forces, params, weight=None):
 
     The mirrors that map the box, the operator's mask and ``weight`` onto
     themselves split the members into orbits.  The first member of each
-    orbit is solved, on the y-parity subspace when one of those mirrors
-    flips y alone and fixes its load; every other member's solution is the
-    image of that solve, certified against the member's own load, and a
-    member whose image fails its certificate is solved on the full space.
+    orbit is solved, on the y-parity subspace when ``reduce_problem`` finds
+    a mirror that flips y alone and fixes its data; every other member's
+    solution is the image of that solve, certified against the member's own
+    load, and a member whose image fails its certificate is solved on the
+    full space.
     """
     box = (obstacles if isinstance(obstacles, BoxConstraints)
            else BoxConstraints.from_obstacle(operator.mesh, obstacles))
@@ -432,11 +450,10 @@ def _member_rows(operator, obstacles, forces, params, weight=None):
     for k, (member, (first, element)) in enumerate(zip(members, orbits)):
         rhs = assemble_load(operator.mesh, member.load, weight=weight)
         if first == k:
-            g = _y_stabilizer(forces, member.sites, elements)
+            reduced = reduce_problem(operator, rhs, box, ((False, True),))
             sol = solved[k] = (
-                _member_solve(operator, rhs, box) if g is None else expand_solution(
-                    _member_solve(*reduce_problem(operator, rhs, box, (g,))),
-                    operator, rhs, box))
+                _member_solve(operator, rhs, box) if reduced is None
+                else expand_solution(_member_solve(*reduced), operator, rhs, box))
         else:
             try:
                 sol = mirror_solution(solved[first], operator, rhs, box, element)

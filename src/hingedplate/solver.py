@@ -23,26 +23,26 @@ certified residuals.
 
 Mirrors are the elements of ``fem.MIRRORS``, the package's one symmetry
 vocabulary; ``mirror_symmetries`` lists those that map a box, and the
-reinforcement masks of an energy, onto themselves.  When the caller knows
-mirrors that also map its load onto itself, the energy is strictly convex,
-so the minimizer is unique and invariant under them.  ``reduce_problem``
-then restricts the problem to the invariant fields of their group, one
-coordinate per dof orbit (``K_r = R' K R``, ``b_r = R' b``), and the same
-active set iteration runs on that quarter- or half-sized operator; its
-``iterations`` count that run's steps.  Each operator builds ``K_r`` and its
-``fem.OrbitBasis`` once per group (``PlateOperator.reduced``); the basis is
-the reduced operator's ``mesh``, so ``expand_solution`` reads it from the
-reduced solve's field.  A ``vi-solve`` (``cli``) and a scan's y-fixed
-members (``optimize``) take this one path, and the levels of an obstacle
-scan share one reduced operator and its factor.  The solver never picks a
-group itself.  Both kinds of image, ``expand_solution`` of a reduced solve
-and ``mirror_solution`` of a solve through one mirror (a scan solves one
-load of each mirror orbit), are exact signed copies of a solve, built by one
-function.  Every result, a
-direct solve's and an image's alike, ends in one closing step on the full
-operator against its own load: its float64 field must lie in the box
-exactly and pass the KKT certificate.  A field that fails is an error,
-never a result.
+reinforcement masks of an energy, onto themselves.  When mirrors also map
+the load onto itself, the energy is strictly convex, so the minimizer is
+unique and invariant under them.  ``reduce_problem`` alone decides which
+mirrors those are, from the box, the mask and the assembled load, and
+restricts the problem to the invariant fields of their group, one
+coordinate per dof orbit (``K_r = R' K R``, ``b_r = R' b``): the same
+active set iteration runs on that quarter- or half-sized operator, and its
+``iterations`` count that run's steps.  Each operator builds ``K_r`` and
+its ``fem.OrbitBasis`` once per group (``PlateOperator.reduced``); the
+basis is the reduced operator's ``mesh``, so ``expand_solution`` reads it
+from the reduced solve's field.  A ``vi-solve`` (``cli``, both axes) and a
+scan's orbit representatives (``optimize``, y alone) take this one path,
+and the levels of an obstacle scan share one reduced operator and its
+factor.  Both kinds of image, ``expand_solution`` of a reduced solve and
+``mirror_solution`` of a solve through one mirror (a scan solves one load
+of each mirror orbit), are exact signed copies of a solve, built by one
+function.  Every result, a direct solve's and an image's alike, ends in one
+closing step on the full operator against its own load: its float64 field
+must lie in the box exactly and pass the KKT certificate.  A field that
+fails is an error, never a result.
 """
 
 from dataclasses import dataclass
@@ -94,6 +94,9 @@ TOL = 1e-9
 MAX_ITERATIONS = 200
 #: extended-precision refinement steps after each factored solve
 REFINE_STEPS = 2
+#: relative distance within which a mirror maps a load onto itself: three
+#: orders below TOL, so the projected load keeps the full certificate
+LOAD_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +424,30 @@ def _certified(operator, rhs, box, x, resid, act_lo, act_hi, iterations):
                       iterations=iterations)
 
 
-def reduce_problem(operator, rhs, constraints, group):
-    """The obstacle problem on the invariant fields of the mirror group
-    generated by ``group``: the operator ``R' K R`` (``operator.reduced``),
-    the load ``R' b`` and, on each orbit node, the box of its representative
-    node.  The caller picks the group from the data; a generator that does
-    not map the box, and the operator's reinforcement mask, onto itself is a
-    SolverError, for then the box has no restriction."""
+def reduce_problem(operator, rhs, constraints, flips):
+    """The obstacle problem on the invariant fields of the mirror group of
+    its data, or None when the data fix no mirror of ``flips``.
+
+    For each axis flip ``(fx, fy)`` in ``flips`` the generator is the first
+    element of ``fem.MIRRORS`` that flips that axis alone and maps the load
+    ``rhs``, up to ``LOAD_RTOL`` of its largest entry, and the box and the
+    operator's reinforcement mask (``_maps_onto_itself``) onto themselves.
+    The reduced problem is the operator ``R' K R`` (``operator.reduced``),
+    the load ``R' b`` and, on each orbit node, the box of its
+    representative node."""
     masks = [operator.mask] if operator.mask is not None else []
-    if not all(_maps_onto_itself(operator.mesh, constraints, masks, g) for g in group):
-        raise SolverError("the box or the reinforcement mask is not invariant "
-                          f"under the group {group}")
-    reduced = operator.reduced(group)
+    load = rhs.astype(float)
+    group = {}
+    for g in MIRRORS:
+        if g[:2] in flips and g[:2] not in group:
+            perm, signs = mirror_map(operator.mesh, g)
+            off = np.max(np.abs(signs * load[perm] - load))
+            if (off <= LOAD_RTOL * np.max(np.abs(load))
+                    and _maps_onto_itself(operator.mesh, constraints, masks, g)):
+                group[g[:2]] = g
+    if not group:
+        return None
+    reduced = operator.reduced(tuple(group.values()))
     rep = reduced.mesh.representative_nodes
     return (reduced, reduced.mesh.restrict(rhs),
             BoxConstraints(constraints.node_mask[rep], constraints.lower[rep],

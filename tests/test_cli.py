@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,31 @@ class TestValidate:
         })
         diags = validate(cfg)
         assert any("|D|" in d or "area balance" in d for d in diags)
+
+    @pytest.mark.parametrize("family, expected", [
+        ({"kind": "tiles", "tile_size": [0.3, 0.02], "n_tiles": 10,
+          "centers_per_axis": 9},
+         "tiles family enumerates more than 4096 layouts: centers_per_axis 9, "
+         "n_tiles 10"),
+        ({"kind": "cross", "mu": 0.001, "n_xstrips": 2, "centers_per_axis": 200000},
+         "cross family enumerates more than 4096 layouts: centers_per_axis 200000, "
+         "n_xstrips 2, n_ystrips 0"),
+        ({"kind": "tiles", "tile_size": [0.3, 0.02], "n_tiles": -1},
+         "n_tiles must be at least 1: -1"),
+        ({"kind": "cross", "mu": 0.3, "centers_per_axis": -1},
+         "centers_per_axis must be at least 1: -1"),
+    ], ids=["many-tiles", "many-strip-centers", "negative-n_tiles",
+            "negative-centers_per_axis"])
+    def test_family_counts_are_bounded(self, tmp_path, capsys, family, expected):
+        """A family's layouts are counted, not enumerated, before any is
+        built, so an oversized one is a diagnostic at once."""
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(config_for("optimize-reinforcement", {
+            "alpha": 0.5, "beta": 2.5, "family": family}, nx=32, ny=8)))
+        start = time.perf_counter()
+        assert main(["validate", "--config", str(path)]) == 2
+        assert time.perf_counter() - start < 2.0
+        assert capsys.readouterr().out == f"violation: {expected}\n"
 
     def test_unknown_fields_rejected(self):
         cfg = config_for("regime", {"gamma": 0.01})
@@ -209,8 +235,13 @@ class TestRun:
           "obstacles": {"gamma": 0.01, "region": "full"}}, None),
         ({"load": {"point_masses": [[1.0, 0.05, 1.0], [np.pi - 1.0, 0.05, 1.0]]},
           "obstacles": {"gamma": 0.001}}, (X_PLUS,)),
-        # pi - (pi - 0.4) is not 0.4 in floating point
+        # pi - (pi - 0.4) is not 0.4 in floating point, but the assembled
+        # loads of the two masses are mirror images to round-off
         ({"load": {"point_masses": [[0.4, 0.0, 1.0], [np.pi - 0.4, 0.0, 1.0]]},
+          "obstacles": {"gamma": 0.001}}, (X_PLUS, Y_PLUS)),
+        # a mirrored mass 1e-9 off its image: far above LOAD_RTOL, so no x
+        ({"load": {"point_masses": [[0.4, 0.0, 1.0],
+                                    [np.pi - 0.4 + 1e-9, 0.0, 1.0]]},
           "obstacles": {"gamma": 0.001}}, (Y_PLUS,)),
         ({"load": {"density": 1.0}, "obstacles": {"gamma": 0.3, "region": "full"},
           "variant": "E1", "alpha": 0.5, "beta": 2.5,
@@ -219,25 +250,27 @@ class TestRun:
           "variant": "E2", "alpha": 0.5, "beta": 2.5,
           "mask": [[j == 0 for i in range(16)] for j in range(4)]}, (X_PLUS,)),
     ], ids=["uniform", "sin_x", "antisym", "antisym-uneven-box", "cells-x-odd",
-            "cells-none", "cells-composed", "masses-x", "masses-y", "E1-mask",
-            "E2-mask"])
+            "cells-none", "cells-composed", "masses-x", "masses-y",
+            "masses-y-off-by-1e-9", "E1-mask", "E2-mask"])
     def test_vi_solve_reduces_by_the_data_symmetry(self, tmp_path, monkeypatch,
                                                    params, group):
-        """The reader picks the mirrors the data are invariant under, and the
-        certified result is the full solve's."""
+        """``reduce_problem`` picks the mirrors the box, the mask and the
+        assembled load are invariant under, and the certified result is the
+        full solve's."""
         chosen = []
 
         reduce = cli.reduce_problem
 
-        def recording(op, rhs, box, g):
-            chosen.append(g)
-            return reduce(op, rhs, box, g)
+        def recording(op, rhs, box, flips):
+            reduced = reduce(op, rhs, box, flips)
+            chosen.append(None if reduced is None else reduced[0].mesh.group)
+            return reduced
         monkeypatch.setattr(cli, "reduce_problem", recording)
         code, summary = run(config_for("vi-solve", params, outdir=tmp_path / "g"))
         assert code == 0 and summary["result"]["contact_upper"]
-        assert chosen == ([group] if group else [])
+        assert chosen == [group]
         # the same data solved without the reduction
-        monkeypatch.setattr(cli, "_mirror_group", lambda *args: ())
+        monkeypatch.setattr(cli, "reduce_problem", lambda *args: None)
         code, full = run(config_for("vi-solve", params, outdir=tmp_path / "f"))
         assert code == 0
         for key in ("contact_lower", "contact_upper"):

@@ -27,6 +27,10 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
   on the long edges, so that both kinds of image cover them: a uniform-load
   ``vi-solve`` reduced under x and y, and a ``signed-delta`` ``gap-scan``
   whose mirror images have contacts on both sides;
+* one 16x4 ``vi-solve`` whose two point masses sit at x and pi - x on the
+  midline, mirror images whose coordinates do not round to exact
+  reflections: its assembled load decides the group (x, y), where an exact
+  reflection of the masses' coordinates would drop x;
 * one 16x4 ``vi-solve`` whose ``sin_x`` density carries a ``signs`` field,
   listed only for ``cells``: a config error, so the tree holds one exit-2
   ``summary.json`` with its diagnostic.
@@ -98,6 +102,9 @@ def extra_ops(wl):
             "obstacles": pinned,
             "force_class": {"kind": "signed-delta", "nxi": 5, "neta": 3}},
             mesh=(16, 4))),
+        ("vi-solve-masses-mirrored", wl.config("vi-solve", {
+            "load": {"point_masses": [[0.4, 0.0, 1.0], [math.pi - 0.4, 0.0, 1.0]]},
+            "obstacles": {"gamma": 0.001}}, mesh=(16, 4))),
         ("vi-solve-sin-x-signs", wl.config("vi-solve", {
             "load": {"density": {"kind": "sin_x", "signs": [[1, -1]]}},
             "obstacles": {"gamma": 0.01, "region": "full"}}, mesh=(16, 4))),
