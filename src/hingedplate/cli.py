@@ -24,8 +24,7 @@ from .params import MaterialParams
 from .series import (ObstacleSpec, ScanWindow, SeriesState, analytic_bound_C,
                      green_value, uniform_load_profile)
 from .solver import (BoxConstraints, IterationLimitError, PlateOperator,
-                     SolverError, expand_solution, reduce_problem,
-                     solve_linear, solve_obstacle, solution_to_json)
+                     SolverError, solve_linear, solve_obstacle, solution_to_json)
 
 SCHEMA_VERSION = 1
 
@@ -421,9 +420,7 @@ def _read_vi_solve(p, ctx):
                                  mask=mask if variant == "E1" else None)
         rhs = assemble_load(mesh, load, weight=mask if variant == "E2" else None)
         # solved on the invariant fields of the mirrors of x and y that fix the data
-        reduced = reduce_problem(op, rhs, box, ((True, False), (False, True)))
-        sol = (solve_obstacle(op, rhs, box) if reduced is None
-               else expand_solution(solve_obstacle(*reduced), op, rhs, box))
+        sol = solve_obstacle(op, rhs, box, ((True, False), (False, True)))
         field_to_csv(sol.field, outdir / "field.csv")
         gap_profile(sol).to_csv(outdir / "gap.csv")
         return solution_to_json(sol, op, rhs, box)
@@ -439,7 +436,7 @@ def _read_gap_scan(p, ctx):
 
     def run(outdir):
         op = PlateOperator.build(ctx["mesh"], params)
-        scan = worst_gap_force(op, obstacle, forces, params)
+        scan = worst_gap_force(op, obstacle, forces)
         scan.argopt_profile.to_csv(outdir / "gap.csv")
         return scan.to_report()
     return run
@@ -472,7 +469,7 @@ def _read_optimize_obstacle(p, ctx):
 
     def run(outdir):
         op = PlateOperator.build(ctx["mesh"], ctx["params"])
-        return best_obstacle(family, op, forces, ctx["params"]).to_report()
+        return best_obstacle(family, op, forces).to_report()
     return run
 
 
@@ -493,7 +490,7 @@ def _read_regime(p, ctx):
         if scan:
             obstacle = ObstacleSpec.constant_level(gamma, region="long_edges")
             op = PlateOperator.build(ctx["mesh"], params)
-            result = worst_gap_force(op, obstacle, forces, params)
+            result = worst_gap_force(op, obstacle, forces)
             report["scanned_gap"] = result.value
             report["scan"] = result.to_report()
         return report

@@ -549,22 +549,22 @@ class OrbitBasis:
         self.group = tuple(generators)
         self.nx = mesh.nx // 2 if (True, False) in flips else mesh.nx
         self.ny = mesh.ny // 2 if (False, True) in flips else mesh.ny
-        # every group element as the signed dof permutation it applies
-        elements = [(np.arange(mesh.n_dofs), np.ones(mesh.n_dofs))]
+        self.representatives = mesh.dof_grid()[:self.ny + 1, :self.nx + 1].ravel()
+        # fold the generators in: each dof not yet covered copies the
+        # coordinate of its image, and its sign times the generator's, once
+        # that image is covered (-1 marks an uncovered dof)
+        self.coordinate = np.full(mesh.n_dofs, -1, dtype=np.int64)
+        self.coordinate[self.representatives] = np.arange(self.n_dofs)
+        sign = np.ones(mesh.n_dofs)
+        negated = np.zeros(mesh.n_dofs, dtype=bool)
         for generator in self.group:
             perm, signs = mirror_map(mesh, generator)
-            elements += [(p[perm], signs * s[perm]) for p, s in elements]
-        images = np.stack([p for p, _ in elements])
-        signs = np.stack([s for _, s in elements])
-        # the smallest image of a dof lies on a representative node
-        first = np.argmin(images, axis=0)
-        rep = images[first, np.arange(mesh.n_dofs)]
-        self.representatives = mesh.dof_grid()[:self.ny + 1, :self.nx + 1].ravel()
-        position = np.empty(mesh.n_dofs, dtype=np.int64)
-        position[self.representatives] = np.arange(self.n_dofs)
-        self.coordinate = position[rep]
-        negated = np.any((images == np.arange(mesh.n_dofs)) & (signs < 0.0), axis=0)
-        self.sign = np.where(negated, 0.0, signs[first, np.arange(mesh.n_dofs)])
+            todo = np.flatnonzero(self.coordinate < 0)
+            self.coordinate[todo] = self.coordinate[perm[todo]]
+            sign[todo] = signs[todo] * sign[perm[todo]]
+            negated |= (perm == np.arange(mesh.n_dofs)) & (signs < 0.0)
+        # zeroed after the fold, so no sign is -0.0
+        self.sign = np.where(negated, 0.0, sign)
 
     @property
     def n_nodes(self):

@@ -7,13 +7,13 @@ guide levels.  Inner problems are box-constrained solves.  The loads of a
 force class come in mirror orbits; a scan solves the first member of each
 orbit and maps that solve onto the others exactly, each image certified
 against its own load, so mirror-image loads get exactly equal values.
-A first member whose data a mirror that flips y alone maps onto itself,
-as ``reduce_problem`` decides for a ``vi-solve`` too (an antisymmetric
-point pair under guides with ``lower == -upper``, a midline point load, a
-bang-bang pattern even or odd in y), is solved on that mirror's y-parity
-subspace and expanded; its ``iterations`` are the reduced solve's.  Every
-other first member, and every member whose image fails its certificate, is
-solved on the full space.
+Each first member is one ``solve_obstacle`` call offered the y flip alone,
+so one whose data a y mirror fixes (an antisymmetric point pair under
+guides with ``lower == -upper``, a midline point load, a bang-bang pattern
+even or odd in y) runs on that mirror's y-parity subspace.  Offering x as
+well, for the few x-fixed first members, raised the peak memory of the
+``guide-scan`` benchmark by 4-11% in paired runs, against its 5% bound.  A
+member whose image fails its certificate is solved on the full space.
 Reductions tie-break to the first candidate within ``TIE_RTOL`` of the
 optimum, so repeated runs are identical and round-off cannot choose between
 other near-equal candidates, such as mirror-image reinforcement layouts.
@@ -27,9 +27,8 @@ import numpy as np
 from .fem import LoadSpec, ReinforcementMask, assemble_load
 from .series import (ObstacleSpec, ScanWindow, antisym_edge_profile,
                      gap_threshold_M, phi_m)
-from .solver import (BoxConstraints, PlateOperator, SolverError, expand_solution,
-                     mirror_solution, mirror_symmetries, reduce_problem,
-                     solve_obstacle)
+from .solver import (BoxConstraints, PlateOperator, SolverError, mirror_solution,
+                     mirror_symmetries, solve_obstacle)
 from .summation import series_sum
 
 __all__ = [
@@ -121,7 +120,8 @@ class ForceClass:
     restricted to ``window`` when given:
       * ``antisym-delta``: pairs (delta_(xi,eta)-delta_(xi,-eta))/2; the
         midline sites (eta = 0, the middle row of an odd ``neta``) are
-        dropped: they are the zero load, not unit norm.
+        dropped: they are the zero load, not unit norm.  So the class needs
+        ``neta >= 2``.
       * ``signed-delta``: +-delta_p.
     ``bang-bang`` densities take the values +-1, constant on a cells_x x
     cells_y partition; all sign patterns are enumerated, and a window is an error.
@@ -139,6 +139,8 @@ class ForceClass:
         if self.nxi < 1 or self.neta < 1:
             raise ValueError(f"force class grid needs nxi, neta >= 1, "
                              f"got {self.nxi}x{self.neta}")
+        if self.kind == "antisym-delta" and self.neta < 2:
+            raise ValueError(f"antisym-delta pairs need neta >= 2, got {self.neta}")
         if self.kind == "bang-bang" and self.window is not None:
             raise ValueError("a scan window applies to point-load classes only")
         if self.kind == "bang-bang" and not (
@@ -148,8 +150,9 @@ class ForceClass:
             raise ValueError(f"bang-bang cells must be two counts >= 1 with at most "
                              f"{MAX_MEMBERS} sign patterns: {list(self.cells)}")
 
-    def members(self, params):
-        l = params.half_width
+    def members(self, plate):
+        """The members on the plate of half-width ``plate.half_width``."""
+        l = plate.half_width
         out = []
         if self.kind == "bang-bang":
             kx, ky = self.cells
@@ -164,10 +167,13 @@ class ForceClass:
                     sites=tuple((j, i, int(signs[j, i]))
                                 for j in range(ky) for i in range(kx))))
             return out
-        for i, xi in enumerate(np.linspace(0.0, np.pi, self.nxi)):
-            for j, eta in enumerate(np.linspace(-l, l, self.neta)):
-                if self.window is not None and not self.window.contains(
-                        xi, eta, params):
+        xis, etas = np.linspace(0.0, np.pi, self.nxi), np.linspace(-l, l, self.neta)
+        allowed = (np.ones((self.nxi, self.neta), dtype=bool) if self.window is None
+                   else self.window.contains(*np.meshgrid(xis, etas, indexing="ij"),
+                                             plate))
+        for i, xi in enumerate(xis):
+            for j, eta in enumerate(etas):
+                if not allowed[i, j]:
                     continue
                 site = (("xi", float(xi)), ("eta", float(eta)))
                 if self.kind == "signed-delta":
@@ -410,8 +416,8 @@ def _scan(problem, rows, maximize):
                       argopt_label=rows[best]["label"], rows=rows)
 
 
-def _member_solve(operator, rhs, box):
-    return solve_obstacle(operator, rhs, box)
+def _member_solve(operator, rhs, box, flips=()):
+    return solve_obstacle(operator, rhs, box, flips)
 
 
 def _orbits(forces, members, elements):
@@ -427,21 +433,20 @@ def _orbits(forces, members, elements):
     return out
 
 
-def _member_rows(operator, obstacles, forces, params, weight=None):
-    """Solve each force-class member under one operator and obstacle box,
-    yielding ``(solution, row)`` with the row fields both worst-load scans share.
+def _member_rows(operator, obstacles, forces, weight=None):
+    """Solve each force-class member on ``operator.mesh`` under one operator
+    and obstacle box, yielding ``(solution, row)`` with the shared row fields.
 
     The mirrors that map the box, the operator's mask and ``weight`` onto
     themselves split the members into orbits.  The first member of each
-    orbit is solved, on the y-parity subspace when ``reduce_problem`` finds
-    a mirror that flips y alone and fixes its data; every other member's
-    solution is the image of that solve, certified against the member's own
-    load, and a member whose image fails its certificate is solved on the
-    full space.
+    orbit is solved with the y flip offered (``solve_obstacle``); every other
+    member's solution is the image of that solve, certified against the
+    member's own load, and a member whose image fails its certificate is
+    solved on the full space.
     """
     box = (obstacles if isinstance(obstacles, BoxConstraints)
            else BoxConstraints.from_obstacle(operator.mesh, obstacles))
-    members = forces.members(params)
+    members = forces.members(operator.mesh)
     masks = [m for m in (operator.mask, weight) if m is not None]
     elements = mirror_symmetries(operator.mesh, box, masks)
     orbits = _orbits(forces, members, elements)
@@ -450,10 +455,7 @@ def _member_rows(operator, obstacles, forces, params, weight=None):
     for k, (member, (first, element)) in enumerate(zip(members, orbits)):
         rhs = assemble_load(operator.mesh, member.load, weight=weight)
         if first == k:
-            reduced = reduce_problem(operator, rhs, box, ((False, True),))
-            sol = solved[k] = (
-                _member_solve(operator, rhs, box) if reduced is None
-                else expand_solution(_member_solve(*reduced), operator, rhs, box))
+            sol = solved[k] = _member_solve(operator, rhs, box, ((False, True),))
         else:
             try:
                 sol = mirror_solution(solved[first], operator, rhs, box, element)
@@ -469,10 +471,10 @@ def _member_rows(operator, obstacles, forces, params, weight=None):
         }
 
 
-def worst_gap_force(operator, obstacle, forces, params):
+def worst_gap_force(operator, obstacle, forces):
     """Worst unit load for the maximal gap, under the given obstacle."""
     rows, profiles = [], []
-    for sol, row in _member_rows(operator, obstacle, forces, params):
+    for sol, row in _member_rows(operator, obstacle, forces):
         prof = gap_profile(sol)
         profiles.append(prof)
         rows.append({**row, "value": prof.maximal_gap, "argmax_x": prof.argmax_x})
@@ -485,7 +487,7 @@ def worst_gap_force(operator, obstacle, forces, params):
 CEILING_RTOL = 1e-9
 
 
-def best_obstacle(family, operator, forces, params):
+def best_obstacle(family, operator, forces):
     """Best obstacle in a finite family: minimize the worst maximal gap.
 
     Every candidate's region contains the long edges, so its scanned gap must
@@ -494,7 +496,7 @@ def best_obstacle(family, operator, forces, params):
     """
     rows = []
     for spec in family.candidates:
-        inner = worst_gap_force(operator, spec, forces, params)
+        inner = worst_gap_force(operator, spec, forces)
         ceiling = 2.0 * spec.gamma
         if inner.value > ceiling * (1.0 + CEILING_RTOL):
             raise RuntimeError(
@@ -510,7 +512,7 @@ def best_obstacle(family, operator, forces, params):
     return _scan("best-obstacle", rows, maximize=False)
 
 
-def worst_force_amplitude(operator, obstacles, forces, params, weight=None):
+def worst_force_amplitude(operator, obstacles, forces, weight=None):
     """Worst unit load for the sup-norm of the deflection, one layout fixed.
 
     The layout acts through ``operator`` (a stiffness-weighted operator) or
@@ -518,8 +520,7 @@ def worst_force_amplitude(operator, obstacles, forces, params, weight=None):
     loads cannot carry).
     """
     rows = [{**row, "value": sol.field.sup_norm()}
-            for sol, row in _member_rows(operator, obstacles, forces, params,
-                                         weight=weight)]
+            for sol, row in _member_rows(operator, obstacles, forces, weight=weight)]
     return _scan("worst-force-amplitude", rows, maximize=True)
 
 
@@ -537,9 +538,9 @@ def best_reinforcement(masks, mesh, params, forces, obstacles, variant):
     for i, mask in enumerate(masks):
         if variant == "E1":
             inner = worst_force_amplitude(PlateOperator.build(mesh, params, mask=mask),
-                                          obstacles, forces, params)
+                                          obstacles, forces)
         else:
-            inner = worst_force_amplitude(base, obstacles, forces, params, weight=mask)
+            inner = worst_force_amplitude(base, obstacles, forces, weight=mask)
         rows.append({
             "label": f"mask[{i}]",
             "params": {

@@ -25,24 +25,22 @@ Mirrors are the elements of ``fem.MIRRORS``, the package's one symmetry
 vocabulary; ``mirror_symmetries`` lists those that map a box, and the
 reinforcement masks of an energy, onto themselves.  When mirrors also map
 the load onto itself, the energy is strictly convex, so the minimizer is
-unique and invariant under them.  ``reduce_problem`` alone decides which
-mirrors those are, from the box, the mask and the assembled load, and
-restricts the problem to the invariant fields of their group, one
-coordinate per dof orbit (``K_r = R' K R``, ``b_r = R' b``): the same
-active set iteration runs on that quarter- or half-sized operator, and its
-``iterations`` count that run's steps.  Each operator builds ``K_r`` and
-its ``fem.OrbitBasis`` once per group (``PlateOperator.reduced``); the
-basis is the reduced operator's ``mesh``, so ``expand_solution`` reads it
-from the reduced solve's field.  A ``vi-solve`` (``cli``, both axes) and a
-scan's orbit representatives (``optimize``, y alone) take this one path,
-and the levels of an obstacle scan share one reduced operator and its
-factor.  Both kinds of image, ``expand_solution`` of a reduced solve and
-``mirror_solution`` of a solve through one mirror (a scan solves one load
-of each mirror orbit), are exact signed copies of a solve, built by one
-function.  Every result, a direct solve's and an image's alike, ends in one
-closing step on the full operator against its own load: its float64 field
-must lie in the box exactly and pass the KKT certificate.  A field that
-fails is an error, never a result.
+unique and invariant under them.  ``solve_obstacle`` exploits this itself:
+among the axis flips its caller offers (``flips``), it alone decides which
+mirrors fix the box, the mask and the assembled load, and runs the active
+set iteration on the invariant fields of their group, one coordinate per
+dof orbit (``K_r = R' K R``, ``b_r = R' b``), a quarter- or half-sized
+operator whose run its ``iterations`` count.  Each operator builds ``K_r``
+and its ``fem.OrbitBasis`` once per group (``PlateOperator.reduced``), so
+the levels of an obstacle scan share one reduced operator and its factor.
+A ``vi-solve`` (``cli``) offers both axes; a scan's orbit representatives
+(``optimize``) offer y alone.  Both kinds of image, the expansion of a
+reduced solve and ``mirror_solution`` of a solve through one mirror (a scan
+solves one load of each mirror orbit), are exact signed copies of a solve,
+built by one function.  Every result, a direct solve's and an image's alike,
+ends in one closing step on the full operator against its own load: its
+float64 field must lie in the box exactly and pass the KKT certificate.  A
+field that fails is an error, never a result.
 """
 
 from dataclasses import dataclass
@@ -63,8 +61,6 @@ __all__ = [
     "IterationLimitError",
     "solve_linear",
     "solve_obstacle",
-    "reduce_problem",
-    "expand_solution",
     "mirror_symmetries",
     "mirror_solution",
     "kkt_report",
@@ -302,7 +298,7 @@ def _box_dof_arrays(operator, constraints):
     return dofs, constraints.lower[nodes], constraints.upper[nodes]
 
 
-def solve_obstacle(operator, rhs, constraints):
+def solve_obstacle(operator, rhs, constraints, flips=()):
     """Two-sided obstacle solve by a monotone primal active set iteration.
 
     Iterates stay feasible: each step solves the equality problem with the
@@ -313,7 +309,46 @@ def solve_obstacle(operator, rhs, constraints):
     and a multiplier of exactly zero classifies its node inactive.  With no
     binding bound the result coincides with the unconstrained solve on the
     same data.
+
+    ``flips`` lists the axis flips ``(fx, fy)`` the solve may use: when
+    mirrors among them fix the data (``_mirror_group``), the iteration runs
+    on ``operator.reduced(group)``, each orbit node boxed as its
+    representative, and the result is its exact expansion, certified on the
+    full operator against ``rhs`` (``_image``).
     """
+    group = _mirror_group(operator, rhs, constraints, flips)
+    if not group:
+        return _active_set(operator, rhs, constraints)
+    reduced = operator.reduced(group)
+    basis, rep = reduced.mesh, reduced.mesh.representative_nodes
+    solution = _active_set(reduced, basis.restrict(rhs), BoxConstraints(
+        constraints.node_mask[rep], constraints.lower[rep], constraints.upper[rep]))
+    return _image(solution, operator, rhs, constraints, basis.coordinate, basis.sign)
+
+
+def _mirror_group(operator, rhs, constraints, flips):
+    """The generators of the mirror group of an obstacle problem's data, ``()``
+    when the data fix no mirror of ``flips``.
+
+    For each axis flip ``(fx, fy)`` in ``flips`` the generator is the first
+    element of ``fem.MIRRORS`` that flips that axis alone and maps the load
+    ``rhs``, up to ``LOAD_RTOL`` of its largest entry, and the box and the
+    operator's reinforcement mask (``_maps_onto_itself``) onto themselves."""
+    masks = [operator.mask] if operator.mask is not None else []
+    load = rhs.astype(float)
+    group = {}
+    for g in MIRRORS:
+        if g[:2] in flips and g[:2] not in group:
+            perm, signs = mirror_map(operator.mesh, g)
+            off = np.max(np.abs(signs * load[perm] - load))
+            if (off <= LOAD_RTOL * np.max(np.abs(load))
+                    and _maps_onto_itself(operator.mesh, constraints, masks, g)):
+                group[g[:2]] = g
+    return tuple(group.values())
+
+
+def _active_set(operator, rhs, constraints):
+    """The active set iteration of ``solve_obstacle`` on ``operator``."""
     dofs, lo, hi = _box_dof_arrays(operator, constraints)
     if np.any(lo > hi):
         raise ValueError("infeasible box: lower bound above upper bound")
@@ -422,44 +457,6 @@ def _certified(operator, rhs, box, x, resid, act_lo, act_hi, iterations):
                       multipliers=multipliers,
                       kkt_residual=stat,
                       iterations=iterations)
-
-
-def reduce_problem(operator, rhs, constraints, flips):
-    """The obstacle problem on the invariant fields of the mirror group of
-    its data, or None when the data fix no mirror of ``flips``.
-
-    For each axis flip ``(fx, fy)`` in ``flips`` the generator is the first
-    element of ``fem.MIRRORS`` that flips that axis alone and maps the load
-    ``rhs``, up to ``LOAD_RTOL`` of its largest entry, and the box and the
-    operator's reinforcement mask (``_maps_onto_itself``) onto themselves.
-    The reduced problem is the operator ``R' K R`` (``operator.reduced``),
-    the load ``R' b`` and, on each orbit node, the box of its
-    representative node."""
-    masks = [operator.mask] if operator.mask is not None else []
-    load = rhs.astype(float)
-    group = {}
-    for g in MIRRORS:
-        if g[:2] in flips and g[:2] not in group:
-            perm, signs = mirror_map(operator.mesh, g)
-            off = np.max(np.abs(signs * load[perm] - load))
-            if (off <= LOAD_RTOL * np.max(np.abs(load))
-                    and _maps_onto_itself(operator.mesh, constraints, masks, g)):
-                group[g[:2]] = g
-    if not group:
-        return None
-    reduced = operator.reduced(tuple(group.values()))
-    rep = reduced.mesh.representative_nodes
-    return (reduced, reduced.mesh.restrict(rhs),
-            BoxConstraints(constraints.node_mask[rep], constraints.lower[rep],
-                           constraints.upper[rep]))
-
-
-def expand_solution(reduced, operator, rhs, constraints):
-    """The solution of the full problem from ``reduced``, the solve of its
-    ``reduce_problem``: its exact expansion by the orbit basis the solve's
-    field lives on, by ``_image``."""
-    basis = reduced.field.mesh
-    return _image(reduced, operator, rhs, constraints, basis.coordinate, basis.sign)
 
 
 def mirror_symmetries(mesh, constraints, masks=()):

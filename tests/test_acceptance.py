@@ -242,10 +242,10 @@ def test_criterion_6_threshold_identity(mesh, operator, state, threshold,
     fc = ForceClass(kind="antisym-delta", window=window, nxi=33, neta=9)
     far = ObstacleSpec.constant_level(2.0 * analytic_bound_C(PARAMS),
                                       region="long_edges")
-    scan_fine = worst_gap_force(operator, far, fc, PARAMS)
+    scan_fine = worst_gap_force(operator, far, fc)
     coarse_mesh = Mesh(32, 8, L)
     scan_coarse = worst_gap_force(PlateOperator.build(coarse_mesh, PARAMS),
-                                  far, fc, PARAMS)
+                                  far, fc)
     fem_estimate = abs(scan_fine.value - scan_coarse.value)
     identity_gap = abs(scan_fine.value - 2.0 * m_val)
     tol = 5.0 * (2.0 * state.tail_bound + fem_estimate)
@@ -272,7 +272,7 @@ def test_criterion_7_regime_dichotomy(mesh, operator, threshold, window):
     gamma_hi = 1.5 * m_val
     scan_hi = worst_gap_force(operator,
                               ObstacleSpec.constant_level(gamma_hi),
-                              fc, PARAMS)
+                              fc)
     center_rows = [r for r in scan_hi.rows
                    if r["params"]["xi"] == pytest.approx(np.pi / 2)]
     hi_ok = (scan_hi.value < 2.0 * gamma_hi
@@ -283,7 +283,7 @@ def test_criterion_7_regime_dichotomy(mesh, operator, threshold, window):
     gamma_lo = 0.5 * m_val
     scan_lo = worst_gap_force(operator,
                               ObstacleSpec.constant_level(gamma_lo),
-                              fc, PARAMS)
+                              fc)
     eta_spacing = 2.0 * L / 8.0
     tol_scan = 2.0 * gamma_lo * eta_spacing / L
     lo_ok = (2.0 * gamma_lo - tol_scan <= scan_lo.value
@@ -370,7 +370,7 @@ def test_criterion_10_bound_chain(threshold):
         sel = np.zeros((m.ny, m.nx), dtype=bool)
         sel[:, cols] = True
         mask = ReinforcementMask(sel, alpha=0.5, beta=2.5)
-        measured = worst_force_amplitude(op, box, fc, PARAMS, weight=mask).value
+        measured = worst_force_amplitude(op, box, fc, weight=mask).value
         rep = placement_bound_report(mask, st, m)
         slack = rep["series_tail"] + 1e-5 * rep["weighted_green_bound"]
         if not (measured <= rep["weighted_green_bound"] + slack

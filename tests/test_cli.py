@@ -254,23 +254,23 @@ class TestRun:
             "masses-y-off-by-1e-9", "E1-mask", "E2-mask"])
     def test_vi_solve_reduces_by_the_data_symmetry(self, tmp_path, monkeypatch,
                                                    params, group):
-        """``reduce_problem`` picks the mirrors the box, the mask and the
+        """``solve_obstacle`` picks the mirrors the box, the mask and the
         assembled load are invariant under, and the certified result is the
         full solve's."""
         chosen = []
 
-        reduce = cli.reduce_problem
+        group_of = solver._mirror_group
 
         def recording(op, rhs, box, flips):
-            reduced = reduce(op, rhs, box, flips)
-            chosen.append(None if reduced is None else reduced[0].mesh.group)
-            return reduced
-        monkeypatch.setattr(cli, "reduce_problem", recording)
+            group = group_of(op, rhs, box, flips)
+            chosen.append(group or None)
+            return group
+        monkeypatch.setattr(solver, "_mirror_group", recording)
         code, summary = run(config_for("vi-solve", params, outdir=tmp_path / "g"))
         assert code == 0 and summary["result"]["contact_upper"]
         assert chosen == [group]
         # the same data solved without the reduction
-        monkeypatch.setattr(cli, "reduce_problem", lambda *args: None)
+        monkeypatch.setattr(solver, "_mirror_group", lambda *args: ())
         code, full = run(config_for("vi-solve", params, outdir=tmp_path / "f"))
         assert code == 0
         for key in ("contact_lower", "contact_upper"):
@@ -588,6 +588,9 @@ class TestRun:
         ("regime", {"gamma": 0.01, "scan": False,
                     "force_class": {"kind": "nope"}},
          "unknown params fields: ['force_class']"),
+        # the one eta row of neta = 1 is the midline: no pair is left
+        ("gap-scan", {"force_class": {"nxi": 5, "neta": 1}},
+         "antisym-delta pairs need neta >= 2, got 1"),
     ], ids=["load-typo", "load-norm", "constant-density", "sin_x-signs",
             "obstacles-typo", "force_class-typo", "window-typo", "params-typo",
             "family-typo", "no-levels", "no-grid", "one-cell-count",
@@ -606,7 +609,8 @@ class TestRun:
             "string-mask", "level-obstacle-with-bounds",
             "bounds-obstacle-with-gamma", "antisym-load-with-density",
             "cross-family-with-tiles", "antisym-class-with-cells",
-            "bang-bang-class-with-grid", "unscanned-regime-with-force_class"])
+            "bang-bang-class-with-grid", "unscanned-regime-with-force_class",
+            "one-row-antisym"])
     def test_malformed_params_are_diagnostics(self, tmp_path, problem, params,
                                               expected):
         # unknown fields, empty or oversized scans, non-list and non-integer

@@ -15,9 +15,8 @@ from hingedplate import (BoxConstraints, DofField, LoadSpec, Mesh,
 from hingedplate import cli, optimize, solver
 from hingedplate.fem import MIRRORS, OrbitBasis, assemble_load
 from hingedplate.optimize import ForceClass, ObstacleFamily, ReinforcementFamily
-from hingedplate.solver import (PlateOperator, SolverError, expand_solution,
-                                mirror_symmetries, reduce_problem,
-                                solve_obstacle)
+from hingedplate.solver import (PlateOperator, SolverError, kkt_report,
+                                mirror_symmetries, solve_obstacle)
 
 #: y -> -y, and y -> -y with negation: the y-parity subspaces of the scans
 Y_EVEN, Y_ODD = (False, True, 1), (False, True, -1)
@@ -188,7 +187,7 @@ class TestWorstForceAmplitude:
         box = BoxConstraints.from_obstacle(
             mesh_small, ObstacleSpec.constant_level(0.1, region="full"))
         op = PlateOperator.build(mesh_small, params, mask=mask)
-        res = worst_force_amplitude(op, box, fc, params)
+        res = worst_force_amplitude(op, box, fc)
         by_site = {}
         for row in res.rows:
             key = (row["params"]["xi"], row["params"]["eta"])
@@ -202,7 +201,7 @@ class TestWorstForceAmplitude:
         fc = ForceClass(kind="signed-delta", nxi=9, neta=5)
         box = BoxConstraints.unbounded(mesh_small)
         op = PlateOperator.build(mesh_small, params, mask=mask)
-        res = worst_force_amplitude(op, box, fc, params)
+        res = worst_force_amplitude(op, box, fc)
         assert all(res.value >= row["value"] for row in res.rows)
         # the argopt is the first member within TIE_RTOL of the optimum
         near = [abs(row["value"] - res.value) <= optimize.TIE_RTOL * res.value
@@ -225,7 +224,7 @@ class TestWorstForceAmplitude:
         fc = ForceClass(kind="signed-delta", nxi=5, neta=3)
         with pytest.raises(ValueError, match="integrable loads only"):
             worst_force_amplitude(operator_small, BoxConstraints.unbounded(mesh_small),
-                                  fc, params, weight=mask)
+                                  fc, weight=mask)
 
 
 class TestBestReinforcement:
@@ -266,7 +265,7 @@ class TestBestReinforcement:
         vals = []
         for sel in (near_edge, at_center):
             mask = ReinforcementMask(sel, alpha=0.5, beta=2.5)
-            vals.append(worst_force_amplitude(operator_small, box, fc, params,
+            vals.append(worst_force_amplitude(operator_small, box, fc,
                                               weight=mask).value)
         assert vals[0] <= vals[1]
 
@@ -326,7 +325,7 @@ class TestWorstGapForce:
                                                     mesh_mid, params,
                                                     small_forces):
         res = worst_gap_force(operator_mid, unreachable_obstacle(params),
-                              small_forces, params)
+                              small_forces)
         best = dict(res.rows[res.argopt_index]["params"])
         assert best["xi"] == pytest.approx(np.pi / 2)
         assert abs(best["eta"]) == pytest.approx(params.half_width)
@@ -364,14 +363,14 @@ class TestWorstGapForce:
         fc = ForceClass(kind="antisym-delta",
                         window=ScanWindow.default(params), nxi=9, neta=5)
         obstacle = ObstacleSpec.constant_level(0.02, region="long_edges")
-        r1 = worst_gap_force(operator_small, obstacle, fc, params)
-        r2 = worst_gap_force(operator_small, obstacle, fc, params)
+        r1 = worst_gap_force(operator_small, obstacle, fc)
+        r2 = worst_gap_force(operator_small, obstacle, fc)
         assert r1.argopt_index == r2.argopt_index
         assert r1.value == r2.value
         assert r1.rows == r2.rows
 
 
-def _member_solutions(monkeypatch, operator, box, forces, params, weight=None,
+def _member_solutions(monkeypatch, operator, box, forces, weight=None,
                       direct=False):
     """The member solutions of one scan and, for each member solved, the
     group of the orbit basis its solve runs on, ``()`` on the full space;
@@ -380,17 +379,17 @@ def _member_solutions(monkeypatch, operator, box, forces, params, weight=None,
     groups = []
     solve = optimize._member_solve
 
-    def recording(op, rhs, b):
-        groups.append(getattr(op.mesh, "group", ()))
-        return solve(op, rhs, b)
+    def recording(op, rhs, b, flips=()):
+        groups.append(solver._mirror_group(op, rhs, b, flips))
+        return solve(op, rhs, b, flips)
 
     with monkeypatch.context() as mp:
         mp.setattr(optimize, "_member_solve", recording)
         if direct:
             mp.setattr(optimize, "mirror_symmetries", lambda *args: [MIRRORS[0]])
-            mp.setattr(optimize, "reduce_problem", lambda *args: None)
+            mp.setattr(solver, "_mirror_group", lambda *args: ())
         sols = [sol for sol, _ in optimize._member_rows(operator, box, forces,
-                                                        params, weight=weight)]
+                                                        weight=weight)]
     return sols, groups
 
 
@@ -432,9 +431,9 @@ class TestOrbitScans:
     def _check(self, monkeypatch, orbits, operator, box, forces, params,
                weight=None):
         direct, full = _member_solutions(monkeypatch, operator, box, forces,
-                                         params, weight, direct=True)
+                                         weight, direct=True)
         sols, solved = _member_solutions(monkeypatch, operator, box, forces,
-                                         params, weight)
+                                         weight)
         assert len(full) == len(sols) and len(solved) == orbits
         for sol, ref in zip(sols, direct):
             assert np.array_equal(sol.lower_contact, ref.lower_contact)
@@ -502,9 +501,8 @@ class TestOrbitScans:
         forces = ForceClass(kind="bang-bang", cells=(3, 1))  # 8 members, 3 orbits
         members = forces.members(params)
         direct, _ = _member_solutions(monkeypatch, operator_small, box, forces,
-                                      params, direct=True)
-        _, solved = _member_solutions(monkeypatch, operator_small, box, forces,
-                                      params)
+                                      direct=True)
+        _, solved = _member_solutions(monkeypatch, operator_small, box, forces)
         assert solved == [(Y_EVEN,)] * 3
         image = optimize.mirror_solution
 
@@ -513,20 +511,14 @@ class TestOrbitScans:
             return image(dataclasses.replace(solution, field=field), *args)
 
         monkeypatch.setattr(optimize, "mirror_solution", doubled)
-        sols, solved = _member_solutions(monkeypatch, operator_small, box, forces,
-                                         params)
+        sols, solved = _member_solutions(monkeypatch, operator_small, box, forces)
         assert len(solved) == len(sols) == 8
         firsts = {first for first, _ in optimize._orbits(
             forces, members, mirror_symmetries(mesh_small, box))}
         for k, (member, sol, full) in enumerate(zip(members, sols, direct)):
             rhs = assemble_load(mesh_small, member.load)
-            if k in firsts:
-                ref = expand_solution(
-                    solve_obstacle(*reduce_problem(operator_small, rhs, box,
-                                                  ((False, True),))),
-                    operator_small, rhs, box)
-            else:
-                ref = solve_obstacle(operator_small, rhs, box)
+            ref = solve_obstacle(operator_small, rhs, box,
+                                 ((False, True),) if k in firsts else ())
             assert sol.field.dofs.tobytes() == ref.field.dofs.tobytes()
             for got in (ref, full):
                 assert np.array_equal(sol.lower_contact, got.lower_contact)
@@ -553,8 +545,7 @@ class TestOrbitScans:
 
         monkeypatch.setattr(optimize, "assemble_load", counted)
         monkeypatch.setattr(optimize, "mirror_solution", failed)
-        sols, solved = _member_solutions(monkeypatch, operator_small, box, forces,
-                                         params)
+        sols, solved = _member_solutions(monkeypatch, operator_small, box, forces)
         assert len(solved) == len(sols) == len(calls) == 8
 
     def test_default_window_has_48_orbits(self, params):
@@ -574,10 +565,32 @@ class TestRepresentativeSubspace:
                                                   threshold):
         box = TestOrbitScans.BOXES["guides"](mesh_small, threshold)
         forces = TestOrbitScans.CLASSES["antisym-delta"](params)
-        sols, groups = _member_solutions(monkeypatch, operator_small, box, forces,
-                                         params)
+        sols, groups = _member_solutions(monkeypatch, operator_small, box, forces)
         assert groups == [(Y_ODD,)] * 48
         assert any(s.upper_contact.size for s in sols)
+
+    def test_reduced_members_are_certified_on_the_full_operator(
+            self, monkeypatch, mesh_small, operator_small, params, threshold):
+        """A y-reduced scan hands ``_member_solve`` the full problem: each
+        solve it returns lives on the operator's mesh and passes the KKT
+        certificate there, against the member's own load."""
+        box = TestOrbitScans.BOXES["guides"](mesh_small, threshold)
+        forces = TestOrbitScans.CLASSES["antisym-delta"](params)
+        solve = optimize._member_solve
+        contacts = []
+
+        def certified(op, rhs, b, *flips):
+            sol = solve(op, rhs, b, *flips)
+            assert op is operator_small and sol.field.mesh is mesh_small
+            rep = kkt_report(sol, op, rhs, b)
+            assert rep["stationarity"] <= 1e-9 and rep["feasibility"] == 0.0
+            assert rep["complementarity"] <= 1e-9
+            contacts.append(sol.upper_contact.size)
+            return sol
+
+        monkeypatch.setattr(optimize, "_member_solve", certified)
+        assert len(list(optimize._member_rows(operator_small, box, forces))) == 164
+        assert len(contacts) == 48 and any(contacts)
 
     def test_uneven_bounds_keep_the_full_space(self, monkeypatch, mesh_small,
                                                operator_small, params,
@@ -586,8 +599,7 @@ class TestRepresentativeSubspace:
         no antisymmetric pair has a y-stabilizer."""
         box = TestOrbitScans.BOXES["bounds"](mesh_small, threshold)
         forces = TestOrbitScans.CLASSES["antisym-delta"](params)
-        _, groups = _member_solutions(monkeypatch, operator_small, box, forces,
-                                      params)
+        _, groups = _member_solutions(monkeypatch, operator_small, box, forces)
         assert groups == [()] * 48
 
     def test_midline_point_loads_run_y_even(self, monkeypatch, mesh_small,
@@ -597,8 +609,7 @@ class TestRepresentativeSubspace:
         members = forces.members(params)
         firsts = sorted({first for first, _ in optimize._orbits(
             forces, members, mirror_symmetries(mesh_small, box))})
-        _, groups = _member_solutions(monkeypatch, operator_small, box, forces,
-                                      params)
+        _, groups = _member_solutions(monkeypatch, operator_small, box, forces)
         midline = [2 * members[k].sites[0][0] == forces.neta - 1 for k in firsts]
         assert groups == [(Y_EVEN,) if mid else () for mid in midline]
         assert midline.count(True) == midline.count(False) == 3
@@ -625,8 +636,7 @@ class TestRepresentativeSubspace:
         fam = ObstacleFamily.constant_levels([0.5 * threshold, 2.0 * threshold])
         forces = ForceClass(kind="antisym-delta", window=ScanWindow.default(params),
                             nxi=9, neta=5)
-        res = best_obstacle(fam, PlateOperator.build(mesh_small, params), forces,
-                            params)
+        res = best_obstacle(fam, PlateOperator.build(mesh_small, params), forces)
         assert len(res.rows) == 2 and calls == built == [(Y_ODD,)]
         built.clear()
         cfg = cli.default_config()
@@ -661,7 +671,7 @@ class TestRepresentativeSubspace:
 
         monkeypatch.setattr(solver, "_spd_factor", counted)
         sols, groups = _member_solutions(
-            monkeypatch, PlateOperator.build(mesh, params), box, forces, params)
+            monkeypatch, PlateOperator.build(mesh, params), box, forces)
         assert groups == [(Y_ODD,)] * 2
         contact = [s for s in sols if s.upper_contact.size]
         assert contact and all(s.iterations == 2 for s in contact)
@@ -675,7 +685,7 @@ class TestBestObstacle:
                                             params, threshold, small_forces):
         gamma = 0.5 * threshold
         fam = ObstacleFamily.constant_levels([gamma, 2.0 * gamma])
-        res = best_obstacle(fam, operator_mid, small_forces, params)
+        res = best_obstacle(fam, operator_mid, small_forces)
         assert res.argopt_index == 0
         assert res.value == pytest.approx(2.0 * gamma, rel=1e-9)
 
@@ -684,16 +694,16 @@ class TestBestObstacle:
         fam = ObstacleFamily.constant_levels([0.37])
         fc = ForceClass(kind="antisym-delta",
                         window=ScanWindow.default(params), nxi=5, neta=3)
-        res = best_obstacle(fam, operator_small, fc, params)
+        res = best_obstacle(fam, operator_small, fc)
         assert res.argopt_index == 0
 
     def test_high_level_leaves_gap_unclipped(self, operator_mid, mesh_mid,
                                              params, threshold, small_forces):
         gamma = 3.0 * threshold
         fam = ObstacleFamily.constant_levels([gamma])
-        res = best_obstacle(fam, operator_mid, small_forces, params)
+        res = best_obstacle(fam, operator_mid, small_forces)
         free = worst_gap_force(operator_mid, unreachable_obstacle(params),
-                               small_forces, params)
+                               small_forces)
         assert res.value < 2.0 * gamma
         assert res.value == pytest.approx(free.value, rel=1e-12)
 
@@ -713,7 +723,7 @@ class TestRegime:
         gamma = 0.5 * threshold
         res = worst_gap_force(operator_mid,
                               ObstacleSpec.constant_level(gamma),
-                              small_forces, params)
+                              small_forces)
         assert res.value == pytest.approx(2.0 * gamma, rel=1e-9)
         assert any(r["contact_lower"] + r["contact_upper"] > 0
                    for r in res.rows)
@@ -771,7 +781,7 @@ class TestPlacementBounds:
         rep = placement_bound_report(mask, state, mesh_small)
         fc = ForceClass(kind="bang-bang", cells=(3, 2))
         measured = worst_force_amplitude(
-            operator_small, BoxConstraints.unbounded(mesh_small), fc, params,
+            operator_small, BoxConstraints.unbounded(mesh_small), fc,
             weight=mask).value
         slack = rep["series_tail"] + 1e-4  # discretization allowance
         assert measured <= rep["weighted_green_bound"] + slack

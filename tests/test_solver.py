@@ -17,8 +17,7 @@ from hingedplate.fem import (DOF_VALUE, MIRRORS, assemble_load, mirror_axes,
                              mirror_field)
 from hingedplate.optimize import _cell_density
 from hingedplate.solver import (IterationLimitError, PlateOperator,
-                                SolverError, expand_solution, mirror_solution,
-                                mirror_symmetries, reduce_problem)
+                                SolverError, mirror_solution, mirror_symmetries)
 
 SIN_LOAD = LoadSpec(density=lambda x, y: np.sin(x))
 
@@ -465,16 +464,17 @@ class TestMirrorImages:
             mirror_solution(source, operator_small, rhs, box, (False, True, 1))
 
 
-#: the axis flips a vi-solve offers reduce_problem: x and y
+#: the axis flips a vi-solve offers solve_obstacle: x and y
 XY = ((True, False), (False, True))
 
 
 def _reduced_solve(op, rhs, box, group):
-    """The expanded solve of the data's reduced problem, whose mirror group
-    the data must pick as ``group``."""
-    reduced = reduce_problem(op, rhs, box, XY)
-    assert reduced[0].mesh.group == group
-    return expand_solution(solve_obstacle(*reduced), op, rhs, box)
+    """The solve offered both axes, which the data must reduce by ``group``:
+    the expansion of the solve on ``op.reduced(group)``."""
+    assert solver._mirror_group(op, rhs, box, XY) == group
+    sol = solve_obstacle(op, rhs, box, XY)
+    assert group in op._reduced
+    return sol
 
 
 class TestOrbitReduction:
@@ -512,7 +512,7 @@ class TestOrbitReduction:
         _, load, obstacle = REDUCIBLE["y+"]
         rhs = assemble_load(mesh_mid, load)
         box = BoxConstraints.from_obstacle(mesh_mid, obstacle)
-        assert reduce_problem(operator_mid, rhs, box, ((True, False),)) is None
+        assert solver._mirror_group(operator_mid, rhs, box, ((True, False),)) == ()
 
     def test_wrong_group_on_a_box_is_an_error(self, operator_mid, mesh_mid):
         """The load is y-odd, but negation maps the box [-1, 0.25] onto
@@ -520,7 +520,7 @@ class TestOrbitReduction:
         rhs = assemble_load(mesh_mid, _cells([[-1.0, -1.0], [1.0, 1.0]]))
         box = BoxConstraints.from_obstacle(
             mesh_mid, ObstacleSpec(lower=-1.0, upper=0.25, region="full"))
-        assert reduce_problem(operator_mid, rhs, box, ((False, True),)) is None
+        assert solver._mirror_group(operator_mid, rhs, box, ((False, True),)) == ()
 
     def test_wrong_group_on_a_mask_is_an_error(self, params, mesh_mid):
         """An E1 mask on the left quarter: the x mirror maps the box and the
@@ -532,22 +532,31 @@ class TestOrbitReduction:
         _, load, obstacle = REDUCIBLE["x+"]
         rhs = assemble_load(mesh_mid, load)
         box = BoxConstraints.from_obstacle(mesh_mid, obstacle)
-        assert reduce_problem(op, rhs, box, ((True, False),)) is None
+        assert solver._mirror_group(op, rhs, box, ((True, False),)) == ()
 
-    def test_expanded_field_off_the_box_is_an_error(self, operator_small,
-                                                    mesh_small):
+    def test_expanded_field_off_the_box_is_an_error(self, monkeypatch,
+                                                    operator_small, mesh_small):
         """An expanded field 1e-6 off passes the stationarity test, but its
         contacts sit above the guides: the closing step of every image
         refuses it, as it refuses a mirror image."""
         rhs = assemble_load(mesh_small, LoadSpec(density=1.0))
         box = BoxConstraints.from_obstacle(
             mesh_small, ObstacleSpec.constant_level(0.012, region="long_edges"))
-        reduced = solve_obstacle(*reduce_problem(operator_small, rhs, box, XY))
-        assert reduced.upper_contact.size > 0
-        off = dataclasses.replace(reduced, field=DofField(
-            reduced.field.mesh, (1.0 + 1e-6) * reduced.field.dofs))
+        reduced = []
+        active_set = solver._active_set
+
+        def off(op, b, constraints):
+            # the reduced solve, its field moved 1e-6 off before expansion
+            sol = active_set(op, b, constraints)
+            reduced.append(sol)
+            return dataclasses.replace(sol, field=DofField(
+                sol.field.mesh, (1.0 + 1e-6) * sol.field.dofs))
+
+        monkeypatch.setattr(solver, "_active_set", off)
         with pytest.raises(SolverError, match="leaves the box"):
-            expand_solution(off, operator_small, rhs, box)
+            solve_obstacle(operator_small, rhs, box, XY)
+        assert reduced[0].field.mesh.group == ((True, False, 1), (False, True, 1))
+        assert reduced[0].upper_contact.size > 0
 
     def test_pinned_edges_keep_their_sides(self, operator_small, mesh_small):
         """lower == upper on the long edges: the expanded solve pins every

@@ -32,8 +32,11 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
   reflections: its assembled load decides the group (x, y), where an exact
   reflection of the masses' coordinates would drop x;
 * one 16x4 ``vi-solve`` whose ``sin_x`` density carries a ``signs`` field,
-  listed only for ``cells``: a config error, so the tree holds one exit-2
-  ``summary.json`` with its diagnostic.
+  listed only for ``cells``: a config error, so the tree holds an exit-2
+  ``summary.json`` with its diagnostic;
+* one 16x4 ``gap-scan`` whose ``antisym-delta`` class has ``neta`` 1: its
+  one eta row is the midline, so the class is empty, a second exit-2
+  ``summary.json`` whose diagnostic the config check writes.
 
 Each op writes to ``OUT_DIR/<workload>/<label>/``; ``OUT_DIR/exit_codes.txt``
 lists the exit code of every op.  Output directories are relative to
@@ -108,6 +111,8 @@ def extra_ops(wl):
         ("vi-solve-sin-x-signs", wl.config("vi-solve", {
             "load": {"density": {"kind": "sin_x", "signs": [[1, -1]]}},
             "obstacles": {"gamma": 0.01, "region": "full"}}, mesh=(16, 4))),
+        ("gap-scan-one-eta-row", wl.config("gap-scan", {
+            "force_class": {"nxi": 5, "neta": 1}}, mesh=(16, 4))),
     ]
 
 
