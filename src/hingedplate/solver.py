@@ -6,8 +6,9 @@ The discrete two-sided obstacle problem is the quadratic program
 
 over the essential-constrained dof space, where only value dofs of nodes in
 the obstacle region are boxed.  A monotone primal active set iteration
-solves it with exact nodewise feasibility and finite termination; multipliers
-are nonnegative on upper contact and nonpositive on lower contact.  Every
+solves it with exact nodewise feasibility and finite termination.  A contact
+is one signed side per box dof, -1 on the lower obstacle and +1 on the upper
+one, and its multiplier ``lam`` is admissible when ``side * lam >= 0``.  Every
 block the solver factors is symmetric positive definite: the free block of
 the energy, scaled once per operator to unit diagonal, or a principal
 submatrix of it.  It is factored as such, by a symmetric elimination
@@ -143,14 +144,25 @@ class BoxConstraints:
 
 @dataclass
 class VISolution:
-    """Solution of a box-constrained solve plus optimality certificates."""
+    """Solution of a box-constrained solve plus optimality certificates.
+
+    ``contact`` holds the contact side of each node: -1 on the lower
+    obstacle, +1 on the upper one, 0 off contact; ``lower_contact`` and
+    ``upper_contact`` list the nodes of each side, sorted."""
 
     field: DofField
-    lower_contact: np.ndarray
-    upper_contact: np.ndarray
+    contact: np.ndarray
     multipliers: np.ndarray
     kkt_residual: float
     iterations: int
+
+    @property
+    def lower_contact(self):
+        return np.flatnonzero(self.contact < 0)
+
+    @property
+    def upper_contact(self):
+        return np.flatnonzero(self.contact > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -353,56 +365,45 @@ def _active_set(operator, rhs, constraints):
     if np.any(lo > hi):
         raise ValueError("infeasible box: lower bound above upper bound")
 
-    n_c = dofs.size
     pinned_eq = lo == hi  # degenerate boxes pin the dof for good
-    act_lo = pinned_eq.copy()
-    act_hi = np.zeros(n_c, dtype=bool)
+    # contact side of each box dof: -1 lower, +1 upper, 0 none
+    side = -pinned_eq.astype(np.int8)
     x = np.zeros(operator.mesh.n_dofs, dtype=LONG)
 
     for it in range(1, MAX_ITERATIONS + 1):
-        x_star = operator.solve_pinned(
-            rhs, np.concatenate([dofs[act_lo], dofs[act_hi]]),
-            np.concatenate([lo[act_lo], hi[act_hi]]))
-        inactive = ~(act_lo | act_hi)
+        on = side != 0
+        x_star = operator.solve_pinned(rhs, dofs[on], np.where(side > 0, hi, lo)[on])
         d = (x_star - x).astype(float)[dofs]
         vals = x.astype(float)[dofs]
-        # largest feasible step along d over the inactive constrained dofs
-        t = np.full(n_c, np.inf)
-        up = inactive & (d > 0.0) & np.isfinite(hi)
-        dn = inactive & (d < 0.0) & np.isfinite(lo)
-        t[up] = (hi[up] - vals[up]) / d[up]
-        t[dn] = (lo[dn] - vals[dn]) / d[dn]
+        # largest feasible step along d over the free constrained dofs
+        bound = np.where(d > 0.0, hi, lo)
+        moving = ~on & ((d > 0.0) | (d < 0.0)) & np.isfinite(bound)
+        t = np.full(dofs.size, np.inf)
+        t[moving] = (bound[moving] - vals[moving]) / d[moving]
         t = np.maximum(t, 0.0)
         alpha = min(1.0, float(t.min(initial=np.inf)))
 
         if alpha < 1.0:
             blocked = t <= alpha * (1.0 + 1e-12)
             x = x + LONG(alpha) * (x_star - x)
-            new_hi = blocked & up
-            new_lo = blocked & dn
-            x[dofs[new_hi]] = hi[new_hi].astype(LONG)
-            x[dofs[new_lo]] = lo[new_lo].astype(LONG)
-            act_hi |= new_hi
-            act_lo |= new_lo
+            x[dofs[blocked]] = bound[blocked].astype(LONG)
+            side[blocked] = np.sign(d[blocked])
             continue
 
         # contact-set optimum reached; check multiplier signs
         x = x_star
         resid = _residual(operator, rhs, x)
         lam = resid[dofs]
-        wrong = _wrong_sign(lam, act_lo, act_hi, pinned_eq)
+        wrong = _wrong_sign(lam, side, pinned_eq)
         if not np.any(wrong):
-            return _certified(operator, rhs, (dofs, lo, hi), x, resid,
-                              act_lo, act_hi, it)
+            return _certified(operator, rhs, (dofs, lo, hi), x, resid, side, it)
         # release the single worst offender, lowest node index on ties
-        k = int(np.argmax(np.where(wrong, np.abs(lam), -np.inf)))
-        act_hi[k] = False
-        act_lo[k] = False
+        side[int(np.argmax(np.where(wrong, np.abs(lam), -np.inf)))] = 0
     raise IterationLimitError(
         f"active set did not settle in {MAX_ITERATIONS} iterations",
         _kkt_violation(operator, rhs, x, _residual(operator, rhs, x), dofs,
-                       pinned_eq, act_lo, act_hi),
-        MAX_ITERATIONS, int(np.count_nonzero(act_lo | act_hi)))
+                       pinned_eq, side),
+        MAX_ITERATIONS, int(np.count_nonzero(side)))
 
 
 def _residual(operator, rhs, x):
@@ -410,50 +411,50 @@ def _residual(operator, rhs, x):
     return (rhs - operator.form.matvec_extended(x)).astype(float)
 
 
-def _wrong_sign(lam, act_lo, act_hi, pinned_eq):
+def _wrong_sign(lam, side, pinned_eq):
     """Contacts, degenerate pins aside, whose multiplier points into the box."""
-    return ~pinned_eq & ((act_hi & (lam < 0.0)) | (act_lo & (lam > 0.0)))
+    return ~pinned_eq & (side * lam < 0.0)
 
 
-def _kkt_violation(operator, rhs, x, resid, dofs, pinned_eq, act_lo, act_hi):
+def _kkt_violation(operator, rhs, x, resid, dofs, pinned_eq, side):
     """Relative stationarity residual of ``x``, except at contacts whose
     multiplier has the admissible sign."""
     lam = resid[dofs]
     resid = resid.copy()
-    resid[dofs[pinned_eq | (act_hi & (lam >= 0.0)) | (act_lo & (lam <= 0.0))]] = 0.0
+    resid[dofs[pinned_eq | ((side != 0) & (side * lam >= 0.0))]] = 0.0
     return (float(np.max(np.abs(resid[operator.free_idx])))
             / operator.residual_scale(rhs, x))
 
 
-def _certified(operator, rhs, box, x, resid, act_lo, act_hi, iterations):
-    """The solution ``x`` with contact sets ``act_lo``/``act_hi`` on the box
-    dofs, once certified: its float64 field lies in the box exactly, every
-    contact multiplier has its sign and the stationarity residual ``resid``
-    of ``x`` is at most TOL; else a SolverError.  Every VISolution is built
-    here.  Degenerate pins report the side their multiplier points to, and a
-    multiplier of exactly zero classifies its node inactive."""
+def _certified(operator, rhs, box, x, resid, side, iterations):
+    """The solution ``x`` with contact sides ``side`` (-1 lower, +1 upper, 0
+    none) on the box dofs, once certified: its float64 field lies in the box
+    exactly, every contact multiplier has its sign and the stationarity
+    residual ``resid`` of ``x`` is at most TOL; else a SolverError.  Every
+    VISolution is built here.  Degenerate pins report the side their
+    multiplier points to, and a multiplier of exactly zero classifies its
+    node inactive."""
     dofs, lo, hi = box
     vals = x[dofs].astype(float)
     if np.any(vals < lo) or np.any(vals > hi):
         raise SolverError("the field leaves the box")
     pinned_eq = lo == hi
     lam = resid[dofs]
-    if np.any(_wrong_sign(lam, act_lo, act_hi, pinned_eq)):
+    if np.any(_wrong_sign(lam, side, pinned_eq)):
         raise SolverError("a contact multiplier points into the box")
-    stat = _kkt_violation(operator, rhs, x, resid, dofs, pinned_eq, act_lo, act_hi)
+    stat = _kkt_violation(operator, rhs, x, resid, dofs, pinned_eq, side)
     if stat > TOL:
         raise SolverError(f"stationarity residual {stat:.3e} above tol {TOL}")
-    lam = np.where(act_lo | act_hi, lam, 0.0)
-    swap = pinned_eq & act_lo & (lam > 0.0)
-    act_hi = (act_hi | swap) & (lam != 0.0)
-    act_lo = act_lo & ~swap & (lam != 0.0)
+    lam = np.where(side != 0, lam, 0.0)
+    side = np.where(lam == 0.0, 0, np.where(pinned_eq & (lam > 0.0), 1, side))
 
     nodes = dofs // 4
+    contact = np.zeros(operator.mesh.n_nodes, dtype=np.int8)
+    contact[nodes] = side
     multipliers = np.zeros(operator.mesh.n_nodes)
     multipliers[nodes] = lam
     return VISolution(field=DofField(operator.mesh, x.astype(float)),
-                      lower_contact=np.sort(nodes[act_lo]),
-                      upper_contact=np.sort(nodes[act_hi]),
+                      contact=contact,
                       multipliers=multipliers,
                       kkt_residual=stat,
                       iterations=iterations)
@@ -504,14 +505,9 @@ def _image(solution, operator, rhs, constraints, index, sign):
     """
     x = (sign * solution.field.dofs[index]).astype(LONG)
     dofs, lo, hi = _box_dof_arrays(operator, constraints)
-    source, s = index[dofs] // 4, sign[dofs]
-    on_lo = np.isin(source, solution.lower_contact)
-    on_hi = np.isin(source, solution.upper_contact)
-    pinned_eq = lo == hi
+    side = np.where(lo == hi, -1.0, sign[dofs] * solution.contact[index[dofs] // 4])
     return _certified(operator, rhs, (dofs, lo, hi), x, _residual(operator, rhs, x),
-                      pinned_eq | np.where(s > 0.0, on_lo, (s < 0.0) & on_hi),
-                      ~pinned_eq & np.where(s > 0.0, on_hi, (s < 0.0) & on_lo),
-                      solution.iterations)
+                      side, solution.iterations)
 
 
 def kkt_report(solution, operator, rhs, constraints):
@@ -521,7 +517,7 @@ def kkt_report(solution, operator, rhs, constraints):
     x = solution.field.dofs
     resid = rhs.astype(float) - operator.form.matrix @ x
     lam = solution.multipliers[nodes]
-    contact = np.isin(nodes, solution.lower_contact) | np.isin(nodes, solution.upper_contact)
+    contact = solution.contact[nodes] != 0
     scale = operator.residual_scale(rhs, x)
 
     stat_res = resid[operator.free_idx].copy()

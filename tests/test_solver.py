@@ -589,9 +589,7 @@ class TestOrbitReduction:
         with pytest.raises(SolverError, match="leaves the box"):
             solver._certified(operator_small, rhs, (dofs, lo, hi), x,
                               solver._residual(operator_small, rhs, x),
-                              np.isin(dofs // 4, sol.lower_contact),
-                              np.isin(dofs // 4, sol.upper_contact),
-                              sol.iterations)
+                              sol.contact[dofs // 4], sol.iterations)
 
     def test_closing_certificate_rejects_a_wrong_sign(self, operator_small,
                                                      mesh_small):
@@ -603,16 +601,15 @@ class TestOrbitReduction:
         sol = solve_obstacle(operator_small, rhs, box)
         dofs, lo, hi = solver._box_dof_arrays(operator_small, box)
         x = sol.field.dofs.astype(np.longdouble)
-        act_hi = np.isin(dofs // 4, sol.upper_contact)
-        act_lo = np.zeros_like(act_hi)
+        side = sol.contact[dofs // 4].copy()
         # call a free node a lower contact whose multiplier points up
         resid = solver._residual(operator_small, rhs, x)
-        k = int(np.flatnonzero(~act_hi)[0])
+        k = int(np.flatnonzero(side == 0)[0])
         resid[dofs[k]] = 1e-30
-        act_lo[k] = True
+        side[k] = -1
         with pytest.raises(SolverError, match="points into the box"):
             solver._certified(operator_small, rhs, (dofs, lo, hi), x, resid,
-                              act_lo, act_hi, sol.iterations)
+                              side, sol.iterations)
 
 
 class TestReinforcedAndWeighted:
