@@ -5,7 +5,8 @@ reader builds every object from ``params`` before anything is solved, so
 ``validate`` and ``run`` report the same diagnostics.  Every run writes
 ``summary.json`` (always, with the fully resolved config embedded) plus
 problem-specific CSV data files.  Exit codes: 0 success, 2 validation error,
-3 solver non-convergence.  Identical configs produce byte-identical outputs.
+3 solver failure: non-convergence, or a number that overflows, so nothing is
+certified.  Identical configs produce byte-identical outputs.
 """
 
 import argparse
@@ -421,9 +422,10 @@ def _read_vi_solve(p, ctx):
         rhs = assemble_load(mesh, load, weight=mask if variant == "E2" else None)
         # solved on the invariant fields of the mirrors of x and y that fix the data
         sol = solve_obstacle(op, rhs, box, ((True, False), (False, True)))
+        result = solution_to_json(sol, op, rhs, box)  # before any file is written
         field_to_csv(sol.field, outdir / "field.csv")
         gap_profile(sol).to_csv(outdir / "gap.csv")
-        return solution_to_json(sol, op, rhs, box)
+        return result
     return run
 
 
@@ -531,7 +533,8 @@ def run(config):
             summary["diagnostics"] = [_out_of_memory(config, exc)]
         except IterationLimitError as exc:
             code = 3
-            summary.update(error=str(exc), residual=exc.residual)
+            summary.update(error=str(exc), residual=exc.residual,
+                           iterations=exc.iterations, contacts=exc.contacts)
         except SolverError as exc:
             code = 3
             summary["error"] = str(exc)

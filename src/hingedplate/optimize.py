@@ -94,8 +94,9 @@ def gap_profile(solution):
 # force classes
 # ---------------------------------------------------------------------------
 
-#: largest enumeration a scan may ask for: the sign patterns of a bang-bang
-#: class, or the layouts of a reinforcement family before any is dropped
+#: largest enumeration a scan may ask for: the members of a point-load class
+#: before its window, the sign patterns of a bang-bang class, or the layouts
+#: of a reinforcement family before any is dropped
 MAX_MEMBERS = 4096
 
 
@@ -123,6 +124,9 @@ class ForceClass:
         dropped: they are the zero load, not unit norm.  So the class needs
         ``neta >= 2``.
       * ``signed-delta``: +-delta_p.
+    Counted before the window, a point-load class has at most
+    ``MAX_MEMBERS`` members: ``nxi * (neta - neta % 2)`` pairs, or
+    ``2 * nxi * neta`` signed point loads.
     ``bang-bang`` densities take the values +-1, constant on a cells_x x
     cells_y partition; all sign patterns are enumerated, and a window is an error.
     """
@@ -141,6 +145,13 @@ class ForceClass:
                              f"got {self.nxi}x{self.neta}")
         if self.kind == "antisym-delta" and self.neta < 2:
             raise ValueError(f"antisym-delta pairs need neta >= 2, got {self.neta}")
+        if self.kind != "bang-bang":
+            # counted before any is built; a window only drops members
+            count = (2 * self.nxi * self.neta if self.kind == "signed-delta"
+                     else self.nxi * (self.neta - self.neta % 2))
+            if count > MAX_MEMBERS:
+                raise ValueError(f"{self.kind} class {self.nxi}x{self.neta} has "
+                                 f"{count} members, more than {MAX_MEMBERS}")
         if self.kind == "bang-bang" and self.window is not None:
             raise ValueError("a scan window applies to point-load classes only")
         if self.kind == "bang-bang" and not (

@@ -38,10 +38,12 @@ A ``vi-solve`` (``cli``) offers both axes; a scan's orbit representatives
 (``optimize``) offer y alone.  Both kinds of image, the expansion of a
 reduced solve and ``mirror_solution`` of a solve through one mirror (a scan
 solves one load of each mirror orbit), are exact signed copies of a solve,
-built by one function.  Every result, a direct solve's and an image's alike,
-ends in one closing step on the full operator against its own load: its
-float64 field must lie in the box exactly and pass the KKT certificate.  A
-field that fails is an error, never a result.
+their contact sides included, built by one function.  Every result, a direct
+solve's and an image's alike, ends in one closing step on the full operator
+against its own load: its float64 field must lie in the box exactly and pass
+the KKT certificate.  A field that fails is an error, never a result, and so
+is one whose stationarity residual or its scale is not finite: such a
+certificate would pass anything.
 """
 
 from dataclasses import dataclass
@@ -76,7 +78,10 @@ class SolverError(RuntimeError):
 class IterationLimitError(SolverError):
     """Active-set loop hit its iteration budget; carries the state it stopped
     in: the iterate's KKT violation ``residual``, the ``iterations`` spent and
-    the number of ``contacts`` (box dofs on a bound) of that iterate."""
+    the number of ``contacts`` (box dofs on a bound) of that iterate.  Of a
+    reduced solve (``solve_obstacle`` under a mirror group) all three are the
+    reduced run's: its operator's residual and its orbit coordinates on a
+    bound."""
 
     def __init__(self, message, residual, iterations, contacts):
         super().__init__(message)
@@ -293,9 +298,8 @@ class PlateOperator:
 def solve_linear(operator, rhs):
     """Unconstrained Galerkin solve; relative residual certified <= 1e-10."""
     x = operator.solve_free(rhs)
-    r = (rhs - operator.form.matvec_extended(x))[operator.free_idx]
-    rel = float(np.max(np.abs(r.astype(float)))) / operator.residual_scale(rhs, x)
-    if not np.isfinite(rel) or rel > 1e-10:
+    rel = _stationarity(operator, rhs, x, _residual(operator, rhs, x))
+    if rel > 1e-10:
         raise SolverError(f"linear solve residual {rel:.3e} above 1e-10; "
                           "operator may be singular")
     return DofField(operator.mesh, x.astype(float))
@@ -422,8 +426,20 @@ def _kkt_violation(operator, rhs, x, resid, dofs, pinned_eq, side):
     lam = resid[dofs]
     resid = resid.copy()
     resid[dofs[pinned_eq | ((side != 0) & (side * lam >= 0.0))]] = 0.0
-    return (float(np.max(np.abs(resid[operator.free_idx])))
-            / operator.residual_scale(rhs, x))
+    return _stationarity(operator, rhs, x, resid)
+
+
+def _stationarity(operator, rhs, x, resid):
+    """The largest free-dof entry of the residual ``resid`` of ``x`` relative
+    to ``residual_scale``; a SolverError when it or the scale is not finite,
+    for then it certifies nothing: a NaN passes every comparison, and an
+    overflowed scale reads any residual as 0."""
+    scale = operator.residual_scale(rhs, x)
+    stat = float(np.max(np.abs(resid[operator.free_idx]))) / scale
+    if not (np.isfinite(stat) and np.isfinite(scale)):
+        raise SolverError(f"stationarity residual {stat:.3e} or its scale "
+                          f"{scale:.3e} is not finite")
+    return stat
 
 
 def _certified(operator, rhs, box, x, resid, side, iterations):
@@ -541,12 +557,17 @@ def kkt_report(solution, operator, rhs, constraints):
 
 
 def solution_to_json(solution, operator, rhs, constraints):
-    """JSON-ready summary of a solve: contact sets, certificates, energy."""
+    """JSON-ready summary of a solve: contact sets, certificates, energy; a
+    SolverError when the energy overflows, so the summary stays strict JSON."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = energy(operator.form, rhs, solution.field)
+    if not np.isfinite(value):
+        raise SolverError(f"the energy of the certified field is {value}")
     return {
         "contact_lower": [int(n) for n in solution.lower_contact],
         "contact_upper": [int(n) for n in solution.upper_contact],
         "kkt": kkt_report(solution, operator, rhs, constraints),
-        "energy": energy(operator.form, rhs, solution.field),
+        "energy": value,
         "sup_norm": solution.field.sup_norm(),
         "iterations": solution.iterations,
     }

@@ -193,8 +193,72 @@ class TestRun:
         stored = json.loads((tmp_path / "n" / "summary.json").read_text(),
                             parse_constant=_reject_constant)
         assert np.isfinite(stored["residual"]) and stored["residual"] > 0.0
-        # the error's iteration and contact counts stay out of the summary
-        assert not {"iterations", "contacts"} & set(stored)
+        # the error's iteration and contact counts: those of the reduced run
+        assert stored["iterations"] == 2 and stored["contacts"] == 2
+
+    def test_exit_3_summary_carries_the_reduced_solver_state(self, tmp_path,
+                                                             monkeypatch):
+        """A budget of one iteration: the summary holds the error's state,
+        which for a solve reduced by both mirrors is the reduced run's, one
+        orbit coordinate on the bound where the direct run stops at two
+        nodes."""
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+        cfg = config_for(
+            "vi-solve",
+            {"load": {"density": {"kind": "sin_x"}},
+             "obstacles": {"kind": "bounds", "lower": -1.0, "upper": 0.05,
+                           "region": "full"}},
+            outdir=tmp_path / "n")
+        code, _ = run(cfg)
+        assert code == 3
+        stored = json.loads((tmp_path / "n" / "summary.json").read_text(),
+                            parse_constant=_reject_constant)
+        mesh = Mesh(16, 4, 0.1)
+        op = solver.PlateOperator.build(mesh, MaterialParams(0.2, 0.1))
+        rhs = assemble_load(mesh, cli._build_load(cfg["params"]["load"], 0.1))
+        box = solver.BoxConstraints.from_obstacle(
+            mesh, cli._build_obstacle(cfg["params"]["obstacles"]))
+        errors = []
+        for flips in (((True, False), (False, True)), ()):
+            with pytest.raises(solver.IterationLimitError) as err:
+                solver.solve_obstacle(op, rhs, box, flips)
+            errors.append(err.value)
+        reduced, direct = errors
+        assert (stored["iterations"], stored["contacts"]) == (1, 1)
+        assert (reduced.iterations, reduced.contacts) == (1, 1)
+        assert stored["residual"] == reduced.residual
+        assert stored["error"] == str(reduced)
+        assert (direct.iterations, direct.contacts) == (1, 2)
+
+    @pytest.mark.parametrize("problem, load, obstacles, error", [
+        # the field is NaN, and NaN passes every comparison of a certificate
+        ("vi-solve", {"point_masses": [[1.0, 0.0, 1e307]]}, "box",
+         "stationarity residual nan or its scale nan is not finite"),
+        # a finite field whose residual scale overflows reads any residual as 0
+        ("vi-solve", {"point_masses": [[1.0, 0.0, 1e305]]}, "box",
+         "stationarity residual 0.000e+00 or its scale inf is not finite"),
+        ("solve", {"point_masses": [[1.0, 0.0, 1e305]]}, None,
+         "stationarity residual 0.000e+00 or its scale inf is not finite"),
+        # certified, but its energy overflows
+        ("vi-solve", {"density": 1e200}, {"gamma": 0.01},
+         "the energy of the certified field is nan"),
+    ], ids=["nan-field", "inf-scale", "inf-scale-linear", "nan-energy"])
+    def test_overflowing_load_exits_3_with_strict_json(self, tmp_path, problem,
+                                                       load, obstacles, error):
+        """Loads that overflow float64 certify nothing: exit 3, a strict JSON
+        summary naming the cause, and no data file."""
+        params = {"load": load}
+        if obstacles is not None:
+            params["obstacles"] = obstacles if obstacles != "box" else {
+                "kind": "bounds", "lower": -1e308, "upper": 1e308, "region": "full"}
+        cfg = config_for(problem, params, nx=8, ny=2, outdir=tmp_path / "o")
+        assert validate(cfg) == []
+        code, summary = run(cfg)
+        assert code == 3 and summary["error"] == error
+        stored = json.loads((tmp_path / "o" / "summary.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert stored["error"] == error and "result" not in stored
+        assert [f.name for f in (tmp_path / "o").iterdir()] == ["summary.json"]
 
     def test_full_plate_contact_limit_settles(self, tmp_path):
         """The full-plate box at 0.05 z_max: hundreds of contacts, solved on
@@ -591,6 +655,13 @@ class TestRun:
         # the one eta row of neta = 1 is the midline: no pair is left
         ("gap-scan", {"force_class": {"nxi": 5, "neta": 1}},
          "antisym-delta pairs need neta >= 2, got 1"),
+        # counted before any member is built: no scan runs, nothing is
+        # allocated for the mesh
+        ("gap-scan", {"force_class": {"nxi": 100000}},
+         "antisym-delta class 100000x9 has 800000 members, more than 4096"),
+        ("gap-scan", {"force_class": {"kind": "signed-delta", "nxi": 10**12}},
+         "signed-delta class 1000000000000x9 has 18000000000000 members, "
+         "more than 4096"),
     ], ids=["load-typo", "load-norm", "constant-density", "sin_x-signs",
             "obstacles-typo", "force_class-typo", "window-typo", "params-typo",
             "family-typo", "no-levels", "no-grid", "one-cell-count",
@@ -610,7 +681,7 @@ class TestRun:
             "bounds-obstacle-with-gamma", "antisym-load-with-density",
             "cross-family-with-tiles", "antisym-class-with-cells",
             "bang-bang-class-with-grid", "unscanned-regime-with-force_class",
-            "one-row-antisym"])
+            "one-row-antisym", "huge-class", "astronomic-class"])
     def test_malformed_params_are_diagnostics(self, tmp_path, problem, params,
                                               expected):
         # unknown fields, empty or oversized scans, non-list and non-integer

@@ -14,7 +14,8 @@ from hingedplate import (BoxConstraints, DofField, LoadSpec, Mesh,
                          worst_gap_force)
 from hingedplate import cli, optimize, solver
 from hingedplate.fem import MIRRORS, OrbitBasis, assemble_load
-from hingedplate.optimize import ForceClass, ObstacleFamily, ReinforcementFamily
+from hingedplate.optimize import (MAX_MEMBERS, ForceClass, ObstacleFamily,
+                                 ReinforcementFamily)
 from hingedplate.solver import (PlateOperator, SolverError, kkt_report,
                                 mirror_symmetries, solve_obstacle)
 
@@ -162,6 +163,20 @@ class TestForceClasses:
         for m in members:
             site = dict(m.meta)
             assert window.contains(site["xi"], site["eta"], params)
+
+    @pytest.mark.parametrize("kind, nxi, neta, count", [
+        ("signed-delta", 64, 32, 4096), ("signed-delta", 64, 33, 4224),
+        ("antisym-delta", 512, 9, 4096), ("antisym-delta", 512, 10, 5120),
+        ("antisym-delta", 100000, 9, 800000)])
+    def test_point_load_classes_are_bounded_before_any_member_is_built(
+            self, kind, nxi, neta, count):
+        """A point-load class counts its members, 2 nxi neta signed loads or
+        nxi (neta - neta % 2) pairs, and refuses more than MAX_MEMBERS."""
+        if count <= MAX_MEMBERS:
+            ForceClass(kind=kind, nxi=nxi, neta=neta)
+        else:
+            with pytest.raises(ValueError, match=f"has {count} members, more than"):
+                ForceClass(kind=kind, nxi=nxi, neta=neta)
 
     def test_bang_bang_rejects_a_window(self, window):
         with pytest.raises(ValueError, match="point-load classes only"):

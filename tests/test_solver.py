@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,26 @@ class TestSolveLinear:
             exact = antisym_solution(load, (x, y), state)
             assert grid[j, i] == pytest.approx(
                 exact, rel=5e-3, abs=1e-4 * abs(exact) + 1e-9)
+
+
+class TestNonFiniteCertificates:
+    @pytest.mark.parametrize("weight, stat, scale", [
+        (1e307, "nan", "nan"), (1e305, "0.000e+00", "inf")])
+    def test_certificates_refuse_an_overflowing_solve(self, params, weight,
+                                                       stat, scale):
+        """A NaN field passes every comparison, and an overflowed scale reads
+        any residual as 0: both certificates refuse the solve instead."""
+        mesh = Mesh(8, 2, params.half_width)
+        op = PlateOperator.build(mesh, params)
+        rhs = assemble_load(mesh, LoadSpec(point_masses=((1.0, 0.0, weight),)))
+        n = mesh.n_nodes
+        box = BoxConstraints(np.ones(n, dtype=bool), np.full(n, -1e308),
+                             np.full(n, 1e308))
+        message = re.escape(f"residual {stat} or its scale {scale} is not finite")
+        with pytest.raises(SolverError, match=message):
+            solve_obstacle(op, rhs, box)
+        with pytest.raises(SolverError, match=message):
+            solve_linear(op, rhs)
 
 
 class TestSolveObstacle:

@@ -36,7 +36,13 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
   ``summary.json`` with its diagnostic;
 * one 16x4 ``gap-scan`` whose ``antisym-delta`` class has ``neta`` 1: its
   one eta row is the midline, so the class is empty, a second exit-2
-  ``summary.json`` whose diagnostic the config check writes.
+  ``summary.json`` whose diagnostic the config check writes;
+* one 8x2 ``vi-solve`` of a point mass of weight 1e307 under a full-plate
+  box of +-1e308: its field overflows to NaN, which no certificate may
+  pass, so the tree holds an exit-3 ``summary.json`` with its error;
+* one 8x2 ``vi-solve`` of the density 1e200 under guides: it certifies,
+  but its energy overflows, a second exit-3 ``summary.json`` and no data
+  file.
 
 Each op writes to ``OUT_DIR/<workload>/<label>/``; ``OUT_DIR/exit_codes.txt``
 lists the exit code of every op.  Output directories are relative to
@@ -113,6 +119,13 @@ def extra_ops(wl):
             "obstacles": {"gamma": 0.01, "region": "full"}}, mesh=(16, 4))),
         ("gap-scan-one-eta-row", wl.config("gap-scan", {
             "force_class": {"nxi": 5, "neta": 1}}, mesh=(16, 4))),
+        ("vi-solve-nan-field", wl.config("vi-solve", {
+            "load": {"point_masses": [[1.0, 0.0, 1e307]]},
+            "obstacles": {"kind": "bounds", "lower": -1e308, "upper": 1e308,
+                          "region": "full"}}, mesh=(8, 2))),
+        ("vi-solve-energy-overflow", wl.config("vi-solve", {
+            "load": {"density": 1e200}, "obstacles": {"gamma": 0.01}},
+            mesh=(8, 2))),
     ]
 
 
