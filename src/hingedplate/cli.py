@@ -131,7 +131,8 @@ def _parse(config):
     problem = config.get("problem")
     if problem not in PROBLEMS:
         diags.append(f"problem must be one of {PROBLEMS}: {problem}")
-    params = _section(config, "params", _PARAMS_KEYS.get(problem), diags)
+    params = _section(config, "params",
+                      _PARAMS_KEYS[problem] if problem in PROBLEMS else None, diags)
     if not isinstance(config.get("output_dir") or "out", str):
         diags.append(f"output_dir must be a string: {config['output_dir']!r}")
     if diags:
@@ -518,9 +519,10 @@ def run(config):
     outdir = Path(out) if isinstance(out, str) else None  # else diagnosed
     code = 2
     if diags:
-        # non-finite numbers echo as strings, so the summary stays strict JSON
-        summary["config"] = json.loads(json.dumps(config, default=_json_default),
-                                       parse_constant=str)
+        # non-finite numbers, in the config or as its problem, echo as
+        # strings, so the summary stays strict JSON
+        summary = json.loads(json.dumps(summary, default=_json_default),
+                             parse_constant=str)
         summary["diagnostics"] = diags
     else:
         outdir.mkdir(parents=True, exist_ok=True)

@@ -13,9 +13,18 @@ Element matrices and load vectors are accumulated in extended precision:
 the fourth-order operator's conditioning (~h^-4) otherwise drowns the
 fine-mesh discretization error in assembly roundoff.  An assembled operator
 is stored once, as a longdouble CSR matrix; its float64 view for the sparse
-factorization is a cast of that matrix.  Loads and stiffness are assembled
-for the whole mesh at once from one (ny, nx, 16) element-dof table, each
-element weighted by a reinforcement mask's weights when one is given.
+factorization is a cast of that matrix, made once per form.  Loads and
+stiffness are assembled for the whole mesh at once from one (ny, nx, 16)
+element-dof table, each element weighted by a reinforcement mask's weights
+when one is given.
+
+What depends on a mesh's shape alone is planned once per shape and kept,
+read-only, for the ``PLAN_CACHE_SIZE`` shapes used most recently: the
+``SumPlan`` that sums the stiffness triplets (their stable sort, the runs
+of equal (row, col) and the CSR pattern), one ``SumPlan`` per mirror group
+for ``OrbitBasis.restrict_form``, and the eight ``mirror_map``s.  Every
+form of a planned shape is then one gather and one ``np.add.reduceat``, in
+the order the sort gives, so its values are those of the sort itself.
 
 The mirrors of the plate, x -> pi - x and y -> -y, each optionally combined
 with negation, are the elements of ``MIRRORS``; this is the one vocabulary
@@ -366,33 +375,30 @@ class AssembledForm:
     """Symmetric operator on the dof space, kept in extended precision.
 
     Stored once, as a longdouble CSR matrix whose rows hold sorted,
-    duplicate-free columns.
+    duplicate-free columns.  ``pattern`` is the ``SumPlan`` that built it,
+    whose read-only ``indices`` and ``indptr`` the matrix shares, or None.
     """
 
-    def __init__(self, csr):
+    def __init__(self, csr, pattern=None):
         self.csr = csr
+        self.pattern = pattern
+        self._matrix = None
 
     @classmethod
     def from_triplets(cls, shape, rows, cols, vals):
-        """Sum duplicate (row, col) entries in input order, then store."""
-        # one stable sort on the row-major key: the permutation of
-        # lexsort((cols, rows)), so duplicates keep their input order
-        key = rows.astype(np.int64) * shape[1] + cols
-        order = np.argsort(key, kind="stable")
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        keep = np.ones(len(rows), dtype=bool)
-        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(keep)
-        # row pointers from row counts, so the conversion sums nothing
-        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[starts], minlength=shape[0]), out=indptr[1:])
-        return cls(sp.csr_matrix((np.add.reduceat(vals, starts), cols[starts], indptr),
-                                 shape=shape))
+        """Sum duplicate (row, col) entries in input order, then store: the
+        sort-based path that every ``SumPlan`` takes once."""
+        return SumPlan(shape, rows, cols).form(vals)
 
     @property
     def matrix(self):
-        """float64 CSR cast of the operator."""
-        return self.csr.astype(float)
+        """float64 CSR cast of the operator, made on first use and kept; its
+        values are read-only and it shares the form's pattern."""
+        if self._matrix is None:
+            csr = self.csr
+            self._matrix = sp.csr_matrix((_frozen(csr.data.astype(float)), csr.indices,
+                                          csr.indptr), shape=csr.shape)
+        return self._matrix
 
     def matvec_extended(self, x):
         """Operator application in longdouble.
@@ -400,6 +406,84 @@ class AssembledForm:
         Each row sums its products from zero in column order.
         """
         return self.csr @ x
+
+
+def _frozen(array):
+    """``array``, made read-only."""
+    array.flags.writeable = False
+    return array
+
+
+class SumPlan:
+    """The symbolic half of summing a fixed list of triplets into a CSR
+    matrix, computed once and kept read-only.
+
+    Triplet ``k`` puts ``signs[k] * vals[take[k]]`` of a source vector
+    ``vals`` at ``(rows[k], cols[k])``; ``take`` defaults to the identity
+    and ``signs`` to ones.  One stable sort on the row-major key (the
+    permutation of ``lexsort((cols, rows))``) stores ``take`` and ``signs``
+    in the order of the sum, so duplicates keep their input order; each run
+    of one (row, col) begins at ``starts``.  ``indices`` and ``indptr`` are
+    the pattern of the sum, in the index dtype scipy keeps, so every form
+    the plan builds shares them.  The numeric half is ``form``: one gather
+    and one ``np.add.reduceat``.
+    """
+
+    def __init__(self, shape, rows, cols, take=None, signs=None):
+        order = np.argsort(rows.astype(np.int64) * shape[1] + cols, kind="stable")
+        rows, cols = rows[order], cols[order]
+        keep = np.ones(len(rows), dtype=bool)
+        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(keep)
+        # row pointers from row counts, so the conversion sums nothing
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[starts], minlength=shape[0]), out=indptr[1:])
+        pattern = sp.csr_matrix((np.zeros(starts.size, dtype=np.int8), cols[starts],
+                                 indptr), shape=shape)
+        self.shape = shape
+        self.take = _frozen(order if take is None else take[order])
+        self.signs = None if signs is None else _frozen(signs[order])
+        self.starts = _frozen(starts)
+        self.indices = _frozen(pattern.indices)
+        self.indptr = _frozen(pattern.indptr)
+
+    def form(self, vals):
+        """The AssembledForm of the source values ``vals``."""
+        vals = vals[self.take]
+        if self.signs is not None:
+            vals *= self.signs
+        return AssembledForm(sp.csr_matrix(
+            (np.add.reduceat(vals, self.starts), self.indices, self.indptr),
+            shape=self.shape), self)
+
+
+#: mesh shapes (nx, ny) whose plans ``_shape_plans`` keeps; the least
+#: recently used shape is dropped first
+PLAN_CACHE_SIZE = 4
+_PLAN_CACHE = {}
+
+
+class _ShapePlans:
+    """Everything of a mesh's operators that depends on its shape alone,
+    each part built on first use: the ``SumPlan`` of the stiffness triplets,
+    one ``SumPlan`` of ``R' K R`` per mirror group, and the ``mirror_map``
+    of each mirror."""
+
+    def __init__(self):
+        self.bilinear = None
+        self.restrictions = {}
+        self.mirrors = {}
+
+
+def _shape_plans(mesh):
+    """The plans of the shape of ``mesh``, kept for the PLAN_CACHE_SIZE
+    shapes used most recently."""
+    key = (mesh.nx, mesh.ny)
+    plans = _PLAN_CACHE.pop(key, None) or _ShapePlans()
+    _PLAN_CACHE[key] = plans
+    while len(_PLAN_CACHE) > PLAN_CACHE_SIZE:
+        del _PLAN_CACHE[next(iter(_PLAN_CACHE))]
+    return plans
 
 
 def _element_weights(mesh, weight):
@@ -416,14 +500,19 @@ def assemble_bilinear(mesh, params, weight=None):
 
     With a ReinforcementMask ``weight``, each element matrix is multiplied
     by beta on D and alpha off D, as ``assemble_load`` weights the density:
-    the stiffness of the stiffness-weighted energy.
+    the stiffness of the stiffness-weighted energy.  The element matrices
+    are summed by the ``SumPlan`` of the mesh's shape, sorted once per shape
+    (``_shape_plans``), so every later form of that shape costs one gather
+    and one reduceat, in the order the sort gives.
     """
+    plans = _shape_plans(mesh)
+    if plans.bilinear is None:
+        gl = mesh.element_dof_table().reshape(-1, 16)  # elements row-major
+        plans.bilinear = SumPlan((mesh.n_dofs, mesh.n_dofs),
+                                 np.repeat(gl, 16, axis=1).ravel(), np.tile(gl, 16).ravel())
     Ke = element_stiffness(mesh.hx, mesh.hy, params.sigma)
-    gl = mesh.element_dof_table().reshape(-1, 16)  # elements row-major
-    rows = np.repeat(gl, 16, axis=1).ravel()
-    cols = np.tile(gl, 16).ravel()
     vals = (_element_weights(mesh, weight).astype(LONG)[..., None] * Ke.ravel()).ravel()
-    return AssembledForm.from_triplets((mesh.n_dofs, mesh.n_dofs), rows, cols, vals)
+    return plans.bilinear.form(vals)
 
 
 def _density_evaluator(density):
@@ -508,11 +597,15 @@ def mirror_map(mesh, element):
     """Dof permutation ``perm`` and signs of the mirror ``element`` of
     ``MIRRORS``.  The image of a dof vector ``v`` is ``signs * v[perm]``;
     every element is its own inverse, and ``perm[DOF_VALUE::4] // 4`` is its
-    node permutation."""
-    fx, fy, s = element
-    dof_signs = s * np.where(fx, _X_MIRROR_SIGNS, 1.0) * np.where(fy, _Y_MIRROR_SIGNS, 1.0)
-    return (np.flip(mesh.dof_grid(), mirror_axes(element)).ravel(),
-            np.tile(dof_signs, mesh.n_nodes))
+    node permutation.  Both arrays are built once per mesh shape and
+    element (``_shape_plans``) and are read-only."""
+    maps = _shape_plans(mesh).mirrors
+    if element not in maps:
+        fx, fy, s = element
+        dof_signs = s * np.where(fx, _X_MIRROR_SIGNS, 1.0) * np.where(fy, _Y_MIRROR_SIGNS, 1.0)
+        maps[element] = (_frozen(np.flip(mesh.dof_grid(), mirror_axes(element)).ravel()),
+                         _frozen(np.tile(dof_signs, mesh.n_nodes)))
+    return maps[element]
 
 
 def mirror_field(field, element):
@@ -599,13 +692,28 @@ class OrbitBasis:
         return out
 
     def restrict_form(self, form):
-        """``R' K R`` from the assembled form, in its extended precision."""
-        coo = form.csr.tocoo()
-        s = self.sign[coo.row] * self.sign[coo.col]
-        keep = s != 0.0
-        return AssembledForm.from_triplets(
-            (self.n_dofs, self.n_dofs), self.coordinate[coo.row[keep]],
-            self.coordinate[coo.col[keep]], coo.data[keep] * s[keep])
+        """``R' K R`` from the assembled form, in its extended precision.
+
+        The form's entries whose sign product is not zero are gathered,
+        signed and summed by a ``SumPlan`` built on the form's pattern: once
+        per mesh shape and group for a form of ``assemble_bilinear``, whose
+        pattern is its shape's, and kept with that shape's plans
+        (``_shape_plans``, the PLAN_CACHE_SIZE shapes used most recently);
+        else anew for each call."""
+        plans = _shape_plans(self.mesh)
+        shared = form.pattern is not None and form.pattern is plans.bilinear
+        plan = plans.restrictions.get(self.group) if shared else None
+        if plan is None:
+            csr = form.csr
+            rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+            s = self.sign[rows] * self.sign[csr.indices]
+            kept = np.flatnonzero(s != 0.0)
+            plan = SumPlan((self.n_dofs, self.n_dofs), self.coordinate[rows[kept]],
+                           self.coordinate[csr.indices[kept]], kept,
+                           s[kept].astype(np.int8))
+            if shared:
+                plans.restrictions[self.group] = plan
+        return plan.form(form.csr.data)
 
 
 def symmetry_decompose(field):
@@ -637,12 +745,11 @@ def energy(form, rhs, field):
 # ---------------------------------------------------------------------------
 
 def field_to_csv(field, path):
-    """Dump nodal dofs as CSV x,y,u,ux,uy,uxy (row-major in x then y)."""
-    mesh = field.mesh
-    X, Y = mesh.node_coordinates()
+    """Dump nodal dofs as CSV x,y,u,ux,uy,uxy (row-major in x then y), each
+    number in ``%.17g``, which round-trips every float64."""
+    X, Y = field.mesh.node_coordinates()
+    rows = np.column_stack([X, Y, field.dofs.reshape(-1, 4)]).tolist()
+    line = ",".join(["%.17g"] * 6) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y,u,ux,uy,uxy\n")
-        for n in range(mesh.n_nodes):
-            vals = field.dofs[4 * n:4 * n + 4]
-            cells = [f"{v:.17g}" for v in (X[n], Y[n], *vals)]
-            fh.write(",".join(cells) + "\n")
+        fh.write("".join([line % tuple(row) for row in rows]))

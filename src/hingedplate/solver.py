@@ -12,7 +12,13 @@ one, and its multiplier ``lam`` is admissible when ``side * lam >= 0``.  Every
 block the solver factors is symmetric positive definite: the free block of
 the energy, scaled once per operator to unit diagonal, or a principal
 submatrix of it.  It is factored as such, by a symmetric elimination
-(SuperLU in symmetric mode, diagonal pivots).  Each operator orders its
+(SuperLU in symmetric mode, diagonal pivots); a block singular in float64
+is a SolverError.  The scaled free block is built with the operator's first
+factorization, so an operator that is never factored, such as the full
+operator of a reduced solve, never builds it.  What an operator's assembly
+shares with every other operator on its mesh shape, the summation plan of
+its stiffness and of each ``R' K R``, and its mirror maps, ``fem`` plans once
+per shape.  Each operator orders its
 elimination once: the free dofs are numbered with the short axis fastest,
 the first factorization of the free block takes a minimum-degree order on
 the pattern of A + A' from there, and the scaled block is kept permuted into
@@ -177,19 +183,26 @@ class VISolution:
 def _spd_factor(a, permc_spec="MMD_AT_PLUS_A"):
     """Symmetric elimination of the SPD CSC block ``a``, diagonal pivots: in
     the minimum-degree order on the pattern of a + a', or in the block's own
-    order with ``permc_spec="NATURAL"``."""
-    return spla.splu(a, permc_spec=permc_spec, diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True})
+    order with ``permc_spec="NATURAL"``.  A block that is singular in
+    float64, as the energy of a plate too thin for its mesh can be, is a
+    SolverError."""
+    try:
+        return spla.splu(a, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:
+        raise SolverError(f"the factorization failed: {exc}") from None
 
 
 class PlateOperator:
     """An assembled bilinear form together with the essential constraints.
 
     Owns the reduction to free dofs, the free block scaled to unit diagonal
-    (``diag(s) K diag(s)`` with ``s = diag(K)^(-1/2)``), its factor, built on
-    the first solve, its restrictions to mirror-invariant subspaces with
-    their orbit bases, each built on first use per mirror group, and
-    extended-precision refinement of every solve.
+    (``diag(s) K diag(s)`` with ``s = diag(K)^(-1/2)``) and its factor, both
+    built on the first solve, its restrictions to mirror-invariant subspaces
+    with their orbit bases, each built on first use per mirror group, and
+    extended-precision refinement of every solve.  Building one takes only
+    the row sums of ``|K|`` for ``residual_scale``; an operator whose float64
+    matrix overflows is a SolverError.
     The free dofs ``free_idx`` run with the short axis fastest: node column
     slowest, then node row, then the dof.  ``mask`` is the reinforcement
     mask whose weights the form carries, None for the base energy.
@@ -204,15 +217,15 @@ class PlateOperator:
         self.free_idx = dofs[self.free[dofs]]
         self._pos_of_dof = -np.ones(mesh.n_dofs, dtype=np.int64)
         self._pos_of_dof[self.free_idx] = np.arange(self.free_idx.size)
-        csr = form.matrix
-        k_free = csr[self.free_idx][:, self.free_idx]
-        self._s = 1.0 / np.sqrt(k_free.diagonal())
-        self._scaled = (sp.diags(self._s) @ k_free @ sp.diags(self._s)).tocsc()
         self._free_factor = None
         self._reduced = {}
-        # positions in free_idx of the elimination order, set by the factor
-        self._order = None
-        self._norm_estimate = float(np.abs(csr).sum(axis=1).max())
+        # the scaling, the scaled block and the positions in free_idx of the
+        # elimination order, all set with the factor
+        self._s = self._scaled = self._order = None
+        with np.errstate(over="ignore"):
+            self._norm_estimate = float(np.abs(form.matrix).sum(axis=1).max())
+        if not np.isfinite(self._norm_estimate):
+            raise SolverError("the operator overflows float64")
 
     @classmethod
     def build(cls, mesh, params, mask=None):
@@ -221,13 +234,18 @@ class PlateOperator:
         return cls(mesh, assemble_bilinear(mesh, params, weight=mask), mask)
 
     def _factor_free(self):
-        """The free block's factor, built on first use.  Its minimum-degree
-        order becomes the operator's elimination order, and the scaled block
-        is kept permuted into it in place of the unordered copy."""
+        """The free block's factor, built on first use together with the
+        scaled block: an operator that is never factored, such as the full
+        operator of a reduced solve, never builds it.  The factor's
+        minimum-degree order becomes the operator's elimination order, and
+        the scaled block is kept permuted into it."""
         if self._free_factor is None:
-            self._free_factor = _spd_factor(self._scaled)
+            k_free = self.form.matrix[self.free_idx][:, self.free_idx]
+            self._s = 1.0 / np.sqrt(k_free.diagonal())
+            scaled = (sp.diags(self._s) @ k_free @ sp.diags(self._s)).tocsc()
+            self._free_factor = _spd_factor(scaled)
             self._order = np.argsort(self._free_factor.perm_c)
-            self._scaled = self._scaled[self._order][:, self._order]
+            self._scaled = scaled[self._order][:, self._order]
         return self._free_factor
 
     def reduced(self, group):

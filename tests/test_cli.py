@@ -356,6 +356,38 @@ class TestRun:
                             parse_constant=_reject_constant)
         assert stored["config"]["params"]["obstacles"]["lower"] == "-Infinity"
 
+    @pytest.mark.parametrize("problem, echo", [
+        (float("nan"), "NaN"), ({"kind": "x"}, {"kind": "x"}), (["regime"], ["regime"])],
+        ids=["nan", "object", "list"])
+    def test_malformed_problem_is_a_diagnostic(self, tmp_path, problem, echo):
+        """A problem that is not a string is diagnosed, not raised, and the
+        summary echoes it as strict JSON."""
+        cfg = config_for("regime", {"gamma": 0.01}, outdir=tmp_path / "p")
+        cfg["problem"] = problem
+        code, summary = run(cfg)
+        assert code == 2
+        assert any(d.startswith("problem must be one of") for d in summary["diagnostics"])
+        stored = json.loads((tmp_path / "p" / "summary.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert stored["problem"] == echo and stored["config"]["problem"] == echo
+
+    @pytest.mark.parametrize("half_width, error", [
+        (1e-300, "the operator overflows float64"),
+        (1e-30, "the factorization failed: Factor is exactly singular"),
+    ], ids=["overflow", "singular"])
+    def test_plate_too_thin_for_float64_exits_3(self, tmp_path, half_width, error):
+        """A plate so thin that its stiffness overflows float64, or is
+        singular in it, is a solver failure, not an uncaught exception."""
+        cfg = config_for("vi-solve", {"load": {"density": 1.0},
+                                      "obstacles": {"gamma": 0.001}},
+                         nx=8, ny=2, outdir=tmp_path / "t")
+        cfg["material"]["half_width"] = half_width
+        assert validate(cfg) == []
+        code, summary = run(cfg)
+        assert code == 3 and summary["error"] == error
+        json.loads((tmp_path / "t" / "summary.json").read_text(),
+                   parse_constant=_reject_constant)
+
     @pytest.mark.parametrize("section, key, value", [
         ("mesh", "nx", "16"),
         ("material", "sigma", "0.2"),

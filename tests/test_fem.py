@@ -766,3 +766,21 @@ class TestExport:
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == 0.0 and first[1] == -mesh_small.half_width
         assert first[2] == fld.dofs[0]  # 17 significant digits round-trip
+
+    def test_csv_bytes_match_cellwise_formatting(self, tmp_path):
+        """One format string per row writes the bytes of one ``:.17g`` f-string
+        per cell, on values whose shortest and 17-digit forms differ."""
+        mesh = Mesh(8, 2, 0.1)
+        hard = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                1.5e-310, 1e308, -1.7976931348623157e308, 0.1, 1 / 3,
+                -2.0 / 3.0, 1.2345678901234567, 9007199254740993.0, 1e16,
+                123456789012345680.0, 1e-5, 100.0, np.pi]
+        dofs = np.resize(hard, mesh.n_dofs) * np.resize([1.0, -1.0, 1.0], mesh.n_dofs)
+        fld = DofField(mesh, dofs)
+        path = tmp_path / "field.csv"
+        field_to_csv(fld, path)
+        X, Y = mesh.node_coordinates()
+        want = "x,y,u,ux,uy,uxy\n" + "".join(
+            ",".join(f"{v:.17g}" for v in (X[n], Y[n], *dofs[4 * n:4 * n + 4])) + "\n"
+            for n in range(mesh.n_nodes))
+        assert path.read_bytes() == want.encode("utf-8")

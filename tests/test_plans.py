@@ -1,0 +1,168 @@
+"""Per-shape assembly plans: planned forms equal the sort, plans stay
+read-only and bounded, and a cold and a warm cache write the same files."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from hingedplate import fem
+from hingedplate.cli import default_config, run
+from hingedplate.fem import (LONG, AssembledForm, Mesh, OrbitBasis, ReinforcementMask,
+                             assemble_bilinear, element_stiffness, mirror_map)
+from hingedplate.params import MaterialParams
+from hingedplate.series import ObstacleSpec
+from hingedplate.solver import BoxConstraints, PlateOperator, solve_obstacle
+
+PARAMS = MaterialParams(sigma=0.2, half_width=0.1)
+SHAPES = [(8, 2), (16, 4), (65, 17), (128, 32)]
+X_GENERATORS = [(True, False, 1), (True, False, -1)]
+Y_GENERATORS = [(False, True, 1), (False, True, -1)]
+#: every mirror group: one generator of MIRRORS per flipped axis
+GROUPS = ([(g,) for g in X_GENERATORS + Y_GENERATORS]
+          + list(itertools.product(X_GENERATORS, Y_GENERATORS)))
+
+
+def _mask(mesh):
+    """An E1 mask that no mirror maps onto itself."""
+    sel = np.zeros((mesh.ny, mesh.nx), dtype=bool)
+    sel[:, : mesh.nx // 4] = True
+    sel[0, mesh.nx // 2] = True
+    return ReinforcementMask(sel, alpha=0.5, beta=2.5)
+
+
+def _sorted_bilinear(mesh, weights):
+    """The stiffness by the sort of ``from_triplets``, no plan reused."""
+    gl = mesh.element_dof_table().reshape(-1, 16)
+    Ke = element_stiffness(mesh.hx, mesh.hy, PARAMS.sigma)
+    vals = (weights.astype(LONG)[..., None] * Ke.ravel()).ravel()
+    return AssembledForm.from_triplets((mesh.n_dofs, mesh.n_dofs),
+                                       np.repeat(gl, 16, axis=1).ravel(),
+                                       np.tile(gl, 16).ravel(), vals)
+
+
+def _sorted_restriction(basis, form):
+    """``R' K R`` by the sort of ``from_triplets`` over the signed entries."""
+    coo = form.csr.tocoo()
+    s = basis.sign[coo.row] * basis.sign[coo.col]
+    keep = s != 0.0
+    return AssembledForm.from_triplets(
+        (basis.n_dofs, basis.n_dofs), basis.coordinate[coo.row[keep]],
+        basis.coordinate[coo.col[keep]], coo.data[keep] * s[keep])
+
+
+def _assert_same_form(got, want):
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got.csr, name), getattr(want.csr, name)
+        # values, not bytes: a longdouble's padding bytes are uninitialised
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.fixture
+def cold_cache(monkeypatch):
+    """An empty plan cache for the test, the session's cache restored after."""
+    monkeypatch.setattr(fem, "_PLAN_CACHE", {})
+    return fem._PLAN_CACHE
+
+
+@pytest.mark.parametrize("nx, ny", SHAPES, ids=[f"{nx}x{ny}" for nx, ny in SHAPES])
+def test_planned_forms_equal_the_sort(cold_cache, nx, ny):
+    """Both energies and every restriction equal the sort-based path, the
+    second form of each kind from the plan the first one built."""
+    mesh = Mesh(nx, ny, PARAMS.half_width)
+    mask = _mask(mesh)
+    base = assemble_bilinear(mesh, PARAMS)
+    weighted = assemble_bilinear(mesh, PARAMS, weight=mask)
+    plans = cold_cache[(nx, ny)]
+    assert base.pattern is plans.bilinear and weighted.pattern is plans.bilinear
+    _assert_same_form(base, _sorted_bilinear(mesh, np.ones((ny, nx))))
+    _assert_same_form(weighted, _sorted_bilinear(mesh, mask.weights))
+    for group in GROUPS:
+        basis = OrbitBasis(mesh, group)
+        for form in (base, weighted):
+            _assert_same_form(basis.restrict_form(form), _sorted_restriction(basis, form))
+        assert group in plans.restrictions
+
+
+def test_forms_of_a_foreign_pattern_restrict_unplanned(cold_cache):
+    """A form not built on its mesh's plan is restricted by its own pattern
+    and leaves no restriction plan behind."""
+    mesh = Mesh(8, 2, PARAMS.half_width)
+    form = _sorted_bilinear(mesh, np.ones((2, 8)))
+    basis = OrbitBasis(mesh, GROUPS[-1])
+    _assert_same_form(basis.restrict_form(form), _sorted_restriction(basis, form))
+    assert cold_cache[(8, 2)].restrictions == {}
+
+
+def test_plans_are_read_only(cold_cache):
+    mesh = Mesh(16, 4, PARAMS.half_width)
+    form = assemble_bilinear(mesh, PARAMS)
+    OrbitBasis(mesh, GROUPS[0]).restrict_form(form)
+    plans = cold_cache[(16, 4)]
+    arrays = [getattr(plan, name) for plan in
+              [plans.bilinear, *plans.restrictions.values()]
+              for name in ("take", "signs", "starts", "indices", "indptr")
+              if getattr(plan, name) is not None]
+    arrays += [a for element in fem.MIRRORS for a in mirror_map(mesh, element)]
+    arrays.append(form.matrix.data)
+    assert len(arrays) == 9 + 16 + 1
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+    # every form of the shape shares the plan's pattern
+    assert np.shares_memory(form.csr.indices, plans.bilinear.indices)
+    assert np.shares_memory(form.matrix.indptr, plans.bilinear.indptr)
+
+
+def test_mirror_maps_are_built_once_per_shape(cold_cache):
+    a, b = Mesh(16, 4, 0.1), Mesh(16, 4, 0.2)
+    for element in fem.MIRRORS:
+        assert mirror_map(a, element) is mirror_map(b, element)
+    assert len(cold_cache[(16, 4)].mirrors) == 8
+
+
+def test_cache_stays_within_its_bound(cold_cache):
+    shapes = [(4 + k, 2) for k in range(fem.PLAN_CACHE_SIZE + 3)]
+    for nx, ny in shapes:
+        assemble_bilinear(Mesh(nx, ny, 0.1), PARAMS)
+        mirror_map(Mesh(*shapes[0], 0.1), fem.MIRRORS[1])  # keeps the first in use
+        assert len(cold_cache) <= fem.PLAN_CACHE_SIZE
+    assert list(cold_cache) == [*shapes[-fem.PLAN_CACHE_SIZE + 1:], shapes[0]]
+
+
+def _vi_solve(tmp_path, name, nx, ny):
+    cfg = default_config()
+    cfg.update(material={"sigma": 0.2, "half_width": 0.1}, mesh={"nx": nx, "ny": ny},
+               problem="vi-solve", output_dir=str(tmp_path / name),
+               params={"load": {"density": 1.0},
+                       "obstacles": {"kind": "bounds", "lower": -1.0, "upper": 0.002,
+                                     "region": "full"}})
+    assert run(cfg)[0] == 0
+    return {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+
+
+def test_cold_and_warm_caches_write_the_same_files(cold_cache, tmp_path):
+    cold = _vi_solve(tmp_path, "cold", 16, 4)
+    assert cold_cache[(16, 4)].restrictions  # the solve was reduced
+    warm = _vi_solve(tmp_path, "warm", 16, 4)
+    for k in range(fem.PLAN_CACHE_SIZE):
+        _vi_solve(tmp_path, f"other{k}", 8 + 2 * k, 2)
+    assert (16, 4) not in cold_cache
+    evicted = _vi_solve(tmp_path, "evicted", 16, 4)
+    assert set(cold) == {"summary.json", "field.csv", "gap.csv"}
+    for name in cold:
+        assert warm[name] == cold[name].replace(b"/cold", b"/warm"), name
+        assert evicted[name] == cold[name].replace(b"/cold", b"/evicted"), name
+
+
+def test_full_operator_of_a_reduced_solve_builds_no_block():
+    """Only the reduced operator is factored, so only it builds its block."""
+    mesh = Mesh(16, 4, PARAMS.half_width)
+    op = PlateOperator.build(mesh, PARAMS)
+    rhs = fem.assemble_load(mesh, fem.LoadSpec(density=1.0))
+    box = BoxConstraints.from_obstacle(
+        mesh, ObstacleSpec(lower=-1.0, upper=0.002, region="full"))
+    solve_obstacle(op, rhs, box, ((True, False), (False, True)))
+    assert op._scaled is None and op._free_factor is None
+    assert op.reduced(((True, False, 1), (False, True, 1)))._scaled is not None
+
