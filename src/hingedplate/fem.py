@@ -376,10 +376,10 @@ class AssembledForm:
 
     Stored once, as a longdouble CSR matrix whose rows hold sorted,
     duplicate-free columns.  ``pattern`` is the ``SumPlan`` that built it,
-    whose read-only ``indices`` and ``indptr`` the matrix shares, or None.
+    whose read-only ``indices`` and ``indptr`` the matrix shares.
     """
 
-    def __init__(self, csr, pattern=None):
+    def __init__(self, csr, pattern):
         self.csr = csr
         self.pattern = pattern
         self._matrix = None
@@ -701,7 +701,7 @@ class OrbitBasis:
         (``_shape_plans``, the PLAN_CACHE_SIZE shapes used most recently);
         else anew for each call."""
         plans = _shape_plans(self.mesh)
-        shared = form.pattern is not None and form.pattern is plans.bilinear
+        shared = form.pattern is plans.bilinear
         plan = plans.restrictions.get(self.group) if shared else None
         if plan is None:
             csr = form.csr
