@@ -1,7 +1,7 @@
 """Obstacle problems and worst-case optimization for partially hinged plates."""
 
 from .params import MaterialParams
-from .series import (AntisymDelta, ObstacleSpec, ScanWindow, SeriesState,
+from .series import (ObstacleSpec, ScanWindow, SeriesState,
                      analytic_bound_C, antisym_solution, aux_pair, envelope_g,
                      gap_threshold_M, green_value, phi_m, tail_estimate,
                      uniform_load_profile)

@@ -25,11 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import LoadSpec, ReinforcementMask, assemble_load
-from .series import (ObstacleSpec, ScanWindow, antisym_edge_profile,
+from .series import (ObstacleSpec, ScanWindow, _sine_series, antisym_solution,
                      gap_threshold_M, phi_m)
 from .solver import (BoxConstraints, PlateOperator, SolverError, mirror_solution,
                      mirror_symmetries, solve_obstacle)
-from .summation import series_sum
 
 __all__ = [
     "GapProfile",
@@ -502,7 +501,8 @@ def best_obstacle(family, operator, forces):
     """Best obstacle in a finite family: minimize the worst maximal gap.
 
     Every candidate's region contains the long edges, so its scanned gap must
-    stay below the ceiling of twice its level; a violation fails the scan.
+    stay below the ceiling of twice its level; a violation fails the scan
+    with a SolverError.
     A candidate's ``kappa`` (its sup-norm) is its level.
     """
     rows = []
@@ -510,7 +510,7 @@ def best_obstacle(family, operator, forces):
         inner = worst_gap_force(operator, spec, forces)
         ceiling = 2.0 * spec.gamma
         if inner.value > ceiling * (1.0 + CEILING_RTOL):
-            raise RuntimeError(
+            raise SolverError(
                 f"scanned gap {inner.value} breaks the 2*gamma ceiling {ceiling}")
         rows.append({
             "label": f"level={spec.gamma:.6g}@{spec.region}",
@@ -570,16 +570,19 @@ def edge_gap_series_scan(state, window=None, nxi=33, neta=9, n_abscissae=65):
     """Grid maximum of the edge response |v(x, l)| over point-pair sites.
 
     Scans the (xi, eta) site grid (restricted to ``window`` when given) with
-    the closed-form series; the gap of the odd solution is twice the edge
-    value, so the returned ``m_scan`` is half the scanned maximal gap.
-    Ties break to the first site in row-major order.
+    one ``antisym_solution`` call broadcast over (xi, eta, x) grids, so each
+    site's edge values equal its own call on the abscissae exactly.  The gap
+    of the odd solution is twice the edge value, so the returned ``m_scan``
+    is half the scanned maximal gap.  Ties break to the first site in
+    row-major order.
     """
     params = state.params
     l = params.half_width
     xi = np.linspace(0.0, np.pi, nxi)
     eta = np.linspace(-l, l, neta)
     x = np.linspace(0.0, np.pi, n_abscissae)
-    values = antisym_edge_profile(xi, eta, x, state)
+    values = antisym_solution((xi[:, None, None], eta[None, :, None]),
+                              (x, l), state)
     per_site = np.max(np.abs(values), axis=2)
     if window is not None:
         XI, ETA = np.meshgrid(xi, eta, indexing="ij")
@@ -640,11 +643,8 @@ def placement_bound_report(mask, state, mesh):
         ws = sx @ w_elem.T                    # weighted column sums per row
         return np.einsum("kij,kj->ki", q, ws)
 
-    def term(m):
-        return (np.outer(wr, sn) / (2.0 * np.pi * (mk * mk * mk))
-                for wr, sn, mk in zip(weighted_rows(m), np.sin(m[:, None] * xs), m))
-
-    refined = series_sum(term, state.m_max)
+    refined = _sine_series(lambda m: weighted_rows(m.ravel())[:, :, None], xs,
+                           lambda m: 2.0 * np.pi * (m * m * m), 2, state.m_max)
     # the first term's cell data feed the coarse envelope
     coarse_profile = np.pi / 12.0 * weighted_rows(np.ones(1))[0]
     k = int(np.argmax(refined))

@@ -11,6 +11,15 @@ profile under a uniform load, the explicit series threshold separating the
 regimes in which edge guides do or do not bind, and the analytic envelopes
 used for truncation-error certificates.
 
+Every sine series of the kernel forms its terms as
+
+    coefficient(m) * sin(m x) / denominator(m)
+
+through one helper, ``_sine_series``, on a leading Fourier-index axis that
+``summation.series_sum`` accumulates; each caller keeps its own order of
+operations inside the coefficient and the denominator.  The point-pair
+solution broadcasts over arrays of load sites as well as of points.
+
 All hyperbolic factors are evaluated in exponentially rescaled form so that
 coefficients stay finite for arbitrarily large Fourier index (raw sinh/cosh
 overflow once m*l exceeds ~350).
@@ -25,14 +34,12 @@ from .summation import series_sum
 
 __all__ = [
     "SeriesState",
-    "AntisymDelta",
     "ScanWindow",
     "ObstacleSpec",
     "aux_pair",
     "phi_m",
     "green_value",
     "antisym_solution",
-    "antisym_edge_profile",
     "uniform_load_profile",
     "gap_threshold_M",
     "analytic_bound_C",
@@ -163,24 +170,6 @@ class SeriesState:
 
 
 @dataclass(frozen=True)
-class AntisymDelta:
-    """Antisymmetric pair of point loads, (delta_(xi,eta) - delta_(xi,-eta))/2.
-
-    Unit dual norm whenever xi is interior and eta != 0; acts trivially
-    otherwise.
-    """
-
-    xi: float
-    eta: float
-
-    def validate(self, params):
-        if not 0.0 <= self.xi <= np.pi:
-            raise ValueError(f"xi={self.xi} outside [0, pi]")
-        if abs(self.eta) > params.half_width * (1.0 + 1e-12):
-            raise ValueError(f"|eta|={abs(self.eta)} exceeds half-width")
-
-
-@dataclass(frozen=True)
 class ScanWindow:
     """Scan region: two bands near the short edges plus the vertical midline
     (full height), united with a horizontal band around the midline.
@@ -216,6 +205,22 @@ class ScanWindow:
 # The sums below get float index blocks: m * m is exact for m < 2**26, so
 # m**3 and m**4 formed as products round once, as integer powers would.
 
+def _sine_series(coefficient, x, denominator, ndim, m_max, step=1):
+    """Sum of coefficient(m) * sin(m x) / denominator(m) over the indices.
+
+    The index block reaches ``coefficient`` and ``denominator`` shaped
+    (k, 1, ..., 1), with ``ndim`` trailing axes, so each term is an
+    ndim-dimensional array on the leading index axis.  The product with the
+    sine comes first, then the division.  The indices are m = 1, 1 + step,
+    ... up to m_max.
+    """
+    def term(m):
+        m = m.reshape((-1,) + (1,) * ndim)
+        return coefficient(m) * np.sin(m * x) / denominator(m)
+
+    return series_sum(term, m_max, step)
+
+
 def green_value(p, q, state):
     """Truncated deflection at q = (x, y) under a unit point load at p.
 
@@ -225,55 +230,33 @@ def green_value(p, q, state):
     xi, eta = p
     x, y = q
     params = state.params
-    nd = np.broadcast(x, y).ndim
-
-    def term(m):
-        m = m.reshape((-1,) + (1,) * nd)
-        return (phi_m(y, eta, m, params) / (m * m * m)
-                * np.sin(m * xi) * np.sin(m * x) / (2.0 * np.pi))
-
-    return series_sum(term, state.m_max)
+    return _sine_series(
+        lambda m: phi_m(y, eta, m, params) / (m * m * m) * np.sin(m * xi),
+        x, lambda m: 2.0 * np.pi, np.broadcast(x, y).ndim, state.m_max)
 
 
-def antisym_solution(load, q, state):
-    """Deflection at q for the antisymmetric point-pair load.
+def antisym_solution(p, q, state):
+    """Deflection at q = (x, y) under the antisymmetric point pair at p.
 
-    Odd in the ordinate of q and odd in load.eta, exactly at formula level.
+    The load at p = (xi, eta) is (delta_(xi,eta) - delta_(xi,-eta)) / 2, of
+    unit dual norm whenever xi is interior and eta != 0.  The solution is odd
+    in the ordinate of q and odd in eta, exactly at formula level.  xi, eta,
+    x and y broadcast together, so arrays of sites and of points evaluate in
+    one pass over the Fourier index.  Raises ValueError for xi outside
+    [0, pi] or |eta| above the half-width.
     """
+    xi, eta = p
     x, y = q
     params = state.params
-    load.validate(params)
-    nd = np.broadcast(x, y).ndim
+    if not np.all((0.0 <= xi) & (xi <= np.pi)):
+        raise ValueError(f"xi={xi} outside [0, pi]")
 
-    def term(m):
-        m = m.reshape((-1,) + (1,) * nd)
-        dphi = phi_m(y, load.eta, m, params) - phi_m(y, -load.eta, m, params)
-        return dphi / (m * m * m) * np.sin(m * load.xi) * np.sin(m * x) / (4.0 * np.pi)
+    def coefficient(m):
+        dphi = phi_m(y, eta, m, params) - phi_m(y, -eta, m, params)
+        return dphi / (m * m * m) * np.sin(m * xi)
 
-    return series_sum(term, state.m_max)
-
-
-def antisym_edge_profile(xi_grid, eta_grid, x_grid, state):
-    """Vectorized antisymmetric solutions on the upper long edge.
-
-    Returns the array v[i, j, k] of deflections at (x_grid[k], l) for the
-    point-pair load at (xi_grid[i], eta_grid[j]).  One pass over the Fourier
-    index serves the whole scan.
-    """
-    params = state.params
-    l = params.half_width
-    xi = np.asarray(xi_grid, dtype=float)
-    eta = np.asarray(eta_grid, dtype=float)
-    x = np.asarray(x_grid, dtype=float)
-
-    def term(m):
-        mc = m[:, None]
-        dphi = phi_m(l, eta, mc, params) - phi_m(l, -eta, mc, params)
-        # one (xi, eta, x) tensor per index, formed as the sum consumes it
-        return (np.einsum("i,j,k->ijk", a, b, c) / (4.0 * np.pi * (mk * mk * mk))
-                for a, b, c, mk in zip(np.sin(mc * xi), dphi, np.sin(mc * x), m))
-
-    return series_sum(term, state.m_max)
+    return _sine_series(coefficient, x, lambda m: 4.0 * np.pi,
+                        np.broadcast(xi, eta, x, y).ndim, state.m_max)
 
 
 #: Gauss-Legendre points of the ordinate integral in ``uniform_load_profile``
@@ -293,14 +276,10 @@ def uniform_load_profile(q, state):
     nodes, weights = np.polynomial.legendre.leggauss(PROFILE_QUAD_POINTS)
     eta_q = nodes * l
     w_q = weights * l
-    nd = np.broadcast(x, y).ndim
-
-    def term(m):
-        m = m.reshape((-1,) + (1,) * nd)
-        integral = sum(w * phi_m(y, e, m, params) for e, w in zip(eta_q, w_q))
-        return integral * np.sin(m * x) / (np.pi * ((m * m) * (m * m)))
-
-    return series_sum(term, state.m_max, 2)
+    return _sine_series(
+        lambda m: sum(w * phi_m(y, e, m, params) for e, w in zip(eta_q, w_q)),
+        x, lambda m: np.pi * ((m * m) * (m * m)), np.broadcast(x, y).ndim,
+        state.m_max, 2)
 
 
 def gap_threshold_M(params, m_max=200_000):

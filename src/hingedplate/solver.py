@@ -137,10 +137,14 @@ class BoxConstraints:
 
     @classmethod
     def from_obstacle(cls, mesh, obstacle):
-        """Nodewise bounds of an ObstacleSpec on its region of the mesh."""
-        _, Y = mesh.node_coordinates()
+        """Nodewise bounds of an ObstacleSpec on its region of the mesh.
+
+        The long edges are the node rows 0 and ``ny`` (y = -l and y = l),
+        taken by index, so no other row joins them however thin the plate."""
         if obstacle.region == "long_edges":
-            mask = np.isclose(np.abs(Y), mesh.half_width, rtol=0.0, atol=1e-12)
+            rows = np.zeros((mesh.ny + 1, mesh.nx + 1), dtype=bool)
+            rows[[0, mesh.ny]] = True
+            mask = rows.ravel()
         else:
             mask = np.ones(mesh.n_nodes, dtype=bool)
         lower = np.where(mask, obstacle.lower, -np.inf)

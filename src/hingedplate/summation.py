@@ -35,22 +35,23 @@ class CompensatedSum:
 def series_sum(term, m_max, step=1):
     """Sum of the terms for the indices m = 1, 1 + step, ... up to m_max.
 
-    ``term`` maps a float array of consecutive indices to their terms: a
-    1-D array of scalars, summed exactly rounded by ``math.fsum``, or a
-    sequence of ndarrays, one per index, accumulated in index order by a
-    ``CompensatedSum``.  The m = 1 term is evaluated alone and sizes the
-    blocks after it, which hold at most ``SERIES_CHUNK`` term values.
+    ``term`` maps a float array of consecutive indices to their terms, an
+    array whose leading axis is the index.  Scalar terms (a 1-D array) are
+    summed exactly rounded by ``math.fsum``; array terms are accumulated in
+    index order by a ``CompensatedSum``.  The m = 1 term is evaluated alone
+    and sizes the blocks after it, which hold at most ``SERIES_CHUNK`` term
+    values.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    head = list(term(np.ones(1)))
-    width = step * max(1, SERIES_CHUNK // np.size(head[0]))
-    blocks = (term(np.arange(b, min(b + width, m_max + 1), step, dtype=float))
-              for b in range(1 + step, m_max + 1, width))
-    if np.ndim(head[0]) == 0:
-        return math.fsum(itertools.chain(
-            head, itertools.chain.from_iterable(b.tolist() for b in blocks)))
+    head = term(np.ones(1))
+    width = step * max(1, SERIES_CHUNK // head[0].size)
+    blocks = itertools.chain([head], (
+        term(np.arange(b, min(b + width, m_max + 1), step, dtype=float))
+        for b in range(1 + step, m_max + 1, width)))
+    if head.ndim == 1:
+        return math.fsum(itertools.chain.from_iterable(b.tolist() for b in blocks))
     acc = CompensatedSum()
-    for row in itertools.chain(head, itertools.chain.from_iterable(blocks)):
+    for row in itertools.chain.from_iterable(blocks):
         acc.add(row)
     return acc.value

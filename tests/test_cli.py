@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hingedplate import cli, solver
+from hingedplate import cli, optimize, solver
 from hingedplate.cli import (default_config, load_config, main, merge_config,
                              run, validate)
 from hingedplate.fem import LoadSpec, Mesh, assemble_bilinear, assemble_load
@@ -387,6 +387,23 @@ class TestRun:
         assert code == 3 and summary["error"] == error
         json.loads((tmp_path / "t" / "summary.json").read_text(),
                    parse_constant=_reject_constant)
+
+    def test_ceiling_violation_exits_3(self, tmp_path, monkeypatch):
+        """A scanned gap above the 2*gamma ceiling is a solver failure: exit 3
+        and a strict JSON summary, not an uncaught exception.  A negative
+        relative slack puts the ceiling at gamma, which binding guides pass."""
+        monkeypatch.setattr(optimize, "CEILING_RTOL", -0.5)
+        cfg = config_for("optimize-obstacle",
+                         {"levels": [0.01], "force_class": {"nxi": 9, "neta": 5}},
+                         outdir=tmp_path / "c")
+        assert validate(cfg) == []
+        code, summary = run(cfg)
+        assert code == 3
+        assert summary["error"].startswith("scanned gap ")
+        assert summary["error"].endswith(" breaks the 2*gamma ceiling 0.02")
+        stored = json.loads((tmp_path / "c" / "summary.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert stored["error"] == summary["error"] and "result" not in stored
 
     @pytest.mark.parametrize("section, key, value", [
         ("mesh", "nx", "16"),

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from hingedplate import (AntisymDelta, MaterialParams, ScanWindow, SeriesState,
+from hingedplate import (MaterialParams, ScanWindow, SeriesState,
                          analytic_bound_C, antisym_solution, aux_pair,
                          envelope_g, gap_threshold_M, green_value, phi_m,
                          tail_estimate, uniform_load_profile)
@@ -232,14 +232,12 @@ class TestGreenValue:
 
 class TestAntisymSolution:
     def test_zero_on_midline_and_for_centered_pair(self, state):
-        load = AntisymDelta(xi=1.3, eta=0.07)
-        assert antisym_solution(load, (2.0, 0.0), state) == 0.0
-        zero_pair = AntisymDelta(xi=1.3, eta=0.0)
-        assert antisym_solution(zero_pair, (2.0, 0.05), state) == 0.0
+        assert antisym_solution((1.3, 0.07), (2.0, 0.0), state) == 0.0
+        assert antisym_solution((1.3, 0.0), (2.0, 0.05), state) == 0.0
 
     def test_odd_in_y_and_in_eta(self, state):
-        load = AntisymDelta(xi=np.pi / 2, eta=0.06)
-        flipped = AntisymDelta(xi=np.pi / 2, eta=-0.06)
+        load = (np.pi / 2, 0.06)
+        flipped = (np.pi / 2, -0.06)
         q = (1.1, 0.08)
         v = antisym_solution(load, q, state)
         assert antisym_solution(load, (1.1, -0.08), state) == pytest.approx(-v, rel=1e-13)
@@ -247,12 +245,24 @@ class TestAntisymSolution:
 
     def test_matches_antisymmetrized_green(self, state):
         l = state.params.half_width
-        load = AntisymDelta(xi=np.pi / 2, eta=l)
         q = (np.pi / 2, l)
-        direct = antisym_solution(load, q, state)
+        direct = antisym_solution((np.pi / 2, l), q, state)
         split = 0.5 * (green_value((np.pi / 2, l), q, state)
                        - green_value((np.pi / 2, -l), q, state))
         assert direct == pytest.approx(split, rel=1e-12)
+
+    def test_broadcast_over_sites_equals_per_site_calls(self, state):
+        l = state.params.half_width
+        xi = np.linspace(0.0, np.pi, 9)
+        eta = np.linspace(-l, l, 5)
+        xs = np.linspace(0.0, np.pi, 17)
+        for y in (l, 0.3 * l):
+            grid = antisym_solution((xi[:, None, None], eta[None, :, None]),
+                                    (xs, y), state)
+            assert grid.shape == (9, 5, 17)
+            per_site = [[antisym_solution((a, e), (xs, y), state) for e in eta]
+                        for a in xi]
+            assert np.array_equal(grid, per_site)
 
     def test_vectorized_scan_agrees_with_pointwise(self, state):
         from hingedplate import edge_gap_series_scan
@@ -262,8 +272,8 @@ class TestAntisymSolution:
         xs = np.linspace(0.0, np.pi, 9)
         for i in (1, 2, 3):
             for j in (0, 1, 3):
-                vals = np.abs([antisym_solution(AntisymDelta(xi[i], eta[j]),
-                                                (x, l), state) for x in xs])
+                vals = np.abs([antisym_solution((xi[i], eta[j]), (x, l), state)
+                               for x in xs])
                 assert scan["per_site"][i, j] == pytest.approx(
                     float(np.max(vals)), rel=1e-11, abs=1e-15)
 
@@ -399,9 +409,13 @@ class TestStateAndWindow:
         with pytest.raises(ValueError):
             ScanWindow(z0=2.0, w0=l / 2).validate(params)
 
-    def test_antisym_delta_validation(self, params):
-        AntisymDelta(xi=1.0, eta=0.05).validate(params)
-        with pytest.raises(ValueError):
-            AntisymDelta(xi=-0.1, eta=0.05).validate(params)
-        with pytest.raises(ValueError):
-            AntisymDelta(xi=1.0, eta=0.5).validate(params)
+    def test_antisym_delta_validation(self, state):
+        antisym_solution((1.0, 0.05), (2.0, 0.05), state)
+        with pytest.raises(ValueError, match="outside"):
+            antisym_solution((-0.1, 0.05), (2.0, 0.05), state)
+        with pytest.raises(ValueError, match="outside"):
+            antisym_solution((np.array([1.0, np.pi + 0.1]), 0.05), (2.0, 0.05), state)
+        with pytest.raises(ValueError, match="outside"):
+            antisym_solution((np.nan, 0.05), (2.0, 0.05), state)
+        with pytest.raises(ValueError, match="eta"):
+            antisym_solution((1.0, 0.5), (2.0, 0.05), state)

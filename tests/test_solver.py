@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hingedplate import (AntisymDelta, BoxConstraints, DofField, LoadSpec, Mesh,
+from hingedplate import (BoxConstraints, DofField, LoadSpec, Mesh,
                          ObstacleSpec, ReinforcementMask, SeriesState,
                          antisym_solution, kkt_report, solve_linear,
                          solve_obstacle, symmetry_decompose,
@@ -42,8 +42,8 @@ class TestSolveLinear:
 
     def test_point_pair_matches_series(self, operator_mid, mesh_mid, params):
         state = SeriesState(params, m_max=400)
-        load = AntisymDelta(xi=np.pi / 2, eta=params.half_width)
-        b = assemble_load(mesh_mid, LoadSpec.antisym_pair(load.xi, load.eta))
+        load = (np.pi / 2, params.half_width)
+        b = assemble_load(mesh_mid, LoadSpec.antisym_pair(*load))
         fld = solve_linear(operator_mid, b)
         grid = fld.value_grid()
         for (i, j) in [(16, 8), (16, 0), (10, 8), (24, 4)]:
@@ -181,6 +181,18 @@ class TestSolveObstacle:
             BoxConstraints(mask, np.full(n, 0.5), np.full(n, 1.0))  # lower > 0
         with pytest.raises(ValueError):
             BoxConstraints(mask, np.full(n, -1.0), np.full(n, -0.5))  # upper < 0
+
+    @pytest.mark.parametrize("half_width", [0.1, 5e-12])
+    def test_long_edges_are_the_outer_node_rows(self, half_width):
+        """Long-edge guides box node rows 0 and ny alone.  On a plate of
+        half-width 5e-12 all rows lie within 1e-12 of the edge rows, and an
+        absolute tolerance on |y| = l boxed rows 1 and ny - 1 too."""
+        mesh = Mesh(8, 10, half_width)
+        box = BoxConstraints.from_obstacle(mesh, ObstacleSpec.constant_level(0.01))
+        rows = box.node_mask.reshape(mesh.ny + 1, mesh.nx + 1)
+        assert rows[[0, mesh.ny]].all() and not rows[1:mesh.ny].any()
+        assert np.all(box.upper[box.node_mask] == 0.01)
+        assert np.all(box.upper[~box.node_mask] == np.inf)
 
     def test_iteration_budget_error_carries_residual(self, operator_small,
                                                      mesh_small, monkeypatch):
