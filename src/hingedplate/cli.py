@@ -4,9 +4,10 @@
 reader builds every object from ``params`` before anything is solved, so
 ``validate`` and ``run`` report the same diagnostics.  Every run writes
 ``summary.json`` (always, with the fully resolved config embedded) plus
-problem-specific CSV data files.  Exit codes: 0 success, 2 validation error,
-3 solver failure: non-convergence, or a number that overflows, so nothing is
-certified.  Identical configs produce byte-identical outputs.
+problem-specific CSV data files through ``fem.write_csv``.  Exit codes: 0
+success, 2 validation error or an unusable ``output_dir``, 3 solver failure:
+non-convergence, or a number that overflows, so nothing is certified.
+Identical configs produce byte-identical outputs.
 """
 
 import argparse
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .fem import LoadSpec, Mesh, ReinforcementMask, assemble_load, field_to_csv
+from .fem import (LoadSpec, Mesh, ReinforcementMask, assemble_load, field_to_csv,
+                  write_csv)
 from .optimize import (ForceClass, ObstacleFamily, ReinforcementFamily,
                        _cell_density, best_obstacle, best_reinforcement,
                        classify_regime, gap_profile, worst_gap_force)
@@ -28,9 +30,6 @@ from .solver import (BoxConstraints, IterationLimitError, PlateOperator,
                      SolverError, solve_linear, solve_obstacle, solution_to_json)
 
 SCHEMA_VERSION = 1
-
-PROBLEMS = ("green-eval", "solve", "vi-solve", "gap-scan",
-            "optimize-reinforcement", "optimize-obstacle", "regime")
 
 _TOP_KEYS = {"schema_version", "material", "mesh", "series", "problem",
              "params", "output_dir"}
@@ -47,9 +46,11 @@ _PARAMS_KEYS = {
     "optimize-obstacle": {"levels", "region", "force_class"},
     "regime": {"gamma", "scan", "force_class"},
 }
+PROBLEMS = tuple(_PARAMS_KEYS)
 #: fields of the nested ``params`` objects, per kind
 _LOAD_KEYS = {"antisym_delta": {"antisym_delta"},
               "density": {"density", "point_masses"}}
+_DENSITY_KEYS = {"sin_x": {"kind"}, "cells": {"kind", "signs"}}
 _OBSTACLE_KEYS = {"constant_level": {"kind", "region", "gamma"},
                   "bounds": {"kind", "region", "lower", "upper"}}
 _FORCE_CLASS_KEYS = {"bang-bang": {"kind", "cells", "window"},
@@ -167,12 +168,11 @@ def _out_of_memory(config, exc):
 def _section(config, name, keys, diags):
     """The object ``config[name]``, else {}; diagnoses that and fields not in keys."""
     section = config.get(name, {})
-    if not isinstance(section, dict):
-        diags.append(f"{name} must be an object")
-        return {}
-    if keys is not None and set(section) - keys:
-        diags.append(f"unknown {name} fields: {sorted(set(section) - keys)}")
-    return section
+    try:
+        _object(section, name, keys)
+    except (TypeError, ValueError) as exc:
+        diags.append(str(exc))
+    return section if isinstance(section, dict) else {}
 
 
 def _object(value, name, keys=None):
@@ -182,6 +182,19 @@ def _object(value, name, keys=None):
     if keys is not None and set(value) - keys:
         raise ValueError(f"unknown {name} fields: {sorted(set(value) - keys)}")
     return value
+
+
+def _kinded(value, name, kinds, label, default=None):
+    """The kind of a JSON object of one of ``kinds``, a table kind -> its
+    fields.  Checked in one order: its fields against every kind's, then its
+    kind (``default`` when it has none, else a KeyError), then that kind's
+    fields."""
+    _object(value, name, set().union(*kinds.values()))
+    kind = value["kind"] if "kind" in value or default is None else default
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValueError(f"unknown {label} kind {kind!r}")
+    _object(value, name, kinds[kind])
+    return kind
 
 
 def _list(value, name):
@@ -243,20 +256,18 @@ def _build_density(spec, half_width):
         return float(spec)
     if not isinstance(spec, dict):
         raise TypeError(f"load density must be a number or an object: {spec!r}")
-    kind = _object(spec, "density", {"kind", "signs"}).get("kind")
+    kind = _kinded(spec, "density", _DENSITY_KEYS, "density")
     if kind == "sin_x":
-        _object(spec, "density", {"kind"})
         return lambda x, y: np.sin(x)
-    if kind == "cells":
-        signs = _grid(spec["signs"], "signs", "a 2-D grid of numbers", _is_real)
-        return _cell_density(np.asarray(signs, dtype=float), half_width)
-    raise ValueError(f"unknown density kind {kind!r}")
+    signs = _grid(spec["signs"], "signs", "a 2-D grid of numbers", _is_real)
+    return _cell_density(np.asarray(signs, dtype=float), half_width)
 
 
 def _build_load(spec, half_width):
-    antisym = "antisym_delta" in _object(spec, "load")
-    spec = _object(spec, "load", _LOAD_KEYS["antisym_delta" if antisym else "density"])
-    if antisym:
+    kind = ("antisym_delta" if isinstance(spec, dict) and "antisym_delta" in spec
+            else "density")
+    spec = _object(spec, "load", _LOAD_KEYS[kind])
+    if kind == "antisym_delta":
         return LoadSpec.antisym_pair(*_reals(spec["antisym_delta"], "antisym_delta"))
     masses = _list(spec.get("point_masses", []), "point_masses")
     return LoadSpec(density=_build_density(spec.get("density"), half_width),
@@ -264,24 +275,17 @@ def _build_load(spec, half_width):
 
 
 def _build_obstacle(spec):
-    spec = _object(spec, "obstacles")
-    kind = spec.get("kind", "constant_level")
+    kind = _kinded(spec, "obstacles", _OBSTACLE_KEYS, "obstacle", "constant_level")
     region = spec.get("region", "long_edges")
     if kind == "constant_level":
-        _object(spec, "obstacles", _OBSTACLE_KEYS[kind])
         return ObstacleSpec.constant_level(_real(spec["gamma"], "gamma"), region=region)
-    if kind == "bounds":
-        _object(spec, "obstacles", _OBSTACLE_KEYS[kind])
-        return ObstacleSpec(lower=_real(spec["lower"], "lower"),
-                            upper=_real(spec["upper"], "upper"), region=region)
-    raise ValueError(f"unknown obstacle kind {kind!r}")
+    return ObstacleSpec(lower=_real(spec["lower"], "lower"),
+                        upper=_real(spec["upper"], "upper"), region=region)
 
 
 def _build_forces(spec, params):
-    spec = _object(spec, "force_class")
-    kind = spec.get("kind", "antisym-delta")
-    if kind in ("bang-bang", "antisym-delta", "signed-delta"):
-        _object(spec, "force_class", _FORCE_CLASS_KEYS[kind])
+    kind = _kinded(spec, "force_class", _FORCE_CLASS_KEYS, "force class",
+                   "antisym-delta")
     wspec = spec.get("window", kind == "antisym-delta")
     if isinstance(wspec, bool):
         window = ScanWindow.default(params) if wspec else None
@@ -307,12 +311,11 @@ def _densities(params):
     return alpha, beta
 
 
-def _build_family(params, half_width):
+def _build_family(params):
     alpha, beta = _densities(params)
-    family = _object(params["family"], "family")
-    kind = family["kind"]
+    family = params["family"]
+    kind = _kinded(family, "family", _FAMILY_KEYS, "reinforcement family")
     if kind == "cross":
-        _object(family, "family", _FAMILY_KEYS[kind])
         return ReinforcementFamily(
             kind="cross", alpha=alpha, beta=beta,
             n_xstrips=_integer(family.get("n_xstrips", 1), "n_xstrips"),
@@ -320,16 +323,13 @@ def _build_family(params, half_width):
             mu=_real(family["mu"], "mu"), eps=_real(family.get("eps", 0.01), "eps"),
             centers_per_axis=_integer(family.get("centers_per_axis", 9),
                                       "centers_per_axis"))
-    if kind == "tiles":
-        _object(family, "family", _FAMILY_KEYS[kind])
-        return ReinforcementFamily(
-            kind="tiles", alpha=alpha, beta=beta,
-            eps=_real(family.get("eps", 0.01), "eps"),
-            tile_size=_reals(family["tile_size"], "tile_size"),
-            n_tiles=_integer(family.get("n_tiles", 1), "n_tiles"),
-            centers_per_axis=_integer(family.get("centers_per_axis", 5),
-                                      "centers_per_axis"))
-    raise ValueError(f"unknown reinforcement family kind {kind!r}")
+    return ReinforcementFamily(
+        kind="tiles", alpha=alpha, beta=beta,
+        eps=_real(family.get("eps", 0.01), "eps"),
+        tile_size=_reals(family["tile_size"], "tile_size"),
+        n_tiles=_integer(family.get("n_tiles", 1), "n_tiles"),
+        centers_per_axis=_integer(family.get("centers_per_axis", 5),
+                                  "centers_per_axis"))
 
 
 def _plate_point(q, mesh, name):
@@ -370,18 +370,11 @@ def _read_green_eval(p, ctx):
         source = _plate_point(source, ctx["mesh"], "source")
 
     def run(outdir):
-        rows = []
-        for (x, y) in points:
-            if source is None:
-                val = float(uniform_load_profile((x, y), state))
-            else:
-                val = float(green_value(source, (x, y), state))
-            rows.append((x, y, val))
-        with open(outdir / "green_eval.csv", "w", encoding="utf-8") as fh:
-            fh.write("x,y,value\n")
-            for (x, y, v) in rows:
-                fh.write(f"{x:.17g},{y:.17g},{v:.17g}\n")
-        return {"values": [v for (_, _, v) in rows], "tail_bound": state.tail_bound}
+        values = [float(uniform_load_profile((x, y), state)) if source is None
+                  else float(green_value(source, (x, y), state)) for (x, y) in points]
+        write_csv(outdir / "green_eval.csv", "x,y,value",
+                  [np.reshape(points, (-1, 2)), values])
+        return {"values": values, "tail_bound": state.tail_bound}
     return run
 
 
@@ -406,21 +399,21 @@ def _read_vi_solve(p, ctx):
     variant = p.get("variant")
     if variant not in (None, "base", "E1", "E2"):
         raise ValueError(f"vi-solve variant must be base, E1 or E2: {variant!r}")
-    mask = None
+    stiffness = weight = None  # where the mask acts: E1 weights the stiffness
     if variant in ("E1", "E2"):
         alpha, beta = _densities(p)
         elements = _grid(p["mask"], "mask", "a grid of booleans",
                          lambda v: isinstance(v, bool))
         mask = ReinforcementMask(np.asarray(elements, dtype=bool), alpha, beta)
         mask.check_shape(mesh)
+        stiffness, weight = (mask, None) if variant == "E1" else (None, mask)
     elif {"alpha", "beta", "mask"} & set(p):
         raise ValueError("alpha, beta and mask apply to variants E1 and E2 only")
-    load.validate(mesh, weight=mask if variant == "E2" else None)
+    load.validate(mesh, weight=weight)
 
     def run(outdir):
-        op = PlateOperator.build(mesh, ctx["params"],
-                                 mask=mask if variant == "E1" else None)
-        rhs = assemble_load(mesh, load, weight=mask if variant == "E2" else None)
+        op = PlateOperator.build(mesh, ctx["params"], mask=stiffness)
+        rhs = assemble_load(mesh, load, weight=weight)
         # solved on the invariant fields of the mirrors of x and y that fix the data
         sol = solve_obstacle(op, rhs, box, ((True, False), (False, True)))
         result = solution_to_json(sol, op, rhs, box)  # before any file is written
@@ -448,7 +441,7 @@ def _read_gap_scan(p, ctx):
 def _read_optimize_reinforcement(p, ctx):
     mesh, params = ctx["mesh"], ctx["params"]
     # raises when no layout meets the area balance
-    masks = _build_family(p, params.half_width).candidates(mesh)
+    masks = _build_family(p).candidates(mesh)
     forces = _build_forces(p.get("force_class", {"kind": "bang-bang"}), params)
     obstacle = (_build_obstacle(p["obstacles"]) if "obstacles" in p
                 else BoxConstraints.unbounded(mesh))
@@ -512,11 +505,18 @@ _READERS = {
 
 
 def run(config):
-    """Execute one configured problem; returns (exit_code, summary dict)."""
+    """Execute one configured problem; returns (exit_code, summary dict).
+    ``output_dir`` is made before anything is solved and gets the summary at
+    every exit code; one that cannot be made or hold it is an exit-2 diagnostic."""
     diags, solve = _parse(config)
     summary = {"problem": config.get("problem"), "config": config}
     out = config.get("output_dir") or "out"
     outdir = Path(out) if isinstance(out, str) else None  # else diagnosed
+    if outdir is not None:
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except (OSError, ValueError) as exc:  # a NUL byte is a ValueError
+            diags, outdir = diags + [f"output_dir {out!r} cannot be made: {exc}"], None
     code = 2
     if diags:
         # non-finite numbers, in the config or as its problem, echo as
@@ -525,7 +525,6 @@ def run(config):
                              parse_constant=str)
         summary["diagnostics"] = diags
     else:
-        outdir.mkdir(parents=True, exist_ok=True)
         try:
             summary.update(solve(outdir))
             code = 0
@@ -540,14 +539,13 @@ def run(config):
         except SolverError as exc:
             code = 3
             summary["error"] = str(exc)
-    if code == 0:
-        _write_json(outdir / "summary.json", summary)
-    elif outdir is not None:
+    if outdir is not None:
         try:
-            outdir.mkdir(parents=True, exist_ok=True)
             _write_json(outdir / "summary.json", summary)
-        except OSError:
-            pass  # diagnostics still reach the caller
+        except OSError as exc:  # the diagnostic still reaches the caller
+            code = 2
+            summary.setdefault("diagnostics", []).append(
+                f"output_dir {out!r} cannot hold summary.json: {exc}")
     return code, summary
 
 

@@ -105,10 +105,10 @@ class Mesh:
         return X.ravel(), Y.ravel()
 
     def contains(self, x, y):
-        """Whether (x, y) lies on the closed plate, up to rounding."""
-        l = self.half_width
-        tol = 1e-12 * max(1.0, l)
-        return -tol <= x <= np.pi + tol and -l - tol <= y <= l + tol
+        """Whether (x, y) lies on the closed plate, up to rounding: x within
+        1e-12 of [0, pi], and |y| <= l (1 + 1e-12), as in the series kernel."""
+        tol = 1e-12 * max(1.0, self.half_width)
+        return -tol <= x <= np.pi + tol and abs(y) <= self.half_width * (1.0 + 1e-12)
 
     def locate(self, x, y):
         """Element (ei, ej) containing (x, y) and local coordinates in [0,1]^2.
@@ -744,12 +744,18 @@ def energy(form, rhs, field):
 # export
 # ---------------------------------------------------------------------------
 
-def field_to_csv(field, path):
-    """Dump nodal dofs as CSV x,y,u,ux,uy,uxy (row-major in x then y), each
-    number in ``%.17g``, which round-trips every float64."""
-    X, Y = field.mesh.node_coordinates()
-    rows = np.column_stack([X, Y, field.dofs.reshape(-1, 4)]).tolist()
-    line = ",".join(["%.17g"] * 6) + "\n"
+def write_csv(path, header, columns):
+    """Write the equal-length ``columns`` (1-D, or 2-D blocks of columns) as
+    CSV under the line ``header``, each number in ``%.17g``, which round-trips
+    every float64: the one writer of every result data file."""
+    rows = np.column_stack(columns)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,u,ux,uy,uxy\n")
-        fh.write("".join([line % tuple(row) for row in rows]))
+        fh.write(header + "\n")
+        fh.write("".join([line % tuple(row) for row in rows.tolist()]))
+
+
+def field_to_csv(field, path):
+    """Dump nodal dofs as CSV x,y,u,ux,uy,uxy, row-major in x then y."""
+    X, Y = field.mesh.node_coordinates()
+    write_csv(path, "x,y,u,ux,uy,uxy", [X, Y, field.dofs.reshape(-1, 4)])

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import LoadSpec, ReinforcementMask, assemble_load
+from .fem import LoadSpec, ReinforcementMask, assemble_load, write_csv
 from .series import (ObstacleSpec, ScanWindow, _sine_series, antisym_solution,
                      gap_threshold_M, phi_m)
 from .solver import (BoxConstraints, PlateOperator, SolverError, mirror_solution,
@@ -69,10 +69,7 @@ class GapProfile:
     argmax_x: float
 
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,gap\n")
-            for x, g in zip(self.xs, self.gaps):
-                fh.write(f"{x:.17g},{g:.17g}\n")
+        write_csv(path, "x,gap", [self.xs, self.gaps])
 
 
 def gap_profile(solution):

@@ -164,8 +164,6 @@ class SeriesState:
     tail_bound: float = field(init=False)
 
     def __post_init__(self):
-        if self.m_max < 1:
-            raise ValueError(f"m_max must be >= 1, got {self.m_max}")
         object.__setattr__(self, "tail_bound", tail_estimate(self.m_max, self.params))
 
 

@@ -168,7 +168,6 @@ class VISolution:
     field: DofField
     contact: np.ndarray
     multipliers: np.ndarray
-    kkt_residual: float
     iterations: int
 
     @property
@@ -494,7 +493,6 @@ def _certified(operator, rhs, box, x, resid, side, iterations):
     return VISolution(field=DofField(operator.mesh, x.astype(float)),
                       contact=contact,
                       multipliers=multipliers,
-                      kkt_residual=stat,
                       iterations=iterations)
 
 

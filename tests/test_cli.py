@@ -751,6 +751,115 @@ class TestRun:
         assert summary["diagnostics"] == ["output_dir must be a string: 5"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+    def test_output_dir_naming_a_file_is_a_diagnostic(self, tmp_path, valid):
+        """A directory that cannot be made exits 2 with a diagnostic naming
+        ``output_dir``, after the config's own diagnostics."""
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        cfg = config_for("green-eval", {"points": [[1.0, 0.0]]}, outdir=taken)
+        if not valid:
+            cfg["material"]["sigma"] = 1.2
+        code, summary = run(cfg)
+        assert code == 2
+        assert len(summary["diagnostics"]) == (1 if valid else 2)
+        assert summary["diagnostics"][-1].startswith(
+            f"output_dir {str(taken)!r} cannot be made: ")
+        assert taken.read_text() == "a file"
+        json.dumps(summary, allow_nan=False)
+
+    @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+    def test_output_dir_with_a_nul_byte_is_a_diagnostic(self, tmp_path,
+                                                        monkeypatch, valid):
+        monkeypatch.chdir(tmp_path)
+        cfg = config_for("green-eval", {"points": [[1.0, 0.0]]}, outdir="a\x00b")
+        if not valid:
+            cfg["problem"] = "nope"
+        code, summary = run(cfg)
+        assert code == 2
+        assert len(summary["diagnostics"]) == (1 if valid else 2)
+        assert summary["diagnostics"][-1] == (
+            "output_dir 'a\\x00b' cannot be made: embedded null byte")
+        assert validate(cfg) == summary["diagnostics"][:-1]
+        assert list(tmp_path.iterdir()) == []
+        json.dumps(summary, allow_nan=False)
+
+    def test_output_dir_that_cannot_hold_the_summary_is_a_diagnostic(
+            self, tmp_path):
+        (tmp_path / "o" / "summary.json").mkdir(parents=True)
+        cfg = config_for("green-eval", {"points": [[1.0, 0.0]]},
+                         outdir=tmp_path / "o")
+        code, summary = run(cfg)
+        assert code == 2
+        [diag] = summary["diagnostics"]
+        assert diag.startswith(f"output_dir {str(tmp_path / 'o')!r} cannot hold "
+                               "summary.json: ")
+        assert summary["result"]["values"]  # the solved result still returns
+
+    @pytest.mark.parametrize("problem, params, expected", [
+        ("solve", {"load": {"density": {}}},
+         "missing required problem parameter: 'kind'"),
+        ("solve", {"load": {"density": {"kind": None}}}, "unknown density kind None"),
+        ("solve", {"load": {"density": {"kind": ["sin_x"]}}},
+         "unknown density kind ['sin_x']"),
+        ("solve", {"load": {"density": {"kind": "cells"}}},
+         "missing required problem parameter: 'signs'"),
+        ("vi-solve", {"load": {"density": 1.0}, "obstacles": {}},
+         "missing required problem parameter: 'gamma'"),
+        ("vi-solve", {"load": {"density": 1.0},
+                      "obstacles": {"kind": "wall", "levle": 1.0}},
+         "unknown obstacles fields: ['levle']"),
+        ("vi-solve", {"load": {"density": 1.0}, "obstacles": {"kind": "wall"}},
+         "unknown obstacle kind 'wall'"),
+        ("gap-scan", {"force_class": {"kind": "nope"}},
+         "unknown force class kind 'nope'"),
+        ("gap-scan", {"force_class": {"kind": "nope", "window": 0}},
+         "unknown force class kind 'nope'"),
+        ("optimize-reinforcement", {"alpha": 0.5, "beta": 2.5,
+                                    "family": {"mu": 0.3}},
+         "missing required problem parameter: 'kind'"),
+        ("optimize-reinforcement", {"alpha": 0.5, "beta": 2.5,
+                                    "family": {"kind": "hex"}},
+         "unknown reinforcement family kind 'hex'"),
+        ("optimize-reinforcement", {"alpha": 0.5, "beta": 2.5, "variant": "E3",
+                                    "family": {"kind": "cross",
+                                               "mu": float(np.pi / 8),
+                                               "centers_per_axis": 3}},
+         "reinforcement variant must be E1 or E2: 'E3'"),
+    ], ids=["density-without-kind", "null-density-kind", "list-density-kind",
+            "cells-without-signs", "default-obstacle-without-gamma",
+            "unknown-obstacle-kind-and-field", "unknown-obstacle-kind",
+            "unknown-force-class-kind", "unknown-force-class-kind-bad-window",
+            "family-without-kind", "unknown-family-kind",
+            "unknown-reinforcement-variant"])
+    def test_kinded_objects_check_fields_then_kind(self, tmp_path, problem,
+                                                   params, expected):
+        """One reader checks every kinded object: its fields against all its
+        kinds' fields, then its kind or default kind, then that kind's."""
+        cfg = config_for(problem, params, outdir=tmp_path / "k")
+        assert validate(cfg) == [expected]
+        code, summary = run(cfg)
+        assert code == 2
+        assert summary["diagnostics"] == [expected]
+
+    def test_every_problem_has_a_reader(self):
+        assert set(cli._READERS) == set(cli.PROBLEMS)
+        assert cli.PROBLEMS == tuple(cli._PARAMS_KEYS)
+
+    @pytest.mark.parametrize("variant", ["E2", "E1"])
+    def test_tiles_family_reinforcement(self, tmp_path, variant):
+        cfg = config_for("optimize-reinforcement", {
+            "alpha": 0.5, "beta": 2.5, "variant": variant,
+            "family": {"kind": "tiles", "tile_size": [np.pi / 2, 0.1],
+                       "n_tiles": 1, "centers_per_axis": 3},
+        }, outdir=tmp_path / "t")
+        code, summary = run(cfg)
+        assert code == 0
+        result = summary["result"]
+        assert len(result["candidates"]) == 6
+        assert [row["params"]["elements"] for row in result["candidates"]] == [16] * 6
+        assert np.count_nonzero(result["argopt_mask"]["elements"]) == 16
+
     def test_cells_load_matches_bang_bang_member(self):
         params = MaterialParams(0.2, 0.1)
         mesh = Mesh(16, 4, params.half_width)
@@ -859,6 +968,27 @@ class TestMain:
         lines = (captured.out if command == "validate" else captured.err).splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("violation: ") and expected in lines[0]
+
+    def test_out_that_cannot_be_made_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config_for("green-eval", {"points": [[1.0, 0.0]]})))
+        taken = tmp_path / "taken"
+        taken.write_text("a file")
+        assert main(["green-eval", "--config", str(path), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"violation: output_dir {str(taken)!r} cannot be made")
+
+    def test_output_dir_with_a_nul_byte_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config_for("green-eval", {"points": [[1.0, 0.0]]},
+                                              outdir="a\x00b")))
+        assert "\\u0000" in path.read_text()
+        assert main(["green-eval", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "violation: output_dir 'a\\x00b' cannot be made: embedded null byte\n")
+        assert main(["validate", "--config", str(path)]) == 0
 
     def test_merge_config_nested(self):
         base = default_config()

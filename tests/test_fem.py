@@ -12,7 +12,7 @@ from hingedplate.fem import (DOF_DX, DOF_DXY, DOF_DY, DOF_VALUE, LONG,
                              _Y_MIRROR_SIGNS, AssembledForm, OrbitBasis,
                              _density_evaluator, _hermite_1d, _local_rows,
                              apply_functional, element_stiffness, field_to_csv,
-                             mirror_field, mirror_map, quad_form)
+                             mirror_field, mirror_map, quad_form, write_csv)
 from hingedplate.optimize import _cell_density
 
 
@@ -46,6 +46,24 @@ class TestMesh:
         assert X[0] == 0.0 and Y[0] == -params.half_width
         assert X[8] == pytest.approx(np.pi)
         assert Y[-1] == params.half_width
+
+    @pytest.mark.parametrize("half_width", [0.1, 5e-12])
+    def test_contains_takes_y_up_to_a_relative_tolerance(self, half_width):
+        """|y| <= l (1 + 1e-12), the series kernel's rule: on a plate of
+        half-width 5e-12 an absolute 1e-12 would take points 20% beyond the
+        long edges, and ``locate`` would clamp them onto it."""
+        mesh = Mesh(8, 10, half_width)
+        for y in (half_width, -half_width, half_width * (1.0 + 5e-13),
+                  -half_width * (1.0 + 5e-13), 0.0):
+            assert mesh.contains(1.0, y)
+        for y in (1.18 * half_width, -1.18 * half_width,
+                  half_width * (1.0 + 1e-11)):
+            assert not mesh.contains(1.0, y)
+            with pytest.raises(ValueError, match="outside the closed plate"):
+                mesh.locate(1.0, y)
+        # x keeps its absolute tolerance
+        assert mesh.contains(-5e-13, 0.0) and mesh.contains(np.pi + 5e-13, 0.0)
+        assert not mesh.contains(-2e-12, 0.0)
 
     def test_locate(self, mesh_small):
         ei, ej, tx, ty = mesh_small.locate(np.pi / 2, 0.0)
@@ -784,3 +802,17 @@ class TestExport:
             ",".join(f"{v:.17g}" for v in (X[n], Y[n], *dofs[4 * n:4 * n + 4])) + "\n"
             for n in range(mesh.n_nodes))
         assert path.read_bytes() == want.encode("utf-8")
+
+    def test_write_csv_bytes_match_cellwise_formatting(self, tmp_path):
+        """The one result writer takes 1-D columns and 2-D blocks of them and
+        writes one ``:.17g`` f-string per cell, non-finite values included;
+        no rows leave the header alone."""
+        vals = np.array([0.0, -0.0, 5e-324, -1.5e-310, 1e308, np.nan, np.inf,
+                         -np.inf, 0.1, 1 / 3])
+        path = tmp_path / "t.csv"
+        write_csv(path, "a,b,c", [vals, np.column_stack([vals[::-1], -vals])])
+        want = "a,b,c\n" + "".join(f"{a:.17g},{b:.17g},{c:.17g}\n"
+                                   for a, b, c in zip(vals, vals[::-1], -vals))
+        assert path.read_bytes() == want.encode("utf-8")
+        write_csv(path, "x,y,value", [np.reshape([], (-1, 2)), []])
+        assert path.read_bytes() == b"x,y,value\n"

@@ -327,6 +327,43 @@ class TestBestReinforcement:
         for m in masks:
             assert abs(m.area_defect(mesh_small)) <= 0.5 * mesh_small.ny + 1.0
 
+    @pytest.mark.parametrize("n_tiles, beta, count", [(1, 2.5, 6), (2, 1.5, 11)])
+    def test_tiles_family_generation(self, mesh_small, n_tiles, beta, count):
+        """Tiles of pi/2 x l on a 3 x 2 lattice of corners: one tile gives six
+        distinct layouts of 16 elements; two give the 11 of the 15 pairs that
+        do not overlap, of 32.  Each meets its area balance exactly."""
+        fam = ReinforcementFamily(kind="tiles", alpha=0.5, beta=beta,
+                                  tile_size=(np.pi / 2, mesh_small.half_width),
+                                  n_tiles=n_tiles, centers_per_axis=3)
+        masks = fam.candidates(mesh_small)
+        assert len(masks) == count
+        assert len({m.elements.tobytes() for m in masks}) == count
+        for m in masks:
+            assert np.count_nonzero(m.elements) == 16 * n_tiles
+            assert m.area_defect(mesh_small) == pytest.approx(0.0, abs=1e-9)
+
+    def test_tiles_overlap(self):
+        w, h = np.pi / 2, 0.1
+        assert optimize._tiles_overlap([(0.0, -0.1), (np.pi / 4, -0.1)], w, h)
+        assert not optimize._tiles_overlap([(0.0, -0.1), (np.pi / 4, 0.0)], w, h)
+        assert not optimize._tiles_overlap([(0.0, -0.1)], w, h)
+
+    def test_e1_rows_are_worst_amplitudes_on_the_stiffened_operator(
+            self, mesh_small, params):
+        masks = ReinforcementFamily(kind="tiles", alpha=0.5, beta=2.5,
+                                    tile_size=(np.pi / 2, mesh_small.half_width),
+                                    centers_per_axis=3).candidates(mesh_small)
+        fc = ForceClass(kind="bang-bang", cells=(2, 1))
+        box = BoxConstraints.unbounded(mesh_small)
+        res = best_reinforcement(masks, mesh_small, params, fc, box, "E1")
+        assert len(res.rows) == len(masks)
+        for row, mask in zip(res.rows, masks):
+            inner = worst_force_amplitude(
+                PlateOperator.build(mesh_small, params, mask=mask), box, fc)
+            assert row["value"] == inner.value
+            assert row["worst_force"] == inner.argopt_label
+        assert res.value == min(row["value"] for row in res.rows)
+
     def test_infeasible_family_raises(self, mesh_small):
         fam = ReinforcementFamily(kind="cross", alpha=0.5, beta=2.0,
                                   n_xstrips=1, mu=0.01, centers_per_axis=3)

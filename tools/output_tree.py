@@ -12,6 +12,9 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
 * a 16x4 ``vi-solve`` under each reinforced energy (``E1`` and ``E2``, with a
   mask) and a ``gap-scan`` under an explicit ``bounds`` obstacle, so that
   every obstacle and energy reader is covered;
+* a 16x4 E2 ``optimize-reinforcement`` over a ``tiles`` family (one tile of
+  pi/2 x l, 3 centres per axis: 6 layouts), so that the tiles reader and its
+  candidate builder are covered;
 * four more 16x4 ``vi-solve`` ops, so that every branch of the choice of
   mirror group is covered, each group written as its generators in
   ``fem.MIRRORS``: an antisymmetric point pair (y with negation), an x-odd
@@ -79,6 +82,10 @@ def extra_ops(wl):
                                   mesh=(16, 4))),
         ("vi-solve-E2", wl.config("vi-solve", {**reinforced, "variant": "E2"},
                                   mesh=(16, 4))),
+        ("optimize-reinforcement-tiles", wl.config("optimize-reinforcement", {
+            "alpha": 0.5, "beta": 2.5, "variant": "E2",
+            "family": {"kind": "tiles", "tile_size": [math.pi / 2, wl.HALF_WIDTH],
+                       "n_tiles": 1, "centers_per_axis": 3}}, mesh=(16, 4))),
         ("gap-scan-bounds", wl.config("gap-scan", {
             "obstacles": {"kind": "bounds", "lower": -0.5 * wl.M_THRESHOLD,
                           "upper": 0.7 * wl.M_THRESHOLD},
