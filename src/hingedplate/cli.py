@@ -507,7 +507,8 @@ _READERS = {
 def run(config):
     """Execute one configured problem; returns (exit_code, summary dict).
     ``output_dir`` is made before anything is solved and gets the summary at
-    every exit code; one that cannot be made or hold it is an exit-2 diagnostic."""
+    every exit code; one that cannot be made, or hold the summary or a data
+    file, is an exit-2 diagnostic."""
     diags, solve = _parse(config)
     summary = {"problem": config.get("problem"), "config": config}
     out = config.get("output_dir") or "out"
@@ -530,6 +531,9 @@ def run(config):
             code = 0
         except ValueError as exc:
             summary["diagnostics"] = [str(exc)]
+        except OSError as exc:  # a data file the output_dir cannot hold
+            name = Path(exc.filename).name if exc.filename else "its data files"
+            summary["diagnostics"] = [f"output_dir {out!r} cannot hold {name}: {exc}"]
         except MemoryError as exc:
             summary["diagnostics"] = [_out_of_memory(config, exc)]
         except IterationLimitError as exc:

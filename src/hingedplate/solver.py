@@ -8,25 +8,25 @@ over the essential-constrained dof space, where only value dofs of nodes in
 the obstacle region are boxed.  A monotone primal active set iteration
 solves it with exact nodewise feasibility and finite termination.  A contact
 is one signed side per box dof, -1 on the lower obstacle and +1 on the upper
-one, and its multiplier ``lam`` is admissible when ``side * lam >= 0``.  Every
-block the solver factors is symmetric positive definite: the free block of
-the energy, scaled once per operator to unit diagonal, or a principal
-submatrix of it.  It is factored as such, by a symmetric elimination
-(SuperLU in symmetric mode, diagonal pivots); a block singular in float64
-is a SolverError.  The scaled free block is built with the operator's first
-factorization, so an operator that is never factored, such as the full
-operator of a reduced solve, never builds it.  What an operator's assembly
-shares with every other operator on its mesh shape, the summation plan of
-its stiffness and of each ``R' K R``, and its mirror maps, ``fem`` plans once
-per shape.  Each operator orders its
-elimination once: the free dofs are numbered with the short axis fastest,
-the first factorization of the free block takes a minimum-degree order on
-the pattern of A + A' from there, and the scaled block is kept permuted into
-that order.  A pinned block is a principal submatrix of it, factored in its
-natural order, so it never fills more than the free factor and no later
-factorization reorders.  Every solve is followed by extended-precision
-iterative refinement, so the fourth-order conditioning does not eat the
-certified residuals.
+one, and its multiplier ``lam`` is admissible when ``side * lam >= 0``.  Each
+operator factors its free block of the energy, scaled once to unit diagonal,
+on its first solve, so an operator that is never solved, such as the full
+operator of a reduced solve, never builds it.  A solve with contacts pinned
+goes through that one factor, by the capacitance matrix: the columns
+``A^-1 e_p`` of the scaled block ``A`` at the pinned positions ``P`` form
+``W``, and the only block a pinned set adds is its ``|P| x |P|`` Schur block
+``S = W[P]``.  The operator caches each column the first time its dof is
+pinned, so every solve on it shares them.  Both blocks are symmetric positive
+definite and are factored as such, by one symmetric elimination (SuperLU in
+symmetric mode, diagonal pivots); a block singular in float64 is a
+SolverError.  The free dofs are numbered with the short axis fastest, and
+the free block is eliminated in a minimum-degree order on the pattern of
+A + A' from there.  What an operator's assembly shares with every other
+operator on its mesh shape, the summation plan of its stiffness and of each
+``R' K R``, and its mirror maps, ``fem`` plans once per shape.  Every solve
+is followed by extended-precision iterative refinement, so the fourth-order
+conditioning does not eat the certified residuals; the pinned dofs keep
+their values exactly.
 
 Mirrors are the elements of ``fem.MIRRORS``, the package's one symmetry
 vocabulary; ``mirror_symmetries`` lists those that map a box, and the
@@ -183,14 +183,13 @@ class VISolution:
 # operator wrapper: essential reduction + refined solves
 # ---------------------------------------------------------------------------
 
-def _spd_factor(a, permc_spec="MMD_AT_PLUS_A"):
-    """Symmetric elimination of the SPD CSC block ``a``, diagonal pivots: in
-    the minimum-degree order on the pattern of a + a', or in the block's own
-    order with ``permc_spec="NATURAL"``.  A block that is singular in
-    float64, as the energy of a plate too thin for its mesh can be, is a
-    SolverError."""
+def _spd_factor(a):
+    """Symmetric elimination of the SPD CSC block ``a``, diagonal pivots, in
+    the minimum-degree order on the pattern of a + a'.  A block that is
+    singular in float64, as the energy of a plate too thin for its mesh can
+    be, is a SolverError."""
     try:
-        return spla.splu(a, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+        return spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"the factorization failed: {exc}") from None
@@ -200,12 +199,15 @@ class PlateOperator:
     """An assembled bilinear form together with the essential constraints.
 
     Owns the reduction to free dofs, the free block scaled to unit diagonal
-    (``diag(s) K diag(s)`` with ``s = diag(K)^(-1/2)``) and its factor, both
-    built on the first solve, its restrictions to mirror-invariant subspaces
-    with their orbit bases, each built on first use per mirror group, and
-    extended-precision refinement of every solve.  Building one takes only
-    the row sums of ``|K|`` for ``residual_scale``; an operator whose float64
-    matrix overflows is a SolverError.
+    (``A = diag(s) K diag(s)`` with ``s = diag(K)^(-1/2)``) and its factor,
+    both built on the first solve, the columns ``A^-1 e_p`` of the free
+    positions ``p`` it has pinned, its restrictions to mirror-invariant
+    subspaces with their orbit bases, each built on first use per mirror
+    group, and extended-precision refinement of every solve.  The column
+    cache holds one float64 column of ``free_idx.size`` entries per boxed dof
+    that ever enters a contact set, and nothing else.  Building an operator
+    takes only the row sums of ``|K|`` for ``residual_scale``; an operator
+    whose float64 matrix overflows is a SolverError.
     The free dofs ``free_idx`` run with the short axis fastest: node column
     slowest, then node row, then the dof.  ``mask`` is the reinforcement
     mask whose weights the form carries, None for the base energy.
@@ -221,10 +223,9 @@ class PlateOperator:
         self._pos_of_dof = -np.ones(mesh.n_dofs, dtype=np.int64)
         self._pos_of_dof[self.free_idx] = np.arange(self.free_idx.size)
         self._free_factor = None
+        self._s = None  # the scaling, set with the factor
+        self._columns = {}  # position in free_idx -> A^-1 e_p
         self._reduced = {}
-        # the scaling, the scaled block and the positions in free_idx of the
-        # elimination order, all set with the factor
-        self._s = self._scaled = self._order = None
         with np.errstate(over="ignore"):
             self._norm_estimate = float(np.abs(form.matrix).sum(axis=1).max())
         if not np.isfinite(self._norm_estimate):
@@ -237,19 +238,27 @@ class PlateOperator:
         return cls(mesh, assemble_bilinear(mesh, params, weight=mask), mask)
 
     def _factor_free(self):
-        """The free block's factor, built on first use together with the
-        scaled block: an operator that is never factored, such as the full
-        operator of a reduced solve, never builds it.  The factor's
-        minimum-degree order becomes the operator's elimination order, and
-        the scaled block is kept permuted into it."""
+        """The factor of the scaled free block ``A``, built on first use: an
+        operator that is never solved, such as the full operator of a reduced
+        solve, never builds it."""
         if self._free_factor is None:
             k_free = self.form.matrix[self.free_idx][:, self.free_idx]
             self._s = 1.0 / np.sqrt(k_free.diagonal())
-            scaled = (sp.diags(self._s) @ k_free @ sp.diags(self._s)).tocsc()
-            self._free_factor = _spd_factor(scaled)
-            self._order = np.argsort(self._free_factor.perm_c)
-            self._scaled = scaled[self._order][:, self._order]
+            self._free_factor = _spd_factor(
+                (sp.diags(self._s) @ k_free @ sp.diags(self._s)).tocsc())
         return self._free_factor
+
+    def _pinned_columns(self, pos):
+        """The columns ``A^-1 e_p`` at the free positions ``pos``, side by side.
+        Those not cached yet come from one solve on an identity block; a
+        column's bits do not depend on which others share its block."""
+        lu = self._factor_free()
+        new = [p for p in pos.tolist() if p not in self._columns]
+        if new:
+            eye = np.zeros((self.free_idx.size, len(new)), order="F")
+            eye[new, np.arange(len(new))] = 1.0
+            self._columns.update(zip(new, lu.solve(eye).T))
+        return np.column_stack([self._columns[p] for p in pos.tolist()])
 
     def reduced(self, group):
         """The operator ``R' K R`` on the invariant fields of the mirror group
@@ -263,46 +272,47 @@ class PlateOperator:
 
     def solve_free(self, rhs_full):
         """Solve on the free dofs with all box constraints inactive."""
-        lu = self._factor_free()
         full = np.zeros(self.mesh.n_dofs, dtype=LONG)
-        return self._refined_solve(rhs_full, full, self.free_idx,
-                                   rhs_full[self.free_idx], self._s, lu)
+        return self._refined_solve(rhs_full, full, np.zeros(0, dtype=np.int64))
 
     def solve_pinned(self, rhs_full, pinned_dofs, pinned_values):
         """Solve with some free dofs pinned to prescribed values.
 
         Returns the full dof vector in extended precision; essential dofs
-        stay zero and pinned dofs carry exactly their prescribed values.
+        stay zero and pinned dofs carry exactly their prescribed values.  The
+        result depends on the pinned set only, not on its order.
         """
         if pinned_dofs.size == 0:
             return self.solve_free(rhs_full)
-        pin_pos = self._pos_of_dof[pinned_dofs]
-        if np.any(pin_pos < 0):
+        pos = np.sort(self._pos_of_dof[pinned_dofs])
+        if pos[0] < 0:
             raise SolverError("cannot pin an essentially constrained dof")
-        self._factor_free()
-        keep = np.ones(self.free_idx.size, dtype=bool)
-        keep[pin_pos] = False
-        # the principal submatrix of the ordered block, eliminated in order
-        sub = np.flatnonzero(keep[self._order])
-        pos = self._order[sub]
         full = np.zeros(self.mesh.n_dofs, dtype=LONG)
         full[pinned_dofs] = pinned_values.astype(LONG)
-        idx = self.free_idx[pos]
-        r0 = (rhs_full - self.form.matvec_extended(full))[idx]
-        return self._refined_solve(rhs_full, full, idx, r0, self._s[pos],
-                                   _spd_factor(self._scaled[sub][:, sub],
-                                               "NATURAL"))
+        return self._refined_solve(rhs_full, full, pos, self._pinned_columns(pos))
 
-    def _refined_solve(self, rhs_full, full, idx, r0, s, lu):
-        """Fill ``full[idx]`` by ``lu``, the factor of that block scaled by
-        ``s``, from residual ``r0``, then refine against the
-        extended-precision residual."""
-        x = (s * lu.solve(s * r0.astype(float))).astype(LONG)
-        for _ in range(REFINE_STEPS):
-            full[idx] = x
-            r = (rhs_full - self.form.matvec_extended(full))[idx]
-            x = x + (s * lu.solve(s * r.astype(float))).astype(LONG)
-        full[idx] = x
+    def _refined_solve(self, rhs_full, full, pos, w=None):
+        """Complete ``full``, whose free positions ``pos`` hold their pinned
+        values, by one solve and REFINE_STEPS refinements against the
+        extended-precision residual ``r``, its rows ``pos`` zeroed.  Each step
+        is ``z = A^-1 (s r)``, then, through the columns ``w = A^-1 E`` at
+        ``pos``, ``mu = S^-1 (-z[pos])`` with ``S = w[pos]``, so that the step
+        ``s (z + w mu)`` leaves ``pos`` where they are."""
+        lu = self._factor_free()
+        if pos.size:
+            schur = w[pos]
+            schur_lu = _spd_factor(sp.csc_matrix(0.5 * (schur + schur.T)))
+        idx, s = self.free_idx, self._s
+        for step in range(REFINE_STEPS + 1):
+            # the residual of the zero start is the load itself
+            r = (rhs_full - self.form.matvec_extended(full) if step or pos.size
+                 else rhs_full)[idx].astype(float)
+            r[pos] = 0.0
+            z = lu.solve(s * r)
+            if pos.size:
+                z += w @ schur_lu.solve(-z[pos])
+                z[pos] = 0.0
+            full[idx] += (s * z).astype(LONG)
         return full
 
     def residual_scale(self, rhs_full, x):

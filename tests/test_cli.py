@@ -796,6 +796,25 @@ class TestRun:
                                "summary.json: ")
         assert summary["result"]["values"]  # the solved result still returns
 
+    @pytest.mark.parametrize("problem, params, name", [
+        ("solve", {"load": {"density": 1.0}}, "field.csv"),
+        ("vi-solve", {"load": {"density": 1.0}, "obstacles": {"gamma": 0.01}},
+         "gap.csv"),
+        ("green-eval", {"points": [[1.0, 0.0]]}, "green_eval.csv"),
+    ], ids=["field.csv", "gap.csv", "green_eval.csv"])
+    def test_output_dir_that_cannot_hold_a_data_file_is_a_diagnostic(
+            self, tmp_path, problem, params, name):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        cfg = config_for(problem, params, nx=8, ny=2, outdir=out)
+        code, summary = run(cfg)
+        assert code == 2
+        [diag] = summary["diagnostics"]
+        assert diag.startswith(f"output_dir {str(out)!r} cannot hold {name}: ")
+        written = json.loads((out / "summary.json").read_text(encoding="utf-8"),
+                             parse_constant=pytest.fail)
+        assert written["diagnostics"] == [diag]
+
     @pytest.mark.parametrize("problem, params, expected", [
         ("solve", {"load": {"density": {}}},
          "missing required problem parameter: 'kind'"),

@@ -156,13 +156,15 @@ def test_cold_and_warm_caches_write_the_same_files(cold_cache, tmp_path):
 
 
 def test_full_operator_of_a_reduced_solve_builds_no_block():
-    """Only the reduced operator is factored, so only it builds its block."""
+    """Only the reduced operator is factored, so only it builds its scaling,
+    its factor and its pinned columns."""
     mesh = Mesh(16, 4, PARAMS.half_width)
     op = PlateOperator.build(mesh, PARAMS)
     rhs = fem.assemble_load(mesh, fem.LoadSpec(density=1.0))
     box = BoxConstraints.from_obstacle(
         mesh, ObstacleSpec(lower=-1.0, upper=0.002, region="full"))
     solve_obstacle(op, rhs, box, ((True, False), (False, True)))
-    assert op._scaled is None and op._free_factor is None
-    assert op.reduced(((True, False, 1), (False, True, 1)))._scaled is not None
+    assert op._s is None and op._free_factor is None and not op._columns
+    reduced = op.reduced(((True, False, 1), (False, True, 1)))
+    assert reduced._s is not None and reduced._columns
 

@@ -2,7 +2,9 @@
 
 import dataclasses
 import itertools
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,9 +283,32 @@ class TestSettledIterate:
         assert np.array_equal(again.astype(float), sol.field.dofs)
 
 
+class TestActiveSetPath:
+    """Large contact sets keep their iteration counts and contact sets
+    exactly, as recorded in ``oracles/active_set_paths.json``."""
+
+    CASES = json.loads((Path(__file__).parent / "oracles" / "active_set_paths.json")
+                       .read_text(encoding="utf-8"))["cases"]
+    Z_MAX = 1.3217633217236697  # sup-norm of the unit-load deflection at 64x16
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_full_plate_contact_path(self, params, case):
+        want = self.CASES[case]
+        mesh = Mesh(64, 16, params.half_width)
+        box = BoxConstraints.from_obstacle(mesh, ObstacleSpec(
+            lower=-1.0, upper=want["fraction"] * self.Z_MAX, region="full"))
+        sol = solve_obstacle(PlateOperator.build(mesh, params),
+                             assemble_load(mesh, LoadSpec(density=1.0)), box,
+                             ((True, False), (False, True)))
+        assert sol.iterations == want["iterations"]
+        assert sol.lower_contact.tolist() == want["lower"]
+        assert sol.upper_contact.tolist() == want["upper"]
+
+
 class TestSPDFactor:
-    """Every block is factored by a symmetric elimination of the SPD block,
-    all of them in the one order the free factor chose."""
+    """Each operator factors its free block once, by a symmetric elimination
+    of the SPD block; a pinned solve factors only its Schur block, formed
+    from cached columns of the free factor."""
 
     @staticmethod
     def _record_factors(monkeypatch):
@@ -298,15 +323,16 @@ class TestSPDFactor:
         return seen
 
     @staticmethod
-    def _free_then_pinned(op, mesh):
-        """A free solve, then one with three value dofs pinned; returns the
-        pinned dofs."""
-        b = assemble_load(mesh, SIN_LOAD)
-        op.solve_free(b)
+    def _value_dofs(op, picks):
         value_dofs = op.free_idx[op.free_idx % 4 == DOF_VALUE]
-        pinned = value_dofs[[3, 17, 30]]
-        op.solve_pinned(b, pinned, np.array([0.01, -0.02, 0.0]))
-        return pinned
+        return value_dofs[picks]
+
+    @staticmethod
+    def _columns(op, pos):
+        """``A^-1 e_p`` at the free positions ``pos``, from the free factor."""
+        eye = np.zeros((op.free_idx.size, len(pos)), order="F")
+        eye[pos, np.arange(len(pos))] = 1.0
+        return op._free_factor.solve(eye)
 
     @pytest.mark.parametrize("nx, ny", [(16, 4), (64, 16)])
     @pytest.mark.parametrize("reinforced", [False, True], ids=["base", "E1"])
@@ -318,54 +344,108 @@ class TestSPDFactor:
         mask = ReinforcementMask(sel, alpha=0.5, beta=2.5) if reinforced else None
         op = PlateOperator.build(mesh, params, mask=mask)
         seen = self._record_factors(monkeypatch)
-        pinned = self._free_then_pinned(op, mesh)
+        b = assemble_load(mesh, SIN_LOAD)
+        op.solve_free(b)
+        pinned = self._value_dofs(op, [30, 3, 17])
+        op.solve_pinned(b, pinned, np.array([0.01, -0.02, 0.0]))
         assert len(seen) == 2
         for a, lu in seen:
+            assert a.format == "csc"
             assert np.array_equal(lu.perm_r, lu.perm_c)
             assert np.all(lu.U.diagonal() > 0.0)
 
-        # each block equals diag(s) K[idx][:, idx] diag(s), s = diag(K)^(-1/2),
-        # formed from the assembled matrix, bit for bit: the free block over
-        # free_idx, the pinned one over the rest of the elimination order
-        k = op.form.matrix
-        elim = op.free_idx[op._order]
-        for (a, _), idx in zip(seen, (op.free_idx,
-                                      elim[~np.isin(elim, pinned)])):
-            k_idx = k[idx][:, idx].tocsc()
-            s = 1.0 / np.sqrt(k_idx.diagonal())
-            ref = (sp.diags(s) @ k_idx @ sp.diags(s)).tocsc()
-            assert a.format == "csc"
+        # the free block is diag(s) K[free][:, free] diag(s), s = diag(K)^(-1/2),
+        # and the Schur block the symmetrized W[P] of the columns W = A^-1 E
+        # at the sorted pinned positions P, each formed bit for bit
+        k_free = op.form.matrix[op.free_idx][:, op.free_idx].tocsc()
+        s = 1.0 / np.sqrt(k_free.diagonal())
+        pos = np.sort(op._pos_of_dof[pinned])
+        schur = self._columns(op, pos)[pos]
+        refs = [(sp.diags(s) @ k_free @ sp.diags(s)).tocsc(),
+                sp.csc_matrix(0.5 * (schur + schur.T))]
+        for (a, _), ref in zip(seen, refs):
             for part in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(a, part), getattr(ref, part))
 
-    def test_pinned_blocks_keep_the_free_order(self, params, monkeypatch):
-        mesh = Mesh(64, 16, params.half_width)
+    def test_free_block_is_factored_once_per_operator(self, params, monkeypatch):
+        mesh = Mesh(32, 8, params.half_width)
+        b = assemble_load(mesh, SIN_LOAD)
         op = PlateOperator.build(mesh, params)
         seen = self._record_factors(monkeypatch)
-        self._free_then_pinned(op, mesh)
-        (_, free_lu), (_, pinned_lu) = seen
-        assert np.array_equal(op._order, np.argsort(free_lu.perm_c))
-        n = pinned_lu.shape[0]
-        assert np.array_equal(pinned_lu.perm_c, np.arange(n))
-        assert np.array_equal(pinned_lu.perm_r, np.arange(n))
-        assert (pinned_lu.L.nnz + pinned_lu.U.nnz
-                <= free_lu.L.nnz + free_lu.U.nnz)
+        sets = [[5], [5, 40, 9], [40], [], [2, 60, 61, 62]]
+        for picks in sets:  # a pinned first solve factors the free block too
+            dofs = self._value_dofs(op, picks)
+            op.solve_pinned(b, dofs, np.full(dofs.size, 0.001))
+        op.solve_free(b)
+        shapes = [a.shape[0] for a, _ in seen]
+        assert shapes == [op.free_idx.size] + [len(p) for p in sets if p]
 
-    def test_pinned_first_solve_orders_the_operator(self, mesh_small, params,
-                                                    monkeypatch):
-        # a fresh operator whose first solve pins factors its free block for
-        # the order, and solves as one that solved free first
-        b = assemble_load(mesh_small, SIN_LOAD)
-        pinned = np.array([4 * mesh_small.node_index(5, 2) + DOF_VALUE])
-        warm = PlateOperator.build(mesh_small, params)
-        warm.solve_free(b)
-        want = warm.solve_pinned(b, pinned, np.array([0.01]))
-        fresh = PlateOperator.build(mesh_small, params)
-        seen = self._record_factors(monkeypatch)
-        got = fresh.solve_pinned(b, pinned, np.array([0.01]))
-        assert len(seen) == 2 and seen[1][1].shape[0] == fresh.free_idx.size - 1
-        assert np.array_equal(fresh._order, warm._order)
-        assert np.array_equal(got, want)
+    def test_cache_holds_the_columns_of_pinned_dofs_only(self, params):
+        mesh = Mesh(32, 8, params.half_width)
+        b = assemble_load(mesh, SIN_LOAD)
+        op = PlateOperator.build(mesh, params)
+        op.solve_free(b)
+        assert op._columns == {}
+        ever = set()
+        for picks in ([7, 3], [3, 11, 50], [11]):
+            dofs = self._value_dofs(op, picks)
+            op.solve_pinned(b, dofs, np.zeros(dofs.size))
+            ever |= set(op._pos_of_dof[dofs].tolist())
+            assert set(op._columns) == ever
+        pos = sorted(ever)
+        want = self._columns(op, pos)
+        for j, p in enumerate(pos):
+            assert np.array_equal(op._columns[p], want[:, j])
+
+    def test_pinned_solve_ignores_cache_history_and_order(self, params):
+        mesh = Mesh(32, 8, params.half_width)
+        b = assemble_load(mesh, LoadSpec(
+            density=lambda x, y: np.sin(x) - 5.0 * np.sin(3.0 * x) + 20.0 * y))
+        rng = np.random.default_rng(3)
+        cold = PlateOperator.build(mesh, params)
+        dofs = self._value_dofs(cold, rng.choice(150, 24, replace=False))
+        values = rng.uniform(-0.01, 0.01, dofs.size)
+        want = cold.solve_pinned(b, dofs, values)
+        warm = PlateOperator.build(mesh, params)
+        for k in (5, 17, 24):  # the columns come in three other blocks
+            warm.solve_pinned(b, dofs[:k][::-1], values[:k][::-1])
+        for perm in (np.arange(dofs.size), rng.permutation(dofs.size)):
+            for op in (cold, warm):
+                got = op.solve_pinned(b, dofs[perm], values[perm])
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", ["random", "contacts"])
+    def test_pinned_solve_matches_the_principal_block(self, params, case):
+        """An oracle that factors the principal block of the unpinned free
+        dofs directly, refined once against the extended-precision residual."""
+        mesh = Mesh(32, 8, params.half_width)
+        op = PlateOperator.build(mesh, params)
+        b = assemble_load(mesh, LoadSpec(density=1.0))
+        if case == "random":
+            rng = np.random.default_rng(11)
+            dofs = self._value_dofs(op, rng.choice(150, 30, replace=False))
+            values = rng.uniform(-0.02, 0.02, dofs.size)
+        else:
+            box = BoxConstraints.from_obstacle(
+                mesh, ObstacleSpec.constant_level(0.2, region="full"))
+            sol = solve_obstacle(op, b, box)
+            assert sol.upper_contact.size > 10
+            dofs = 4 * sol.upper_contact + DOF_VALUE
+            values = box.upper[sol.upper_contact]
+        got = op.solve_pinned(b, dofs, values)
+        assert np.array_equal(got[dofs], values.astype(solver.LONG))
+
+        rest = op.free_idx[~np.isin(op.free_idx, dofs)]
+        k_rest = op.form.matrix[rest][:, rest].tocsc()
+        lu = sp.linalg.splu(k_rest)
+        want = np.zeros(mesh.n_dofs, dtype=solver.LONG)
+        want[dofs] = values
+        for _ in range(2):
+            r = (b - op.form.matvec_extended(want))[rest].astype(float)
+            want[rest] += lu.solve(r).astype(solver.LONG)
+        want = want.astype(float)
+        err = np.max(np.abs(got.astype(float) - want)) / np.max(np.abs(want))
+        assert err <= 1e-10
 
     def test_short_axis_start_fills_less(self, params):
         mesh = Mesh(64, 16, params.half_width)
