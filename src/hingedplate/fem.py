@@ -23,8 +23,16 @@ read-only, for the ``PLAN_CACHE_SIZE`` shapes used most recently: the
 ``SumPlan`` that sums the stiffness triplets (their stable sort, the runs
 of equal (row, col) and the CSR pattern), one ``SumPlan`` per mirror group
 for ``OrbitBasis.restrict_form``, and the eight ``mirror_map``s.  Every
-form of a planned shape is then one gather and one ``np.add.reduceat``, in
-the order the sort gives, so its values are those of the sort itself.
+form of a planned shape is then a gather and an ``np.add.reduceat``, in the
+order the sort gives, so its values are those of the sort itself.
+
+That numeric pass streams, in blocks of whole runs, into one preallocated
+data array, and the plans hold narrow indices: the stiffness plan an int32
+element and a uint8 entry of the element matrix per triplet, in place of an
+int64 gather from a longdouble array of every element matrix.  At 128x32,
+whose stiffness has 9.6 MB of data, the traced peak of a warm assembly is
+14 MB (48 MB with full-length temporaries), of a cold one, plan included,
+25 MB (64 MB), and of the cold ``R' K R`` of the quarter plate 17 MB (46 MB).
 
 The mirrors of the plate, x -> pi - x and y -> -y, each optionally combined
 with negation, are the elements of ``MIRRORS``; this is the one vocabulary
@@ -45,6 +53,9 @@ DOF_VALUE, DOF_DX, DOF_DY, DOF_DXY = 0, 1, 2, 3
 #: sign flips of the four dof types under a reflection of y and of x
 _Y_MIRROR_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 _X_MIRROR_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+
+#: the sign of a triplet of ``R' K R``, indexed by whether it is negated
+_SIGNS = np.array([1, -1], dtype=LONG)
 
 _GAUSS_PTS, _GAUSS_WTS = np.polynomial.legendre.leggauss(4)
 
@@ -414,47 +425,90 @@ def _frozen(array):
     return array
 
 
+#: triplets per block of ``SumPlan.form``'s numeric pass, rounded to whole
+#: runs: what bounds its working memory, whatever the plan's length
+BLOCK_TRIPLETS = 1 << 16
+
+
+def _index_dtype(size):
+    """The narrower of int32 and int64 that indexes ``size`` entries."""
+    return np.int32 if size <= np.iinfo(np.int32).max else np.int64
+
+
 class SumPlan:
     """The symbolic half of summing a fixed list of triplets into a CSR
     matrix, computed once and kept read-only.
 
-    Triplet ``k`` puts ``signs[k] * vals[take[k]]`` of a source vector
-    ``vals`` at ``(rows[k], cols[k])``; ``take`` defaults to the identity
-    and ``signs`` to ones.  One stable sort on the row-major key (the
-    permutation of ``lexsort((cols, rows))``) stores ``take`` and ``signs``
-    in the order of the sum, so duplicates keep their input order; each run
-    of one (row, col) begins at ``starts``.  ``indices`` and ``indptr`` are
-    the pattern of the sum, in the index dtype scipy keeps, so every form
-    the plan builds shares them.  The numeric half is ``form``: one gather
-    and one ``np.add.reduceat``.
+    ``rows``, ``cols`` and each index array of ``take`` broadcast to one
+    shape, whose C order is the input order of the triplets.  Triplet ``k``
+    puts the product of ``sources[i][take[i][k]]`` over the sources given
+    to ``form`` at ``(rows[k], cols[k])``; ``take`` defaults to the
+    identity.  One stable sort of the row-major key stores each ``take`` in
+    the order of the sum, so duplicates keep their input order; each run of
+    one (row, col) begins at ``starts``.  The plan is compact: keys,
+    ``starts`` and the identity ``take`` are int32 unless their sizes need
+    int64, a caller's ``take`` keeps its own narrow dtype, the sorted rows
+    and columns are read off the one sorted key, and each temporary is
+    dropped once used.  ``indices`` and ``indptr`` are the pattern of the
+    sum, in the index dtype scipy keeps, so every form the plan builds
+    shares them.  The numeric half is ``form``; the module docstring gives
+    the set-up memory of both halves at 128x32.
     """
 
-    def __init__(self, shape, rows, cols, take=None, signs=None):
-        order = np.argsort(rows.astype(np.int64) * shape[1] + cols, kind="stable")
-        rows, cols = rows[order], cols[order]
-        keep = np.ones(len(rows), dtype=bool)
-        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(keep)
+    def __init__(self, shape, rows, cols, take=None):
+        dtype = _index_dtype(shape[0] * shape[1])
+        key = np.add(np.multiply(rows, shape[1], dtype=dtype), cols, dtype=dtype)
+        triplets, key = key.shape, key.ravel()
+        size = key.size
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        keep = np.empty(size, dtype=bool)
+        keep[:1] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        starts = np.flatnonzero(keep).astype(_index_dtype(size))
+        del keep
+        key = key[starts]
         # row pointers from row counts, so the conversion sums nothing
         indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[starts], minlength=shape[0]), out=indptr[1:])
-        pattern = sp.csr_matrix((np.zeros(starts.size, dtype=np.int8), cols[starts],
+        np.cumsum(np.bincount(key // shape[1], minlength=shape[0]), out=indptr[1:])
+        pattern = sp.csr_matrix((np.zeros(starts.size, dtype=np.int8), key % shape[1],
                                  indptr), shape=shape)
+        del key
+        if take is None:
+            take = (order.astype(_index_dtype(size)),)
+        else:
+            take = tuple(np.broadcast_to(t, triplets).ravel()[order] for t in take)
         self.shape = shape
-        self.take = _frozen(order if take is None else take[order])
-        self.signs = None if signs is None else _frozen(signs[order])
+        self.take = tuple(_frozen(t) for t in take)
         self.starts = _frozen(starts)
         self.indices = _frozen(pattern.indices)
         self.indptr = _frozen(pattern.indptr)
 
-    def form(self, vals):
-        """The AssembledForm of the source values ``vals``."""
-        vals = vals[self.take]
-        if self.signs is not None:
-            vals *= self.signs
-        return AssembledForm(sp.csr_matrix(
-            (np.add.reduceat(vals, self.starts), self.indices, self.indptr),
-            shape=self.shape), self)
+    def form(self, *sources):
+        """The AssembledForm of ``sources``, one per ``take`` array from the
+        first on; a ``take`` array left without a source counts as ones, and
+        the first source gives the dtype.
+
+        The pass streams: blocks of whole runs, about ``BLOCK_TRIPLETS``
+        triplets each, are gathered, multiplied and summed by
+        ``np.add.reduceat`` straight into the form's one data array, so no
+        full-length gathered copy is made.  Each run is summed from its own
+        triplets alone, so its value is that of one pass over them all.
+        """
+        starts, size = self.starts, self.take[0].size
+        data = np.empty(starts.size, dtype=sources[0].dtype)
+        # the first run of each block, and the end of the last
+        edges = np.unique(np.append(
+            np.searchsorted(starts, np.arange(0, size, BLOCK_TRIPLETS)), starts.size))
+        for r0, r1 in zip(edges[:-1], edges[1:]):
+            t0, t1 = starts[r0], starts[r1] if r1 < starts.size else size
+            # intp indices: numpy casts narrower ones far more slowly itself
+            vals = sources[0][self.take[0][t0:t1].astype(np.intp)]
+            for source, take in zip(sources[1:], self.take[1:]):
+                vals *= source[take[t0:t1].astype(np.intp)]
+            np.add.reduceat(vals, starts[r0:r1] - t0, out=data[r0:r1])
+        return AssembledForm(sp.csr_matrix((data, self.indices, self.indptr),
+                                           shape=self.shape), self)
 
 
 #: mesh shapes (nx, ny) whose plans ``_shape_plans`` keeps; the least
@@ -467,7 +521,8 @@ class _ShapePlans:
     """Everything of a mesh's operators that depends on its shape alone,
     each part built on first use: the ``SumPlan`` of the stiffness triplets,
     one ``SumPlan`` of ``R' K R`` per mirror group, and the ``mirror_map``
-    of each mirror."""
+    of each mirror.  At 128x32 the stiffness plan holds 10.1 MB and the
+    quarter plate's ``R' K R`` plan 4.1 MB."""
 
     def __init__(self):
         self.bilinear = None
@@ -502,17 +557,24 @@ def assemble_bilinear(mesh, params, weight=None):
     by beta on D and alpha off D, as ``assemble_load`` weights the density:
     the stiffness of the stiffness-weighted energy.  The element matrices
     are summed by the ``SumPlan`` of the mesh's shape, sorted once per shape
-    (``_shape_plans``), so every later form of that shape costs one gather
-    and one reduceat, in the order the sort gives.
+    (``_shape_plans``), in the order the sort gives.  Its triplets index an
+    element (int32) and an entry of ``Ke`` (uint8), so a form's blocks
+    multiply ``w[e] * Ke[l]`` as they go, and the base energy takes ``Ke[l]``
+    alone: no longdouble array of every element matrix is formed.
     """
     plans = _shape_plans(mesh)
     if plans.bilinear is None:
-        gl = mesh.element_dof_table().reshape(-1, 16)  # elements row-major
-        plans.bilinear = SumPlan((mesh.n_dofs, mesh.n_dofs),
-                                 np.repeat(gl, 16, axis=1).ravel(), np.tile(gl, 16).ravel())
-    Ke = element_stiffness(mesh.hx, mesh.hy, params.sigma)
-    vals = (_element_weights(mesh, weight).astype(LONG)[..., None] * Ke.ravel()).ravel()
-    return plans.bilinear.form(vals)
+        # triplet (e, a, b) of element e (row-major) couples its local dofs
+        # a and b: entry a * 16 + b of Ke, times the weight of e
+        gl = mesh.element_dof_table().reshape(-1, 16, 1).astype(_index_dtype(mesh.n_dofs))
+        elements = np.arange(gl.shape[0], dtype=_index_dtype(gl.shape[0]))
+        plans.bilinear = SumPlan((mesh.n_dofs, mesh.n_dofs), gl, gl.reshape(-1, 1, 16),
+                                 (np.arange(256, dtype=np.uint8).reshape(16, 16),
+                                  elements[:, None, None]))
+    Ke = element_stiffness(mesh.hx, mesh.hy, params.sigma).ravel()
+    if weight is None:
+        return plans.bilinear.form(Ke)  # unit weights: the products are Ke itself
+    return plans.bilinear.form(Ke, _element_weights(mesh, weight).astype(LONG).ravel())
 
 
 def _density_evaluator(density):
@@ -550,10 +612,10 @@ def assemble_load(mesh, load, weight=None):
         fv = np.asarray(f(X, Y), dtype=float)
         w_elem = _element_weights(mesh, weight)
         coef = (np.outer(wq, wq) * w_elem[..., None, None] * fv).astype(LONG)
-        fe = np.zeros((mesh.ny, mesh.nx, 16), dtype=LONG)
-        for a, tx in enumerate(tq):
-            for bq, ty in enumerate(tq):
-                fe += coef[:, :, a, bq, None] * _local_rows(tx, ty, mesh.hx, mesh.hy)
+        # row 4 a + bq of R: the basis at quadrature point (a, bq); longdouble
+        # matmul sums each element vector from zero in that order
+        R = np.array([_local_rows(tx, ty, mesh.hx, mesh.hy) for tx in tq for ty in tq])
+        fe = coef.reshape(mesh.ny, mesh.nx, 16) @ R
         scale = LONG(mesh.hx) * LONG(mesh.hy)
         np.add.at(b, mesh.element_dof_table().ravel(), (fe * scale).ravel())
     for (x, y, w) in load.point_masses:
@@ -695,7 +757,8 @@ class OrbitBasis:
         """``R' K R`` from the assembled form, in its extended precision.
 
         The form's entries whose sign product is not zero are gathered,
-        signed and summed by a ``SumPlan`` built on the form's pattern: once
+        signed (a uint8 index into ``_SIGNS`` per triplet) and summed by a
+        ``SumPlan`` built on the form's pattern from int8 sign products: once
         per mesh shape and group for a form of ``assemble_bilinear``, whose
         pattern is its shape's, and kept with that shape's plans
         (``_shape_plans``, the PLAN_CACHE_SIZE shapes used most recently);
@@ -705,15 +768,21 @@ class OrbitBasis:
         plan = plans.restrictions.get(self.group) if shared else None
         if plan is None:
             csr = form.csr
-            rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
-            s = self.sign[rows] * self.sign[csr.indices]
-            kept = np.flatnonzero(s != 0.0)
-            plan = SumPlan((self.n_dofs, self.n_dofs), self.coordinate[rows[kept]],
-                           self.coordinate[csr.indices[kept]], kept,
-                           s[kept].astype(np.int8))
+            sign = self.sign.astype(np.int8)
+            coordinate = self.coordinate.astype(_index_dtype(self.n_dofs))
+            rows = np.repeat(np.arange(csr.shape[0], dtype=csr.indices.dtype),
+                             np.diff(csr.indptr))
+            s = sign[rows]
+            s *= sign[csr.indices]
+            kept = np.flatnonzero(s).astype(_index_dtype(s.size))
+            rows = coordinate[rows[kept]]
+            cols = coordinate[csr.indices[kept]]
+            negated = (s[kept] < 0).view(np.uint8)
+            del s
+            plan = SumPlan((self.n_dofs, self.n_dofs), rows, cols, (kept, negated))
             if shared:
                 plans.restrictions[self.group] = plan
-        return plan.form(form.csr.data)
+        return plan.form(form.csr.data, _SIGNS)
 
 
 def symmetry_decompose(field):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from hingedplate import fem
 from hingedplate import (DofField, LoadSpec, Mesh, PlateOperator,
                          ReinforcementMask, assemble_bilinear, assemble_load,
                          energy, point_eval, symmetry_decompose)
@@ -544,14 +545,29 @@ class TestKernelsBitForBit:
         assert b.dtype == LONG
         assert np.array_equal(b, _reference_load(mesh, load, weight))
 
-    @pytest.mark.parametrize("shape", [(40, 40), (25, 70), (70, 25)])
-    def test_from_triplets_matches_lexsort(self, shape):
+    @pytest.mark.parametrize("shape, draw, block", [
+        pytest.param((40, 40), "random", None, id="shape0"),
+        pytest.param((25, 70), "random", None, id="shape1"),
+        pytest.param((70, 25), "random", None, id="shape2"),
+        pytest.param((40, 40), "empty", None, id="empty"),
+        pytest.param((40, 40), "one-run", None, id="one-run"),
+        pytest.param((40, 40), "one-run", 7, id="one-run-block7"),
+        pytest.param((25, 70), "random", 7, id="random-block7"),
+    ])
+    def test_from_triplets_matches_lexsort(self, monkeypatch, shape, draw, block):
         # random triplets, many duplicates; every order of the same entries
-        # is summed in input order, as a lexsort on (row, col) would
+        # is summed in input order, as a lexsort on (row, col) would, and in
+        # blocks of whole runs of any length as in one pass: no block for no
+        # triplets, one for a single run or a short list, many for a block
+        # length of 7
+        if block is not None:
+            monkeypatch.setattr(fem, "BLOCK_TRIPLETS", block)
         rng = np.random.default_rng(7)
-        n = 4000
+        n = {"random": 4000, "one-run": 50, "empty": 0}[draw]
         rows = rng.integers(0, shape[0], size=n)
         cols = rng.integers(0, shape[1], size=n)
+        if draw == "one-run":
+            rows[:], cols[:] = rows[0], cols[0]
         vals = rng.normal(size=n).astype(LONG) / LONG(3)
         order = np.lexsort((cols, rows))
         assert np.array_equal(
@@ -561,7 +577,7 @@ class TestKernelsBitForBit:
         keep = np.ones(n, dtype=bool)
         keep[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
         starts = np.flatnonzero(keep)
-        assert starts.size < n  # the draw has duplicates
+        assert starts.size < n or n == 0  # the draw has duplicates
         indptr = np.zeros(shape[0] + 1, dtype=np.int64)
         np.cumsum(np.bincount(r[starts], minlength=shape[0]), out=indptr[1:])
         want = sp.csr_matrix((np.add.reduceat(v, starts), c[starts], indptr),

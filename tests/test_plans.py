@@ -2,6 +2,7 @@
 read-only and bounded, and a cold and a warm cache write the same files."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,24 +95,70 @@ def test_forms_of_a_foreign_pattern_restrict_unplanned(cold_cache):
     assert cold_cache[(8, 2)].restrictions == {}
 
 
+def _held_arrays(plan):
+    """Every array a plan holds, as a field or within a tuple field."""
+    for value in vars(plan).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield item
+
+
 def test_plans_are_read_only(cold_cache):
     mesh = Mesh(16, 4, PARAMS.half_width)
     form = assemble_bilinear(mesh, PARAMS)
     OrbitBasis(mesh, GROUPS[0]).restrict_form(form)
     plans = cold_cache[(16, 4)]
-    arrays = [getattr(plan, name) for plan in
-              [plans.bilinear, *plans.restrictions.values()]
-              for name in ("take", "signs", "starts", "indices", "indptr")
-              if getattr(plan, name) is not None]
+    arrays = [a for plan in [plans.bilinear, *plans.restrictions.values()]
+              for a in _held_arrays(plan)]
+    assert len(arrays) >= 2 * 4  # each plan holds a take, starts and its pattern
     arrays += [a for element in fem.MIRRORS for a in mirror_map(mesh, element)]
     arrays.append(form.matrix.data)
-    assert len(arrays) == 9 + 16 + 1
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
     # every form of the shape shares the plan's pattern
     assert np.shares_memory(form.csr.indices, plans.bilinear.indices)
     assert np.shares_memory(form.matrix.indptr, plans.bilinear.indptr)
+
+
+def _traced_peak(call):
+    """``call()`` and the peak of the memory it allocated, from tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+#: peak working memory of each set-up stage at 128x32, as a multiple of the
+#: data bytes of the form it returns.  Measured 2.6, 1.5 and 7.5 for the
+#: streamed pass over compact plans; full-length temporaries took 6.7, 5.0
+#: and 19.7.
+SETUP_PEAK_LIMITS = {"cold assembly": 3.5, "warm assembly": 2.5,
+                     "cold quarter restriction": 10.0}
+
+
+def test_setup_memory_stays_within_its_bound(cold_cache):
+    """Assembly and ``R' K R`` stream through compact plans: the cold
+    stiffness plan with its first form, a warm assembly and the cold plan of
+    the quarter group with its form each peak within a small multiple of the
+    form they return, at the refined mesh."""
+    mesh = Mesh(128, 32, PARAMS.half_width)
+    element_stiffness(mesh.hx, mesh.hy, PARAMS.sigma)  # not a stage of the plans
+    basis = OrbitBasis(mesh, (X_GENERATORS[0], Y_GENERATORS[0]))  # the quarter plate
+    peaks = {}
+    form, peaks["cold assembly"] = _traced_peak(lambda: assemble_bilinear(mesh, PARAMS))
+    _, peaks["warm assembly"] = _traced_peak(lambda: assemble_bilinear(mesh, PARAMS))
+    reduced, peaks["cold quarter restriction"] = _traced_peak(
+        lambda: basis.restrict_form(form))
+    results = {"cold assembly": form, "warm assembly": form,
+               "cold quarter restriction": reduced}
+    ratios = {stage: peak / results[stage].csr.data.nbytes for stage, peak in peaks.items()}
+    for stage, limit in SETUP_PEAK_LIMITS.items():
+        assert ratios[stage] <= limit, (stage, ratios)
 
 
 def test_mirror_maps_are_built_once_per_shape(cold_cache):
