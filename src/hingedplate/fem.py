@@ -40,6 +40,7 @@ for symmetry throughout the package.  ``mirror_map`` is their one dof map, a
 flip of the dof grid, and ``OrbitBasis`` is generated by them.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,10 +164,10 @@ def _grid_coordinate(u, h, n):
     a node snapped onto it."""
     t = u / h
     node = round(t)
-    if abs(t - node) <= 4 * np.spacing(max(node, 1)):
+    if abs(t - node) <= 4 * math.ulp(max(node, 1)):
         return min(node, n - 1), float(node >= n)
-    e = min(int(np.clip(t, 0, n - 1)), n - 1)
-    return e, float(np.clip((u - e * h) / h, 0.0, 1.0))
+    e = int(min(max(t, 0), n - 1))
+    return e, float(min(max((u - e * h) / h, 0.0), 1.0))
 
 
 @dataclass
@@ -202,19 +203,24 @@ class DofField:
 # Hermite basis
 # ---------------------------------------------------------------------------
 
-def _hermite_1d(t, h):
-    """Cubic Hermite basis on one interval of length h, in local t in [0,1].
-
-    Returns (N, dN, d2N), each of length 4 in the order value-left,
-    slope-left, value-right, slope-right; derivatives are with respect to the
-    physical coordinate and slope dofs represent physical derivatives.
-    """
+def _hermite_values(t, h):
+    """Cubic Hermite basis N on one interval of length h, in local t in [0,1],
+    in the order value-left, slope-left, value-right, slope-right; slope
+    dofs represent physical derivatives."""
     t = LONG(t)
     h = LONG(h)
-    N = np.array([1 - 3 * t ** 2 + 2 * t ** 3,
-                  h * (t - 2 * t ** 2 + t ** 3),
-                  3 * t ** 2 - 2 * t ** 3,
-                  h * (t ** 3 - t ** 2)], dtype=LONG)
+    return np.array([1 - 3 * t ** 2 + 2 * t ** 3,
+                     h * (t - 2 * t ** 2 + t ** 3),
+                     3 * t ** 2 - 2 * t ** 3,
+                     h * (t ** 3 - t ** 2)], dtype=LONG)
+
+
+def _hermite_1d(t, h):
+    """(N, dN, d2N) of ``_hermite_values``, each of length 4; derivatives
+    are with respect to the physical coordinate."""
+    N = _hermite_values(t, h)
+    t = LONG(t)
+    h = LONG(h)
     dN = np.array([-6 * t + 6 * t ** 2,
                    h * (1 - 4 * t + 3 * t ** 2),
                    6 * t - 6 * t ** 2,
@@ -238,10 +244,10 @@ def _local_rows(tx, ty, hx, hy, derivatives=False):
     Returns B (values) or (B, Bx, By, Bxx, Byy, Bxy) with physical
     derivatives when ``derivatives`` is set.
     """
+    if not derivatives:
+        return _hermite_values(tx, hx)[_PX] * _hermite_values(ty, hy)[_PY]
     Nx, dNx, d2Nx = (f[_PX] for f in _hermite_1d(tx, hx))
     Ny, dNy, d2Ny = (f[_PY] for f in _hermite_1d(ty, hy))
-    if not derivatives:
-        return Nx * Ny
     return Nx * Ny, dNx * Ny, Nx * dNy, d2Nx * Ny, Nx * d2Ny, dNx * dNy
 
 

@@ -29,6 +29,7 @@ from .series import (ObstacleSpec, ScanWindow, _sine_series, antisym_solution,
                      gap_threshold_M, phi_m)
 from .solver import (BoxConstraints, PlateOperator, SolverError, mirror_solution,
                      mirror_symmetries, solve_obstacle)
+from .summation import quadrature_sum
 
 __all__ = [
     "GapProfile",
@@ -600,6 +601,8 @@ def edge_gap_series_scan(state, window=None, nxi=33, neta=9, n_abscissae=65):
 
 #: Gauss-Legendre points per element row in ``placement_bound_report``
 PLACEMENT_QUAD_POINTS = 8
+_PLACEMENT_NODES, _PLACEMENT_WEIGHTS = np.polynomial.legendre.leggauss(
+    PLACEMENT_QUAD_POINTS)
 
 
 def placement_bound_report(mask, state, mesh):
@@ -624,7 +627,6 @@ def placement_bound_report(mask, state, mesh):
                          f"{params.half_width!r}")
     mask.check_shape(mesh)
     xs, ys = mesh.xs, mesh.ys
-    gauss_t, gauss_w = np.polynomial.legendre.leggauss(PLACEMENT_QUAD_POINTS)
     mid = 0.5 * (ys[:-1] + ys[1:])
     half = 0.5 * (ys[1:] - ys[:-1])
     w_elem = mask.weights  # (ny, nx)
@@ -635,8 +637,10 @@ def placement_bound_report(mask, state, mesh):
         # exact column integrals of sin(m xi)
         sx = (np.cos(mc * xs[:-1]) - np.cos(mc * xs[1:])) / mc
         # Gauss ordinate integrals of the coefficient, per node y, per row
-        q = half * sum(w * phi_m(ys[:, None], mid + half * t, mc[:, None], params)
-                       for t, w in zip(gauss_t, gauss_w))
+        q = half * quadrature_sum(
+            lambda t: phi_m(ys[:, None], mid + half * t, mc[:, None], params),
+            _PLACEMENT_NODES.reshape(-1, 1, 1, 1), _PLACEMENT_WEIGHTS,
+            mc.size * ys.size * mid.size)
         ws = sx @ w_elem.T                    # weighted column sums per row
         return np.einsum("kij,kj->ki", q, ws)
 

@@ -20,6 +20,14 @@ through one helper, ``_sine_series``, on a leading Fourier-index axis that
 operations inside the coefficient and the denominator.  The point-pair
 solution broadcasts over arrays of load sites as well as of points.
 
+A coefficient that integrates ``phi_m`` over the ordinate (the uniform-load
+profile here, the placement bound of ``optimize``) passes its Gauss-Legendre
+nodes through ``phi_m`` on a quadrature axis ahead of the index axis, in
+groups that hold at most ``summation.SERIES_CHUNK`` values unless one node's
+values exceed it (``summation.quadrature_sum``).  The weighted rows
+accumulate in node order from 0, as a per-node loop adds them, so every
+term keeps its bits.
+
 All hyperbolic factors are evaluated in exponentially rescaled form so that
 coefficients stay finite for arbitrarily large Fourier index (raw sinh/cosh
 overflow once m*l exceeds ~350).
@@ -30,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import MaterialParams
-from .summation import series_sum
+from .summation import quadrature_sum, series_sum
 
 __all__ = [
     "SeriesState",
@@ -97,19 +105,23 @@ def phi_m(y, eta, m, params):
     sgn_r = np.sign(r)
 
     # cosh/sinh products scaled by exp(-(|r|+s))
-    cc = (1.0 + e2r) * (1.0 + e2s) / 4.0
-    cs = (1.0 + e2r) * (1.0 - e2s) / 4.0
-    sc = sgn_r * (1.0 - e2r) * (1.0 + e2s) / 4.0
-    ss = sgn_r * (1.0 - e2r) * (1.0 - e2s) / 4.0
+    ch_r, sh_r = 1.0 + e2r, sgn_r * (1.0 - e2r)
+    ch_s, sh_s = 1.0 + e2s, 1.0 - e2s
+    cc = ch_r * ch_s / 4.0
+    cs = ch_r * sh_s / 4.0
+    sc = sh_r * ch_s / 4.0
+    ss = sh_r * sh_s / 4.0
 
     a1 = 4.0 / (1.0 - sig) - s * (1.0 + sig)
     a2 = (1.0 + sig) ** 2 / (1.0 - sig) + 2.0 * s
     b1 = 2.0 + (1.0 - sig) * s
     b2 = -(1.0 + sig) + s * (1.0 - sig)
-    zeta = a1 * cc + a2 * cs - 2.0 * r * sc + r * (1.0 + sig) * ss
-    theta = r * (1.0 + sig) * cc - 2.0 * r * cs + a2 * sc + a1 * ss
-    psi = b1 * cc + b2 * cs - r * (1.0 - sig) * sc - r * (1.0 - sig) * ss
-    omega = -r * (1.0 - sig) * cc - r * (1.0 - sig) * cs + b2 * sc + b1 * ss
+    # shared products, each rounded once; -rm equals (-r) * (1 - sig) exactly
+    r2, rp, rm = 2.0 * r, r * (1.0 + sig), r * (1.0 - sig)
+    zeta = a1 * cc + a2 * cs - r2 * sc + rp * ss
+    theta = rp * cc - r2 * cs + a2 * sc + a1 * ss
+    psi = b1 * cc + b2 * cs - rm * sc - rm * ss
+    omega = -rm * cc - rm * cs + b2 * sc + b1 * ss
 
     # F, Fbar scaled by exp(-2s)
     fbase = (3.0 + sig) * (1.0 - e2s * e2s) / 4.0
@@ -259,6 +271,7 @@ def antisym_solution(p, q, state):
 
 #: Gauss-Legendre points of the ordinate integral in ``uniform_load_profile``
 PROFILE_QUAD_POINTS = 32
+_PROFILE_NODES, _PROFILE_WEIGHTS = np.polynomial.legendre.leggauss(PROFILE_QUAD_POINTS)
 
 
 def uniform_load_profile(q, state):
@@ -266,18 +279,23 @@ def uniform_load_profile(q, state):
 
     The abscissa integral of sin(m xi) over (0, pi) is 2/m for odd m and 0
     otherwise; the ordinate integral of the coefficient uses Gauss-Legendre
-    quadrature.  z is strictly positive away from the short edges.
+    quadrature, whose nodes ride a leading axis through ``phi_m`` in groups
+    (``summation.quadrature_sum``).  z is strictly positive away from the
+    short edges.
     """
     x, y = q
     params = state.params
     l = params.half_width
-    nodes, weights = np.polynomial.legendre.leggauss(PROFILE_QUAD_POINTS)
-    eta_q = nodes * l
-    w_q = weights * l
-    return _sine_series(
-        lambda m: sum(w * phi_m(y, e, m, params) for e, w in zip(eta_q, w_q)),
-        x, lambda m: np.pi * ((m * m) * (m * m)), np.broadcast(x, y).ndim,
-        state.m_max, 2)
+    eta_q = _PROFILE_NODES * l
+    w_q = _PROFILE_WEIGHTS * l
+
+    def coefficient(m):
+        return quadrature_sum(lambda eta: phi_m(y, eta, m, params),
+                              eta_q.reshape((-1,) + (1,) * m.ndim), w_q,
+                              np.broadcast(y, m).size)
+
+    return _sine_series(coefficient, x, lambda m: np.pi * ((m * m) * (m * m)),
+                        np.broadcast(x, y).ndim, state.m_max, 2)
 
 
 def gap_threshold_M(params, m_max=200_000):

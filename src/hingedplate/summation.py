@@ -1,4 +1,5 @@
-"""Accurate summation of long series over the Fourier index.
+"""Accurate summation of long series over the Fourier index, and the
+quadrature sums inside their terms.
 
 Sums with 1e5 terms must stay reproducible to ~1e-9 against arbitrary
 precision oracles; plain float accumulation loses that near the tail.
@@ -11,6 +12,7 @@ import numpy as np
 
 #: Most term values one index block holds, so that no array spans the
 #: whole index range: 4096 indices of a scalar term, fewer of an array term.
+#: It also sizes the node groups of ``quadrature_sum``.
 SERIES_CHUNK = 4096
 
 
@@ -55,3 +57,23 @@ def series_sum(term, m_max, step=1):
     for row in itertools.chain.from_iterable(blocks):
         acc.add(row)
     return acc.value
+
+
+def quadrature_sum(integrand, nodes, weights, size):
+    """Sum of ``weights[k] * integrand(nodes[k])`` over a quadrature rule.
+
+    ``nodes`` holds the rule on its leading axis.  ``integrand`` maps a group
+    of consecutive nodes to their values, one row of ``size`` values per
+    node on the same leading axis.  A group holds ``SERIES_CHUNK // size``
+    nodes (at least one), so no array of the integrand spans more than
+    ``SERIES_CHUNK`` values unless one node's row does.  The products
+    accumulate in node order from 0, as the builtin ``sum`` over the nodes
+    does, so each value rounds as a per-node loop rounds it.
+    """
+    group = max(1, SERIES_CHUNK // size)
+    total = 0
+    for start in range(0, len(nodes), group):
+        rows = integrand(nodes[start:start + group])
+        for w, row in zip(weights[start:start + group], rows):
+            total = total + w * row
+    return total

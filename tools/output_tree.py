@@ -43,6 +43,8 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
 * one 128x32 ``vi-solve`` of the unit load under a full-plate upper
   obstacle at 0.15 z_max: 103 active-set iterations end with 247 contacts,
   so a large contact set on the refined mesh is covered;
+* one 16x4 uniform-profile ``green-eval`` at the four corners and the two
+  long-edge midpoints, so that the ordinate quadrature runs at |y| = l;
 * one 8x2 ``vi-solve`` of a point mass of weight 1e307 under a full-plate
   box of +-1e308: its field overflows to NaN, which no certificate may
   pass, so the tree holds an exit-3 ``summary.json`` with its error;
@@ -51,7 +53,7 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
   file.
 
 Each op writes to ``OUT_DIR/<workload>/<label>/``; ``OUT_DIR/exit_codes.txt``
-lists the exit code of every op: 30 ops exit 0, two exit 2 and two exit 3.  Output directories are relative to
+lists the exit code of every op: 31 ops exit 0, two exit 2 and two exit 3.  Output directories are relative to
 ``OUT_DIR``, so the embedded configs do not depend on where the tree lives.
 Two trees from identical sources must not differ (``diff -r``).
 """
@@ -130,6 +132,9 @@ def extra_ops(wl):
         ("gap-scan-one-eta-row", wl.config("gap-scan", {
             "force_class": {"nxi": 5, "neta": 1}}, mesh=(16, 4))),
         ("vi-solve-full-plate-128x32", wl.contact_config((128, 32), 0.15)[0]),
+        ("green-eval-uniform-edges", wl.config("green-eval", {
+            "points": [[x, y] for y in (-wl.HALF_WIDTH, wl.HALF_WIDTH)
+                       for x in (0.0, math.pi / 2, math.pi)]}, mesh=(16, 4))),
         ("vi-solve-nan-field", wl.config("vi-solve", {
             "load": {"point_masses": [[1.0, 0.0, 1e307]]},
             "obstacles": {"kind": "bounds", "lower": -1e308, "upper": 1e308,
