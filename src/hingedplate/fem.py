@@ -13,7 +13,7 @@ Element matrices and load vectors are accumulated in extended precision:
 the fourth-order operator's conditioning (~h^-4) otherwise drowns the
 fine-mesh discretization error in assembly roundoff.  An assembled operator
 is stored once, as a longdouble CSR matrix; its float64 view for the sparse
-factorization is a cast of that matrix, made once per form.  Loads and
+factorization is a cast of that matrix, made on each use.  Loads and
 stiffness are assembled for the whole mesh at once from one (ny, nx, 16)
 element-dof table, each element weighted by a reinforcement mask's weights
 when one is given.
@@ -21,10 +21,12 @@ when one is given.
 What depends on a mesh's shape alone is planned once per shape and kept,
 read-only, for the ``PLAN_CACHE_SIZE`` shapes used most recently: the
 ``SumPlan`` that sums the stiffness triplets (their stable sort, the runs
-of equal (row, col) and the CSR pattern), one ``SumPlan`` per mirror group
-for ``OrbitBasis.restrict_form``, and the eight ``mirror_map``s.  Every
-form of a planned shape is then a gather and an ``np.add.reduceat``, in the
-order the sort gives, so its values are those of the sort itself.
+of equal (row, col) and the CSR pattern) and the eight ``mirror_map``s.
+A ``SumPlan`` keeps the plans of ``OrbitBasis.restrict_form`` on its own
+pattern, one per mirror group, so the stiffness plan holds those of its
+shape.  Every form of a planned shape is then a gather and an
+``np.add.reduceat``, in the order the sort gives, so its values are those
+of the sort itself.
 
 That numeric pass streams, in blocks of whole runs, into one preallocated
 data array, and the plans hold narrow indices: the stiffness plan an int32
@@ -76,7 +78,7 @@ class Mesh:
     def __post_init__(self):
         if self.nx < 4 or self.ny < 2:
             raise ValueError(f"mesh must be at least 4x2 elements, got {self.nx}x{self.ny}")
-        if self.half_width <= 0.0:
+        if not self.half_width > 0.0:  # NaN too
             raise ValueError("half_width must be positive")
 
     @property
@@ -238,17 +240,9 @@ _PX = np.array([0, 1, 0, 1, 2, 3, 2, 3, 0, 1, 0, 1, 2, 3, 2, 3])
 _PY = np.array([0, 0, 1, 1, 0, 0, 1, 1, 2, 2, 3, 3, 2, 2, 3, 3])
 
 
-def _local_rows(tx, ty, hx, hy, derivatives=False):
-    """Rows of the 16 element basis functions at local point (tx, ty).
-
-    Returns B (values) or (B, Bx, By, Bxx, Byy, Bxy) with physical
-    derivatives when ``derivatives`` is set.
-    """
-    if not derivatives:
-        return _hermite_values(tx, hx)[_PX] * _hermite_values(ty, hy)[_PY]
-    Nx, dNx, d2Nx = (f[_PX] for f in _hermite_1d(tx, hx))
-    Ny, dNy, d2Ny = (f[_PY] for f in _hermite_1d(ty, hy))
-    return Nx * Ny, dNx * Ny, Nx * dNy, d2Nx * Ny, Nx * d2Ny, dNx * dNy
+def _local_rows(tx, ty, hx, hy):
+    """Values of the 16 element basis functions at local point (tx, ty)."""
+    return _hermite_values(tx, hx)[_PX] * _hermite_values(ty, hy)[_PY]
 
 
 _ELEMENT_CACHE = {}
@@ -268,8 +262,10 @@ def element_stiffness(hx, hy, sigma):
     sigma = LONG(sigma)
     K = np.zeros((16, 16), dtype=LONG)
     for tx, wx in zip(tq, wq):
+        Nx, dNx, d2Nx = (f[_PX] for f in _hermite_1d(tx, hx))
         for ty, wy in zip(tq, wq):
-            _, _, _, Bxx, Byy, Bxy = _local_rows(tx, ty, hx, hy, derivatives=True)
+            Ny, dNy, d2Ny = (f[_PY] for f in _hermite_1d(ty, hy))
+            Bxx, Byy, Bxy = d2Nx * Ny, Nx * d2Ny, dNx * dNy
             lap = Bxx + Byy
             w = wx * wy * LONG(hx) * LONG(hy)
             K += w * (np.outer(lap, lap)
@@ -399,7 +395,6 @@ class AssembledForm:
     def __init__(self, csr, pattern):
         self.csr = csr
         self.pattern = pattern
-        self._matrix = None
 
     @classmethod
     def from_triplets(cls, shape, rows, cols, vals):
@@ -409,13 +404,11 @@ class AssembledForm:
 
     @property
     def matrix(self):
-        """float64 CSR cast of the operator, made on first use and kept; its
-        values are read-only and it shares the form's pattern."""
-        if self._matrix is None:
-            csr = self.csr
-            self._matrix = sp.csr_matrix((_frozen(csr.data.astype(float)), csr.indices,
-                                          csr.indptr), shape=csr.shape)
-        return self._matrix
+        """float64 CSR cast of the operator, made anew on each use and not
+        kept; its values are read-only and it shares the form's pattern."""
+        csr = self.csr
+        return sp.csr_matrix((_frozen(csr.data.astype(float)), csr.indices, csr.indptr),
+                             shape=csr.shape)
 
     def matvec_extended(self, x):
         """Operator application in longdouble.
@@ -458,7 +451,10 @@ class SumPlan:
     dropped once used.  ``indices`` and ``indptr`` are the pattern of the
     sum, in the index dtype scipy keeps, so every form the plan builds
     shares them.  The numeric half is ``form``; the module docstring gives
-    the set-up memory of both halves at 128x32.
+    the set-up memory of both halves at 128x32.  ``restrictions`` maps a
+    mirror group to the plan of ``R' K R`` on this pattern
+    (``OrbitBasis.restrict_form``), built on first use and kept as long as
+    the plan.
     """
 
     def __init__(self, shape, rows, cols, take=None):
@@ -489,6 +485,7 @@ class SumPlan:
         self.starts = _frozen(starts)
         self.indices = _frozen(pattern.indices)
         self.indptr = _frozen(pattern.indptr)
+        self.restrictions = {}
 
     def form(self, *sources):
         """The AssembledForm of ``sources``, one per ``take`` array from the
@@ -526,13 +523,12 @@ _PLAN_CACHE = {}
 class _ShapePlans:
     """Everything of a mesh's operators that depends on its shape alone,
     each part built on first use: the ``SumPlan`` of the stiffness triplets,
-    one ``SumPlan`` of ``R' K R`` per mirror group, and the ``mirror_map``
-    of each mirror.  At 128x32 the stiffness plan holds 10.1 MB and the
-    quarter plate's ``R' K R`` plan 4.1 MB."""
+    which keeps the ``R' K R`` plan of each mirror group on its pattern, and
+    the ``mirror_map`` of each mirror.  At 128x32 the stiffness plan holds
+    10.1 MB and the quarter plate's ``R' K R`` plan 4.1 MB."""
 
     def __init__(self):
         self.bilinear = None
-        self.restrictions = {}
         self.mirrors = {}
 
 
@@ -764,15 +760,12 @@ class OrbitBasis:
 
         The form's entries whose sign product is not zero are gathered,
         signed (a uint8 index into ``_SIGNS`` per triplet) and summed by a
-        ``SumPlan`` built on the form's pattern from int8 sign products: once
-        per mesh shape and group for a form of ``assemble_bilinear``, whose
-        pattern is its shape's, and kept with that shape's plans
-        (``_shape_plans``, the PLAN_CACHE_SIZE shapes used most recently);
-        else anew for each call."""
-        plans = _shape_plans(self.mesh)
-        shared = form.pattern is plans.bilinear
-        plan = plans.restrictions.get(self.group) if shared else None
-        if plan is None:
+        ``SumPlan`` built from int8 sign products once per pattern and group
+        and kept on the form's pattern (``SumPlan.restrictions``): the
+        stiffness plan of a form of ``assemble_bilinear`` lives with its
+        shape's plans (``_shape_plans``), and so do its restrictions."""
+        plans = form.pattern.restrictions
+        if self.group not in plans:
             csr = form.csr
             sign = self.sign.astype(np.int8)
             coordinate = self.coordinate.astype(_index_dtype(self.n_dofs))
@@ -785,10 +778,9 @@ class OrbitBasis:
             cols = coordinate[csr.indices[kept]]
             negated = (s[kept] < 0).view(np.uint8)
             del s
-            plan = SumPlan((self.n_dofs, self.n_dofs), rows, cols, (kept, negated))
-            if shared:
-                plans.restrictions[self.group] = plan
-        return plan.form(form.csr.data, _SIGNS)
+            plans[self.group] = SumPlan((self.n_dofs, self.n_dofs), rows, cols,
+                                        (kept, negated))
+        return plans[self.group].form(form.csr.data, _SIGNS)
 
 
 def symmetry_decompose(field):

@@ -76,6 +76,13 @@ def aux_pair(z, params):
     return base - z * (1.0 - s), base + z * (1.0 - s)
 
 
+def _scaled_aux_pair(s, e2s, sigma):
+    """(F, Fbar) of ``aux_pair`` at z = s, both scaled by exp(-2s), given
+    ``e2s`` = exp(-2s): finite for every s."""
+    fbase = (3.0 + sigma) * (1.0 - e2s * e2s) / 4.0
+    return fbase - s * (1.0 - sigma) * e2s, fbase + s * (1.0 - sigma) * e2s
+
+
 def phi_m(y, eta, m, params):
     """Series coefficient c_m(y, eta) of the point-load expansion.
 
@@ -123,10 +130,7 @@ def phi_m(y, eta, m, params):
     psi = b1 * cc + b2 * cs - rm * sc - rm * ss
     omega = -rm * cc - rm * cs + b2 * sc + b1 * ss
 
-    # F, Fbar scaled by exp(-2s)
-    fbase = (3.0 + sig) * (1.0 - e2s * e2s) / 4.0
-    f_sc = fbase - s * (1.0 - sig) * e2s
-    fb_sc = fbase + s * (1.0 - sig) * e2s
+    f_sc, fb_sc = _scaled_aux_pair(s, e2s, sig)
 
     ch_t = (1.0 + e2t) / 2.0       # cosh(t) * exp(-|t|)
     sh_t = np.sign(t) * (1.0 - e2t) / 2.0
@@ -316,7 +320,8 @@ def gap_threshold_M(params, m_max=200_000):
         s = m * l
         e2s = np.exp(-2.0 * s)
         num = (1.0 - e2s) ** 2 / 4.0               # sinh(s)^2 * exp(-2s)
-        den = (3.0 + sig) * (1.0 - e2s * e2s) / 2.0 + 2.0 * s * (1.0 - sig) * e2s
+        # the bracket is 2 Fbar; doubling is exact, so each term keeps its bits
+        den = 2.0 * _scaled_aux_pair(s, e2s, sig)[1]
         return num / (m * m * m * (1.0 - sig) * den)
 
     value = 4.0 / np.pi * series_sum(term, m_max, 2)

@@ -132,7 +132,8 @@ class BoxConstraints:
         m = self.node_mask
         if self.lower.shape != m.shape or self.upper.shape != m.shape:
             raise ValueError("bounds must align with the node mask")
-        if np.any(self.lower[m] > 0.0) or np.any(self.upper[m] < 0.0):
+        # negated, so that a NaN bound fails too
+        if not (np.all(self.lower[m] <= 0.0) and np.all(self.upper[m] >= 0.0)):
             raise ValueError("obstacles must satisfy lower <= 0 <= upper")
 
     @classmethod
@@ -397,9 +398,6 @@ def _mirror_group(operator, rhs, constraints, flips):
 def _active_set(operator, rhs, constraints):
     """The active set iteration of ``solve_obstacle`` on ``operator``."""
     dofs, lo, hi = _box_dof_arrays(operator, constraints)
-    if np.any(lo > hi):
-        raise ValueError("infeasible box: lower bound above upper bound")
-
     pinned_eq = lo == hi  # degenerate boxes pin the dof for good
     # contact side of each box dof: -1 lower, +1 upper, 0 none
     side = -pinned_eq.astype(np.int8)

@@ -35,6 +35,13 @@ X_MIRROR, Y_MIRROR = (True, False, 1), (False, True, 1)
 
 
 class TestMesh:
+    @pytest.mark.parametrize("half_width", [0.0, -0.1, float("nan")])
+    def test_half_width_must_be_positive(self, half_width):
+        """A NaN half-width fails ``<= 0`` too; unrejected, its first build
+        reported an overflowing operator."""
+        with pytest.raises(ValueError, match="half_width must be positive"):
+            Mesh(8, 2, half_width)
+
     def test_invariants(self, params):
         with pytest.raises(ValueError):
             Mesh(2, 4, params.half_width)
@@ -603,6 +610,25 @@ def _local_rows_reference(tx, ty, hx, hy):
     return rows
 
 
+def _element_stiffness_reference(hx, hy, sigma):
+    """The element matrix summed over 4x4 Gauss points from the loop's
+    second-derivative rows, in the order of operations of
+    ``element_stiffness``."""
+    tq = (_GAUSS_PTS.astype(LONG) + 1) / 2
+    wq = _GAUSS_WTS.astype(LONG) / 2
+    sigma = LONG(sigma)
+    K = np.zeros((16, 16), dtype=LONG)
+    for tx, wx in zip(tq, wq):
+        for ty, wy in zip(tq, wq):
+            Bxx, Byy, Bxy = _local_rows_reference(tx, ty, hx, hy)[3:]
+            lap = Bxx + Byy
+            w = wx * wy * LONG(hx) * LONG(hy)
+            K += w * (np.outer(lap, lap)
+                      + (1 - sigma) * (2 * np.outer(Bxy, Bxy)
+                                       - np.outer(Bxx, Byy) - np.outer(Byy, Bxx)))
+    return K
+
+
 @pytest.mark.parametrize("tx, ty, hx, hy", [
     (0.0, 0.0, np.pi / 16, 0.05),
     (1.0, 1.0, np.pi / 64, 2 * np.pi / 150 / 16),
@@ -611,13 +637,13 @@ def _local_rows_reference(tx, ty, hx, hy):
     (0.1234567, 0.987654321, 0.4, 0.003),
 ])
 def test_local_rows_match_the_loop_bit_for_bit(tx, ty, hx, hy):
+    """The value rows at (tx, ty), and the element matrix, the one consumer
+    of the derivative rows, equal the loop's bit for bit."""
     expected = _local_rows_reference(tx, ty, hx, hy)
     values = _local_rows(tx, ty, hx, hy)
     assert values.dtype == LONG and np.array_equal(values, expected[0])
-    rows = _local_rows(tx, ty, hx, hy, derivatives=True)
-    assert len(rows) == 6
-    for got, want in zip(rows, expected):
-        assert got.dtype == LONG and np.array_equal(got, want)
+    got = element_stiffness(hx, hy, 0.2)
+    assert got.dtype == LONG and np.array_equal(got, _element_stiffness_reference(hx, hy, 0.2))
 
 
 class TestPointEval:

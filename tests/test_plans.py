@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hingedplate import fem
 from hingedplate.cli import default_config, run
@@ -13,7 +14,7 @@ from hingedplate.fem import (LONG, AssembledForm, Mesh, OrbitBasis, Reinforcemen
                              assemble_bilinear, element_stiffness, mirror_map)
 from hingedplate.params import MaterialParams
 from hingedplate.series import ObstacleSpec
-from hingedplate.solver import BoxConstraints, PlateOperator, solve_obstacle
+from hingedplate.solver import BoxConstraints, PlateOperator, kkt_report, solve_obstacle
 
 PARAMS = MaterialParams(sigma=0.2, half_width=0.1)
 SHAPES = [(8, 2), (16, 4), (65, 17), (128, 32)]
@@ -82,17 +83,18 @@ def test_planned_forms_equal_the_sort(cold_cache, nx, ny):
         basis = OrbitBasis(mesh, group)
         for form in (base, weighted):
             _assert_same_form(basis.restrict_form(form), _sorted_restriction(basis, form))
-        assert group in plans.restrictions
+        assert group in plans.bilinear.restrictions
 
 
 def test_forms_of_a_foreign_pattern_restrict_unplanned(cold_cache):
-    """A form not built on its mesh's plan is restricted by its own pattern
-    and leaves no restriction plan behind."""
+    """A form not built on its mesh's plan is restricted by its own pattern,
+    which keeps the restriction plan; the shape's plans hold none."""
     mesh = Mesh(8, 2, PARAMS.half_width)
     form = _sorted_bilinear(mesh, np.ones((2, 8)))
     basis = OrbitBasis(mesh, GROUPS[-1])
     _assert_same_form(basis.restrict_form(form), _sorted_restriction(basis, form))
-    assert cold_cache[(8, 2)].restrictions == {}
+    assert list(form.pattern.restrictions) == [GROUPS[-1]]
+    assert cold_cache[(8, 2)].bilinear is None  # only the mirror maps of the basis
 
 
 def _held_arrays(plan):
@@ -108,7 +110,7 @@ def test_plans_are_read_only(cold_cache):
     form = assemble_bilinear(mesh, PARAMS)
     OrbitBasis(mesh, GROUPS[0]).restrict_form(form)
     plans = cold_cache[(16, 4)]
-    arrays = [a for plan in [plans.bilinear, *plans.restrictions.values()]
+    arrays = [a for plan in [plans.bilinear, *plans.bilinear.restrictions.values()]
               for a in _held_arrays(plan)]
     assert len(arrays) >= 2 * 4  # each plan holds a take, starts and its pattern
     arrays += [a for element in fem.MIRRORS for a in mirror_map(mesh, element)]
@@ -190,7 +192,7 @@ def _vi_solve(tmp_path, name, nx, ny):
 
 def test_cold_and_warm_caches_write_the_same_files(cold_cache, tmp_path):
     cold = _vi_solve(tmp_path, "cold", 16, 4)
-    assert cold_cache[(16, 4)].restrictions  # the solve was reduced
+    assert cold_cache[(16, 4)].bilinear.restrictions  # the solve was reduced
     warm = _vi_solve(tmp_path, "warm", 16, 4)
     for k in range(fem.PLAN_CACHE_SIZE):
         _vi_solve(tmp_path, f"other{k}", 8 + 2 * k, 2)
@@ -202,16 +204,25 @@ def test_cold_and_warm_caches_write_the_same_files(cold_cache, tmp_path):
         assert evicted[name] == cold[name].replace(b"/cold", b"/evicted"), name
 
 
+def _float64_arrays(form):
+    """The float64 arrays and matrices a form holds as fields."""
+    return [v for v in vars(form).values()
+            if (isinstance(v, np.ndarray) or sp.issparse(v)) and v.dtype == np.float64]
+
+
 def test_full_operator_of_a_reduced_solve_builds_no_block():
     """Only the reduced operator is factored, so only it builds its scaling,
-    its factor and its pinned columns."""
+    its factor and its pinned columns; no form keeps a float64 copy, even
+    after the solve and its ``kkt_report`` have cast both."""
     mesh = Mesh(16, 4, PARAMS.half_width)
     op = PlateOperator.build(mesh, PARAMS)
     rhs = fem.assemble_load(mesh, fem.LoadSpec(density=1.0))
     box = BoxConstraints.from_obstacle(
         mesh, ObstacleSpec(lower=-1.0, upper=0.002, region="full"))
-    solve_obstacle(op, rhs, box, ((True, False), (False, True)))
+    solution = solve_obstacle(op, rhs, box, ((True, False), (False, True)))
+    kkt_report(solution, op, rhs, box)
     assert op._s is None and op._free_factor is None and not op._columns
     reduced = op.reduced(((True, False, 1), (False, True, 1)))
     assert reduced._s is not None and reduced._columns
+    assert _float64_arrays(op.form) == [] and _float64_arrays(reduced.form) == []
 

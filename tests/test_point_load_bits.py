@@ -1,11 +1,11 @@
 """Point-load location and basis rows against the formulas they replaced.
 
-``Mesh.locate`` snaps with plain float arithmetic and ``_local_rows`` forms
-only the value rows when no derivatives are asked for.  The oracles here
-are the earlier formulas, numpy scalar calls and all three 1-D factors;
-element, local coordinates (``float.hex``) and every extended-precision
-load entry must agree, on random points and on points within a few ulps
-of the grid lines.
+``Mesh.locate`` snaps with plain float arithmetic, ``_local_rows`` forms
+the value rows alone and ``element_stiffness`` forms its derivative rows
+itself.  The oracles here are the earlier formulas, numpy scalar calls and
+all three 1-D factors; element, local coordinates (``float.hex``), every
+extended-precision load entry and the element matrix must agree, on random
+points and on points within a few ulps of the grid lines.
 """
 
 import math
@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from hingedplate import LoadSpec, Mesh, assemble_load
-from hingedplate.fem import LONG, _PX, _PY, _local_rows
+from hingedplate.fem import (LONG, _GAUSS_PTS, _GAUSS_WTS, _PX, _PY, _local_rows,
+                             element_stiffness)
 
 L = 0.1
 MESHES = [Mesh(16, 4, L), Mesh(64, 16, L), Mesh(5, 3, np.pi / 150)]
@@ -100,15 +101,37 @@ def test_locate_and_rows_match_the_old_formulas(mesh):
                      _rows_oracle(tx, ty, mesh.hx, mesh.hy))
 
 
+def _stiffness_oracle(hx, hy, sigma):
+    """The element matrix from the earlier derivative rows, summed over the
+    4x4 Gauss points in the order of operations of ``element_stiffness``."""
+    tq = (_GAUSS_PTS.astype(LONG) + 1) / 2
+    wq = _GAUSS_WTS.astype(LONG) / 2
+    sigma = LONG(sigma)
+    K = np.zeros((16, 16), dtype=LONG)
+    for tx, wx in zip(tq, wq):
+        for ty, wy in zip(tq, wq):
+            Nx, dNx, d2Nx = (f[_PX] for f in _hermite_oracle(tx, hx))
+            Ny, dNy, d2Ny = (f[_PY] for f in _hermite_oracle(ty, hy))
+            Bxx, Byy, Bxy = d2Nx * Ny, Nx * d2Ny, dNx * dNy
+            lap = Bxx + Byy
+            w = wx * wy * LONG(hx) * LONG(hy)
+            K += w * (np.outer(lap, lap)
+                      + (1 - sigma) * (2 * np.outer(Bxy, Bxy)
+                                       - np.outer(Bxx, Byy) - np.outer(Byy, Bxx)))
+    return K
+
+
 @pytest.mark.parametrize("mesh", MESHES)
 def test_derivative_rows_match_the_old_formulas(mesh):
+    """The element matrix, the one consumer of the derivative rows, and the
+    value rows at random and edge points keep the earlier formulas' bits."""
+    for sigma in (0.0, 0.2, 0.3):
+        assert _same(element_stiffness(mesh.hx, mesh.hy, sigma),
+                     _stiffness_oracle(mesh.hx, mesh.hy, sigma))
     rng = np.random.default_rng(1)
     for tx, ty in [(0.0, 1.0), (1.0, 0.0)] + list(rng.uniform(0.0, 1.0, (6, 2))):
-        Nx, dNx, d2Nx = (f[_PX] for f in _hermite_oracle(tx, mesh.hx))
-        Ny, dNy, d2Ny = (f[_PY] for f in _hermite_oracle(ty, mesh.hy))
-        want = (Nx * Ny, dNx * Ny, Nx * dNy, d2Nx * Ny, Nx * d2Ny, dNx * dNy)
-        got = _local_rows(tx, ty, mesh.hx, mesh.hy, derivatives=True)
-        assert len(got) == 6 and all(_same(a, b) for a, b in zip(got, want))
+        assert _same(_local_rows(tx, ty, mesh.hx, mesh.hy),
+                     _rows_oracle(tx, ty, mesh.hx, mesh.hy))
 
 
 @pytest.mark.parametrize("mesh", MESHES)

@@ -184,6 +184,22 @@ class TestSolveObstacle:
         with pytest.raises(ValueError):
             BoxConstraints(mask, np.full(n, -1.0), np.full(n, -0.5))  # upper < 0
 
+    def test_nan_bounds_rejected(self, operator_small, mesh_small):
+        """A NaN bound on a boxed node passes ``lower > 0`` and ``upper < 0``
+        alike; unrejected, a NaN upper bound on the whole plate certified the
+        unconstrained field (sup 1.32) with no contact.  Infinite bounds
+        stay allowed."""
+        n = mesh_small.n_nodes
+        mask = np.ones(n, dtype=bool)
+        for lower, upper in [(-1.0, np.nan), (np.nan, 1.0), (np.nan, np.nan)]:
+            with pytest.raises(ValueError, match="lower <= 0 <= upper"):
+                BoxConstraints(mask, np.full(n, lower), np.full(n, upper))
+        BoxConstraints(~mask, np.full(n, np.nan), np.full(n, np.nan))  # off the mask
+        box = BoxConstraints(mask, np.full(n, -np.inf), np.full(n, np.inf))
+        b = assemble_load(mesh_small, LoadSpec(density=1.0))
+        assert solve_obstacle(operator_small, b, box).field.sup_norm() == pytest.approx(
+            solve_linear(operator_small, b).sup_norm())
+
     @pytest.mark.parametrize("half_width", [0.1, 5e-12])
     def test_long_edges_are_the_outer_node_rows(self, half_width):
         """Long-edge guides box node rows 0 and ny alone.  On a plate of
