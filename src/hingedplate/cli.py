@@ -28,6 +28,7 @@ from .series import (ObstacleSpec, ScanWindow, SeriesState, analytic_bound_C,
                      green_value, uniform_load_profile)
 from .solver import (BoxConstraints, IterationLimitError, PlateOperator,
                      SolverError, solve_linear, solve_obstacle, solution_to_json)
+from .summation import INDEX_LIMIT
 
 SCHEMA_VERSION = 1
 
@@ -126,8 +127,14 @@ def _parse(config):
 
     series = _section(config, "series", _SERIES_KEYS, diags)
     m_max = series.get("m_max")
+    # regime sums its threshold series to index 100 m_max
+    reach = 100 if config.get("problem") == "regime" else 1
     if not _is_int(m_max) or m_max < 1:
         diags.append(f"series m_max must be an integer >= 1: {m_max!r}")
+    elif m_max * reach >= INDEX_LIMIT:
+        diags.append(f"series m_max sums past index 2**26"
+                     f"{' (regime sums to 100 m_max)' if reach > 1 else ''}, "
+                     f"where float index products stop being exact: {m_max!r}")
 
     problem = config.get("problem")
     if problem not in PROBLEMS:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import MaterialParams
-from .summation import quadrature_sum, series_sum
+from .summation import check_m_max, quadrature_sum, series_sum
 
 __all__ = [
     "SeriesState",
@@ -161,8 +161,7 @@ def tail_estimate(m_max, params):
     Every term is dominated by g(l)/(2 pi m^3) (coefficients decrease in m,
     c_1 <= g, |sin| <= 1) and sum_{m > M} m^-3 <= 1/(2 M^2).
     """
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    check_m_max(m_max)
     g_edge = float(envelope_g(params.half_width, params))
     return g_edge / (4.0 * np.pi * m_max ** 2)
 
@@ -216,8 +215,9 @@ class ScanWindow:
         return inside & (near_edge | midline | band)
 
 
-# The sums below get float index blocks: m * m is exact for m < 2**26, so
-# m**3 and m**4 formed as products round once, as integer powers would.
+# The sums below get float index blocks: m * m is exact for m < 2**26
+# (``summation.INDEX_LIMIT``, which ``series_sum`` enforces), so m**3 and
+# m**4 formed as products round once, as integer powers would.
 
 def _sine_series(coefficient, x, denominator, ndim, m_max, step=1):
     """Sum of coefficient(m) * sin(m x) / denominator(m) over the indices.

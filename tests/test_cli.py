@@ -405,6 +405,27 @@ class TestRun:
                             parse_constant=_reject_constant)
         assert stored["error"] == summary["error"] and "result" not in stored
 
+    @pytest.mark.parametrize("problem, params, m_max", [
+        ("green-eval", {"source": [1.0, 0.05], "points": [[1.5, 0.0]]}, 10 ** 400),
+        ("green-eval", {"source": [1.0, 0.05], "points": [[1.5, 0.0]]}, 2 ** 26),
+        ("regime", {"gamma": 0.01, "scan": False}, 671_089),
+    ], ids=["green-eval-10**400", "green-eval-2**26", "regime-100-m_max"])
+    def test_m_max_past_the_index_limit_is_a_diagnostic(self, tmp_path, problem,
+                                                        params, m_max):
+        # 10**400 crashed both commands with an OverflowError and wrote no
+        # summary; 10**20 never finished.  Regime sums to index 100 m_max.
+        cfg = config_for(problem, params, m_max=m_max, outdir=tmp_path / "w")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate", "--config", str(path)]) == 2
+        assert main([problem, "--config", str(path)]) == 2
+        stored = json.loads((tmp_path / "w" / "summary.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert "2**26" in stored["diagnostics"][0]
+        assert stored["config"]["series"]["m_max"] == m_max
+        cfg["series"]["m_max"] = (m_max - 1 if m_max < 10 ** 9 else 2 ** 26 - 1)
+        assert validate(cfg) == []
+
     @pytest.mark.parametrize("section, key, value", [
         ("mesh", "nx", "16"),
         ("material", "sigma", "0.2"),

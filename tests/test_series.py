@@ -390,6 +390,14 @@ class TestStateAndWindow:
         with pytest.raises(ValueError):
             SeriesState(params, m_max=0)
 
+    @pytest.mark.parametrize("m_max", [2.5, 10 ** 400, 2 ** 26, True])
+    def test_series_state_rejects_m_max_past_the_index_limit(self, params, m_max):
+        # 10**400 overflowed in tail_estimate, and 2.5 failed only once a
+        # series was summed; the float index products are exact below 2**26
+        with pytest.raises(ValueError):
+            SeriesState(params, m_max=m_max)
+        assert SeriesState(params, m_max=2 ** 26 - 1).tail_bound > 0.0
+
     def test_material_params_invariants(self):
         with pytest.raises(ValueError):
             MaterialParams(sigma=1.2, half_width=0.1)

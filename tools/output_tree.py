@@ -45,6 +45,12 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
   so a large contact set on the refined mesh is covered;
 * one 16x4 uniform-profile ``green-eval`` at the four corners and the two
   long-edge midpoints, so that the ordinate quadrature runs at |y| = l;
+* one 16x4 ``green-eval`` of a point load at ``m_max`` 10000, at points on
+  x = 0, on x = pi and on the long edges: at x = 0 every term is zero, and
+  at x = pi, sin(m x) leaves tiny terms of alternating sign, so the exact
+  block sum runs its zero, extraction and leftover paths;
+* one 16x4 ``green-eval`` at ``m_max`` 2**26, the first value past the
+  index limit: a third exit-2 ``summary.json`` with its diagnostic;
 * one 8x2 ``vi-solve`` of a point mass of weight 1e307 under a full-plate
   box of +-1e308: its field overflows to NaN, which no certificate may
   pass, so the tree holds an exit-3 ``summary.json`` with its error;
@@ -53,8 +59,9 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
   file.
 
 Each op writes to ``OUT_DIR/<workload>/<label>/``; ``OUT_DIR/exit_codes.txt``
-lists the exit code of every op: 31 ops exit 0, two exit 2 and two exit 3.  Output directories are relative to
-``OUT_DIR``, so the embedded configs do not depend on where the tree lives.
+lists the exit code of every op: 32 ops exit 0, three exit 2 and two exit
+3.  Output directories are relative to ``OUT_DIR``, so the embedded configs
+do not depend on where the tree lives.
 Two trees from identical sources must not differ (``diff -r``).
 """
 
@@ -135,6 +142,14 @@ def extra_ops(wl):
         ("green-eval-uniform-edges", wl.config("green-eval", {
             "points": [[x, y] for y in (-wl.HALF_WIDTH, wl.HALF_WIDTH)
                        for x in (0.0, math.pi / 2, math.pi)]}, mesh=(16, 4))),
+        ("green-eval-edges-m-max-1e4", wl.config("green-eval", {
+            "source": [1.1, 0.03],
+            "points": [[0.0, 0.0], [0.0, wl.HALF_WIDTH], [math.pi, 0.0],
+                       [math.pi, -wl.HALF_WIDTH], [1.3, -wl.HALF_WIDTH],
+                       [1.3, wl.HALF_WIDTH]]}, mesh=(16, 4), m_max=10_000)),
+        ("green-eval-m-max-ceiling", wl.config("green-eval", {
+            "source": [1.1, 0.03], "points": [[1.3, 0.0]]},
+            mesh=(16, 4), m_max=2 ** 26)),
         ("vi-solve-nan-field", wl.config("vi-solve", {
             "load": {"point_masses": [[1.0, 0.0, 1e307]]},
             "obstacles": {"kind": "bounds", "lower": -1e308, "upper": 1e308,
