@@ -24,8 +24,8 @@ from .optimize import (ForceClass, ObstacleFamily, ReinforcementFamily,
                        _cell_density, best_obstacle, best_reinforcement,
                        classify_regime, gap_profile, worst_gap_force)
 from .params import MaterialParams
-from .series import (ObstacleSpec, ScanWindow, SeriesState, analytic_bound_C,
-                     green_value, uniform_load_profile)
+from .series import (ObstacleSpec, ScanWindow, SeriesState, green_value,
+                     uniform_load_profile)
 from .solver import (BoxConstraints, IterationLimitError, PlateOperator,
                      SolverError, solve_linear, solve_obstacle, solution_to_json)
 from .summation import INDEX_LIMIT
@@ -432,9 +432,8 @@ def _read_vi_solve(p, ctx):
 
 def _read_gap_scan(p, ctx):
     params = ctx["params"]
-    level = 2.0 * analytic_bound_C(params)  # beyond reach: contact-free
     obstacle = (_build_obstacle(p["obstacles"]) if "obstacles" in p
-                else ObstacleSpec.constant_level(level, region="long_edges"))
+                else BoxConstraints.unbounded(ctx["mesh"]))
     forces = _build_forces(p.get("force_class", {}), params)
 
     def run(outdir):

@@ -42,6 +42,7 @@ for symmetry throughout the package.  ``mirror_map`` is their one dof map, a
 flip of the dof grid, and ``OrbitBasis`` is generated by them.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -117,6 +118,11 @@ class Mesh:
         """(x, y) arrays of all nodes in flat node order."""
         X, Y = np.meshgrid(self.xs, self.ys)
         return X.ravel(), Y.ravel()
+
+    def element_centers(self):
+        """(ny, nx) arrays X, Y of the element centers, indexed [ej, ei]."""
+        return np.meshgrid((np.arange(self.nx) + 0.5) * self.hx,
+                           -self.half_width + (np.arange(self.ny) + 0.5) * self.hy)
 
     def contains(self, x, y):
         """Whether (x, y) lies on the closed plate, up to rounding: x within
@@ -245,18 +251,13 @@ def _local_rows(tx, ty, hx, hy):
     return _hermite_values(tx, hx)[_PX] * _hermite_values(ty, hy)[_PY]
 
 
-_ELEMENT_CACHE = {}
-
-
+@functools.cache
 def element_stiffness(hx, hy, sigma):
     """16x16 element matrix of the energy inner product (extended precision).
 
     4x4 Gauss is exact here: the integrand is polynomial of degree at most
     six per direction.
     """
-    key = (float(hx), float(hy), float(sigma))
-    if key in _ELEMENT_CACHE:
-        return _ELEMENT_CACHE[key]
     tq = (_GAUSS_PTS.astype(LONG) + 1) / 2
     wq = _GAUSS_WTS.astype(LONG) / 2
     sigma = LONG(sigma)
@@ -271,7 +272,6 @@ def element_stiffness(hx, hy, sigma):
             K += w * (np.outer(lap, lap)
                       + (1 - sigma) * (2 * np.outer(Bxy, Bxy)
                                        - np.outer(Bxx, Byy) - np.outer(Byy, Bxx)))
-    _ELEMENT_CACHE[key] = K
     return K
 
 
@@ -374,10 +374,7 @@ class ReinforcementMask:
     @classmethod
     def from_indicator(cls, mesh, indicator, alpha, beta):
         """Rasterize a region indicator (x, y) -> bool by element centers."""
-        xc = (np.arange(mesh.nx) + 0.5) * mesh.hx
-        yc = -mesh.half_width + (np.arange(mesh.ny) + 0.5) * mesh.hy
-        X, Y = np.meshgrid(xc, yc)
-        return cls(indicator(X, Y), alpha, beta)
+        return cls(indicator(*mesh.element_centers()), alpha, beta)
 
 
 # ---------------------------------------------------------------------------

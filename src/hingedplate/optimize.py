@@ -254,8 +254,10 @@ class ReinforcementFamily:
     with strip centers on a per-axis lattice and center separations above
     one strip width.  ``tiles`` layouts are N disjoint axis-aligned
     rectangles of a fixed size (inradius at least eps) placed on a lattice.
-    Candidates violating the area balance by more than the rasterization
-    granularity are dropped; a family whose candidates all violate it is an error.
+    ``candidates`` rasterizes each layout at element centres: an element is
+    in D when its centre lies inside a strip or tile.  Candidates violating
+    the area balance by more than the rasterization granularity are dropped;
+    a family whose candidates all violate it is an error.
     """
 
     kind: str
@@ -287,17 +289,19 @@ class ReinforcementFamily:
                              f"layouts: centers_per_axis {c}, {counts}")
 
     def candidates(self, mesh):
+        X, Y = mesh.element_centers()
         # the area tolerance is the rasterization granularity: a strip snaps
         # by whole columns/rows
         if self.kind == "cross":
-            masks = self._cross_candidates(mesh)
+            rasters = self._cross_rasters(X, Y, mesh.half_width)
             tol = 0.5 * (self.n_xstrips * mesh.ny + self.n_ystrips * mesh.nx)
         else:
-            masks = self._tile_candidates(mesh)
+            rasters = self._tile_rasters(X, Y, mesh.half_width)
             w, h = self.tile_size
             tol = 0.5 * self.n_tiles * (w / mesh.hx + h / mesh.hy)
         feasible = []
-        for m in masks:
+        for r in rasters:
+            m = ReinforcementMask(r, self.alpha, self.beta)
             try:
                 m.validate(mesh, tol_elements=max(1.0, tol))
             except ValueError:
@@ -309,8 +313,7 @@ class ReinforcementFamily:
                 "|D| = |Omega|(1-alpha)/(beta-alpha) at element resolution")
         return feasible
 
-    def _cross_candidates(self, mesh):
-        l = mesh.half_width
+    def _cross_rasters(self, X, Y, l):
         n, m = self.n_xstrips, self.n_ystrips
         if not (0 <= n <= 2 and 0 <= m <= 2 and n + m > 0):
             raise ValueError("cross families support up to two strips per axis")
@@ -321,44 +324,24 @@ class ReinforcementFamily:
         xc = np.linspace(self.mu, np.pi - self.mu, self.centers_per_axis)
         yc = np.linspace(-l + self.eps, l - self.eps, self.centers_per_axis)
         x_sets = [c for c in itertools.combinations(xc, n)
-                  if all(b - a > 2 * self.mu for a, b in zip(c, c[1:]))] if n else [()]
+                  if all(b - a > 2 * self.mu for a, b in zip(c, c[1:]))]
         y_sets = [c for c in itertools.combinations(yc, m)
-                  if all(b - a > 2 * self.eps for a, b in zip(c, c[1:]))] if m else [()]
-        out = []
-        for xs in x_sets:
-            for ys in y_sets:
-                def indicator(X, Y, xs=xs, ys=ys):
-                    hit = np.zeros(X.shape, dtype=bool)
-                    for x0 in xs:
-                        hit |= np.abs(X - x0) < self.mu
-                    for y0 in ys:
-                        hit |= np.abs(Y - y0) < self.eps
-                    return hit
-                out.append(ReinforcementMask.from_indicator(
-                    mesh, indicator, self.alpha, self.beta))
-        return out
+                  if all(b - a > 2 * self.eps for a, b in zip(c, c[1:]))]
+        return [np.any([np.abs(X - x0) < self.mu for x0 in xs]
+                       + [np.abs(Y - y0) < self.eps for y0 in ys], axis=0)
+                for xs in x_sets for ys in y_sets]
 
-    def _tile_candidates(self, mesh):
-        l = mesh.half_width
+    def _tile_rasters(self, X, Y, l):
         w, h = self.tile_size
         if min(w, h) / 2.0 < self.eps:
             raise ValueError(f"tile inradius {min(w, h) / 2} below eps={self.eps}")
         x0s = np.linspace(0.0, np.pi - w, self.centers_per_axis)
         y0s = np.linspace(-l, l - h, max(2, self.centers_per_axis // 2))
         spots = [(x0, y0) for x0 in x0s for y0 in y0s]
-        out = []
-        for combo in itertools.combinations(range(len(spots)), self.n_tiles):
-            rects = [spots[i] for i in combo]
-            if _tiles_overlap(rects, w, h):
-                continue
-            def indicator(X, Y, rects=rects):
-                hit = np.zeros(X.shape, dtype=bool)
-                for (x0, y0) in rects:
-                    hit |= (X > x0) & (X < x0 + w) & (Y > y0) & (Y < y0 + h)
-                return hit
-            out.append(ReinforcementMask.from_indicator(
-                mesh, indicator, self.alpha, self.beta))
-        return out
+        return [np.any([(X > x0) & (X < x0 + w) & (Y > y0) & (Y < y0 + h)
+                        for (x0, y0) in rects], axis=0)
+                for rects in itertools.combinations(spots, self.n_tiles)
+                if not _tiles_overlap(rects, w, h)]
 
 
 def _choose(n, k):

@@ -15,6 +15,7 @@ from hingedplate.cli import (default_config, load_config, main, merge_config,
 from hingedplate.fem import LoadSpec, Mesh, assemble_bilinear, assemble_load
 from hingedplate.optimize import ForceClass, ReinforcementFamily
 from hingedplate.params import MaterialParams
+from hingedplate.series import analytic_bound_C
 
 #: the one-axis elements of MIRRORS that generate an orbit basis
 X_PLUS, X_MINUS = (True, False, 1), (True, False, -1)
@@ -762,6 +763,25 @@ class TestRun:
         assert code == 2
         assert summary["diagnostics"] == [expected]
 
+    @pytest.mark.parametrize("family, expected", [
+        ({"kind": "cross", "mu": 0.2, "n_xstrips": 3},
+         "cross families support up to two strips per axis"),
+        ({"kind": "cross", "mu": 2.0},
+         "strip half-width mu=2.0 outside (0, pi/2N)"),
+        ({"kind": "cross", "mu": 0.2, "n_xstrips": 0, "n_ystrips": 1, "eps": 0.2},
+         "strip half-width eps=0.2 outside (0, l/M)"),
+        ({"kind": "tiles", "tile_size": [0.5, 0.05], "eps": 0.03},
+         "tile inradius 0.025 below eps=0.03"),
+    ], ids=["three-strips", "mu-range", "eps-range", "tile-inradius"])
+    def test_family_ranges_are_diagnostics(self, tmp_path, family, expected):
+        # raised while the layouts are built, before anything is solved
+        cfg = config_for("optimize-reinforcement",
+                         {"alpha": 0.5, "beta": 2.5, "family": family},
+                         outdir=tmp_path / "f")
+        assert validate(cfg) == [expected]
+        code, summary = run(cfg)
+        assert code == 2 and summary["diagnostics"] == [expected]
+
     def test_output_dir_must_be_a_string(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = config_for("green-eval", {"points": [[1.0, 0.0]]})
@@ -929,6 +949,29 @@ class TestRun:
         code2, summary2 = run(cfg2)
         assert code2 == 0
         assert summary2["result"]["argopt"]["index"] == 0
+
+    @pytest.mark.parametrize("force_class", [
+        {}, {"kind": "bang-bang", "cells": [3, 2]},
+        {"kind": "signed-delta", "nxi": 9, "neta": 5}],
+        ids=["antisym-delta", "bang-bang", "signed-delta"])
+    def test_unboxed_gap_scan_is_the_scan_under_guides_beyond_reach(
+            self, tmp_path, force_class):
+        """Without ``obstacles`` a gap scan runs under no box at all, and
+        gives bit for bit what guides at twice the analytic bound C give:
+        no member reaches them."""
+        level = 2.0 * analytic_bound_C(MaterialParams(0.2, 0.1))
+        guides = {"kind": "constant_level", "gamma": level, "region": "long_edges"}
+        outputs = []
+        for name, params in (("free", {}), ("guided", {"obstacles": guides})):
+            cfg = config_for("gap-scan", {**params, "force_class": force_class},
+                             outdir=tmp_path / name)
+            assert run(cfg)[0] == 0
+            summary = json.loads((tmp_path / name / "summary.json").read_text())
+            outputs.append((summary["result"],
+                            (tmp_path / name / "gap.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+        rows = outputs[0][0]["candidates"]
+        assert all(r["contact_lower"] == r["contact_upper"] == 0 for r in rows)
 
     def test_optimize_reinforcement(self, tmp_path):
         cfg = config_for("optimize-reinforcement", {

@@ -1,6 +1,7 @@
 """Outer scans: determinism, symmetry of maximizers, regime logic, bounds."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -341,6 +342,76 @@ class TestBestReinforcement:
         for m in masks:
             assert np.count_nonzero(m.elements) == 16 * n_tiles
             assert m.area_defect(mesh_small) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("strips, mu, eps, count", [
+        ((1, 1), 0.2, 0.03125, 25), ((2, 0), 0.4, 0.01, 6),
+        ((0, 2), 0.2, 0.03125, 6)])
+    def test_cross_layouts_match_the_reference_rasterizer(self, strips, mu, eps,
+                                                          count):
+        """Each layout is ``from_indicator`` of its union of strips, in the
+        order of the centre lattices; two strips on an axis sit more than a
+        strip width apart, which drops the 4 neighbouring pairs of 5 centres.
+        The densities 1, 1 impose no area balance, so no layout is dropped.
+        On a plate of half-width 1/8 the element centres, the strip centres
+        and eps are exact binary fractions, so the middle horizontal strip's
+        edges pass exactly through two rows of centres, which it leaves out."""
+        n, m = strips
+        mesh = Mesh(16, 4, 0.125)
+        fam = ReinforcementFamily(kind="cross", alpha=1.0, beta=1.0, n_xstrips=n,
+                                  n_ystrips=m, mu=mu, eps=eps, centers_per_axis=5)
+        l = mesh.half_width
+        xc = np.linspace(mu, np.pi - mu, 5)
+        yc = np.linspace(-l + eps, l - eps, 5)
+        x_sets = [c for c in itertools.combinations(xc, n)
+                  if all(b - a > 2 * mu for a, b in zip(c, c[1:]))]
+        y_sets = [c for c in itertools.combinations(yc, m)
+                  if all(b - a > 2 * eps for a, b in zip(c, c[1:]))]
+
+        def strips_at(xs, ys):
+            def indicator(X, Y):
+                hit = np.zeros(X.shape, dtype=bool)
+                for x0 in xs:
+                    hit |= np.abs(X - x0) < mu
+                for y0 in ys:
+                    hit |= np.abs(Y - y0) < eps
+                return hit
+            return indicator
+
+        expected = [ReinforcementMask.from_indicator(mesh, strips_at(xs, ys),
+                                                     1.0, 1.0)
+                    for xs in x_sets for ys in y_sets]
+        got = fam.candidates(mesh)
+        assert len(got) == count
+        assert [g.elements.tolist() for g in got] == [
+            e.elements.tolist() for e in expected]
+        assert all(g.elements.any() for g in got)
+
+    def test_tile_layouts_match_the_reference_rasterizer(self, mesh_small):
+        """Two tiles of pi/2 x l on the 3 x 2 lattice of corners: the 11
+        pairs that do not overlap, each ``from_indicator`` of its two open
+        rectangles, in the order of the pairs."""
+        w, h = np.pi / 2, mesh_small.half_width
+        fam = ReinforcementFamily(kind="tiles", alpha=1.0, beta=1.0,
+                                  tile_size=(w, h), n_tiles=2, centers_per_axis=3)
+        spots = [(x0, y0) for x0 in np.linspace(0.0, np.pi - w, 3)
+                 for y0 in np.linspace(-h, 0.0, 2)]
+        pairs = [(a, b) for a, b in itertools.combinations(spots, 2)
+                 if not (abs(a[0] - b[0]) < w and abs(a[1] - b[1]) < h)]
+        assert len(pairs) == 11
+
+        def tiles_at(rects):
+            def indicator(X, Y):
+                hit = np.zeros(X.shape, dtype=bool)
+                for (x0, y0) in rects:
+                    hit |= (X > x0) & (X < x0 + w) & (Y > y0) & (Y < y0 + h)
+                return hit
+            return indicator
+
+        expected = [ReinforcementMask.from_indicator(mesh_small, tiles_at(rects),
+                                                     1.0, 1.0) for rects in pairs]
+        got = fam.candidates(mesh_small)
+        assert [g.elements.tolist() for g in got] == [
+            e.elements.tolist() for e in expected]
 
     def test_tiles_overlap(self):
         w, h = np.pi / 2, 0.1

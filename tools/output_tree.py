@@ -43,6 +43,10 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
 * one 128x32 ``vi-solve`` of the unit load under a full-plate upper
   obstacle at 0.15 z_max: 103 active-set iterations end with 247 contacts,
   so a large contact set on the refined mesh is covered;
+* one 128x32 ``vi-solve`` of the unit load under a full-plate upper
+  obstacle at 0.05 z_max: the active-set loop spends its whole iteration
+  budget, so the tree holds an exit-3 ``summary.json`` with the iteration
+  count, contacts and residual the budget left;
 * one 16x4 uniform-profile ``green-eval`` at the four corners and the two
   long-edge midpoints, so that the ordinate quadrature runs at |y| = l;
 * one 16x4 ``green-eval`` of a point load at ``m_max`` 10000, at points on
@@ -53,15 +57,15 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
   index limit: a third exit-2 ``summary.json`` with its diagnostic;
 * one 8x2 ``vi-solve`` of a point mass of weight 1e307 under a full-plate
   box of +-1e308: its field overflows to NaN, which no certificate may
-  pass, so the tree holds an exit-3 ``summary.json`` with its error;
+  pass, a second exit-3 ``summary.json``, with its error;
 * one 8x2 ``vi-solve`` of the density 1e200 under guides: it certifies,
-  but its energy overflows, a second exit-3 ``summary.json`` and no data
+  but its energy overflows, a third exit-3 ``summary.json`` and no data
   file.
 
 Each op writes to ``OUT_DIR/<workload>/<label>/``; ``OUT_DIR/exit_codes.txt``
-lists the exit code of every op: 32 ops exit 0, three exit 2 and two exit
-3.  Output directories are relative to ``OUT_DIR``, so the embedded configs
-do not depend on where the tree lives.
+lists the exit code of every op: 32 ops exit 0, three exit 2 and three
+exit 3.  Output directories are relative to ``OUT_DIR``, so the embedded
+configs do not depend on where the tree lives.
 Two trees from identical sources must not differ (``diff -r``).
 """
 
@@ -139,6 +143,7 @@ def extra_ops(wl):
         ("gap-scan-one-eta-row", wl.config("gap-scan", {
             "force_class": {"nxi": 5, "neta": 1}}, mesh=(16, 4))),
         ("vi-solve-full-plate-128x32", wl.contact_config((128, 32), 0.15)[0]),
+        ("vi-solve-full-plate-128x32-budget", wl.contact_config((128, 32), 0.05)[0]),
         ("green-eval-uniform-edges", wl.config("green-eval", {
             "points": [[x, y] for y in (-wl.HALF_WIDTH, wl.HALF_WIDTH)
                        for x in (0.0, math.pi / 2, math.pi)]}, mesh=(16, 4))),
