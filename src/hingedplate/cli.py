@@ -21,8 +21,8 @@ import numpy as np
 from .fem import (LoadSpec, Mesh, ReinforcementMask, assemble_load, field_to_csv,
                   write_csv)
 from .optimize import (ForceClass, ObstacleFamily, ReinforcementFamily,
-                       _cell_density, best_obstacle, best_reinforcement,
-                       classify_regime, gap_profile, worst_gap_force)
+                       best_obstacle, best_reinforcement, classify_regime,
+                       gap_profile, worst_gap_force)
 from .params import MaterialParams
 from .series import (ObstacleSpec, ScanWindow, SeriesState, green_value,
                      uniform_load_profile)
@@ -256,7 +256,7 @@ def _is_int(value):
 # object builders
 # ---------------------------------------------------------------------------
 
-def _build_density(spec, half_width):
+def _build_density(spec):
     if spec is None:
         return None
     if _is_real(spec):
@@ -266,18 +266,18 @@ def _build_density(spec, half_width):
     kind = _kinded(spec, "density", _DENSITY_KEYS, "density")
     if kind == "sin_x":
         return lambda x, y: np.sin(x)
-    signs = _grid(spec["signs"], "signs", "a 2-D grid of numbers", _is_real)
-    return _cell_density(np.asarray(signs, dtype=float), half_width)
+    return np.array(_grid(spec["signs"], "signs", "a 2-D grid of numbers", _is_real),
+                    dtype=float)
 
 
-def _build_load(spec, half_width):
+def _build_load(spec):
     kind = ("antisym_delta" if isinstance(spec, dict) and "antisym_delta" in spec
             else "density")
     spec = _object(spec, "load", _LOAD_KEYS[kind])
     if kind == "antisym_delta":
         return LoadSpec.antisym_pair(*_reals(spec["antisym_delta"], "antisym_delta"))
     masses = _list(spec.get("point_masses", []), "point_masses")
-    return LoadSpec(density=_build_density(spec.get("density"), half_width),
+    return LoadSpec(density=_build_density(spec.get("density")),
                     point_masses=[_reals(q, "point_masses entry", 3) for q in masses])
 
 
@@ -387,7 +387,7 @@ def _read_green_eval(p, ctx):
 
 def _read_solve(p, ctx):
     mesh = ctx["mesh"]
-    load = _build_load(p["load"], ctx["params"].half_width)
+    load = _build_load(p["load"])
     load.validate(mesh)
 
     def run(outdir):
@@ -400,7 +400,7 @@ def _read_solve(p, ctx):
 
 def _read_vi_solve(p, ctx):
     mesh = ctx["mesh"]
-    load = _build_load(p["load"], ctx["params"].half_width)
+    load = _build_load(p["load"])
     obstacle = _build_obstacle(p["obstacles"])
     box = BoxConstraints.from_obstacle(mesh, obstacle)
     variant = p.get("variant")

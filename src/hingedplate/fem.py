@@ -283,8 +283,9 @@ def element_stiffness(hx, hy, sigma):
 class LoadSpec:
     """A load: bounded density and/or finitely many signed point masses.
 
-    ``density`` is a callable (x, y) -> values or a constant.  Assembly calls
-    a callable once, on (ny, nx, 4, 4) arrays of all Gauss points, so it must
+    ``density`` is a constant, a read-only (ky, kx) float grid of values on
+    the cells of a uniform partition (row 0 at y = -l), or a callable
+    (x, y) -> values.  Assembly calls a callable once, on (ny, nx, 4, 4) arrays of all Gauss points, so it must
     broadcast over arrays; a scalar result counts as a constant.
     ``point_masses`` is a tuple of (x, y, weight).
     """
@@ -293,6 +294,13 @@ class LoadSpec:
     point_masses: tuple = ()
 
     def __post_init__(self):
+        if self.density is not None and not callable(self.density):
+            arr = np.array(self.density, dtype=float)
+            if arr.ndim not in (0, 2):
+                raise ValueError("density must be a constant, a 2-D cell grid "
+                                 "or a callable")
+            object.__setattr__(self, "density", float(arr) if arr.ndim == 0
+                               else _frozen(arr))
         object.__setattr__(self, "point_masses",
                            tuple((float(x), float(y), float(w))
                                  for (x, y, w) in self.point_masses))
@@ -576,16 +584,6 @@ def assemble_bilinear(mesh, params, weight=None):
     return plans.bilinear.form(Ke, _element_weights(mesh, weight).astype(LONG).ravel())
 
 
-def _density_evaluator(density):
-    if callable(density):
-        return density
-    arr = np.asarray(density, dtype=float)
-    if arr.ndim != 0:
-        raise ValueError("density must be callable or a constant")
-    c = float(arr)
-    return lambda x, y: np.full(np.shape(x), c)
-
-
 def assemble_load(mesh, load, weight=None):
     """Dof functional of a load, in extended precision.
 
@@ -596,19 +594,25 @@ def assemble_load(mesh, load, weight=None):
     """
     load.validate(mesh, weight)
     b = np.zeros(mesh.n_dofs, dtype=LONG)
-    if load.density is not None:
-        f = _density_evaluator(load.density)
+    fv = load.density
+    if fv is not None:
         tq = (_GAUSS_PTS + 1) / 2
         wq = _GAUSS_WTS / 2
-        # quadrature point (x0 + tq[a] hx, y0 + tq[bq] hy) of element (ei, ej)
-        # sits at [ej, ei, a, bq]
-        shape = (mesh.ny, mesh.nx, 4, 4)
-        x0 = np.arange(mesh.nx) * mesh.hx
-        y0 = -mesh.half_width + np.arange(mesh.ny) * mesh.hy
-        # contiguous, writable copies: the density is caller code
-        X = np.broadcast_to(x0[:, None, None] + (tq * mesh.hx)[:, None], shape).copy()
-        Y = np.broadcast_to(y0[:, None, None, None] + tq * mesh.hy, shape).copy()
-        fv = np.asarray(f(X, Y), dtype=float)
+        if not isinstance(fv, float):
+            # quadrature point (x0 + tq[a] hx, y0 + tq[bq] hy) of element
+            # (ei, ej) sits at [ej, ei, a, bq] of X (nx, 4, 1) and Y (ny, 1, 1, 4)
+            l = mesh.half_width
+            X = (np.arange(mesh.nx) * mesh.hx)[:, None, None] + (tq * mesh.hx)[:, None]
+            Y = (-l + np.arange(mesh.ny) * mesh.hy)[:, None, None, None] + tq * mesh.hy
+            if callable(fv):
+                # contiguous, writable copies: the density is caller code
+                shape = (mesh.ny, mesh.nx, 4, 4)
+                fv = np.asarray(fv(np.broadcast_to(X, shape).copy(),
+                                   np.broadcast_to(Y, shape).copy()), dtype=float)
+            else:  # the cell of each Gauss point
+                ky, kx = fv.shape
+                fv = fv[np.clip(((Y + l) / (2 * l) * ky).astype(int), 0, ky - 1),
+                        np.clip((X / np.pi * kx).astype(int), 0, kx - 1)]
         w_elem = _element_weights(mesh, weight)
         coef = (np.outer(wq, wq) * w_elem[..., None, None] * fv).astype(LONG)
         # row 4 a + bq of R: the basis at quadrature point (a, bq); longdouble

@@ -125,7 +125,8 @@ class ForceClass:
     ``MAX_MEMBERS`` members: ``nxi * (neta - neta % 2)`` pairs, or
     ``2 * nxi * neta`` signed point loads.
     ``bang-bang`` densities take the values +-1, constant on a cells_x x
-    cells_y partition; all sign patterns are enumerated, and a window is an error.
+    cells_y partition: each member's density is its sign grid.  All sign
+    patterns are enumerated, and a window is an error.
     """
 
     kind: str
@@ -160,7 +161,6 @@ class ForceClass:
 
     def members(self, plate):
         """The members on the plate of half-width ``plate.half_width``."""
-        l = plate.half_width
         out = []
         if self.kind == "bang-bang":
             kx, ky = self.cells
@@ -170,15 +170,12 @@ class ForceClass:
                                   for c in range(n_cells)]).reshape(ky, kx)
                 out.append(ForceMember(
                     label=f"bb[{bits:0{n_cells}b}]",
-                    load=LoadSpec(density=_cell_density(signs, l)),
+                    load=LoadSpec(density=signs),
                     meta=(("pattern", bits),),
                     sites=tuple((j, i, int(signs[j, i]))
                                 for j in range(ky) for i in range(kx))))
             return out
-        xis, etas = np.linspace(0.0, np.pi, self.nxi), np.linspace(-l, l, self.neta)
-        allowed = (np.ones((self.nxi, self.neta), dtype=bool) if self.window is None
-                   else self.window.contains(*np.meshgrid(xis, etas, indexing="ij"),
-                                             plate))
+        xis, etas, allowed = _site_grid(self.nxi, self.neta, self.window, plate)
         for i, xi in enumerate(xis):
             for j, eta in enumerate(etas):
                 if not allowed[i, j]:
@@ -213,16 +210,15 @@ class ForceClass:
                              s * sign) for j, i, sign in sites))
 
 
-def _cell_density(signs, half_width):
-    ky, kx = signs.shape
-
-    def density(x, y):
-        ci = np.clip((np.asarray(x) / np.pi * kx).astype(int), 0, kx - 1)
-        cj = np.clip(((np.asarray(y) + half_width) / (2 * half_width) * ky).astype(int),
-                     0, ky - 1)
-        return signs[cj, ci]
-
-    return density
+def _site_grid(nxi, neta, window, plate):
+    """The nxi x neta point-load sites over the closure of the plate of
+    half-width ``plate.half_width``: abscissae ``xi``, ordinates ``eta`` and
+    the (nxi, neta) mask of the sites in ``window`` (all, without one)."""
+    xi = np.linspace(0.0, np.pi, nxi)
+    eta = np.linspace(-plate.half_width, plate.half_width, neta)
+    allowed = (np.ones((nxi, neta), dtype=bool) if window is None
+               else window.contains(*np.meshgrid(xi, eta, indexing="ij"), plate))
+    return xi, eta, allowed
 
 
 # ---------------------------------------------------------------------------
@@ -484,18 +480,18 @@ def best_obstacle(family, operator, forces):
     Every candidate's region contains the long edges, so its scanned gap must
     stay below the ceiling of twice its level; a violation fails the scan
     with a SolverError.
-    A candidate's ``kappa`` (its sup-norm) is its level.
+    A candidate's level, and its ``kappa`` (its sup-norm), is its ``upper``.
     """
     rows = []
     for spec in family.candidates:
         inner = worst_gap_force(operator, spec, forces)
-        ceiling = 2.0 * spec.gamma
+        ceiling = 2.0 * spec.upper
         if inner.value > ceiling * (1.0 + CEILING_RTOL):
             raise SolverError(
                 f"scanned gap {inner.value} breaks the 2*gamma ceiling {ceiling}")
         rows.append({
-            "label": f"level={spec.gamma:.6g}@{spec.region}",
-            "params": {"gamma": spec.gamma, "kappa": spec.gamma,
+            "label": f"level={spec.upper:.6g}@{spec.region}",
+            "params": {"gamma": spec.upper, "kappa": spec.upper,
                        "region": spec.region},
             "value": inner.value,
             "worst_force": inner.argopt_label,
@@ -558,17 +554,11 @@ def edge_gap_series_scan(state, window=None, nxi=33, neta=9, n_abscissae=65):
     row-major order.
     """
     params = state.params
-    l = params.half_width
-    xi = np.linspace(0.0, np.pi, nxi)
-    eta = np.linspace(-l, l, neta)
+    xi, eta, allowed = _site_grid(nxi, neta, window, params)
     x = np.linspace(0.0, np.pi, n_abscissae)
     values = antisym_solution((xi[:, None, None], eta[None, :, None]),
-                              (x, l), state)
-    per_site = np.max(np.abs(values), axis=2)
-    if window is not None:
-        XI, ETA = np.meshgrid(xi, eta, indexing="ij")
-        allowed = window.contains(XI, ETA, params)
-        per_site = np.where(allowed, per_site, -np.inf)
+                              (x, params.half_width), state)
+    per_site = np.where(allowed, np.max(np.abs(values), axis=2), -np.inf)
     k = int(np.argmax(per_site))  # row-major first maximum
     i, j = divmod(k, neta)
     return {

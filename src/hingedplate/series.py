@@ -350,14 +350,12 @@ class ObstacleSpec:
 
     ``region`` is ``"full"`` for obstacles over the whole closed plate or
     ``"long_edges"`` for the thin case where only the free edges are
-    constrained.  ``gamma`` is the level of symmetric guides built by
-    :meth:`constant_level`, and None for other bounds.
+    constrained.
     """
 
     lower: float
     upper: float
     region: str = "full"
-    gamma: float | None = None
 
     def __post_init__(self):
         if self.region not in ("full", "long_edges"):
@@ -370,4 +368,4 @@ class ObstacleSpec:
         """Symmetric guides at heights -gamma and +gamma."""
         if gamma <= 0.0:
             raise ValueError(f"guide level must be positive, got {gamma}")
-        return cls(lower=-gamma, upper=gamma, region=region, gamma=gamma)
+        return cls(lower=-gamma, upper=gamma, region=region)

@@ -216,7 +216,7 @@ class TestRun:
                             parse_constant=_reject_constant)
         mesh = Mesh(16, 4, 0.1)
         op = solver.PlateOperator.build(mesh, MaterialParams(0.2, 0.1))
-        rhs = assemble_load(mesh, cli._build_load(cfg["params"]["load"], 0.1))
+        rhs = assemble_load(mesh, cli._build_load(cfg["params"]["load"]))
         box = solver.BoxConstraints.from_obstacle(
             mesh, cli._build_obstacle(cfg["params"]["obstacles"]))
         errors = []
@@ -733,6 +733,11 @@ class TestRun:
         ("gap-scan", {"force_class": {"kind": "signed-delta", "nxi": 10**12}},
          "signed-delta class 1000000000000x9 has 18000000000000 members, "
          "more than 4096"),
+        # a window band lies strictly inside the plate: 0 < w0 < half_width = 0.1
+        ("gap-scan", {"force_class": {"window": {"z0": 0.5, "w0": 0.0}}},
+         "w0 must lie in (0, half_width), got 0.0"),
+        ("gap-scan", {"force_class": {"window": {"z0": 0.5, "w0": 0.1}}},
+         "w0 must lie in (0, half_width), got 0.1"),
     ], ids=["load-typo", "load-norm", "constant-density", "sin_x-signs",
             "obstacles-typo", "force_class-typo", "window-typo", "params-typo",
             "family-typo", "no-levels", "no-grid", "one-cell-count",
@@ -752,7 +757,8 @@ class TestRun:
             "bounds-obstacle-with-gamma", "antisym-load-with-density",
             "cross-family-with-tiles", "antisym-class-with-cells",
             "bang-bang-class-with-grid", "unscanned-regime-with-force_class",
-            "one-row-antisym", "huge-class", "astronomic-class"])
+            "one-row-antisym", "huge-class", "astronomic-class", "zero-w0",
+            "half-width-w0"])
     def test_malformed_params_are_diagnostics(self, tmp_path, problem, params,
                                               expected):
         # unknown fields, empty or oversized scans, non-list and non-integer
@@ -928,8 +934,7 @@ class TestRun:
         signs = np.array([1.0 if bits >> c & 1 else -1.0
                           for c in range(6)]).reshape(2, 3)
         load = cli._build_load({"density": {"kind": "cells",
-                                            "signs": signs.tolist()}},
-                               params.half_width)
+                                            "signs": signs.tolist()}})
         expected = assemble_load(mesh, members[bits].load)
         assert np.array_equal(assemble_load(mesh, load), expected)
 
@@ -1073,6 +1078,26 @@ class TestMain:
             "violation: output_dir 'a\\x00b' cannot be made: embedded null byte\n")
         assert main(["validate", "--config", str(path)]) == 0
 
+    def test_solver_failure_prints_its_error(self, tmp_path, capsys):
+        # an energy beyond float range certifies nothing: exit 3
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config_for(
+            "vi-solve", {"load": {"density": 1e200}, "obstacles": {"gamma": 0.01}},
+            nx=8, ny=2, outdir=tmp_path / "o")))
+        assert main(["vi-solve", "--config", str(path)]) == 3
+        stored = json.loads((tmp_path / "o" / "summary.json").read_text(),
+                            parse_constant=_reject_constant)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {stored['error']}\n"
+
+    @pytest.mark.parametrize("text", ["64by16", "64x16x2", "x16", "64x"])
+    def test_malformed_mesh_flag_is_a_usage_error(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--mesh", text])
+        assert exc.value.code == 2
+        assert f"mesh must look like 64x16: {text}" in capsys.readouterr().err
+
     def test_merge_config_nested(self):
         base = default_config()
         merged = merge_config(base, {"mesh": {"nx": 8}})
@@ -1090,6 +1115,55 @@ class TestMain:
              "--config", str(path)], capture_output=True, text=True)
         assert proc.returncode == 0
         assert (tmp_path / "m" / "summary.json").exists()
+
+    def test_module_runner_validates(self, tmp_path):
+        import subprocess
+        import sys
+        path = tmp_path / "cfg.json"
+        cfg = config_for("regime", {"gamma": 0.01}, outdir=tmp_path / "v")
+        for sigma, code, out in [(0.2, 0, "config ok\n"),
+                                 (1.2, 2, "violation: sigma outside (0,1): 1.2\n")]:
+            cfg["material"]["sigma"] = sigma
+            path.write_text(json.dumps(cfg))
+            proc = subprocess.run(
+                [sys.executable, "-m", "hingedplate", "validate", "--config", str(path)],
+                capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+        assert not (tmp_path / "v").exists()  # validate writes nothing
+
+
+@pytest.mark.parametrize("message, expected", [
+    ("", "mesh 16x4 does not fit in memory"),
+    ("cannot allocate 8 GiB", "mesh 16x4 does not fit in memory: cannot allocate 8 GiB"),
+])
+def test_memory_error_while_reading_is_a_diagnostic(monkeypatch, tmp_path, message,
+                                                    expected):
+    """A reader that runs out of memory gives the mesh diagnostic, for
+    ``validate`` and as an exit-2 ``run``.  The error is raised, never
+    provoked: no test allocates a mesh beyond memory in this process."""
+    def exhausted(p, ctx):
+        raise MemoryError(message)
+    monkeypatch.setitem(cli._READERS, "gap-scan", exhausted)
+    cfg = config_for("gap-scan", {}, outdir=tmp_path / "r")
+    assert validate(cfg) == [expected]
+    code, summary = run(cfg)
+    assert code == 2 and summary["diagnostics"] == [expected]
+
+
+def test_memory_error_while_solving_is_a_diagnostic(monkeypatch, tmp_path):
+    """A scan that runs out of memory is an exit-2 diagnostic naming the
+    mesh, and ``summary.json`` is still written."""
+    def exhausted(*args):
+        raise MemoryError("cannot allocate 8 GiB")
+    monkeypatch.setattr(cli, "worst_gap_force", exhausted)
+    cfg = config_for("gap-scan", {}, outdir=tmp_path / "s")
+    assert validate(cfg) == []
+    code, summary = run(cfg)
+    expected = ["mesh 16x4 does not fit in memory: cannot allocate 8 GiB"]
+    assert code == 2 and summary["diagnostics"] == expected
+    stored = json.loads((tmp_path / "s" / "summary.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert stored["diagnostics"] == expected
 
 
 @pytest.mark.parametrize("command, problem, params", [

@@ -11,10 +11,9 @@ from hingedplate import (DofField, LoadSpec, Mesh, PlateOperator,
 from hingedplate.fem import (DOF_DX, DOF_DXY, DOF_DY, DOF_VALUE, LONG,
                              MIRRORS, _GAUSS_PTS, _GAUSS_WTS, _X_MIRROR_SIGNS,
                              _Y_MIRROR_SIGNS, AssembledForm, OrbitBasis,
-                             _density_evaluator, _hermite_1d, _local_rows,
-                             apply_functional, element_stiffness, field_to_csv,
-                             mirror_field, mirror_map, quad_form, write_csv)
-from hingedplate.optimize import _cell_density
+                             _hermite_1d, _local_rows, apply_functional,
+                             element_stiffness, field_to_csv, mirror_field,
+                             mirror_map, quad_form, write_csv)
 
 
 def interpolate(mesh, fn, dfx, dfy, dfxy):
@@ -457,11 +456,23 @@ def _reference_matrix(n, triplets):
     return csr
 
 
+def _reference_density(density, x, y, half_width):
+    """A density's value at one point: the value of a constant, of the cell
+    of a (ky, kx) grid that holds the point (row 0 at y = -l), or of a call."""
+    if callable(density):
+        return float(np.asarray(density(x, y)))
+    if np.ndim(density) == 0:
+        return float(density)
+    ky, kx = np.shape(density)
+    i = min(max(int(x / np.pi * kx), 0), kx - 1)
+    j = min(max(int((y + half_width) / (2 * half_width) * ky), 0), ky - 1)
+    return float(density[j][i])
+
+
 def _reference_load(mesh, load, weight=None):
-    """Dof functional with one density call per Gauss point."""
+    """Dof functional with one density evaluation per Gauss point."""
     b = np.zeros(mesh.n_dofs, dtype=LONG)
     if load.density is not None:
-        f = _density_evaluator(load.density)
         tq = (_GAUSS_PTS + 1) / 2
         wq = _GAUSS_WTS / 2
         brows = [[_local_rows(tx, ty, mesh.hx, mesh.hy) for ty in tq] for tx in tq]
@@ -477,7 +488,8 @@ def _reference_load(mesh, load, weight=None):
                 fe = np.zeros(16, dtype=LONG)
                 for a, (tx, wx) in enumerate(zip(tq, wq)):
                     for bq, (ty, wy) in enumerate(zip(tq, wq)):
-                        fv = float(np.asarray(f(x0 + tx * mesh.hx, y0 + ty * mesh.hy)))
+                        fv = _reference_density(load.density, x0 + tx * mesh.hx,
+                                                y0 + ty * mesh.hy, mesh.half_width)
                         fe += LONG(wx * wy * w_elem * fv) * brows[a][bq]
                 b[_reference_element_dofs(mesh, ei, ej)] += fe * scale
     for (x, y, w) in load.point_masses:
@@ -528,29 +540,44 @@ class TestKernelsBitForBit:
     @pytest.mark.parametrize("mesh_name", ["mesh_small", "mesh_mid"])
     @pytest.mark.parametrize("kind", [
         "constant", "callable", "mixed-sign", "cells",
-        "weighted", "point-masses"])
+        "weighted", "constant-weighted", "cells-weighted", "point-masses"])
     def test_assemble_load(self, request, mesh_name, kind):
         mesh = request.getfixturevalue(mesh_name)
         weight = None
-        if kind == "constant":
+        if kind.endswith("weighted"):  # an E2 mask: beta on D, alpha off D
+            weight = ReinforcementMask(_region(mesh), alpha=0.5, beta=2.5)
+        if kind.startswith("constant"):
             load = LoadSpec(density=-2.5)
         elif kind == "callable":
             load = LoadSpec(density=lambda x, y: np.sin(x) - 80.0 * np.sin(3.0 * x))
         elif kind == "mixed-sign":
             load = LoadSpec(density=lambda x, y: (0.3 * np.sin(x) + 0.2 * np.cos(3 * x)
                                                   - 0.5 * np.sign(y)))
-        elif kind == "cells":
+        elif kind.startswith("cells"):
             signs = np.array([[1.0, -1.0, 1.0], [-1.0, 1.0, 1.0]])
-            load = LoadSpec(density=_cell_density(signs, mesh.half_width))
+            load = LoadSpec(density=signs)
         elif kind == "weighted":
             load = LoadSpec(density=lambda x, y: np.exp(x) * y ** 2)
-            weight = ReinforcementMask(_region(mesh), alpha=0.5, beta=2.5)
         else:
             load = LoadSpec(density=lambda x, y: np.sin(x),
                             point_masses=((1.1, 0.02, 0.7), (2.0, -0.05, -1.3)))
         b = assemble_load(mesh, load, weight=weight)
         assert b.dtype == LONG
         assert np.array_equal(b, _reference_load(mesh, load, weight))
+
+    @pytest.mark.parametrize("density", [np.ones(3), np.ones((2, 3, 1)), [[[1.0]]]],
+                             ids=["1-D", "3-D", "3-D-list"])
+    def test_density_of_another_rank_is_rejected(self, density):
+        with pytest.raises(ValueError, match="a constant, a 2-D cell grid or a callable"):
+            LoadSpec(density=density)
+
+    def test_cell_grid_is_a_frozen_copy(self, mesh_small):
+        signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        load = LoadSpec(density=signs)
+        b = assemble_load(mesh_small, load)
+        signs[0, 0] = 7.0  # the caller's array stays the caller's
+        assert not load.density.flags.writeable and load.density[0, 0] == 1.0
+        assert np.array_equal(assemble_load(mesh_small, load), b)
 
     @pytest.mark.parametrize("shape, draw, block", [
         pytest.param((40, 40), "random", None, id="shape0"),

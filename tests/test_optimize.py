@@ -178,6 +178,10 @@ class TestForceClasses:
             with pytest.raises(ValueError, match=f"has {count} members, more than"):
                 ForceClass(kind=kind, nxi=nxi, neta=neta)
 
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown force class kind 'tripole'"):
+            ForceClass(kind="tripole")
+
     def test_bang_bang_rejects_a_window(self, window):
         with pytest.raises(ValueError, match="point-load classes only"):
             ForceClass(kind="bang-bang", window=window)
@@ -186,10 +190,14 @@ class TestForceClasses:
         fc = ForceClass(kind="bang-bang", cells=(2, 2))
         members = fc.members(params)
         assert len(members) == 16
-        xs = np.linspace(0.1, np.pi - 0.1, 7)
-        for m in members[:4]:
-            vals = m.load.density(xs, 0.0)
-            assert np.all(np.abs(vals) == 1.0)
+        for bits, m in enumerate(members):
+            # the sign grid itself, row 0 at y = -l, cell c = bit c of the label
+            grid = m.load.density
+            assert grid.shape == (2, 2) and not grid.flags.writeable
+            assert grid.ravel().tolist() == [1.0 if bits >> c & 1 else -1.0
+                                             for c in range(4)]
+            assert m.sites == tuple((j, i, int(grid[j, i]))
+                                    for j in range(2) for i in range(2))
         with pytest.raises(ValueError):
             ForceClass(kind="bang-bang", cells=(5, 4)).members(params)
 
@@ -434,6 +442,15 @@ class TestBestReinforcement:
             assert row["value"] == inner.value
             assert row["worst_force"] == inner.argopt_label
         assert res.value == min(row["value"] for row in res.rows)
+
+    @pytest.mark.parametrize("variant", ["E3", "e2", None])
+    def test_unknown_variant_is_rejected(self, mesh_small, params, variant):
+        mask = ReinforcementMask(np.ones((mesh_small.ny, mesh_small.nx), dtype=bool),
+                                 alpha=1.0, beta=1.0)
+        with pytest.raises(ValueError, match=f"unknown variant {variant!r}"):
+            best_reinforcement([mask], mesh_small, params,
+                               ForceClass(kind="bang-bang", cells=(1, 1)),
+                               BoxConstraints.unbounded(mesh_small), variant)
 
     def test_infeasible_family_raises(self, mesh_small):
         fam = ReinforcementFamily(kind="cross", alpha=0.5, beta=2.0,

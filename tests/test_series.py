@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from hingedplate import (MaterialParams, ScanWindow, SeriesState,
+from hingedplate import (MaterialParams, ObstacleSpec, ScanWindow, SeriesState,
                          analytic_bound_C, antisym_solution, aux_pair,
                          envelope_g, gap_threshold_M, green_value, phi_m,
                          tail_estimate, uniform_load_profile)
@@ -416,6 +416,12 @@ class TestStateAndWindow:
         assert not bool(w.contains(1.0, l, params))       # outside all bands
         with pytest.raises(ValueError):
             ScanWindow(z0=2.0, w0=l / 2).validate(params)
+
+    def test_obstacle_region_must_be_known(self):
+        with pytest.raises(ValueError, match="unknown obstacle region 'middle'"):
+            ObstacleSpec(lower=-1.0, upper=1.0, region="middle")
+        with pytest.raises(ValueError, match="unknown obstacle region 'middle'"):
+            ObstacleSpec.constant_level(0.5, region="middle")
 
     def test_antisym_delta_validation(self, state):
         antisym_solution((1.0, 0.05), (2.0, 0.05), state)

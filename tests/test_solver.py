@@ -18,7 +18,6 @@ from hingedplate import (BoxConstraints, DofField, LoadSpec, Mesh,
 from hingedplate import solver
 from hingedplate.fem import (DOF_VALUE, MIRRORS, assemble_load, mirror_axes,
                              mirror_field)
-from hingedplate.optimize import _cell_density
 from hingedplate.solver import (IterationLimitError, PlateOperator,
                                 SolverError, mirror_solution, mirror_symmetries)
 
@@ -183,6 +182,22 @@ class TestSolveObstacle:
             BoxConstraints(mask, np.full(n, 0.5), np.full(n, 1.0))  # lower > 0
         with pytest.raises(ValueError):
             BoxConstraints(mask, np.full(n, -1.0), np.full(n, -0.5))  # upper < 0
+
+    def test_misaligned_bounds_rejected(self, mesh_small):
+        n = mesh_small.n_nodes
+        mask = np.ones(n, dtype=bool)
+        for lower, upper in [(np.full(n - 1, -1.0), np.full(n, 1.0)),
+                             (np.full(n, -1.0), np.full((n, 1), 1.0))]:
+            with pytest.raises(ValueError, match="align with the node mask"):
+                BoxConstraints(mask, lower, upper)
+
+    def test_an_essential_dof_cannot_be_pinned(self, operator_small, mesh_small):
+        # the value dof of a node on the hinged edge x = 0, beside a free one
+        free = 4 * mesh_small.node_index(3, 1) + DOF_VALUE
+        hinged = 4 * mesh_small.node_index(0, 1) + DOF_VALUE
+        b = assemble_load(mesh_small, SIN_LOAD)
+        with pytest.raises(SolverError, match="cannot pin an essentially"):
+            operator_small.solve_pinned(b, np.array([free, hinged]), np.zeros(2))
 
     def test_nan_bounds_rejected(self, operator_small, mesh_small):
         """A NaN bound on a boxed node passes ``lower > 0`` and ``upper < 0``
@@ -507,7 +522,7 @@ class TestSymmetryTransfer:
 
 
 def _cells(signs):
-    return LoadSpec(density=_cell_density(np.array(signs), 0.1))
+    return LoadSpec(density=signs)
 
 
 #: (group, load, obstacle): data invariant under each group, with contacts
