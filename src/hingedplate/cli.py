@@ -106,6 +106,8 @@ def _parse(config):
         json.dumps(config, allow_nan=False, default=_json_default)
     except ValueError:
         diags.append("config numbers must be finite: JSON has no NaN or Infinity")
+    except TypeError as exc:
+        diags.append(f"config values must be JSON: {exc}")
     unknown = set(config) - _TOP_KEYS
     if unknown:
         diags.append(f"unknown top-level fields: {sorted(unknown)}")
@@ -357,7 +359,9 @@ def _write_json(path, payload):
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _json_default(obj):
+def _json_default(obj, echo=False):
+    """The JSON value of a numpy number or array or of a mask; any other
+    object is a TypeError, or its string when ``echo``."""
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):
@@ -365,6 +369,8 @@ def _json_default(obj):
     if isinstance(obj, ReinforcementMask):
         return {"elements": obj.elements.tolist(), "alpha": obj.alpha,
                 "beta": obj.beta}
+    if echo:
+        return str(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -526,10 +532,11 @@ def run(config):
             diags, outdir = diags + [f"output_dir {out!r} cannot be made: {exc}"], None
     code = 2
     if diags:
-        # non-finite numbers, in the config or as its problem, echo as
-        # strings, so the summary stays strict JSON
-        summary = json.loads(json.dumps(summary, default=_json_default),
-                             parse_constant=str)
+        # non-finite numbers and values JSON cannot encode echo as strings,
+        # and keys it cannot encode are left out: the summary is strict JSON
+        echo = json.dumps(summary, skipkeys=True,
+                          default=lambda obj: _json_default(obj, echo=True))
+        summary = json.loads(echo, parse_constant=str)
         summary["diagnostics"] = diags
     else:
         try:

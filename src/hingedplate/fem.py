@@ -68,8 +68,26 @@ _GAUSS_PTS, _GAUSS_WTS = np.polynomial.legendre.leggauss(4)
 # mesh and fields
 # ---------------------------------------------------------------------------
 
+class DofTable:
+    """The dof numbering of a grid of ``nx`` x ``ny`` elements, whose
+    subclass sets ``nx`` and ``ny``: four dofs per node, nodes row-major in
+    x then y (x fastest)."""
+
+    @property
+    def n_nodes(self):
+        return (self.nx + 1) * (self.ny + 1)
+
+    @property
+    def n_dofs(self):
+        return 4 * self.n_nodes
+
+    def dof_grid(self):
+        """(ny+1, nx+1, 4) dof numbers of every node, indexed [j, i, dof]."""
+        return np.arange(self.n_dofs).reshape(self.ny + 1, self.nx + 1, 4)
+
+
 @dataclass(frozen=True)
-class Mesh:
+class Mesh(DofTable):
     """Uniform rectangular grid of the plate with nx x ny elements."""
 
     nx: int
@@ -98,21 +116,9 @@ class Mesh:
     def ys(self):
         return np.linspace(-self.half_width, self.half_width, self.ny + 1)
 
-    @property
-    def n_nodes(self):
-        return (self.nx + 1) * (self.ny + 1)
-
-    @property
-    def n_dofs(self):
-        return 4 * self.n_nodes
-
     def node_index(self, i, j):
         """Flat node number; nodes are row-major in x then y (x fastest)."""
         return j * (self.nx + 1) + i
-
-    def dof_grid(self):
-        """(ny+1, nx+1, 4) global dofs of every node, indexed [j, i, dof]."""
-        return np.arange(self.n_dofs).reshape(self.ny + 1, self.nx + 1, 4)
 
     def node_coordinates(self):
         """(x, y) arrays of all nodes in flat node order."""
@@ -279,7 +285,7 @@ def element_stiffness(hx, hy, sigma):
 # loads and reinforcement regions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoadSpec:
     """A load: bounded density and/or finitely many signed point masses.
 
@@ -287,7 +293,8 @@ class LoadSpec:
     the cells of a uniform partition (row 0 at y = -l), or a callable
     (x, y) -> values.  Assembly calls a callable once, on (ny, nx, 4, 4) arrays of all Gauss points, so it must
     broadcast over arrays; a scalar result counts as a constant.
-    ``point_masses`` is a tuple of (x, y, weight).
+    ``point_masses`` is a tuple of (x, y, weight).  A load compares and
+    hashes by identity.
     """
 
     density: object = None
@@ -679,22 +686,21 @@ def mirror_field(field, element):
     return DofField(field.mesh, signs * field.dofs[perm])
 
 
-class OrbitBasis:
+class OrbitBasis(DofTable):
     """Coordinates of the fields invariant under a group of mirrors of a mesh.
 
     The group is generated by ``generators``, elements of ``MIRRORS`` that
     each flip one axis, one per axis: ``(True, False, s)`` flips x -> pi - x
     and ``(False, True, s)`` flips y -> -y, combined with negation when
     ``s`` is -1.  An invariant field is fixed by one coordinate per dof
-    orbit, laid out like a mesh's dof table over the representative nodes
-    (i <= nx/2 when x is flipped, j <= ny/2 when y is): ``dof_grid``,
-    ``free_dof_mask``, ``n_nodes`` and ``n_dofs`` read as on a Mesh of
-    ``nx`` x ``ny`` elements.  Each full dof ``k`` is the signed copy
-    ``sign[k] * coords[coordinate[k]]``; its sign is 0 where some group
-    element maps it to its own negative (ux and uxy on x = pi/2, uy and uxy
-    on y = 0, and the value there under a negating element).  Such a
-    coordinate is not free.  ``R`` below is the ``n_dofs(mesh) x n_dofs``
-    matrix of this map.
+    orbit, numbered by the ``DofTable`` of the ``nx`` x ``ny`` elements of
+    the representative nodes (i <= nx/2 when x is flipped, j <= ny/2 when y
+    is); ``free_dof_mask`` marks the free coordinates.  Each full dof ``k``
+    is the signed copy ``sign[k] * coords[coordinate[k]]``; its sign is 0
+    where some group element maps it to its own negative (ux and uxy on
+    x = pi/2, uy and uxy on y = 0, and the value there under a negating
+    element).  Such a coordinate is not free.  ``R`` below is the
+    ``n_dofs(mesh) x n_dofs`` matrix of this map.
     """
 
     def __init__(self, mesh, generators):
@@ -723,18 +729,6 @@ class OrbitBasis:
             negated |= (perm == np.arange(mesh.n_dofs)) & (signs < 0.0)
         # zeroed after the fold, so no sign is -0.0
         self.sign = np.where(negated, 0.0, sign)
-
-    @property
-    def n_nodes(self):
-        return (self.nx + 1) * (self.ny + 1)
-
-    @property
-    def n_dofs(self):
-        return 4 * self.n_nodes
-
-    def dof_grid(self):
-        """(ny+1, nx+1, 4) coordinate numbers, indexed [j, i, dof] as on a Mesh."""
-        return np.arange(self.n_dofs).reshape(self.ny + 1, self.nx + 1, 4)
 
     def free_dof_mask(self):
         """Coordinates whose representative dof is free and not forced to zero."""

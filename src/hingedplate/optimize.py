@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fem import LoadSpec, ReinforcementMask, assemble_load, write_csv
+from .fem import LoadSpec, ReinforcementMask, assemble_load, mirror_axes, write_csv
 from .series import (ObstacleSpec, ScanWindow, _sine_series, antisym_solution,
                      gap_threshold_M, phi_m)
 from .solver import (BoxConstraints, PlateOperator, SolverError, mirror_solution,
@@ -97,17 +97,21 @@ def gap_profile(solution):
 MAX_MEMBERS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForceMember:
-    """One load of a force class.  ``sites`` holds the signs of the load on
-    the class's index grid, ``((j, i, sign), ...)`` sorted: row ``j`` (eta
-    or cell row) and column ``i`` (xi or cell column) of each point mass or
-    density cell."""
+    """One load of a force class.  ``signs`` is the read-only int8 grid of
+    the load's signs on the class's index grid, indexed [j, i] like a cell
+    grid: (neta, nxi) sites of a point-load kind, with +-1 at its one or two
+    point masses, or the (ky, kx) cells of a bang-bang pattern; 0 where the
+    load has no mass.  A member compares and hashes by identity."""
 
     label: str
     load: LoadSpec
-    meta: tuple = ()
-    sites: tuple = ()
+    meta: tuple
+    signs: np.ndarray
+
+    def __post_init__(self):
+        self.signs.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -166,14 +170,13 @@ class ForceClass:
             kx, ky = self.cells
             n_cells = kx * ky
             for bits in range(2 ** n_cells):
-                signs = np.array([1.0 if bits >> c & 1 else -1.0
-                                  for c in range(n_cells)]).reshape(ky, kx)
+                signs = np.array([1 if bits >> c & 1 else -1 for c in range(n_cells)],
+                                 dtype=np.int8).reshape(ky, kx)
                 out.append(ForceMember(
                     label=f"bb[{bits:0{n_cells}b}]",
                     load=LoadSpec(density=signs),
                     meta=(("pattern", bits),),
-                    sites=tuple((j, i, int(signs[j, i]))
-                                for j in range(ky) for i in range(kx))))
+                    signs=signs))
             return out
         xis, etas, allowed = _site_grid(self.nxi, self.neta, self.window, plate)
         for i, xi in enumerate(xis):
@@ -181,33 +184,23 @@ class ForceClass:
                 if not allowed[i, j]:
                     continue
                 site = (("xi", float(xi)), ("eta", float(eta)))
+                unit = np.zeros((self.neta, self.nxi), dtype=np.int8)
+                unit[j, i] = 1
                 if self.kind == "signed-delta":
                     for sign, tag in ((1.0, "+"), (-1.0, "-")):
                         out.append(ForceMember(
                             label=f"{tag}d[{i},{j}]",
                             load=LoadSpec.point(xi, eta, sign),
                             meta=site + (("sign", sign),),
-                            sites=((j, i, int(sign)),)))
+                            signs=int(sign) * unit))
                 # by index: linspace need not put the middle eta at exactly 0
                 elif 2 * j != self.neta - 1:
                     out.append(ForceMember(
                         label=f"T[{i},{j}]", load=LoadSpec.antisym_pair(xi, eta),
-                        meta=site,
-                        sites=tuple(sorted(((j, i, 1), (self.neta - 1 - j, i, -1))))))
+                        meta=site, signs=unit - unit[::-1]))
         if not out:
             raise ValueError("force class discretization produced no members")
         return out
-
-    def mirror(self, sites, element):
-        """The ``sites`` of the image of a member's load under the mirror
-        ``element = (fx, fy, s)`` of ``fem.MIRRORS``, the one mirror
-        vocabulary of the package: ``fx`` flips the grid's columns, ``fy``
-        its rows, and ``s`` multiplies the signs."""
-        fx, fy, s = element
-        rows, cols = ((self.cells[1], self.cells[0]) if self.kind == "bang-bang"
-                      else (self.neta, self.nxi))
-        return tuple(sorted((rows - 1 - j if fy else j, cols - 1 - i if fx else i,
-                             s * sign) for j, i, sign in sites))
 
 
 def _site_grid(nxi, neta, window, plate):
@@ -407,17 +400,21 @@ def _member_solve(operator, rhs, box, flips=()):
     return solve_obstacle(operator, rhs, box, flips)
 
 
-def _orbits(forces, members, elements):
+def _orbits(members, elements):
     """For each member, the index of the first member of its orbit under the
-    mirrors ``elements`` (the identity first) and an element mapping that
-    member's load to its own; the orbits come from the members' sites."""
-    index = {m.sites: k for k, m in enumerate(members)}
-    out = []
-    for m in members:
-        images = ((index.get(forces.mirror(m.sites, g)), g) for g in elements)
-        out.append(min(((k, g) for k, g in images if k is not None),
-                       key=lambda image: image[0]))
-    return out
+    mirrors ``elements`` of ``fem.MIRRORS`` (the identity first) and an
+    element mapping that member's load to its own.  The image of a member's
+    sign grid under ``(fx, fy, s)`` is the grid flipped on ``mirror_axes``,
+    times ``s``: the one flip rule of every grid the package mirrors, applied
+    to all members at once per element."""
+    stack = np.stack([m.signs for m in members])
+    index = {grid.tobytes(): k for k, grid in enumerate(stack)}
+    images = [[index.get(grid.tobytes()) for grid in
+               g[2] * np.flip(stack, [1 + axis for axis in mirror_axes(g)])]
+              for g in elements]
+    return [min(((k, g) for k, g in zip(column, elements) if k is not None),
+                key=lambda image: image[0])
+            for column in zip(*images)]
 
 
 def _member_rows(operator, obstacles, forces, weight=None):
@@ -436,7 +433,7 @@ def _member_rows(operator, obstacles, forces, weight=None):
     members = forces.members(operator.mesh)
     masks = [m for m in (operator.mask, weight) if m is not None]
     elements = mirror_symmetries(operator.mesh, box, masks)
-    orbits = _orbits(forces, members, elements)
+    orbits = _orbits(members, elements)
     last = {first: k for k, (first, _) in enumerate(orbits)}
     solved = {}
     for k, (member, (first, element)) in enumerate(zip(members, orbits)):

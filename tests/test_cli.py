@@ -357,6 +357,33 @@ class TestRun:
                             parse_constant=_reject_constant)
         assert stored["config"]["params"]["obstacles"]["lower"] == "-Infinity"
 
+    @pytest.mark.parametrize("gamma", [{0.01}, object()], ids=["set", "object"])
+    def test_value_json_cannot_encode_is_a_diagnostic(self, tmp_path, gamma):
+        """A config value that JSON cannot encode is an exit-2 diagnostic of
+        ``validate`` and ``run``, not a TypeError, and the summary echoes it
+        as a string, so it stays strict JSON."""
+        cfg = config_for("regime", {"gamma": gamma}, outdir=tmp_path / "v")
+        message = f"config values must be JSON: cannot serialize {type(gamma)}"
+        assert validate(cfg) == [message]
+        code, summary = run(cfg)
+        assert code == 2 and summary["diagnostics"] == [message]
+        stored = json.loads((tmp_path / "v" / "summary.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert stored["config"]["params"]["gamma"] == str(gamma)
+
+    def test_key_json_cannot_encode_is_a_diagnostic(self, tmp_path):
+        """A config key that JSON cannot encode is an exit-2 diagnostic, and
+        the echoed config leaves it out."""
+        cfg = config_for("regime", {"gamma": 0.01}, outdir=tmp_path / "k")
+        cfg["params"][(1, 2)] = 1
+        code, summary = run(cfg)
+        assert code == 2 and summary["diagnostics"][0] == (
+            "config values must be JSON: keys must be str, int, float, bool or "
+            "None, not tuple")
+        stored = json.loads((tmp_path / "k" / "summary.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert stored["config"]["params"] == {"gamma": 0.01}
+
     @pytest.mark.parametrize("problem, echo", [
         (float("nan"), "NaN"), ({"kind": "x"}, {"kind": "x"}), (["regime"], ["regime"])],
         ids=["nan", "object", "list"])

@@ -41,6 +41,13 @@ class TestMesh:
         with pytest.raises(ValueError, match="half_width must be positive"):
             Mesh(8, 2, half_width)
 
+    @pytest.mark.parametrize("size", [1, -1])
+    def test_field_needs_one_value_per_dof(self, mesh_small, size):
+        n = mesh_small.n_dofs + size
+        with pytest.raises(ValueError, match=f"expected {mesh_small.n_dofs} dofs, "
+                                             rf"got \({n},\)"):
+            DofField(mesh_small, np.zeros(n))
+
     def test_invariants(self, params):
         with pytest.raises(ValueError):
             Mesh(2, 4, params.half_width)
@@ -579,6 +586,12 @@ class TestKernelsBitForBit:
         assert not load.density.flags.writeable and load.density[0, 0] == 1.0
         assert np.array_equal(assemble_load(mesh_small, load), b)
 
+    def test_loads_compare_and_hash_by_identity(self):
+        """Loads holding equal grids are distinct objects: comparing or
+        hashing them never asks an array for its truth value."""
+        a, b = LoadSpec(density=np.ones((2, 2))), LoadSpec(density=np.ones((2, 2)))
+        assert a == a and a != b and len({a, b, a}) == 2
+
     @pytest.mark.parametrize("shape, draw, block", [
         pytest.param((40, 40), "random", None, id="shape0"),
         pytest.param((25, 70), "random", None, id="shape1"),
@@ -832,6 +845,11 @@ class TestReinforcementMask:
         bad = ReinforcementMask(np.zeros_like(sel), alpha=0.5, beta=2.5)
         with pytest.raises(ValueError):
             bad.validate(mesh_small)
+
+    def test_equal_densities_impose_no_area(self, mesh_small):
+        mask = ReinforcementMask(np.ones((4, 16), dtype=bool), alpha=1.0, beta=1.0)
+        with pytest.raises(ValueError, match="degenerate densities impose no area"):
+            mask.target_area(mesh_small)
 
     def test_complement_and_indicator(self, mesh_small):
         mask = ReinforcementMask.from_indicator(

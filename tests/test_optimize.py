@@ -186,6 +186,11 @@ class TestForceClasses:
         with pytest.raises(ValueError, match="point-load classes only"):
             ForceClass(kind="bang-bang", window=window)
 
+    def test_members_compare_and_hash_by_identity(self, params):
+        members = ForceClass(kind="bang-bang", cells=(2, 1)).members(params)
+        assert members[0] == members[0] and members[0] != members[1]
+        assert len(set(members + members)) == 4
+
     def test_bang_bang_enumeration_and_cap(self, params):
         fc = ForceClass(kind="bang-bang", cells=(2, 2))
         members = fc.members(params)
@@ -196,8 +201,8 @@ class TestForceClasses:
             assert grid.shape == (2, 2) and not grid.flags.writeable
             assert grid.ravel().tolist() == [1.0 if bits >> c & 1 else -1.0
                                              for c in range(4)]
-            assert m.sites == tuple((j, i, int(grid[j, i]))
-                                    for j in range(2) for i in range(2))
+            assert m.signs.dtype == np.int8 and not m.signs.flags.writeable
+            assert np.array_equal(m.signs, grid)
         with pytest.raises(ValueError):
             ForceClass(kind="bang-bang", cells=(5, 4)).members(params)
 
@@ -322,6 +327,11 @@ class TestBestReinforcement:
             assert vals[1] == pytest.approx(vals[0], rel=optimize.TIE_RTOL)
             assert res.argopt_index == 0
             assert res.value == min(vals)
+
+    def test_unknown_family_kind_is_rejected(self):
+        with pytest.raises(ValueError,
+                           match="unknown reinforcement family kind 'rings'"):
+            ReinforcementFamily(kind="rings", alpha=0.5, beta=2.0)
 
     def test_cross_family_generation(self, mesh_small, params):
         # one vertical strip balancing |D|, snapped to whole element columns
@@ -578,7 +588,7 @@ class TestOrbitScans:
             assert np.array_equal(sol.lower_contact, ref.lower_contact)
             assert np.array_equal(sol.upper_contact, ref.upper_contact)
         masks = [m for m in (operator.mask, weight) if m is not None]
-        orbit = optimize._orbits(forces, forces.members(params), mirror_symmetries(
+        orbit = optimize._orbits(forces.members(params), mirror_symmetries(
             operator.mesh, box, masks))
         assert len({first for first, _ in orbit}) == orbits
         for measure in (lambda s: gap_profile(s).maximal_gap,
@@ -653,7 +663,7 @@ class TestOrbitScans:
         sols, solved = _member_solutions(monkeypatch, operator_small, box, forces)
         assert len(solved) == len(sols) == 8
         firsts = {first for first, _ in optimize._orbits(
-            forces, members, mirror_symmetries(mesh_small, box))}
+            members, mirror_symmetries(mesh_small, box))}
         for k, (member, sol, full) in enumerate(zip(members, sols, direct)):
             rhs = assemble_load(mesh_small, member.load)
             ref = solve_obstacle(operator_small, rhs, box,
@@ -690,9 +700,86 @@ class TestOrbitScans:
     def test_default_window_has_48_orbits(self, params):
         forces = ForceClass(kind="antisym-delta", window=ScanWindow.default(params))
         members = forces.members(params)
-        orbit = optimize._orbits(forces, members, list(MIRRORS))
+        orbit = optimize._orbits(members, list(MIRRORS))
         assert len(members) == 164
         assert len({first for first, _ in orbit}) == 48
+
+
+def _reference_sites(forces, member):
+    """A member's sorted ``(j, i, sign)`` triples, read off its label: row
+    ``j`` (eta or cell row) and column ``i`` (xi or cell column) of each
+    point mass or density cell."""
+    if forces.kind == "bang-bang":
+        kx, ky = forces.cells
+        bits = int(member.label[3:-1], 2)
+        return tuple((j, i, 1 if bits >> (j * kx + i) & 1 else -1)
+                     for j in range(ky) for i in range(kx))
+    i, j = map(int, member.label[member.label.index("[") + 1:-1].split(","))
+    if forces.kind == "signed-delta":
+        return ((j, i, 1 if member.label[0] == "+" else -1),)
+    return tuple(sorted(((j, i, 1), (forces.neta - 1 - j, i, -1))))
+
+
+def _reference_orbits(forces, members, elements):
+    """``optimize._orbits`` by index arithmetic on the sites of each member:
+    ``fx`` maps column ``i`` to ``cols - 1 - i``, ``fy`` row ``j`` to
+    ``rows - 1 - j``, and ``s`` multiplies the signs."""
+    rows, cols = ((forces.cells[1], forces.cells[0]) if forces.kind == "bang-bang"
+                  else (forces.neta, forces.nxi))
+
+    def image(sites, element):
+        fx, fy, s = element
+        return tuple(sorted((rows - 1 - j if fy else j, cols - 1 - i if fx else i,
+                             s * sign) for j, i, sign in sites))
+
+    sites = [_reference_sites(forces, m) for m in members]
+    index = {site: k for k, site in enumerate(sites)}
+    out = []
+    for site in sites:
+        images = ((index.get(image(site, g)), g) for g in elements)
+        out.append(min(((k, g) for k, g in images if k is not None),
+                       key=lambda pair: pair[0]))
+    return out
+
+
+class TestOrbitOracle:
+    """Orbits from flipped sign grids are those of the site arithmetic; the
+    non-square grids and cell partitions catch a transposed flip."""
+
+    CLASSES = {
+        "antisym-delta-33x9-window": lambda p: ForceClass(
+            kind="antisym-delta", window=ScanWindow.default(p)),
+        "signed-delta-9x5": lambda p: ForceClass(kind="signed-delta", nxi=9, neta=5),
+        "signed-delta-8x4": lambda p: ForceClass(kind="signed-delta", nxi=8, neta=4),
+        "bang-bang-3x2": lambda p: ForceClass(kind="bang-bang", cells=(3, 2)),
+        "bang-bang-2x3": lambda p: ForceClass(kind="bang-bang", cells=(2, 3)),
+    }
+    ELEMENTS = {
+        "all": lambda mesh: list(MIRRORS),
+        "guides": lambda mesh: mirror_symmetries(
+            mesh, TestOrbitScans.BOXES["guides"](mesh, 1.0)),
+        "bounds": lambda mesh: mirror_symmetries(
+            mesh, TestOrbitScans.BOXES["bounds"](mesh, 1.0)),
+        "x-asymmetric-mask": lambda mesh: mirror_symmetries(
+            mesh, BoxConstraints.unbounded(mesh), [_x_asymmetric_mask(mesh)]),
+    }
+
+    @pytest.mark.parametrize("elements", list(ELEMENTS))
+    @pytest.mark.parametrize("kind", list(CLASSES))
+    def test_orbits_match_the_site_arithmetic(self, mesh_small, params, kind,
+                                              elements):
+        forces = self.CLASSES[kind](params)
+        members = forces.members(params)
+        group = self.ELEMENTS[elements](mesh_small)
+        assert len(group) == {"all": 8, "guides": 8, "bounds": 4,
+                              "x-asymmetric-mask": 4}[elements]
+        for m in members:
+            marks = sorted((j, i, int(m.signs[j, i]))
+                           for j, i in zip(*np.nonzero(m.signs)))
+            assert tuple(marks) == _reference_sites(forces, m)
+        orbits = optimize._orbits(members, group)
+        assert orbits == _reference_orbits(forces, members, group)
+        assert len({first for first, _ in orbits}) < len(members)
 
 
 class TestRepresentativeSubspace:
@@ -747,9 +834,9 @@ class TestRepresentativeSubspace:
         forces = TestOrbitScans.CLASSES["signed-delta"](params)
         members = forces.members(params)
         firsts = sorted({first for first, _ in optimize._orbits(
-            forces, members, mirror_symmetries(mesh_small, box))})
+            members, mirror_symmetries(mesh_small, box))})
         _, groups = _member_solutions(monkeypatch, operator_small, box, forces)
-        midline = [2 * members[k].sites[0][0] == forces.neta - 1 for k in firsts]
+        midline = [members[k].signs[forces.neta // 2].any() for k in firsts]
         assert groups == [(Y_EVEN,) if mid else () for mid in midline]
         assert midline.count(True) == midline.count(False) == 3
 

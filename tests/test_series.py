@@ -345,6 +345,13 @@ class TestEnvelope:
         assert np.all(np.diff(vals) > 0.0)
         assert envelope_g(-0.07, params) == envelope_g(0.07, params)
 
+    def test_eta_beyond_the_half_width_is_rejected(self, params):
+        l = params.half_width
+        envelope_g(np.array([-l, l * (1.0 + 1e-13)]), params)  # rounding allowed
+        for eta in (1.01 * l, np.array([0.0, -1.01 * l])):
+            with pytest.raises(ValueError, match="must not exceed the half-width"):
+                envelope_g(eta, params)
+
     def test_dominates_first_coefficient(self):
         for p in PARAM_GRID:
             grid = np.linspace(-p.half_width, p.half_width, 21)

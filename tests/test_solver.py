@@ -54,6 +54,25 @@ class TestSolveLinear:
                 exact, rel=5e-3, abs=1e-4 * abs(exact) + 1e-9)
 
 
+    def test_a_large_residual_is_refused(self, monkeypatch, operator_small,
+                                         mesh_small):
+        """A solve whose residual exceeds 1e-10 relative is refused: the
+        operator's ``solve_free`` returns its solve with its first free dof
+        raised by 1e-3 of the largest entry."""
+        b = assemble_load(mesh_small, LoadSpec(density=1.0))
+        solve = operator_small.solve_free
+
+        def perturbed(rhs):
+            x = solve(rhs)
+            x[operator_small.free_idx[0]] += 1e-3 * np.max(np.abs(x))
+            return x
+
+        monkeypatch.setattr(operator_small, "solve_free", perturbed)
+        with pytest.raises(SolverError, match=r"linear solve residual \S+ above "
+                                              "1e-10; operator may be singular"):
+            solve_linear(operator_small, b)
+
+
 class TestNonFiniteCertificates:
     @pytest.mark.parametrize("weight, stat, scale", [
         (1e307, "nan", "nan"), (1e305, "0.000e+00", "inf")])

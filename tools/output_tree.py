@@ -26,6 +26,9 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
   ``signed-delta`` class under binding guides, and a ``bang-bang`` class
   under a full-plate ``bounds`` box with ``lower != -upper``, which no
   negation maps onto itself;
+* one 16x4 ``gap-scan`` of a ``signed-delta`` class (9 x 5 sites) in the
+  default window, under binding guides: the one windowed scan of a class
+  other than ``antisym-delta``, 66 members, 46 of them with contacts;
 * two 16x4 ops under degenerate pins, a ``bounds`` box with lower = upper = 0
   on the long edges, so that both kinds of image cover them: a uniform-load
   ``vi-solve`` reduced under x and y, and a ``signed-delta`` ``gap-scan``
@@ -63,7 +66,7 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
   file.
 
 Each op writes to ``OUT_DIR/<workload>/<label>/``; ``OUT_DIR/exit_codes.txt``
-lists the exit code of every op: 32 ops exit 0, three exit 2 and three
+lists the exit code of every op: 33 ops exit 0, three exit 2 and three
 exit 3.  Output directories are relative to ``OUT_DIR``, so the embedded
 configs do not depend on where the tree lives.
 Two trees from identical sources must not differ (``diff -r``).
@@ -122,6 +125,11 @@ def extra_ops(wl):
         ("gap-scan-signed-delta-guides", wl.config("gap-scan", {
             "obstacles": {"gamma": 0.5 * wl.M_THRESHOLD},
             "force_class": {"kind": "signed-delta", "nxi": 9, "neta": 5}},
+            mesh=(16, 4))),
+        ("gap-scan-signed-delta-window", wl.config("gap-scan", {
+            "obstacles": {"gamma": 0.5 * wl.M_THRESHOLD},
+            "force_class": {"kind": "signed-delta", "nxi": 9, "neta": 5,
+                            "window": True}},
             mesh=(16, 4))),
         ("gap-scan-bang-bang-bounds", wl.config("gap-scan", {
             "obstacles": {"kind": "bounds", "lower": -0.6, "upper": 0.9,
