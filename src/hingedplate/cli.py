@@ -110,7 +110,7 @@ def _parse(config):
         diags.append(f"config values must be JSON: {exc}")
     unknown = set(config) - _TOP_KEYS
     if unknown:
-        diags.append(f"unknown top-level fields: {sorted(unknown)}")
+        diags.append(f"unknown top-level fields: {sorted(unknown, key=str)}")
     if config.get("schema_version") != SCHEMA_VERSION:
         diags.append(f"schema_version must be {SCHEMA_VERSION}")
 
@@ -189,7 +189,7 @@ def _object(value, name, keys=None):
     if not isinstance(value, dict):
         raise TypeError(f"{name} must be an object")
     if keys is not None and set(value) - keys:
-        raise ValueError(f"unknown {name} fields: {sorted(set(value) - keys)}")
+        raise ValueError(f"unknown {name} fields: {sorted(set(value) - keys, key=str)}")
     return value
 
 

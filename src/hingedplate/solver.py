@@ -6,9 +6,11 @@ The discrete two-sided obstacle problem is the quadratic program
 
 over the essential-constrained dof space, where only value dofs of nodes in
 the obstacle region are boxed.  A monotone primal active set iteration
-solves it with exact nodewise feasibility and finite termination.  A contact
-is one signed side per box dof, -1 on the lower obstacle and +1 on the upper
-one, and its multiplier ``lam`` is admissible when ``side * lam >= 0``.  Each
+solves it with exact nodewise feasibility and finite termination; it decides
+every step on the box dofs alone and refines only a contact set that settles
+(``_active_set``).  A contact is one signed side per box dof, -1 on the lower
+obstacle and +1 on the upper one, and its multiplier ``lam`` is admissible
+when ``side * lam >= 0``.  Each
 operator factors its free block of the energy, scaled once to unit diagonal,
 on its first solve, so an operator that is never solved, such as the full
 operator of a reduced solve, never builds it.  A solve with contacts pinned
@@ -16,7 +18,8 @@ goes through that one factor, by the capacitance matrix: the columns
 ``A^-1 e_p`` of the scaled block ``A`` at the pinned positions ``P`` form
 ``W``, and the only block a pinned set adds is its ``|P| x |P|`` Schur block
 ``S = W[P]``.  The operator caches each column the first time its dof is
-pinned, so every solve on it shares them.  Both blocks are symmetric positive
+pinned, in one growing column array, so every solve on it shares them, and
+keeps the factor of its last Schur block.  Both blocks are symmetric positive
 definite and are factored as such, by one symmetric elimination (SuperLU in
 symmetric mode, diagonal pivots); a block singular in float64 is a
 SolverError.  The free dofs are numbered with the short axis fastest, and
@@ -82,8 +85,9 @@ class SolverError(RuntimeError):
 
 
 class IterationLimitError(SolverError):
-    """Active-set loop hit its iteration budget; carries the state it stopped
-    in: the iterate's KKT violation ``residual``, the ``iterations`` spent and
+    """Active-set loop hit its iteration budget with an iterate that does not
+    pass the certificate; carries the state it stopped in: the iterate's
+    extended-precision KKT violation ``residual``, the ``iterations`` spent and
     the number of ``contacts`` (box dofs on a bound) of that iterate.  Of a
     reduced solve (``solve_obstacle`` under a mirror group) all three are the
     reduced run's: its operator's residual and its orbit coordinates on a
@@ -204,9 +208,12 @@ class PlateOperator:
     both built on the first solve, the columns ``A^-1 e_p`` of the free
     positions ``p`` it has pinned, its restrictions to mirror-invariant
     subspaces with their orbit bases, each built on first use per mirror
-    group, and extended-precision refinement of every solve.  The column
-    cache holds one float64 column of ``free_idx.size`` entries per boxed dof
-    that ever enters a contact set, and nothing else.  Building an operator
+    group, and extended-precision refinement of every solve.  The columns
+    live side by side in one Fortran-order float64 array, a slot of
+    ``free_idx.size`` entries per boxed dof that ever enters a contact set,
+    and nothing else; the array doubles its capacity when it is full, so it
+    reserves at most twice the columns it holds, and growing it copies the
+    filled slots once.  Building an operator
     takes only the row sums of ``|K|`` for ``residual_scale``; an operator
     whose float64 matrix overflows is a SolverError.
     The free dofs ``free_idx`` run with the short axis fastest: node column
@@ -225,7 +232,12 @@ class PlateOperator:
         self._pos_of_dof[self.free_idx] = np.arange(self.free_idx.size)
         self._free_factor = None
         self._s = None  # the scaling, set with the factor
-        self._columns = {}  # position in free_idx -> A^-1 e_p
+        # the columns A^-1 e_p side by side, the first _n_columns filled, and
+        # the slot of each position p in free_idx among them, -1 for none
+        self._columns = np.empty((self.free_idx.size, 0), order="F")
+        self._n_columns = 0
+        self._slot = -np.ones(self.free_idx.size, dtype=np.int64)
+        self._schur = None  # (positions, factor) of the last Schur block
         self._reduced = {}
         with np.errstate(over="ignore"):
             self._norm_estimate = float(np.abs(form.matrix).sum(axis=1).max())
@@ -249,17 +261,37 @@ class PlateOperator:
                 (sp.diags(self._s) @ k_free @ sp.diags(self._s)).tocsc())
         return self._free_factor
 
-    def _pinned_columns(self, pos):
-        """The columns ``A^-1 e_p`` at the free positions ``pos``, side by side.
-        Those not cached yet come from one solve on an identity block; a
-        column's bits do not depend on which others share its block."""
+    def _column_slots(self, pos):
+        """The slots in ``_columns`` of the columns ``A^-1 e_p`` at the free
+        positions ``pos``.  Those not cached yet come from one solve on an
+        identity block and fill the next slots, the array doubling its
+        capacity when it is full; a column's bits do not depend on which
+        others share its block."""
         lu = self._factor_free()
-        new = [p for p in pos.tolist() if p not in self._columns]
-        if new:
-            eye = np.zeros((self.free_idx.size, len(new)), order="F")
-            eye[new, np.arange(len(new))] = 1.0
-            self._columns.update(zip(new, lu.solve(eye).T))
-        return np.column_stack([self._columns[p] for p in pos.tolist()])
+        new = pos[self._slot[pos] < 0]
+        if new.size:
+            k = self._n_columns
+            if k + new.size > self._columns.shape[1]:
+                grown = np.empty((self.free_idx.size, max(k + new.size, 2 * k)), order="F")
+                grown[:, :k] = self._columns[:, :k]
+                self._columns = grown
+            eye = np.zeros((self.free_idx.size, new.size), order="F")
+            eye[new, np.arange(new.size)] = 1.0
+            self._columns[:, k:k + new.size] = lu.solve(eye)
+            self._slot[new] = np.arange(k, k + new.size)
+            self._n_columns = k + new.size
+        return self._slot[pos]
+
+    def _schur_factor(self, pos):
+        """The factor of the Schur block ``S = W[pos]`` of the columns ``W``
+        at the sorted free positions ``pos``, symmetrized.  The last one is
+        kept, so that the refined solve of a settled contact set reuses the
+        factor of its active-set step."""
+        if self._schur is None or not np.array_equal(self._schur[0], pos):
+            slots = self._column_slots(pos)  # before reading the array it may grow
+            schur = self._columns[pos[:, None], slots]
+            self._schur = pos, _spd_factor(sp.csc_matrix(0.5 * (schur + schur.T)))
+        return self._schur[1]
 
     def reduced(self, group):
         """The operator ``R' K R`` on the invariant fields of the mirror group
@@ -290,9 +322,9 @@ class PlateOperator:
             raise SolverError("cannot pin an essentially constrained dof")
         full = np.zeros(self.mesh.n_dofs, dtype=LONG)
         full[pinned_dofs] = pinned_values.astype(LONG)
-        return self._refined_solve(rhs_full, full, pos, self._pinned_columns(pos))
+        return self._refined_solve(rhs_full, full, pos)
 
-    def _refined_solve(self, rhs_full, full, pos, w=None):
+    def _refined_solve(self, rhs_full, full, pos):
         """Complete ``full``, whose free positions ``pos`` hold their pinned
         values, by one solve and REFINE_STEPS refinements against the
         extended-precision residual ``r``, its rows ``pos`` zeroed.  Each step
@@ -301,8 +333,9 @@ class PlateOperator:
         ``s (z + w mu)`` leaves ``pos`` where they are."""
         lu = self._factor_free()
         if pos.size:
-            schur = w[pos]
-            schur_lu = _spd_factor(sp.csc_matrix(0.5 * (schur + schur.T)))
+            schur_lu = self._schur_factor(pos)
+            # row-major, as the products' rounding depends on the layout
+            w = np.take(self._columns, self._slot[pos], axis=1)
         idx, s = self.free_idx, self._s
         for step in range(REFINE_STEPS + 1):
             # the residual of the zero start is the load itself
@@ -396,18 +429,52 @@ def _mirror_group(operator, rhs, constraints, flips):
 
 
 def _active_set(operator, rhs, constraints):
-    """The active set iteration of ``solve_obstacle`` on ``operator``."""
+    """The active set iteration of ``solve_obstacle`` on ``operator``, decided
+    on the box dofs ``B`` alone.
+
+    It starts from the refined free solve ``x0``.  With ``z0 = x0 / s`` and
+    the cached columns ``W = A^-1 E``, the solve with the contacts ``P``
+    pinned to their bounds ``v`` is ``x*_B = s_B (z0_B + W_BP mu)``, where
+    ``S mu = v_P / s_P - z0_P`` for the Schur block ``S = W_PP``, factored
+    once per step (``PlateOperator._schur_factor``), and contact ``p`` has
+    the multiplier ``-mu_p / s_p``.  Steps, blocks and releases read these
+    alone.  A contact set that settles, no bound blocking and every
+    multiplier of its sign, gets one refined ``solve_pinned`` on its step's
+    factor (none without contacts: ``x0`` is that solve), and its refined
+    multipliers decide: the certified result, or a release from the refined
+    iterate, from which the loop goes on.  Every step counts against
+    MAX_ITERATIONS.  At the budget the full iterate is rebuilt once, from
+    ``x0``, the last refined iterate and the columns, weighted as the steps
+    combined them; it is returned if ``_certified`` passes it, else it is an
+    IterationLimitError with its KKT violation."""
     dofs, lo, hi = _box_dof_arrays(operator, constraints)
     pinned_eq = lo == hi  # degenerate boxes pin the dof for good
     # contact side of each box dof: -1 lower, +1 upper, 0 none
     side = -pinned_eq.astype(np.int8)
-    x = np.zeros(operator.mesh.n_dofs, dtype=LONG)
+    x0 = operator.solve_free(rhs)
+    pos = operator._pos_of_dof[dofs]
+    s = operator._s[pos]
+    x0_box = x0[dofs].astype(float)
+    z0 = x0_box / s
+    by_pos = np.argsort(pos)  # box dofs in the order of their free positions
+    # the iterate: vals on its box rows, and in full
+    # w_ref * ref + w_free * x0 + s W m, ref the last refined iterate and m
+    # the weight of each box dof's column
+    vals = np.zeros(dofs.size)
+    ref, w_ref, w_free, m = x0, 0.0, 0.0, np.zeros(dofs.size)
 
     for it in range(1, MAX_ITERATIONS + 1):
         on = side != 0
-        x_star = operator.solve_pinned(rhs, dofs[on], np.where(side > 0, hi, lo)[on])
-        d = (x_star - x).astype(float)[dofs]
-        vals = x.astype(float)[dofs]
+        target = np.where(side > 0, hi, lo)
+        x_star, mu = x0_box, np.zeros(dofs.size)
+        if np.any(on):
+            contacts = by_pos[on[by_pos]]
+            schur_lu = operator._schur_factor(pos[contacts])
+            w = operator._columns[pos[:, None], operator._slot[pos[contacts]]]
+            mu[contacts] = schur_lu.solve(target[contacts] / s[contacts] - z0[contacts])
+            x_star = s * (z0 + w @ mu[contacts])
+            x_star[on] = target[on]
+        d = x_star - vals
         # largest feasible step along d over the free constrained dofs
         bound = np.where(d > 0.0, hi, lo)
         moving = ~on & ((d > 0.0) | (d < 0.0)) & np.isfinite(bound)
@@ -418,24 +485,42 @@ def _active_set(operator, rhs, constraints):
 
         if alpha < 1.0:
             blocked = t <= alpha * (1.0 + 1e-12)
-            x = x + LONG(alpha) * (x_star - x)
-            x[dofs[blocked]] = bound[blocked].astype(LONG)
+            vals = vals + alpha * d
+            vals[blocked] = bound[blocked]
             side[blocked] = np.sign(d[blocked])
+            w_ref, w_free = (1.0 - alpha) * w_ref, (1.0 - alpha) * w_free + alpha
+            m = (1.0 - alpha) * m + alpha * mu
             continue
 
         # contact-set optimum reached; check multiplier signs
-        x = x_star
-        resid = _residual(operator, rhs, x)
-        lam = resid[dofs]
+        vals, w_ref, w_free, m = x_star, 0.0, 1.0, mu
+        lam = -mu / s
         wrong = _wrong_sign(lam, side, pinned_eq)
         if not np.any(wrong):
-            return _certified(operator, rhs, (dofs, lo, hi), x, resid, side, it)
+            x = operator.solve_pinned(rhs, dofs[on], target[on]) if np.any(on) else x0
+            resid = _residual(operator, rhs, x)
+            lam = resid[dofs]
+            wrong = _wrong_sign(lam, side, pinned_eq)
+            if not np.any(wrong):
+                return _certified(operator, rhs, (dofs, lo, hi), x, resid, side, it)
+            vals, ref, w_ref, w_free, m = x[dofs].astype(float), x, 1.0, 0.0, 0.0 * mu
         # release the single worst offender, lowest node index on ties
         side[int(np.argmax(np.where(wrong, np.abs(lam), -np.inf)))] = 0
+
+    x = LONG(w_ref) * ref + LONG(w_free) * x0
+    used = np.flatnonzero(m)
+    x[operator.free_idx] += (operator._s * (
+        operator._columns[:, operator._slot[pos[used]]] @ m[used])).astype(LONG)
+    on = side != 0
+    x[dofs[on]] = np.where(side > 0, hi, lo)[on].astype(LONG)
+    resid = _residual(operator, rhs, x)
+    try:
+        return _certified(operator, rhs, (dofs, lo, hi), x, resid, side, MAX_ITERATIONS)
+    except SolverError:
+        pass
     raise IterationLimitError(
         f"active set did not settle in {MAX_ITERATIONS} iterations",
-        _kkt_violation(operator, rhs, x, _residual(operator, rhs, x), dofs,
-                       pinned_eq, side),
+        _kkt_violation(operator, rhs, x, resid, dofs, pinned_eq, side),
         MAX_ITERATIONS, int(np.count_nonzero(side)))
 
 

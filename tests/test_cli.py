@@ -384,6 +384,21 @@ class TestRun:
                             parse_constant=_reject_constant)
         assert stored["config"]["params"] == {"gamma": 0.01}
 
+    @pytest.mark.parametrize("section", [None, "mesh"], ids=["top", "mesh"])
+    def test_unknown_keys_of_mixed_types_are_listed(self, tmp_path, section):
+        """Unknown fields are listed sorted by their text, so a string key
+        beside a tuple key is diagnosed, not a TypeError of the sort."""
+        cfg = config_for("regime", {"gamma": 0.01}, outdir=tmp_path / "m")
+        (cfg if section is None else cfg[section]).update({"bogus": 1, (1, 2): 1})
+        name = "top-level" if section is None else section
+        want = f"unknown {name} fields: [(1, 2), 'bogus']"
+        assert want in validate(cfg)
+        code, summary = run(cfg)
+        assert code == 2 and want in summary["diagnostics"]
+        stored = json.loads((tmp_path / "m" / "summary.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert stored["diagnostics"] == summary["diagnostics"]
+
     @pytest.mark.parametrize("problem, echo", [
         (float("nan"), "NaN"), ({"kind": "x"}, {"kind": "x"}), (["regime"], ["regime"])],
         ids=["nan", "object", "list"])

@@ -221,8 +221,8 @@ def test_full_operator_of_a_reduced_solve_builds_no_block():
         mesh, ObstacleSpec(lower=-1.0, upper=0.002, region="full"))
     solution = solve_obstacle(op, rhs, box, ((True, False), (False, True)))
     kkt_report(solution, op, rhs, box)
-    assert op._s is None and op._free_factor is None and not op._columns
+    assert op._s is None and op._free_factor is None and op._n_columns == 0
     reduced = op.reduced(((True, False, 1), (False, True, 1)))
-    assert reduced._s is not None and reduced._columns
+    assert reduced._s is not None and reduced._n_columns > 0
     assert _float64_arrays(op.form) == [] and _float64_arrays(reduced.form) == []
 

@@ -280,6 +280,58 @@ class TestSolveObstacle:
         assert err.value.iterations == budget
         assert err.value.contacts == budget + 1
 
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_iteration_budget_residual_is_the_full_iterates(
+            self, operator_small, mesh_small, monkeypatch, budget):
+        """The error's residual is the KKT violation of the iterate the loop
+        stopped at, rebuilt in full: here against the same blocking steps
+        taken in the full space, each toward a refined pinned solve."""
+        box = BoxConstraints.from_obstacle(
+            mesh_small, ObstacleSpec.constant_level(0.2, region="full"))
+        b = assemble_load(mesh_small, SIN_LOAD)
+        dofs, lo, hi = solver._box_dof_arrays(operator_small, box)
+        x = np.zeros(mesh_small.n_dofs, dtype=solver.LONG)
+        side = np.zeros(dofs.size, dtype=np.int8)
+        for _ in range(budget):
+            on = side != 0
+            x_star = operator_small.solve_pinned(b, dofs[on], hi[on])
+            d = (x_star - x).astype(float)[dofs]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = np.where(~on & (d > 0.0), (hi - x.astype(float)[dofs]) / d, np.inf)
+            alpha = float(t.min())
+            assert alpha < 1.0
+            blocked = t <= alpha * (1.0 + 1e-12)
+            x = x + solver.LONG(alpha) * (x_star - x)
+            x[dofs[blocked]] = hi[blocked]
+            side[blocked] = 1
+        want = solver._kkt_violation(operator_small, b, x, solver._residual(
+            operator_small, b, x), dofs, lo == hi, side)
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", budget)
+        with pytest.raises(IterationLimitError) as err:
+            solve_obstacle(operator_small, b, box)
+        assert err.value.contacts == np.count_nonzero(side)
+        assert err.value.residual == pytest.approx(want, rel=1e-6)
+
+    def test_an_iterate_certified_at_the_budget_is_the_result(
+            self, operator_small, mesh_small, monkeypatch):
+        """A guide 1e-6 below the free solve's peak: the one blocking step
+        scales the free solve by 1 - 1e-6 and puts the peak on the guide, an
+        iterate that already passes the certificate, so a budget of one
+        iteration returns it where the loop would spend a second."""
+        b = assemble_load(mesh_small, LoadSpec(density=1.0))
+        peak = float(np.max(solve_linear(operator_small, b).dofs[DOF_VALUE::4]))
+        box = BoxConstraints.from_obstacle(mesh_small, ObstacleSpec.constant_level(
+            (1.0 - 1e-6) * peak, region="full"))
+        settled = solve_obstacle(operator_small, b, box)
+        assert settled.iterations == 2 and settled.upper_contact.size > 0
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+        sol = solve_obstacle(operator_small, b, box)
+        assert sol.iterations == 1
+        assert np.array_equal(sol.upper_contact, settled.upper_contact)
+        assert sol.lower_contact.size == 0
+        report = kkt_report(sol, operator_small, b, box)
+        assert report["stationarity"] <= solver.TOL and report["feasibility"] == 0.0
+
 
 class TestSettledIterate:
     """The iterate that settles the active set is the returned solve.
@@ -332,6 +384,42 @@ class TestSettledIterate:
         again = op.solve_pinned(b, 4 * nodes + DOF_VALUE, values)
         assert np.array_equal(again.astype(float), sol.field.dofs)
 
+    def test_a_refined_check_that_disagrees_goes_on(self, mesh_small, params,
+                                                   monkeypatch):
+        """The refined check of the first settled set is made to read one
+        contact's multiplier with the wrong sign: that set is not returned.
+        The loop releases the contact from the refined iterate and goes on;
+        the guide blocks the node again, and the second settled set passes
+        its check, the solve of the unforced run bit for bit."""
+        op = PlateOperator.build(mesh_small, params)
+        b = assemble_load(mesh_small, SIN_LOAD)
+        box = BoxConstraints.from_obstacle(
+            mesh_small, ObstacleSpec.constant_level(0.3, region="full"))
+        want = solve_obstacle(op, b, box)
+        pinned, forced = [], []
+        solve_pinned, residual = PlateOperator.solve_pinned, solver._residual
+
+        def recorded(self, rhs, dofs, values):
+            pinned.append(dofs.copy())
+            return solve_pinned(self, rhs, dofs, values)
+
+        def flipped(operator, rhs, x):
+            r = residual(operator, rhs, x)
+            if pinned and not forced:
+                forced.append(pinned[0][0])
+                r[forced[0]] = -r[forced[0]]
+            return r
+
+        monkeypatch.setattr(PlateOperator, "solve_pinned", recorded)
+        monkeypatch.setattr(solver, "_residual", flipped)
+        sol = solve_obstacle(op, b, box)
+        assert len(forced) == 1 and len(pinned) == 2
+        assert forced[0] // 4 in want.upper_contact
+        assert sol.iterations == want.iterations + 2  # the release, the block
+        assert np.array_equal(sol.contact, want.contact)
+        assert np.array_equal(sol.field.dofs, want.field.dofs)
+        assert kkt_report(sol, op, b, box)["stationarity"] <= solver.TOL
+
 
 class TestActiveSetPath:
     """Large contact sets keep their iteration counts and contact sets
@@ -353,6 +441,36 @@ class TestActiveSetPath:
         assert sol.iterations == want["iterations"]
         assert sol.lower_contact.tolist() == want["lower"]
         assert sol.upper_contact.tolist() == want["upper"]
+
+    def test_refined_work_does_not_grow_with_iterations(self, params, monkeypatch):
+        """The 97 iterations of ``contact-limit`` are decided on the box rows:
+        the one settled set gets the one pinned solve, so the extended-precision
+        products are those of the free solve (REFINE_STEPS), of the pinned
+        solve (REFINE_STEPS + 1), its residual and the image's residual."""
+        want = self.CASES["contact-limit"]
+        mesh = Mesh(64, 16, params.half_width)
+        box = BoxConstraints.from_obstacle(mesh, ObstacleSpec(
+            lower=-1.0, upper=want["fraction"] * self.Z_MAX, region="full"))
+        op = PlateOperator.build(mesh, params)
+        rhs = assemble_load(mesh, LoadSpec(density=1.0))
+        pinned, products = [], []
+        solve_pinned = PlateOperator.solve_pinned
+        matvec = type(op.form).matvec_extended
+
+        def recorded(self, rhs, dofs, values):
+            pinned.append(dofs.size)
+            return solve_pinned(self, rhs, dofs, values)
+
+        def counted(self, x):
+            products.append(x.size)
+            return matvec(self, x)
+
+        monkeypatch.setattr(PlateOperator, "solve_pinned", recorded)
+        monkeypatch.setattr(type(op.form), "matvec_extended", counted)
+        sol = solve_obstacle(op, rhs, box, ((True, False), (False, True)))
+        assert sol.iterations == want["iterations"] == 97
+        assert len(pinned) == 1 and pinned[0] > 0
+        assert len(products) == solver.REFINE_STEPS + (solver.REFINE_STEPS + 1) + 2
 
 
 class TestSPDFactor:
@@ -435,17 +553,22 @@ class TestSPDFactor:
         b = assemble_load(mesh, SIN_LOAD)
         op = PlateOperator.build(mesh, params)
         op.solve_free(b)
-        assert op._columns == {}
+        assert op._n_columns == 0 and np.all(op._slot == -1)
         ever = set()
         for picks in ([7, 3], [3, 11, 50], [11]):
             dofs = self._value_dofs(op, picks)
             op.solve_pinned(b, dofs, np.zeros(dofs.size))
             ever |= set(op._pos_of_dof[dofs].tolist())
-            assert set(op._columns) == ever
+            assert set(np.flatnonzero(op._slot >= 0).tolist()) == ever
+            # one slot each, the first slots of the array, which at most
+            # doubles its capacity to take new columns
+            assert sorted(op._slot[op._slot >= 0].tolist()) == list(range(len(ever)))
+            assert op._n_columns == len(ever) <= op._columns.shape[1] <= 2 * len(ever)
+            assert op._columns.flags.f_contiguous
         pos = sorted(ever)
         want = self._columns(op, pos)
         for j, p in enumerate(pos):
-            assert np.array_equal(op._columns[p], want[:, j])
+            assert np.array_equal(op._columns[:, op._slot[p]], want[:, j])
 
     def test_pinned_solve_ignores_cache_history_and_order(self, params):
         mesh = Mesh(32, 8, params.half_width)

@@ -48,7 +48,9 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
   so a large contact set on the refined mesh is covered;
 * one 128x32 ``vi-solve`` of the unit load under a full-plate upper
   obstacle at 0.05 z_max: the active-set loop spends its whole iteration
-  budget, so the tree holds an exit-3 ``summary.json`` with the iteration
+  budget, and the iterate it stops at, whose KKT violation is below the
+  tolerance, has a contact multiplier of the wrong sign, so it is not
+  certified: the tree holds an exit-3 ``summary.json`` with the iteration
   count, contacts and residual the budget left;
 * one 16x4 uniform-profile ``green-eval`` at the four corners and the two
   long-edge midpoints, so that the ordinate quadrature runs at |y| = l;
