@@ -10,9 +10,9 @@ from .fem import (DofField, LoadSpec, Mesh, ReinforcementMask,
                   symmetry_decompose)
 from .solver import (BoxConstraints, PlateOperator, VISolution, kkt_report,
                      solve_linear, solve_obstacle)
-from .optimize import (ForceClass, GapProfile, ObstacleFamily,
-                       ReinforcementFamily, best_obstacle, best_reinforcement,
-                       classify_regime, edge_gap_series_scan, gap_profile,
+from .optimize import (ForceClass, GapProfile, ReinforcementFamily,
+                       best_obstacle, best_reinforcement, classify_regime,
+                       edge_gap_series_scan, gap_profile,
                        placement_bound_report, worst_force_amplitude,
                        worst_gap_force)
 

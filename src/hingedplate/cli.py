@@ -20,9 +20,9 @@ import numpy as np
 
 from .fem import (LoadSpec, Mesh, ReinforcementMask, assemble_load, field_to_csv,
                   write_csv)
-from .optimize import (ForceClass, ObstacleFamily, ReinforcementFamily,
-                       best_obstacle, best_reinforcement, classify_regime,
-                       gap_profile, worst_gap_force)
+from .optimize import (ForceClass, ReinforcementFamily, best_obstacle,
+                       best_reinforcement, classify_regime, gap_profile,
+                       worst_gap_force)
 from .params import MaterialParams
 from .series import (ObstacleSpec, ScanWindow, SeriesState, green_value,
                      uniform_load_profile)
@@ -472,12 +472,15 @@ def _read_optimize_reinforcement(p, ctx):
 
 def _read_optimize_obstacle(p, ctx):
     levels = [_real(g, "levels entry") for g in _list(p["levels"], "levels")]
-    family = ObstacleFamily.constant_levels(levels, region=p.get("region", "long_edges"))
+    region = p.get("region", "long_edges")
+    guides = [ObstacleSpec.constant_level(g, region=region) for g in levels]
+    if not guides:
+        raise ValueError("obstacle family has no candidates")
     forces = _build_forces(p.get("force_class", {}), ctx["params"])
 
     def run(outdir):
         op = PlateOperator.build(ctx["mesh"], ctx["params"])
-        return best_obstacle(family, op, forces).to_report()
+        return best_obstacle(guides, op, forces).to_report()
     return run
 
 

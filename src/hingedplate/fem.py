@@ -44,6 +44,7 @@ flip of the dof grid, and ``OrbitBasis`` is generated by them.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,10 +96,13 @@ class Mesh(DofTable):
     half_width: float
 
     def __post_init__(self):
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                   for n in (self.nx, self.ny)):
+            raise TypeError(f"mesh sizes must be integers, got {self.nx!r}x{self.ny!r}")
         if self.nx < 4 or self.ny < 2:
             raise ValueError(f"mesh must be at least 4x2 elements, got {self.nx}x{self.ny}")
-        if not self.half_width > 0.0:  # NaN too
-            raise ValueError("half_width must be positive")
+        if not 0.0 < self.half_width < math.inf:  # NaN too
+            raise ValueError("half_width must be positive and finite")
 
     @property
     def hx(self):

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import LoadSpec, ReinforcementMask, assemble_load, mirror_axes, write_csv
-from .series import (ObstacleSpec, ScanWindow, _sine_series, antisym_solution,
-                     gap_threshold_M, phi_m)
+from .series import (ScanWindow, _sine_series, antisym_solution, gap_threshold_M,
+                     phi_m)
 from .solver import (BoxConstraints, PlateOperator, SolverError, mirror_solution,
                      mirror_symmetries, solve_obstacle)
 from .summation import quadrature_sum
@@ -35,7 +35,6 @@ __all__ = [
     "GapProfile",
     "ForceMember",
     "ForceClass",
-    "ObstacleFamily",
     "ReinforcementFamily",
     "ScanResult",
     "gap_profile",
@@ -215,24 +214,8 @@ def _site_grid(nxi, neta, window, plate):
 
 
 # ---------------------------------------------------------------------------
-# obstacle and reinforcement families
+# reinforcement families
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ObstacleFamily:
-    """Finite list of symmetric constant-level guides."""
-
-    candidates: tuple
-
-    def __post_init__(self):
-        if not self.candidates:
-            raise ValueError("obstacle family has no candidates")
-
-    @classmethod
-    def constant_levels(cls, gammas, region="long_edges"):
-        return cls(candidates=tuple(ObstacleSpec.constant_level(g, region=region)
-                                    for g in gammas))
-
 
 @dataclass(frozen=True)
 class ReinforcementFamily:
@@ -385,6 +368,10 @@ TIE_RTOL = 1e-9
 
 
 def _scan(problem, rows, maximize):
+    """The ``ScanResult`` of ``problem`` over its candidate ``rows``; a scan
+    with no rows is a ValueError naming the problem."""
+    if not rows:
+        raise ValueError(f"{problem} scan has no candidates")
     # near-equal candidates other than mirror-image loads (mirror-image
     # layouts, say) agree only up to round-off, so the argopt is the first
     # candidate within TIE_RTOL of the optimum; the value is the optimum
@@ -471,16 +458,17 @@ def worst_gap_force(operator, obstacle, forces):
 CEILING_RTOL = 1e-9
 
 
-def best_obstacle(family, operator, forces):
-    """Best obstacle in a finite family: minimize the worst maximal gap.
+def best_obstacle(guides, operator, forces):
+    """Best guide among ``guides``, a sequence of symmetric constant-level
+    ``ObstacleSpec``s: minimize the worst maximal gap.
 
-    Every candidate's region contains the long edges, so its scanned gap must
+    Every guide's region contains the long edges, so its scanned gap must
     stay below the ceiling of twice its level; a violation fails the scan
     with a SolverError.
-    A candidate's level, and its ``kappa`` (its sup-norm), is its ``upper``.
+    A guide's level, and its ``kappa`` (its sup-norm), is its ``upper``.
     """
     rows = []
-    for spec in family.candidates:
+    for spec in guides:
         inner = worst_gap_force(operator, spec, forces)
         ceiling = 2.0 * spec.upper
         if inner.value > ceiling * (1.0 + CEILING_RTOL):
@@ -641,7 +629,7 @@ def classify_regime(gamma, params, m_max=200_000):
     ``"(ii)"``: guides clip the worst gap to exactly twice their level.
     The explicit threshold only covers the thin obstacle region.
     """
-    if gamma <= 0.0:
+    if not gamma > 0.0:  # NaN too
         raise ValueError("guide level must be positive")
     value, tail = gap_threshold_M(params, m_max=m_max)
     case = "(i)" if gamma > value else "(ii)"

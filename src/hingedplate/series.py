@@ -69,7 +69,7 @@ def aux_pair(z, params):
     Both are strictly positive for z > 0 (sinh(2z) >= 2z makes
     F >= 2*(1+sigma)*z).
     """
-    if z <= 0.0:
+    if not z > 0.0:  # NaN too
         raise ValueError(f"argument must be positive, got z={z}")
     s = params.sigma
     base = (3.0 + s) / 2.0 * np.sinh(2.0 * z)
@@ -366,6 +366,6 @@ class ObstacleSpec:
     @classmethod
     def constant_level(cls, gamma, region="long_edges"):
         """Symmetric guides at heights -gamma and +gamma."""
-        if gamma <= 0.0:
+        if not gamma > 0.0:  # NaN too
             raise ValueError(f"guide level must be positive, got {gamma}")
         return cls(lower=-gamma, upper=gamma, region=region)

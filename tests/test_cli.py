@@ -1208,6 +1208,44 @@ def test_memory_error_while_solving_is_a_diagnostic(monkeypatch, tmp_path):
     assert stored["diagnostics"] == expected
 
 
+def test_value_error_while_solving_is_a_diagnostic(monkeypatch, tmp_path):
+    """A ValueError raised after the config check is an exit-2 diagnostic
+    carrying its message, and ``summary.json`` is still strict JSON."""
+    def rejected(*args):
+        raise ValueError("scan rejected its data")
+    monkeypatch.setattr(cli, "worst_gap_force", rejected)
+    cfg = config_for("gap-scan", {}, outdir=tmp_path / "v")
+    assert validate(cfg) == []
+    code, summary = run(cfg)
+    assert code == 2 and summary["diagnostics"] == ["scan rejected its data"]
+    stored = json.loads((tmp_path / "v" / "summary.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert stored["diagnostics"] == ["scan rejected its data"]
+
+
+def test_numpy_mesh_sizes_run_and_echo_as_integers(tmp_path):
+    cfg = config_for("solve", {"load": {"density": 1.0}}, outdir=tmp_path / "n")
+    cfg["mesh"] = {"nx": np.int64(16), "ny": np.int64(4)}
+    assert validate(cfg) == []
+    code, _ = run(cfg)
+    stored = json.loads((tmp_path / "n" / "summary.json").read_text())
+    assert code == 0 and stored["config"]["mesh"] == {"nx": 16, "ny": 4}
+    assert all(type(n) is int for n in stored["config"]["mesh"].values())
+
+
+def test_array_points_are_a_diagnostic_echoed_as_a_list(tmp_path):
+    cfg = config_for("green-eval", {"points": np.array([[1.0, 0.0]])},
+                     outdir=tmp_path / "a")
+    expected = ["points must be a list: array([[1., 0.]])"]
+    assert validate(cfg) == expected
+    code, summary = run(cfg)
+    assert code == 2 and summary["diagnostics"] == expected
+    stored = json.loads((tmp_path / "a" / "summary.json").read_text(),
+                        parse_constant=_reject_constant)
+    assert stored["config"]["params"]["points"] == [[1.0, 0.0]]
+    assert stored["diagnostics"] == expected
+
+
 @pytest.mark.parametrize("command, problem, params", [
     ("validate", "vi-solve", {"load": {"density": 1.0}, "obstacles": {"gamma": 1.0}}),
     ("vi-solve", "vi-solve", {"load": {"density": 1.0}, "obstacles": {"gamma": 1.0}}),

@@ -34,12 +34,18 @@ X_MIRROR, Y_MIRROR = (True, False, 1), (False, True, 1)
 
 
 class TestMesh:
-    @pytest.mark.parametrize("half_width", [0.0, -0.1, float("nan")])
+    @pytest.mark.parametrize("half_width", [0.0, -0.1, float("nan"), float("inf")])
     def test_half_width_must_be_positive(self, half_width):
         """A NaN half-width fails ``<= 0`` too; unrejected, its first build
-        reported an overflowing operator."""
+        reported an overflowing operator.  An infinite one gave ``hy = inf``."""
         with pytest.raises(ValueError, match="half_width must be positive"):
             Mesh(8, 2, half_width)
+
+    @pytest.mark.parametrize("nx, ny", [(4.5, 2), (4, 2.0), (True, 2)])
+    def test_sizes_must_be_integers(self, nx, ny):
+        """A float size used to pass, and ``dof_grid`` failed later."""
+        with pytest.raises(TypeError, match="mesh sizes must be integers"):
+            Mesh(nx, ny, 0.1)
 
     @pytest.mark.parametrize("size", [1, -1])
     def test_field_needs_one_value_per_dof(self, mesh_small, size):

@@ -15,8 +15,7 @@ from hingedplate import (BoxConstraints, DofField, LoadSpec, Mesh,
                          worst_gap_force)
 from hingedplate import cli, optimize, solver
 from hingedplate.fem import MIRRORS, OrbitBasis, assemble_load
-from hingedplate.optimize import (MAX_MEMBERS, ForceClass, ObstacleFamily,
-                                 ReinforcementFamily)
+from hingedplate.optimize import MAX_MEMBERS, ForceClass, ReinforcementFamily
 from hingedplate.solver import (PlateOperator, SolverError, kkt_report,
                                 mirror_symmetries, solve_obstacle)
 
@@ -61,6 +60,19 @@ class TestScanTies:
                 {"label": "b", "value": v * (1.0 + 10 * optimize.TIE_RTOL)}]
         assert optimize._scan("p", rows, maximize=True).argopt_index == 1
         assert optimize._scan("p", rows, maximize=False).argopt_index == 0
+
+    def test_empty_outer_scans_name_their_problem(self, operator_small, mesh_small,
+                                                  params):
+        """Without candidates the outer scans fail on ``_scan``'s own
+        message, not on ``max()`` of an empty sequence."""
+        fc = ForceClass(kind="bang-bang", cells=(2, 1))
+        with pytest.raises(ValueError, match="best-obstacle scan has no candidates"):
+            best_obstacle([], operator_small, fc)
+        for variant in ("E1", "E2"):
+            with pytest.raises(ValueError,
+                               match="best-reinforcement scan has no candidates"):
+                best_reinforcement([], mesh_small, params, fc,
+                                   BoxConstraints.unbounded(mesh_small), variant)
 
 
 class TestGapProfile:
@@ -177,6 +189,15 @@ class TestForceClasses:
         else:
             with pytest.raises(ValueError, match=f"has {count} members, more than"):
                 ForceClass(kind=kind, nxi=nxi, neta=neta)
+
+    @pytest.mark.parametrize("kind", ["antisym-delta", "signed-delta"])
+    def test_a_window_without_sites_is_an_error(self, params, kind):
+        """An unvalidated window that holds no site of the grid (no midline
+        column for even nxi, no edge band or midline band for negative
+        widths) leaves the class without members."""
+        fc = ForceClass(kind=kind, window=ScanWindow(z0=-1.0, w0=-1.0), nxi=4, neta=3)
+        with pytest.raises(ValueError, match="discretization produced no members"):
+            fc.members(params)
 
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError, match="unknown force class kind 'tripole'"):
@@ -859,10 +880,11 @@ class TestRepresentativeSubspace:
 
         monkeypatch.setattr(OrbitBasis, "restrict_form", counted)
         monkeypatch.setattr(OrbitBasis, "__init__", constructed)
-        fam = ObstacleFamily.constant_levels([0.5 * threshold, 2.0 * threshold])
+        guides = [ObstacleSpec.constant_level(g)
+                  for g in (0.5 * threshold, 2.0 * threshold)]
         forces = ForceClass(kind="antisym-delta", window=ScanWindow.default(params),
                             nxi=9, neta=5)
-        res = best_obstacle(fam, PlateOperator.build(mesh_small, params), forces)
+        res = best_obstacle(guides, PlateOperator.build(mesh_small, params), forces)
         assert len(res.rows) == 2 and calls == built == [(Y_ODD,)]
         built.clear()
         cfg = cli.default_config()
@@ -910,24 +932,23 @@ class TestBestObstacle:
     def test_low_levels_clip_to_twice_gamma(self, operator_mid, mesh_mid,
                                             params, threshold, small_forces):
         gamma = 0.5 * threshold
-        fam = ObstacleFamily.constant_levels([gamma, 2.0 * gamma])
-        res = best_obstacle(fam, operator_mid, small_forces)
+        guides = [ObstacleSpec.constant_level(g) for g in (gamma, 2.0 * gamma)]
+        res = best_obstacle(guides, operator_mid, small_forces)
         assert res.argopt_index == 0
         assert res.value == pytest.approx(2.0 * gamma, rel=1e-9)
 
     def test_single_candidate_returned(self, operator_small, mesh_small,
                                        params):
-        fam = ObstacleFamily.constant_levels([0.37])
         fc = ForceClass(kind="antisym-delta",
                         window=ScanWindow.default(params), nxi=5, neta=3)
-        res = best_obstacle(fam, operator_small, fc)
+        res = best_obstacle([ObstacleSpec.constant_level(0.37)], operator_small, fc)
         assert res.argopt_index == 0
 
     def test_high_level_leaves_gap_unclipped(self, operator_mid, mesh_mid,
                                              params, threshold, small_forces):
         gamma = 3.0 * threshold
-        fam = ObstacleFamily.constant_levels([gamma])
-        res = best_obstacle(fam, operator_mid, small_forces)
+        res = best_obstacle([ObstacleSpec.constant_level(gamma)], operator_mid,
+                            small_forces)
         free = worst_gap_force(operator_mid, unreachable_obstacle(params),
                                small_forces)
         assert res.value < 2.0 * gamma
@@ -957,6 +978,8 @@ class TestRegime:
     def test_unsupported_region_rejected(self, params):
         with pytest.raises(ValueError):
             classify_regime(-0.5, params)
+        with pytest.raises(ValueError, match="guide level must be positive"):
+            classify_regime(float("nan"), params, m_max=100)
 
 
 class TestSeriesScan:

@@ -53,6 +53,8 @@ class TestAuxPair:
             aux_pair(0.0, params)
         with pytest.raises(ValueError):
             aux_pair(-1.0, params)
+        with pytest.raises(ValueError, match="argument must be positive, got z=nan"):
+            aux_pair(float("nan"), params)
 
 
 class TestBoundaryKernels:
@@ -429,6 +431,12 @@ class TestStateAndWindow:
             ObstacleSpec(lower=-1.0, upper=1.0, region="middle")
         with pytest.raises(ValueError, match="unknown obstacle region 'middle'"):
             ObstacleSpec.constant_level(0.5, region="middle")
+
+    def test_nan_guide_level_is_rejected(self):
+        """``gamma <= 0`` let NaN through to the generic sign message of
+        the bounds."""
+        with pytest.raises(ValueError, match="guide level must be positive, got nan"):
+            ObstacleSpec.constant_level(float("nan"))
 
     def test_antisym_delta_validation(self, state):
         antisym_solution((1.0, 0.05), (2.0, 0.05), state)

@@ -69,8 +69,11 @@ Imports ``hingedplate`` from ``SRC_ROOT/src`` and the benchmark configs from
 
 Each op writes to ``OUT_DIR/<workload>/<label>/``; ``OUT_DIR/exit_codes.txt``
 lists the exit code of every op: 33 ops exit 0, three exit 2 and three
-exit 3.  Output directories are relative to ``OUT_DIR``, so the embedded
-configs do not depend on where the tree lives.
+exit 3.  ``tools/exit_codes.txt`` holds that list as committed, and CI
+diffs each new tree's list against it, so an op whose exit code changes
+fails there even when two trees of the same sources agree.  Output
+directories are relative to ``OUT_DIR``, so the embedded configs do not
+depend on where the tree lives.
 Two trees from identical sources must not differ (``diff -r``).
 """
 
