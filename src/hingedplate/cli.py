@@ -283,13 +283,16 @@ def _build_load(spec):
                     point_masses=[_reals(q, "point_masses entry", 3) for q in masses])
 
 
-def _build_obstacle(spec):
+def _build_obstacle(spec, mesh):
+    """The box on ``mesh`` of an ``obstacles`` entry."""
     kind = _kinded(spec, "obstacles", _OBSTACLE_KEYS, "obstacle", "constant_level")
     region = spec.get("region", "long_edges")
     if kind == "constant_level":
-        return ObstacleSpec.constant_level(_real(spec["gamma"], "gamma"), region=region)
-    return ObstacleSpec(lower=_real(spec["lower"], "lower"),
-                        upper=_real(spec["upper"], "upper"), region=region)
+        return BoxConstraints.from_obstacle(mesh, ObstacleSpec.constant_level(
+            _real(spec["gamma"], "gamma"), region=region))
+    return BoxConstraints.from_obstacle(mesh, ObstacleSpec(
+        lower=_real(spec["lower"], "lower"), upper=_real(spec["upper"], "upper"),
+        region=region))
 
 
 def _build_forces(spec, params):
@@ -407,8 +410,7 @@ def _read_solve(p, ctx):
 def _read_vi_solve(p, ctx):
     mesh = ctx["mesh"]
     load = _build_load(p["load"])
-    obstacle = _build_obstacle(p["obstacles"])
-    box = BoxConstraints.from_obstacle(mesh, obstacle)
+    box = _build_obstacle(p["obstacles"], mesh)
     variant = p.get("variant")
     if variant not in (None, "base", "E1", "E2"):
         raise ValueError(f"vi-solve variant must be base, E1 or E2: {variant!r}")
@@ -438,13 +440,13 @@ def _read_vi_solve(p, ctx):
 
 def _read_gap_scan(p, ctx):
     params = ctx["params"]
-    obstacle = (_build_obstacle(p["obstacles"]) if "obstacles" in p
-                else BoxConstraints.unbounded(ctx["mesh"]))
+    box = (_build_obstacle(p["obstacles"], ctx["mesh"]) if "obstacles" in p
+           else BoxConstraints.unbounded(ctx["mesh"]))
     forces = _build_forces(p.get("force_class", {}), params)
 
     def run(outdir):
         op = PlateOperator.build(ctx["mesh"], params)
-        scan = worst_gap_force(op, obstacle, forces)
+        scan = worst_gap_force(op, box, forces)
         scan.argopt_profile.to_csv(outdir / "gap.csv")
         return scan.to_report()
     return run
@@ -455,8 +457,8 @@ def _read_optimize_reinforcement(p, ctx):
     # raises when no layout meets the area balance
     masks = _build_family(p).candidates(mesh)
     forces = _build_forces(p.get("force_class", {"kind": "bang-bang"}), params)
-    obstacle = (_build_obstacle(p["obstacles"]) if "obstacles" in p
-                else BoxConstraints.unbounded(mesh))
+    box = (_build_obstacle(p["obstacles"], mesh) if "obstacles" in p
+           else BoxConstraints.unbounded(mesh))
     variant = p.get("variant", "E2")
     if variant not in ("E1", "E2"):
         raise ValueError(f"reinforcement variant must be E1 or E2: {variant!r}")
@@ -464,7 +466,7 @@ def _read_optimize_reinforcement(p, ctx):
         raise ValueError("density-weighted scans need an integrable force class")
 
     def run(outdir):
-        scan = best_reinforcement(masks, mesh, params, forces, obstacle, variant)
+        scan = best_reinforcement(masks, mesh, params, forces, box, variant)
         return {**scan.to_report(),
                 "argopt_mask": _json_default(masks[scan.argopt_index])}
     return run
@@ -495,13 +497,13 @@ def _read_regime(p, ctx):
     if not scan:
         _object(p, "params", _PARAMS_KEYS["regime"] - {"force_class"})
     forces = _build_forces(p.get("force_class", {}), params) if scan else None
+    guides = _build_obstacle({"gamma": gamma}, ctx["mesh"]) if scan else None
 
     def run(outdir):
         report = classify_regime(gamma, params, m_max=ctx["state"].m_max * 100)
         if scan:
-            obstacle = ObstacleSpec.constant_level(gamma, region="long_edges")
             op = PlateOperator.build(ctx["mesh"], params)
-            result = worst_gap_force(op, obstacle, forces)
+            result = worst_gap_force(op, guides, forces)
             report["scanned_gap"] = result.value
             report["scan"] = result.to_report()
         return report

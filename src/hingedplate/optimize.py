@@ -118,7 +118,7 @@ class ForceClass:
     """A finite family of unit-norm loads to scan over.
 
     The point-load kinds share an nxi x neta site grid over the closure,
-    restricted to ``window`` when given:
+    restricted to ``window`` when given, which must pass ``ScanWindow.validate``:
       * ``antisym-delta``: pairs (delta_(xi,eta)-delta_(xi,-eta))/2; the
         midline sites (eta = 0, the middle row of an odd ``neta``) are
         dropped: they are the zero load, not unit norm.  So the class needs
@@ -197,8 +197,6 @@ class ForceClass:
                     out.append(ForceMember(
                         label=f"T[{i},{j}]", load=LoadSpec.antisym_pair(xi, eta),
                         meta=site, signs=unit - unit[::-1]))
-        if not out:
-            raise ValueError("force class discretization produced no members")
         return out
 
 
@@ -208,6 +206,8 @@ def _site_grid(nxi, neta, window, plate):
     the (nxi, neta) mask of the sites in ``window`` (all, without one)."""
     xi = np.linspace(0.0, np.pi, nxi)
     eta = np.linspace(-plate.half_width, plate.half_width, neta)
+    if window is not None:
+        window.validate(plate)
     allowed = (np.ones((nxi, neta), dtype=bool) if window is None
                else window.contains(*np.meshgrid(xi, eta, indexing="ij"), plate))
     return xi, eta, allowed
@@ -404,9 +404,10 @@ def _orbits(members, elements):
             for column in zip(*images)]
 
 
-def _member_rows(operator, obstacles, forces, weight=None):
+def _member_rows(operator, box, forces, weight=None):
     """Solve each force-class member on ``operator.mesh`` under one operator
-    and obstacle box, yielding ``(solution, row)`` with the shared row fields.
+    and one ``BoxConstraints`` ``box``, yielding ``(solution, row)`` with the
+    shared row fields.
 
     The mirrors that map the box, the operator's mask and ``weight`` onto
     themselves split the members into orbits.  The first member of each
@@ -415,8 +416,6 @@ def _member_rows(operator, obstacles, forces, weight=None):
     member's own load, and a member whose image fails its certificate is
     solved on the full space.
     """
-    box = (obstacles if isinstance(obstacles, BoxConstraints)
-           else BoxConstraints.from_obstacle(operator.mesh, obstacles))
     members = forces.members(operator.mesh)
     masks = [m for m in (operator.mask, weight) if m is not None]
     elements = mirror_symmetries(operator.mesh, box, masks)
@@ -442,10 +441,10 @@ def _member_rows(operator, obstacles, forces, weight=None):
         }
 
 
-def worst_gap_force(operator, obstacle, forces):
-    """Worst unit load for the maximal gap, under the given obstacle."""
+def worst_gap_force(operator, box, forces):
+    """Worst unit load for the maximal gap under the ``BoxConstraints`` ``box``."""
     rows, profiles = [], []
-    for sol, row in _member_rows(operator, obstacle, forces):
+    for sol, row in _member_rows(operator, box, forces):
         prof = gap_profile(sol)
         profiles.append(prof)
         rows.append({**row, "value": prof.maximal_gap, "argmax_x": prof.argmax_x})
@@ -460,7 +459,8 @@ CEILING_RTOL = 1e-9
 
 def best_obstacle(guides, operator, forces):
     """Best guide among ``guides``, a sequence of symmetric constant-level
-    ``ObstacleSpec``s: minimize the worst maximal gap.
+    ``ObstacleSpec``s, each scanned under its box on ``operator.mesh``:
+    minimize the worst maximal gap.
 
     Every guide's region contains the long edges, so its scanned gap must
     stay below the ceiling of twice its level; a violation fails the scan
@@ -469,7 +469,8 @@ def best_obstacle(guides, operator, forces):
     """
     rows = []
     for spec in guides:
-        inner = worst_gap_force(operator, spec, forces)
+        inner = worst_gap_force(
+            operator, BoxConstraints.from_obstacle(operator.mesh, spec), forces)
         ceiling = 2.0 * spec.upper
         if inner.value > ceiling * (1.0 + CEILING_RTOL):
             raise SolverError(
@@ -485,20 +486,22 @@ def best_obstacle(guides, operator, forces):
     return _scan("best-obstacle", rows, maximize=False)
 
 
-def worst_force_amplitude(operator, obstacles, forces, weight=None):
-    """Worst unit load for the sup-norm of the deflection, one layout fixed.
+def worst_force_amplitude(operator, box, forces, weight=None):
+    """Worst unit load for the sup-norm of the deflection under the
+    ``BoxConstraints`` ``box``, one layout fixed.
 
     The layout acts through ``operator`` (a stiffness-weighted operator) or
     through ``weight`` (a mask weighting the load density, which point
     loads cannot carry).
     """
     rows = [{**row, "value": sol.field.sup_norm()}
-            for sol, row in _member_rows(operator, obstacles, forces, weight=weight)]
+            for sol, row in _member_rows(operator, box, forces, weight=weight)]
     return _scan("worst-force-amplitude", rows, maximize=True)
 
 
-def best_reinforcement(masks, mesh, params, forces, obstacles, variant):
-    """Best layout among ``masks``: minimize the worst amplitude.
+def best_reinforcement(masks, mesh, params, forces, box, variant):
+    """Best layout among ``masks`` under the ``BoxConstraints`` ``box``:
+    minimize the worst amplitude.
 
     Under ``"E1"`` a mask weights the stiffness, so each mask builds its own
     operator; under ``"E2"`` it weights the load density (of a bang-bang
@@ -511,9 +514,9 @@ def best_reinforcement(masks, mesh, params, forces, obstacles, variant):
     for i, mask in enumerate(masks):
         if variant == "E1":
             inner = worst_force_amplitude(PlateOperator.build(mesh, params, mask=mask),
-                                          obstacles, forces)
+                                          box, forces)
         else:
-            inner = worst_force_amplitude(base, obstacles, forces, weight=mask)
+            inner = worst_force_amplitude(base, box, forces, weight=mask)
         rows.append({
             "label": f"mask[{i}]",
             "params": {
@@ -531,7 +534,7 @@ def best_reinforcement(masks, mesh, params, forces, obstacles, variant):
 def edge_gap_series_scan(state, window=None, nxi=33, neta=9, n_abscissae=65):
     """Grid maximum of the edge response |v(x, l)| over point-pair sites.
 
-    Scans the (xi, eta) site grid (restricted to ``window`` when given) with
+    Scans the (xi, eta) site grid (restricted to a valid ``window`` when given) with
     one ``antisym_solution`` call broadcast over (xi, eta, x) grids, so each
     site's edge values equal its own call on the abscissae exactly.  The gap
     of the odd solution is twice the edge value, so the returned ``m_scan``

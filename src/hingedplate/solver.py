@@ -4,8 +4,8 @@ The discrete two-sided obstacle problem is the quadratic program
 
     min  1/2 x' K x - b' x    subject to  lo_i <= x_i <= hi_i
 
-over the essential-constrained dof space, where only value dofs of nodes in
-the obstacle region are boxed.  A monotone primal active set iteration
+over the essential-constrained dof space, where only the value dofs of
+nodes with a finite bound are boxed.  A monotone primal active set iteration
 solves it with exact nodewise feasibility and finite termination; it decides
 every step on the box dofs alone and refines only a contact set that settles
 (``_active_set``).  A contact is one signed side per box dof, -1 on the lower
@@ -117,49 +117,39 @@ LOAD_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class BoxConstraints:
-    """Bounds on value dofs of the nodes selected by ``node_mask``.
+    """Bounds ``lower`` and ``upper`` on the value dofs of the nodes, arrays
+    of one shape in the flat node order; a node whose two bounds are both
+    infinite is unboxed.  Bounds must bracket zero (the rest state is always
+    admissible), so a NaN bound is an error; a node with lower == upper is
+    pinned."""
 
-    ``lower`` and ``upper`` are per-node arrays aligned with the flat node
-    order; entries outside the mask are ignored.  Bounds must bracket zero
-    (the rest state is always admissible); a node with lower == upper is
-    pinned.
-    """
-
-    node_mask: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "node_mask", np.asarray(self.node_mask, dtype=bool))
         object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
         object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
-        m = self.node_mask
-        if self.lower.shape != m.shape or self.upper.shape != m.shape:
-            raise ValueError("bounds must align with the node mask")
+        if self.lower.shape != self.upper.shape:
+            raise ValueError("lower and upper bounds must have one shape")
         # negated, so that a NaN bound fails too
-        if not (np.all(self.lower[m] <= 0.0) and np.all(self.upper[m] >= 0.0)):
+        if not (np.all(self.lower <= 0.0) and np.all(self.upper >= 0.0)):
             raise ValueError("obstacles must satisfy lower <= 0 <= upper")
 
     @classmethod
     def from_obstacle(cls, mesh, obstacle):
-        """Nodewise bounds of an ObstacleSpec on its region of the mesh.
+        """Nodewise bounds of an ObstacleSpec on its region of the mesh, +-inf off it.
 
         The long edges are the node rows 0 and ``ny`` (y = -l and y = l),
         taken by index, so no other row joins them however thin the plate."""
+        region = np.ones((mesh.ny + 1, mesh.nx + 1), dtype=bool)
         if obstacle.region == "long_edges":
-            rows = np.zeros((mesh.ny + 1, mesh.nx + 1), dtype=bool)
-            rows[[0, mesh.ny]] = True
-            mask = rows.ravel()
-        else:
-            mask = np.ones(mesh.n_nodes, dtype=bool)
-        lower = np.where(mask, obstacle.lower, -np.inf)
-        upper = np.where(mask, obstacle.upper, np.inf)
-        return cls(mask, lower, upper)
+            region[1:mesh.ny] = False
+        return cls(np.where(region, obstacle.lower, -np.inf).ravel(),
+                   np.where(region, obstacle.upper, np.inf).ravel())
 
     @classmethod
     def unbounded(cls, mesh):
-        n = mesh.n_nodes
-        return cls(np.zeros(n, dtype=bool), np.full(n, -np.inf), np.full(n, np.inf))
+        return cls(np.full(mesh.n_nodes, -np.inf), np.full(mesh.n_nodes, np.inf))
 
 
 @dataclass
@@ -371,12 +361,13 @@ def solve_linear(operator, rhs):
 
 
 def _box_dof_arrays(operator, constraints):
-    """Constrained value-dof indices with their bounds, essential dofs excluded."""
-    nodes = np.flatnonzero(constraints.node_mask)
+    """Boxed value-dof indices with their bounds, essential dofs excluded."""
+    lower, upper = constraints.lower, constraints.upper
+    nodes = np.flatnonzero(np.isfinite(lower) | np.isfinite(upper))
     dofs = 4 * nodes + DOF_VALUE
     ok = operator.free[dofs]
     nodes, dofs = nodes[ok], dofs[ok]
-    return dofs, constraints.lower[nodes], constraints.upper[nodes]
+    return dofs, lower[nodes], upper[nodes]
 
 
 def solve_obstacle(operator, rhs, constraints, flips=()):
@@ -403,7 +394,7 @@ def solve_obstacle(operator, rhs, constraints, flips=()):
     reduced = operator.reduced(group)
     basis, rep = reduced.mesh, reduced.mesh.representative_nodes
     solution = _active_set(reduced, basis.restrict(rhs), BoxConstraints(
-        constraints.node_mask[rep], constraints.lower[rep], constraints.upper[rep]))
+        constraints.lower[rep], constraints.upper[rep]))
     return _image(solution, operator, rhs, constraints, basis.coordinate, basis.sign)
 
 
@@ -600,13 +591,12 @@ def mirror_symmetries(mesh, constraints, masks=()):
 def _maps_onto_itself(mesh, constraints, masks, element):
     """Whether the mirror ``element`` maps the box ``constraints`` and the
     elements of each reinforcement mask in ``masks`` onto themselves, by
-    exact comparison: node mask and bounds under the node permutation, the
-    bounds swapped and negated under a negating element."""
-    m, lower, upper = constraints.node_mask, constraints.lower, constraints.upper
+    exact comparison: the bounds under the node permutation, swapped and
+    negated under a negating element."""
+    lower, upper = constraints.lower, constraints.upper
     perm = mirror_map(mesh, element)[0][DOF_VALUE::4] // 4
     lo, hi = (lower, upper) if element[2] > 0 else (-upper, -lower)
-    return (np.array_equal(m[perm], m) and np.array_equal(lo[perm][m], lower[m])
-            and np.array_equal(hi[perm][m], upper[m])
+    return (np.array_equal(lo[perm], lower) and np.array_equal(hi[perm], upper)
             and all(np.array_equal(np.flip(mask.elements, mirror_axes(element)),
                                    mask.elements) for mask in masks))
 

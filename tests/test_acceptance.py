@@ -165,9 +165,7 @@ def test_criterion_4_kkt_certification(mesh, operator, threshold):
     upper = np.full(small.n_nodes, np.inf)
     lower[nodes] = -rng.uniform(0.05, 0.4, nodes.size) * span
     upper[nodes] = rng.uniform(0.05, 0.4, nodes.size) * span
-    mask = np.zeros(small.n_nodes, dtype=bool)
-    mask[nodes] = True
-    box = BoxConstraints(mask, lower, upper)
+    box = BoxConstraints(lower, upper)
     sol = solve_obstacle(op, rhs.astype(np.longdouble), box)
 
     a = op.form.matrix[op.free_idx][:, op.free_idx].toarray()
@@ -242,10 +240,10 @@ def test_criterion_6_threshold_identity(mesh, operator, state, threshold,
     fc = ForceClass(kind="antisym-delta", window=window, nxi=33, neta=9)
     far = ObstacleSpec.constant_level(2.0 * analytic_bound_C(PARAMS),
                                       region="long_edges")
-    scan_fine = worst_gap_force(operator, far, fc)
+    scan_fine = worst_gap_force(operator, BoxConstraints.from_obstacle(mesh, far), fc)
     coarse_mesh = Mesh(32, 8, L)
     scan_coarse = worst_gap_force(PlateOperator.build(coarse_mesh, PARAMS),
-                                  far, fc)
+                                  BoxConstraints.from_obstacle(coarse_mesh, far), fc)
     fem_estimate = abs(scan_fine.value - scan_coarse.value)
     identity_gap = abs(scan_fine.value - 2.0 * m_val)
     tol = 5.0 * (2.0 * state.tail_bound + fem_estimate)
@@ -270,9 +268,9 @@ def test_criterion_7_regime_dichotomy(mesh, operator, threshold, window):
     fc = ForceClass(kind="antisym-delta", window=window, nxi=33, neta=9)
 
     gamma_hi = 1.5 * m_val
-    scan_hi = worst_gap_force(operator,
-                              ObstacleSpec.constant_level(gamma_hi),
-                              fc)
+    scan_hi = worst_gap_force(
+        operator, BoxConstraints.from_obstacle(mesh, ObstacleSpec.constant_level(gamma_hi)),
+        fc)
     center_rows = [r for r in scan_hi.rows
                    if r["params"]["xi"] == pytest.approx(np.pi / 2)]
     hi_ok = (scan_hi.value < 2.0 * gamma_hi
@@ -281,9 +279,9 @@ def test_criterion_7_regime_dichotomy(mesh, operator, threshold, window):
                      for r in center_rows))
 
     gamma_lo = 0.5 * m_val
-    scan_lo = worst_gap_force(operator,
-                              ObstacleSpec.constant_level(gamma_lo),
-                              fc)
+    scan_lo = worst_gap_force(
+        operator, BoxConstraints.from_obstacle(mesh, ObstacleSpec.constant_level(gamma_lo)),
+        fc)
     eta_spacing = 2.0 * L / 8.0
     tol_scan = 2.0 * gamma_lo * eta_spacing / L
     lo_ok = (2.0 * gamma_lo - tol_scan <= scan_lo.value

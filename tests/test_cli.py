@@ -217,8 +217,7 @@ class TestRun:
         mesh = Mesh(16, 4, 0.1)
         op = solver.PlateOperator.build(mesh, MaterialParams(0.2, 0.1))
         rhs = assemble_load(mesh, cli._build_load(cfg["params"]["load"]))
-        box = solver.BoxConstraints.from_obstacle(
-            mesh, cli._build_obstacle(cfg["params"]["obstacles"]))
+        box = cli._build_obstacle(cfg["params"]["obstacles"], mesh)
         errors = []
         for flips in (((True, False), (False, True)), ()):
             with pytest.raises(solver.IterationLimitError) as err:

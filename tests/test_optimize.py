@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -192,12 +193,27 @@ class TestForceClasses:
 
     @pytest.mark.parametrize("kind", ["antisym-delta", "signed-delta"])
     def test_a_window_without_sites_is_an_error(self, params, kind):
-        """An unvalidated window that holds no site of the grid (no midline
-        column for even nxi, no edge band or midline band for negative
-        widths) leaves the class without members."""
+        """A window that would hold no site of the grid (no midline column
+        for even nxi, no edge band or midline band for negative widths) is
+        out of range, and the class refuses it before it builds a member.
+        An admitted window always holds the sites of the short edge x = 0."""
         fc = ForceClass(kind=kind, window=ScanWindow(z0=-1.0, w0=-1.0), nxi=4, neta=3)
-        with pytest.raises(ValueError, match="discretization produced no members"):
+        with pytest.raises(ValueError, match=re.escape("z0 must lie in (0, pi/2)")):
             fc.members(params)
+
+    @pytest.mark.parametrize("kind, window, message", [
+        # z0 past pi/2: both edge bands cover the plate, all 36 pairs
+        ("antisym-delta", ScanWindow(z0=2.0, w0=0.05), "z0 must lie in (0, pi/2), got 2.0"),
+        # a band wider than the plate: all 90 signed point loads
+        ("signed-delta", ScanWindow(z0=np.pi / 6, w0=5.0),
+         "w0 must lie in (0, half_width), got 5.0"),
+    ], ids=["z0-past-half-pi", "w0-past-half-width"])
+    def test_members_validate_the_window(self, params, kind, window, message):
+        """A window out of range is refused where it is applied, with
+        ``ScanWindow.validate``'s message; it used to admit every site."""
+        fc = ForceClass(kind=kind, window=window, nxi=9, neta=5)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fc.members(Mesh(16, 4, params.half_width))
 
     def test_unknown_kind_is_rejected(self):
         with pytest.raises(ValueError, match="unknown force class kind 'tripole'"):
@@ -494,8 +510,8 @@ class TestWorstGapForce:
     def test_unreachable_guides_peak_at_center_edge(self, operator_mid,
                                                     mesh_mid, params,
                                                     small_forces):
-        res = worst_gap_force(operator_mid, unreachable_obstacle(params),
-                              small_forces)
+        box = BoxConstraints.from_obstacle(mesh_mid, unreachable_obstacle(params))
+        res = worst_gap_force(operator_mid, box, small_forces)
         best = dict(res.rows[res.argopt_index]["params"])
         assert best["xi"] == pytest.approx(np.pi / 2)
         assert abs(best["eta"]) == pytest.approx(params.half_width)
@@ -532,9 +548,10 @@ class TestWorstGapForce:
     def test_scan_is_deterministic(self, operator_small, mesh_small, params):
         fc = ForceClass(kind="antisym-delta",
                         window=ScanWindow.default(params), nxi=9, neta=5)
-        obstacle = ObstacleSpec.constant_level(0.02, region="long_edges")
-        r1 = worst_gap_force(operator_small, obstacle, fc)
-        r2 = worst_gap_force(operator_small, obstacle, fc)
+        box = BoxConstraints.from_obstacle(
+            mesh_small, ObstacleSpec.constant_level(0.02, region="long_edges"))
+        r1 = worst_gap_force(operator_small, box, fc)
+        r2 = worst_gap_force(operator_small, box, fc)
         assert r1.argopt_index == r2.argopt_index
         assert r1.value == r2.value
         assert r1.rows == r2.rows
@@ -949,8 +966,8 @@ class TestBestObstacle:
         gamma = 3.0 * threshold
         res = best_obstacle([ObstacleSpec.constant_level(gamma)], operator_mid,
                             small_forces)
-        free = worst_gap_force(operator_mid, unreachable_obstacle(params),
-                               small_forces)
+        box = BoxConstraints.from_obstacle(mesh_mid, unreachable_obstacle(params))
+        free = worst_gap_force(operator_mid, box, small_forces)
         assert res.value < 2.0 * gamma
         assert res.value == pytest.approx(free.value, rel=1e-12)
 
@@ -968,9 +985,8 @@ class TestRegime:
                                                     mesh_mid, params,
                                                     threshold, small_forces):
         gamma = 0.5 * threshold
-        res = worst_gap_force(operator_mid,
-                              ObstacleSpec.constant_level(gamma),
-                              small_forces)
+        box = BoxConstraints.from_obstacle(mesh_mid, ObstacleSpec.constant_level(gamma))
+        res = worst_gap_force(operator_mid, box, small_forces)
         assert res.value == pytest.approx(2.0 * gamma, rel=1e-9)
         assert any(r["contact_lower"] + r["contact_upper"] > 0
                    for r in res.rows)
@@ -997,6 +1013,13 @@ class TestSeriesScan:
         assert np.all(per_site[0, :] <= 1e-12)    # xi = 0
         assert np.all(per_site[-1, :] <= 1e-12)   # xi = pi
         assert np.all(per_site[:, 2] <= 1e-12)    # eta = 0
+
+    def test_scan_validates_the_window(self, params):
+        """A window out of range is refused with ``ScanWindow.validate``'s
+        message, as ``ForceClass.members`` refuses it; it used to run."""
+        state = SeriesState(params, m_max=100)
+        with pytest.raises(ValueError, match=re.escape("z0 must lie in (0, pi/2), got 2.0")):
+            edge_gap_series_scan(state, window=ScanWindow(z0=2.0, w0=0.05), nxi=9, neta=5)
 
 
 class TestPlacementBounds:

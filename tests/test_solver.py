@@ -84,8 +84,7 @@ class TestNonFiniteCertificates:
         op = PlateOperator.build(mesh, params)
         rhs = assemble_load(mesh, LoadSpec(point_masses=((1.0, 0.0, weight),)))
         n = mesh.n_nodes
-        box = BoxConstraints(np.ones(n, dtype=bool), np.full(n, -1e308),
-                             np.full(n, 1e308))
+        box = BoxConstraints(np.full(n, -1e308), np.full(n, 1e308))
         message = re.escape(f"residual {stat} or its scale {scale} is not finite")
         with pytest.raises(SolverError, match=message):
             solve_obstacle(op, rhs, box)
@@ -184,31 +183,28 @@ class TestSolveObstacle:
 
     def test_degenerate_box_pins_node(self, operator_small, mesh_small):
         n = mesh_small.n_nodes
-        mask = np.zeros(n, dtype=bool)
         pin = mesh_small.node_index(8, 2)
-        mask[pin] = True
-        lower = np.zeros(n)
-        upper = np.zeros(n)
-        box = BoxConstraints(mask, lower, upper)
+        lower = np.full(n, -np.inf)
+        upper = np.full(n, np.inf)
+        lower[pin] = upper[pin] = 0.0
+        box = BoxConstraints(lower, upper)
         b = assemble_load(mesh_small, SIN_LOAD)
         sol = solve_obstacle(operator_small, b, box)
         assert sol.field.node_values[pin] == 0.0
 
     def test_invalid_boxes_rejected(self, mesh_small):
         n = mesh_small.n_nodes
-        mask = np.ones(n, dtype=bool)
         with pytest.raises(ValueError):
-            BoxConstraints(mask, np.full(n, 0.5), np.full(n, 1.0))  # lower > 0
+            BoxConstraints(np.full(n, 0.5), np.full(n, 1.0))  # lower > 0
         with pytest.raises(ValueError):
-            BoxConstraints(mask, np.full(n, -1.0), np.full(n, -0.5))  # upper < 0
+            BoxConstraints(np.full(n, -1.0), np.full(n, -0.5))  # upper < 0
 
     def test_misaligned_bounds_rejected(self, mesh_small):
         n = mesh_small.n_nodes
-        mask = np.ones(n, dtype=bool)
         for lower, upper in [(np.full(n - 1, -1.0), np.full(n, 1.0)),
                              (np.full(n, -1.0), np.full((n, 1), 1.0))]:
-            with pytest.raises(ValueError, match="align with the node mask"):
-                BoxConstraints(mask, lower, upper)
+            with pytest.raises(ValueError, match="must have one shape"):
+                BoxConstraints(lower, upper)
 
     def test_an_essential_dof_cannot_be_pinned(self, operator_small, mesh_small):
         # the value dof of a node on the hinged edge x = 0, beside a free one
@@ -219,19 +215,30 @@ class TestSolveObstacle:
             operator_small.solve_pinned(b, np.array([free, hinged]), np.zeros(2))
 
     def test_nan_bounds_rejected(self, operator_small, mesh_small):
-        """A NaN bound on a boxed node passes ``lower > 0`` and ``upper < 0``
-        alike; unrejected, a NaN upper bound on the whole plate certified the
-        unconstrained field (sup 1.32) with no contact.  Infinite bounds
-        stay allowed."""
+        """A NaN bound passes ``lower > 0`` and ``upper < 0`` alike;
+        unrejected, a NaN upper bound on the whole plate certified the
+        unconstrained field (sup 1.32) with no contact.  A NaN bound on any
+        one node is rejected, the other bound infinite or not.  Infinite
+        bounds stay allowed: a box whose bounds are all +-inf boxes no node
+        and solves as the unbounded box."""
         n = mesh_small.n_nodes
-        mask = np.ones(n, dtype=bool)
         for lower, upper in [(-1.0, np.nan), (np.nan, 1.0), (np.nan, np.nan)]:
             with pytest.raises(ValueError, match="lower <= 0 <= upper"):
-                BoxConstraints(mask, np.full(n, lower), np.full(n, upper))
-        BoxConstraints(~mask, np.full(n, np.nan), np.full(n, np.nan))  # off the mask
-        box = BoxConstraints(mask, np.full(n, -np.inf), np.full(n, np.inf))
+                BoxConstraints(np.full(n, lower), np.full(n, upper))
+        for side, node, other in itertools.product(("lower", "upper"), (0, n // 2, n - 1),
+                                                   (1.0, np.inf)):
+            bounds = {"lower": np.full(n, -other), "upper": np.full(n, other)}
+            bounds[side][node] = np.nan
+            with pytest.raises(ValueError, match="lower <= 0 <= upper"):
+                BoxConstraints(**bounds)
+        box = BoxConstraints(np.full(n, -np.inf), np.full(n, np.inf))
         b = assemble_load(mesh_small, LoadSpec(density=1.0))
-        assert solve_obstacle(operator_small, b, box).field.sup_norm() == pytest.approx(
+        sol = solve_obstacle(operator_small, b, box)
+        free = solve_obstacle(operator_small, b, BoxConstraints.unbounded(mesh_small))
+        assert np.array_equal(sol.field.dofs, free.field.dofs)
+        assert sol.iterations == free.iterations
+        assert np.array_equal(sol.contact, free.contact)
+        assert sol.field.sup_norm() == pytest.approx(
             solve_linear(operator_small, b).sup_norm())
 
     @pytest.mark.parametrize("half_width", [0.1, 5e-12])
@@ -241,10 +248,11 @@ class TestSolveObstacle:
         absolute tolerance on |y| = l boxed rows 1 and ny - 1 too."""
         mesh = Mesh(8, 10, half_width)
         box = BoxConstraints.from_obstacle(mesh, ObstacleSpec.constant_level(0.01))
-        rows = box.node_mask.reshape(mesh.ny + 1, mesh.nx + 1)
+        boxed = np.isfinite(box.upper)
+        rows = boxed.reshape(mesh.ny + 1, mesh.nx + 1)
         assert rows[[0, mesh.ny]].all() and not rows[1:mesh.ny].any()
-        assert np.all(box.upper[box.node_mask] == 0.01)
-        assert np.all(box.upper[~box.node_mask] == np.inf)
+        assert np.all(box.upper[boxed] == 0.01)
+        assert np.all(box.lower[~boxed] == -np.inf)
 
     def test_iteration_budget_error_carries_residual(self, operator_small,
                                                      mesh_small, monkeypatch):
@@ -697,10 +705,9 @@ class TestMirrorImages:
         assert mirror_symmetries(mesh_small, guides, [mask]) == [
             g for g in MIRRORS if not g[0]]
         # guides on the lower long edge only
-        upper = np.where(guides.node_mask, 0.01, np.inf)
+        upper = guides.upper.copy()
         upper[-(mesh_small.nx + 1):] = np.inf
-        one_edge = BoxConstraints(guides.node_mask & np.isfinite(upper),
-                                  -upper, upper)
+        one_edge = BoxConstraints(-upper, upper)
         assert mirror_symmetries(mesh_small, one_edge) == [
             g for g in MIRRORS if not g[1]]
 
@@ -1051,15 +1058,13 @@ class TestBruteForceOracle:
         nodes = np.array([n for n in nodes
                           if op.free[4 * n + DOF_VALUE]])[:5]
         n = mesh.n_nodes
-        mask = np.zeros(n, dtype=bool)
-        mask[nodes] = True
         lower = np.full(n, -np.inf)
         upper = np.full(n, np.inf)
         lin = solve_linear(op, rhs.astype(np.longdouble))
         span = max(1e-6, lin.sup_norm())
         lower[nodes] = -rng.uniform(0.05, 0.4, nodes.size) * span
         upper[nodes] = rng.uniform(0.05, 0.4, nodes.size) * span
-        box = BoxConstraints(mask, lower, upper)
+        box = BoxConstraints(lower, upper)
 
         sol = solve_obstacle(op, rhs.astype(np.longdouble), box)
         assert sol.upper_contact.size + sol.lower_contact.size > 0
