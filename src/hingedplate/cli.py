@@ -478,6 +478,9 @@ def _read_optimize_obstacle(p, ctx):
     guides = [ObstacleSpec.constant_level(g, region=region) for g in levels]
     if not guides:
         raise ValueError("obstacle family has no candidates")
+    for g in levels:
+        if 2.0 * g == np.inf:  # the summary could not hold the ceiling
+            raise ValueError(f"levels entry {g!r}: its ceiling 2*level overflows float64")
     forces = _build_forces(p.get("force_class", {}), ctx["params"])
 
     def run(outdir):

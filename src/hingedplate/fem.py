@@ -341,7 +341,9 @@ class ReinforcementMask:
     """Element-resolution indicator of the reinforced region D.
 
     ``elements`` has shape (ny, nx); densities satisfy 0 < alpha <= 1 <= beta
-    and the degenerate case alpha = beta = 1 collapses every weighting.
+    and the degenerate case alpha = beta = 1 collapses every weighting.  A mask
+    may miss the area balance by its ``area_defect``, which
+    ``ReinforcementFamily.candidates`` bounds.
     """
 
     elements: np.ndarray
@@ -381,14 +383,6 @@ class ReinforcementMask:
         if self.elements.shape != (mesh.ny, mesh.nx):
             raise ValueError(f"mask shape {self.elements.shape} does not match "
                              f"mesh {mesh.nx}x{mesh.ny}")
-
-    def validate(self, mesh, tol_elements=1.0):
-        self.check_shape(mesh)
-        if not self.is_degenerate and abs(self.area_defect(mesh)) > tol_elements:
-            raise ValueError(
-                f"|D|={self.area(mesh):.6g} misses the density balance "
-                f"|Omega|(1-alpha)/(beta-alpha)={self.target_area(mesh):.6g} "
-                f"by more than {tol_elements:g} element(s)")
 
     @classmethod
     def from_indicator(cls, mesh, indicator, alpha, beta):

@@ -227,9 +227,7 @@ class ReinforcementFamily:
     one strip width.  ``tiles`` layouts are N disjoint axis-aligned
     rectangles of a fixed size (inradius at least eps) placed on a lattice.
     ``candidates`` rasterizes each layout at element centres: an element is
-    in D when its centre lies inside a strip or tile.  Candidates violating
-    the area balance by more than the rasterization granularity are dropped;
-    a family whose candidates all violate it is an error.
+    in D when its centre lies inside a strip or tile.
     """
 
     kind: str
@@ -261,6 +259,8 @@ class ReinforcementFamily:
                              f"layouts: centers_per_axis {c}, {counts}")
 
     def candidates(self, mesh):
+        """The masks on ``mesh`` whose ``area_defect`` is at most ``max(1, tol)``
+        elements, all under degenerate densities; none is a ValueError."""
         X, Y = mesh.element_centers()
         # the area tolerance is the rasterization granularity: a strip snaps
         # by whole columns/rows
@@ -271,14 +271,9 @@ class ReinforcementFamily:
             rasters = self._tile_rasters(X, Y, mesh.half_width)
             w, h = self.tile_size
             tol = 0.5 * self.n_tiles * (w / mesh.hx + h / mesh.hy)
-        feasible = []
-        for r in rasters:
-            m = ReinforcementMask(r, self.alpha, self.beta)
-            try:
-                m.validate(mesh, tol_elements=max(1.0, tol))
-            except ValueError:
-                continue
-            feasible.append(m)
+        masks = (ReinforcementMask(r, self.alpha, self.beta) for r in rasters)
+        feasible = [m for m in masks
+                    if m.is_degenerate or abs(m.area_defect(mesh)) <= max(1.0, tol)]
         if not feasible:
             raise ValueError(
                 "no candidate satisfies the area balance "

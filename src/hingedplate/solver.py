@@ -360,9 +360,16 @@ def solve_linear(operator, rhs):
     return DofField(operator.mesh, x.astype(float))
 
 
+def _bounds(mesh, constraints):
+    """The bound arrays of a box, a ValueError unless one per node of ``mesh``."""
+    if constraints.lower.shape != (mesh.n_nodes,):
+        raise ValueError(f"the box has {constraints.lower.size} nodes, the mesh {mesh.n_nodes}")
+    return constraints.lower, constraints.upper
+
+
 def _box_dof_arrays(operator, constraints):
     """Boxed value-dof indices with their bounds, essential dofs excluded."""
-    lower, upper = constraints.lower, constraints.upper
+    lower, upper = _bounds(operator.mesh, constraints)
     nodes = np.flatnonzero(np.isfinite(lower) | np.isfinite(upper))
     dofs = 4 * nodes + DOF_VALUE
     ok = operator.free[dofs]
@@ -432,12 +439,12 @@ def _active_set(operator, rhs, constraints):
     alone.  A contact set that settles, no bound blocking and every
     multiplier of its sign, gets one refined ``solve_pinned`` on its step's
     factor (none without contacts: ``x0`` is that solve), and its refined
-    multipliers decide: the certified result, or a release from the refined
-    iterate, from which the loop goes on.  Every step counts against
-    MAX_ITERATIONS.  At the budget the full iterate is rebuilt once, from
-    ``x0``, the last refined iterate and the columns, weighted as the steps
-    combined them; it is returned if ``_certified`` passes it, else it is an
-    IterationLimitError with its KKT violation."""
+    multipliers decide: the certified result, or a release of the worst of
+    them from the step's own solve on the box rows, from which the loop goes
+    on.  Every step counts against MAX_ITERATIONS.  At the budget the full
+    iterate is rebuilt once, from ``x0`` and the columns, weighted as the
+    steps combined them; it is returned if ``_certified`` passes it, else it
+    is an IterationLimitError with its KKT violation."""
     dofs, lo, hi = _box_dof_arrays(operator, constraints)
     pinned_eq = lo == hi  # degenerate boxes pin the dof for good
     # contact side of each box dof: -1 lower, +1 upper, 0 none
@@ -448,11 +455,10 @@ def _active_set(operator, rhs, constraints):
     x0_box = x0[dofs].astype(float)
     z0 = x0_box / s
     by_pos = np.argsort(pos)  # box dofs in the order of their free positions
-    # the iterate: vals on its box rows, and in full
-    # w_ref * ref + w_free * x0 + s W m, ref the last refined iterate and m
-    # the weight of each box dof's column
+    # the iterate: vals on its box rows, and in full w_free * x0 + s W m,
+    # m the weight of each box dof's column
     vals = np.zeros(dofs.size)
-    ref, w_ref, w_free, m = x0, 0.0, 0.0, np.zeros(dofs.size)
+    w_free, m = 0.0, np.zeros(dofs.size)
 
     for it in range(1, MAX_ITERATIONS + 1):
         on = side != 0
@@ -470,7 +476,8 @@ def _active_set(operator, rhs, constraints):
         bound = np.where(d > 0.0, hi, lo)
         moving = ~on & ((d > 0.0) | (d < 0.0)) & np.isfinite(bound)
         t = np.full(dofs.size, np.inf)
-        t[moving] = (bound[moving] - vals[moving]) / d[moving]
+        with np.errstate(over="ignore"):  # an infinite ratio never blocks
+            t[moving] = (bound[moving] - vals[moving]) / d[moving]
         t = np.maximum(t, 0.0)
         alpha = min(1.0, float(t.min(initial=np.inf)))
 
@@ -479,12 +486,12 @@ def _active_set(operator, rhs, constraints):
             vals = vals + alpha * d
             vals[blocked] = bound[blocked]
             side[blocked] = np.sign(d[blocked])
-            w_ref, w_free = (1.0 - alpha) * w_ref, (1.0 - alpha) * w_free + alpha
+            w_free = (1.0 - alpha) * w_free + alpha
             m = (1.0 - alpha) * m + alpha * mu
             continue
 
         # contact-set optimum reached; check multiplier signs
-        vals, w_ref, w_free, m = x_star, 0.0, 1.0, mu
+        vals, w_free, m = x_star, 1.0, mu
         lam = -mu / s
         wrong = _wrong_sign(lam, side, pinned_eq)
         if not np.any(wrong):
@@ -494,11 +501,10 @@ def _active_set(operator, rhs, constraints):
             wrong = _wrong_sign(lam, side, pinned_eq)
             if not np.any(wrong):
                 return _certified(operator, rhs, (dofs, lo, hi), x, resid, side, it)
-            vals, ref, w_ref, w_free, m = x[dofs].astype(float), x, 1.0, 0.0, 0.0 * mu
         # release the single worst offender, lowest node index on ties
         side[int(np.argmax(np.where(wrong, np.abs(lam), -np.inf)))] = 0
 
-    x = LONG(w_ref) * ref + LONG(w_free) * x0
+    x = LONG(w_free) * x0
     used = np.flatnonzero(m)
     x[operator.free_idx] += (operator._s * (
         operator._columns[:, operator._slot[pos[used]]] @ m[used])).astype(LONG)
@@ -593,7 +599,7 @@ def _maps_onto_itself(mesh, constraints, masks, element):
     elements of each reinforcement mask in ``masks`` onto themselves, by
     exact comparison: the bounds under the node permutation, swapped and
     negated under a negating element."""
-    lower, upper = constraints.lower, constraints.upper
+    lower, upper = _bounds(mesh, constraints)
     perm = mirror_map(mesh, element)[0][DOF_VALUE::4] // 4
     lo, hi = (lower, upper) if element[2] > 0 else (-upper, -lower)
     return (np.array_equal(lo[perm], lower) and np.array_equal(hi[perm], upper)
@@ -639,10 +645,8 @@ def kkt_report(solution, operator, rhs, constraints):
     contact = solution.contact[nodes] != 0
     scale = operator.residual_scale(rhs, x)
 
-    stat_res = resid[operator.free_idx].copy()
-    pos = operator._pos_of_dof[dofs[contact]]
-    stat_res[pos] -= lam[contact]
-    stationarity = float(np.max(np.abs(stat_res))) / scale if stat_res.size else 0.0
+    resid[dofs[contact]] -= lam[contact]
+    stationarity = float(np.max(np.abs(resid[operator.free_idx]), initial=0.0)) / scale
 
     vals = x[dofs]
     up_gap = np.where(np.isfinite(hi), hi - vals, np.inf)

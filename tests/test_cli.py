@@ -260,6 +260,40 @@ class TestRun:
         assert stored["error"] == error and "result" not in stored
         assert [f.name for f in (tmp_path / "o").iterdir()] == ["summary.json"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_level_ceiling_exits_2_with_strict_json(self, tmp_path):
+        """A level whose gap ceiling 2*level overflows float64 is a config
+        error naming the level, from validate and run alike.  It used to
+        pass validate and crash the run writing the infinite ceiling: exit
+        1, a traceback and no summary.json.  The largest level whose ceiling
+        is finite still runs."""
+        cfg = config_for("optimize-obstacle", {"levels": [0.5, 8.99e307]},
+                         nx=8, ny=2, outdir=tmp_path / "o")
+        diag = "levels entry 8.99e+307: its ceiling 2*level overflows float64"
+        assert validate(cfg) == [diag]
+        code, summary = run(cfg)
+        assert code == 2 and summary["diagnostics"] == [diag]
+        stored = json.loads((tmp_path / "o" / "summary.json").read_text(),
+                            parse_constant=_reject_constant)
+        assert stored["diagnostics"] == [diag] and "result" not in stored
+        cfg["params"]["levels"] = [8.98e307]
+        assert validate(cfg) == []
+        code, summary = run(cfg)
+        assert code == 0 and summary["result"]["candidates"][0]["ceiling"] == 2 * 8.98e307
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("problem, params", [
+        ("regime", {"gamma": 1e308}),
+        ("gap-scan", {"obstacles": {"kind": "bounds", "lower": -1.7e308,
+                                    "upper": 1.7e308}})], ids=["regime", "gap-scan"])
+    def test_bounds_near_the_float_maximum_run_cleanly(self, tmp_path, problem,
+                                                       params):
+        """Guides near the float maximum never block: the runs exit 0 with
+        no warning.  Their step ratios used to overflow with a
+        RuntimeWarning, a traceback under -W error."""
+        cfg = config_for(problem, params, nx=8, ny=2, outdir=tmp_path / "o")
+        assert run(cfg)[0] == 0
+
     def test_full_plate_contact_limit_settles(self, tmp_path):
         """The full-plate box at 0.05 z_max: hundreds of contacts, solved on
         the mirror-invariant subspace and certified in the full space."""

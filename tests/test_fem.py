@@ -847,10 +847,12 @@ class TestReinforcementMask:
         sel[:, :4] = True
         mask = ReinforcementMask(sel, alpha=0.5, beta=2.5)
         assert mask.area_defect(mesh_small) == pytest.approx(0.0, abs=1e-9)
-        mask.validate(mesh_small)
+        # an empty D misses the 16 elements of its target, one column over by 4
         bad = ReinforcementMask(np.zeros_like(sel), alpha=0.5, beta=2.5)
-        with pytest.raises(ValueError):
-            bad.validate(mesh_small)
+        assert bad.area_defect(mesh_small) == pytest.approx(-16.0)
+        sel[:, 4] = True
+        over = ReinforcementMask(sel, alpha=0.5, beta=2.5)
+        assert over.area_defect(mesh_small) == pytest.approx(4.0)
 
     def test_equal_densities_impose_no_area(self, mesh_small):
         mask = ReinforcementMask(np.ones((4, 16), dtype=bool), alpha=1.0, beta=1.0)

@@ -383,6 +383,25 @@ class TestBestReinforcement:
         for m in masks:
             assert abs(m.area_defect(mesh_small)) <= 0.5 * mesh_small.ny + 1.0
 
+    def test_cross_family_keeps_the_rasters_within_the_granularity(self, mesh_small):
+        """A strip of half-width 1.25 hx snaps to two or three element
+        columns, 8 or 12 elements, by its centre.  The balance asks for
+        64 * 0.5 / 3.5 = 9.14 elements within half a column, 2 elements: the
+        five two-column layouts are kept in lattice order, the four
+        three-column ones dropped.  Degenerate densities keep all nine."""
+        fam = ReinforcementFamily(kind="cross", alpha=0.5, beta=4.0, n_xstrips=1,
+                                  mu=1.25 * mesh_small.hx, centers_per_axis=9)
+        rasters = fam._cross_rasters(*mesh_small.element_centers(),
+                                     mesh_small.half_width)
+        target = mesh_small.nx * mesh_small.ny * 0.5 / 3.5
+        want = [r for r in rasters if abs(np.count_nonzero(r) - target) <= 2.0]
+        assert (len(want), len(rasters)) == (5, 9)
+        kept = fam.candidates(mesh_small)
+        assert [m.elements.tobytes() for m in kept] == [r.tobytes() for r in want]
+        assert all((m.alpha, m.beta) == (0.5, 4.0) for m in kept)
+        flat = dataclasses.replace(fam, alpha=1.0, beta=1.0).candidates(mesh_small)
+        assert [m.elements.tobytes() for m in flat] == [r.tobytes() for r in rasters]
+
     @pytest.mark.parametrize("n_tiles, beta, count", [(1, 2.5, 6), (2, 1.5, 11)])
     def test_tiles_family_generation(self, mesh_small, n_tiles, beta, count):
         """Tiles of pi/2 x l on a 3 x 2 lattice of corners: one tile gives six

@@ -206,6 +206,30 @@ class TestSolveObstacle:
             with pytest.raises(ValueError, match="must have one shape"):
                 BoxConstraints(lower, upper)
 
+    @pytest.mark.parametrize("entry", ["solve", "solve-y", "symmetries", "image", "kkt"])
+    @pytest.mark.parametrize("n", [65, 100])
+    def test_a_box_of_another_mesh_is_refused(self, operator_small, mesh_small,
+                                              n, entry):
+        """Every entry checks a box against the operator's mesh, 85 nodes
+        here, before any mirror test or solve.  Unchecked, a 65-node box
+        with upper 0.05 left the last 20 nodes free and was certified with
+        sup 0.05003; offered the y flip, or at 100 nodes, it raised a bare
+        IndexError."""
+        b = assemble_load(mesh_small, LoadSpec(density=1.0))
+        sol = solve_obstacle(operator_small, b, BoxConstraints(
+            np.full(mesh_small.n_nodes, -np.inf), np.full(mesh_small.n_nodes, 0.05)))
+        box = BoxConstraints(np.full(n, -np.inf), np.full(n, 0.05))
+        entries = {
+            "solve": lambda: solve_obstacle(operator_small, b, box),
+            "solve-y": lambda: solve_obstacle(operator_small, b, box, ((False, True),)),
+            "symmetries": lambda: mirror_symmetries(mesh_small, box),
+            "image": lambda: mirror_solution(sol, operator_small, b, box,
+                                             (False, True, 1)),
+            "kkt": lambda: kkt_report(sol, operator_small, b, box),
+        }
+        with pytest.raises(ValueError, match=f"the box has {n} nodes, the mesh 85"):
+            entries[entry]()
+
     def test_an_essential_dof_cannot_be_pinned(self, operator_small, mesh_small):
         # the value dof of a node on the hinged edge x = 0, beside a free one
         free = 4 * mesh_small.node_index(3, 1) + DOF_VALUE
@@ -392,18 +416,11 @@ class TestSettledIterate:
         again = op.solve_pinned(b, 4 * nodes + DOF_VALUE, values)
         assert np.array_equal(again.astype(float), sol.field.dofs)
 
-    def test_a_refined_check_that_disagrees_goes_on(self, mesh_small, params,
-                                                   monkeypatch):
-        """The refined check of the first settled set is made to read one
-        contact's multiplier with the wrong sign: that set is not returned.
-        The loop releases the contact from the refined iterate and goes on;
-        the guide blocks the node again, and the second settled set passes
-        its check, the solve of the unforced run bit for bit."""
-        op = PlateOperator.build(mesh_small, params)
-        b = assemble_load(mesh_small, SIN_LOAD)
-        box = BoxConstraints.from_obstacle(
-            mesh_small, ObstacleSpec.constant_level(0.3, region="full"))
-        want = solve_obstacle(op, b, box)
+    @staticmethod
+    def _force_a_release(monkeypatch):
+        """Make the refined check of the first settled set read its first
+        contact's multiplier with the wrong sign; returns the list of the
+        pinned dofs of each refined solve and the list of the forced dof."""
         pinned, forced = [], []
         solve_pinned, residual = PlateOperator.solve_pinned, solver._residual
 
@@ -420,6 +437,22 @@ class TestSettledIterate:
 
         monkeypatch.setattr(PlateOperator, "solve_pinned", recorded)
         monkeypatch.setattr(solver, "_residual", flipped)
+        return pinned, forced
+
+    def test_a_refined_check_that_disagrees_goes_on(self, mesh_small, params,
+                                                   monkeypatch):
+        """The refined check of the first settled set is made to read one
+        contact's multiplier with the wrong sign: that set is not returned.
+        The loop releases the contact from that step's own solve on the box
+        rows and goes on; the guide blocks the node again, and the second
+        settled set passes its check, the solve of the unforced run bit for
+        bit."""
+        op = PlateOperator.build(mesh_small, params)
+        b = assemble_load(mesh_small, SIN_LOAD)
+        box = BoxConstraints.from_obstacle(
+            mesh_small, ObstacleSpec.constant_level(0.3, region="full"))
+        want = solve_obstacle(op, b, box)
+        pinned, forced = self._force_a_release(monkeypatch)
         sol = solve_obstacle(op, b, box)
         assert len(forced) == 1 and len(pinned) == 2
         assert forced[0] // 4 in want.upper_contact
@@ -427,6 +460,36 @@ class TestSettledIterate:
         assert np.array_equal(sol.contact, want.contact)
         assert np.array_equal(sol.field.dofs, want.field.dofs)
         assert kkt_report(sol, op, b, box)["stationarity"] <= solver.TOL
+
+    @pytest.mark.parametrize("budget", [2, 3])
+    def test_the_budget_right_after_a_refined_release(self, mesh_small, params,
+                                                      monkeypatch, budget):
+        """The release forced as above is the second iteration.  At a budget
+        of two the full iterate is rebuilt from ``x0`` and the columns of
+        that step with the node released, whose multiplier, 4.27e-6
+        relative, is then a KKT violation.  At three the guide has blocked
+        the node again, and the rebuilt iterate is certified with the
+        contacts of the unforced run."""
+        op = PlateOperator.build(mesh_small, params)
+        b = assemble_load(mesh_small, SIN_LOAD)
+        box = BoxConstraints.from_obstacle(
+            mesh_small, ObstacleSpec.constant_level(0.3, region="full"))
+        want = solve_obstacle(op, b, box)
+        assert want.iterations == want.upper_contact.size == 2
+        _, forced = self._force_a_release(monkeypatch)
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", budget)
+        if budget == 2:
+            with pytest.raises(IterationLimitError) as err:
+                solve_obstacle(op, b, box)
+            assert (err.value.iterations, err.value.contacts) == (2, 1)
+            assert err.value.residual == pytest.approx(4.27e-6, rel=1e-3)
+        else:
+            sol = solve_obstacle(op, b, box)
+            assert sol.iterations == 3
+            assert np.array_equal(sol.contact, want.contact)
+            assert np.allclose(sol.field.dofs, want.field.dofs, rtol=0, atol=1e-10)
+            assert kkt_report(sol, op, b, box)["stationarity"] <= solver.TOL
+        assert len(forced) == 1
 
 
 class TestActiveSetPath:
