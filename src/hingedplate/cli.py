@@ -37,17 +37,6 @@ _TOP_KEYS = {"schema_version", "material", "mesh", "series", "problem",
 _MATERIAL_KEYS = {"sigma", "half_width"}
 _MESH_KEYS = {"nx", "ny"}
 _SERIES_KEYS = {"m_max"}
-_PARAMS_KEYS = {
-    "green-eval": {"points", "source"},
-    "solve": {"load"},
-    "vi-solve": {"load", "obstacles", "variant", "alpha", "beta", "mask"},
-    "gap-scan": {"obstacles", "force_class"},
-    "optimize-reinforcement": {"alpha", "beta", "family", "variant",
-                               "force_class", "obstacles"},
-    "optimize-obstacle": {"levels", "region", "force_class"},
-    "regime": {"gamma", "scan", "force_class"},
-}
-PROBLEMS = tuple(_PARAMS_KEYS)
 #: fields of the nested ``params`` objects, per kind
 _LOAD_KEYS = {"antisym_delta": {"antisym_delta"},
               "density": {"density", "point_masses"}}
@@ -142,7 +131,7 @@ def _parse(config):
     if problem not in PROBLEMS:
         diags.append(f"problem must be one of {PROBLEMS}: {problem}")
     params = _section(config, "params",
-                      _PARAMS_KEYS[problem] if problem in PROBLEMS else None, diags)
+                      _PROBLEMS[problem][0] if problem in PROBLEMS else None, diags)
     if not isinstance(config.get("output_dir") or "out", str):
         diags.append(f"output_dir must be a string: {config['output_dir']!r}")
     if diags:
@@ -152,7 +141,7 @@ def _parse(config):
     ctx = {"params": material, "mesh": Mesh(nx, ny, material.half_width),
            "state": SeriesState(params=material, m_max=m_max)}
     try:
-        solve = _READERS[problem](params, ctx)
+        solve = _PROBLEMS[problem][1](params, ctx)
     except KeyError as exc:
         return [f"missing required problem parameter: {exc}"], None
     except (TypeError, ValueError) as exc:
@@ -498,7 +487,7 @@ def _read_regime(p, ctx):
     if not isinstance(scan, bool):
         raise TypeError(f"scan must be true or false: {scan!r}")
     if not scan:
-        _object(p, "params", _PARAMS_KEYS["regime"] - {"force_class"})
+        _object(p, "params", _PROBLEMS["regime"][0] - {"force_class"})
     forces = _build_forces(p.get("force_class", {}), params) if scan else None
     guides = _build_obstacle({"gamma": gamma}, ctx["mesh"]) if scan else None
 
@@ -513,15 +502,20 @@ def _read_regime(p, ctx):
     return run
 
 
-_READERS = {
-    "green-eval": _read_green_eval,
-    "solve": _read_solve,
-    "vi-solve": _read_vi_solve,
-    "gap-scan": _read_gap_scan,
-    "optimize-reinforcement": _read_optimize_reinforcement,
-    "optimize-obstacle": _read_optimize_obstacle,
-    "regime": _read_regime,
+#: each problem -> (the fields its ``params`` may hold, its reader); ``_parse``
+#: reads both, and the subcommands follow its order
+_PROBLEMS = {
+    "green-eval": ({"points", "source"}, _read_green_eval),
+    "solve": ({"load"}, _read_solve),
+    "vi-solve": ({"load", "obstacles", "variant", "alpha", "beta", "mask"},
+                 _read_vi_solve),
+    "gap-scan": ({"obstacles", "force_class"}, _read_gap_scan),
+    "optimize-reinforcement": ({"alpha", "beta", "family", "variant", "force_class",
+                                "obstacles"}, _read_optimize_reinforcement),
+    "optimize-obstacle": ({"levels", "region", "force_class"}, _read_optimize_obstacle),
+    "regime": ({"gamma", "scan", "force_class"}, _read_regime),
 }
+PROBLEMS = tuple(_PROBLEMS)
 
 
 def run(config):

@@ -19,9 +19,10 @@ element-dof table, each element weighted by a reinforcement mask's weights
 when one is given.
 
 What depends on a mesh's shape alone is planned once per shape and kept,
-read-only, for the ``PLAN_CACHE_SIZE`` shapes used most recently: the
-``SumPlan`` that sums the stiffness triplets (their stable sort, the runs
-of equal (row, col) and the CSR pattern) and the eight ``mirror_map``s.
+read-only, for the ``PLAN_CACHE_SIZE`` shapes used most recently by a
+``functools.lru_cache`` (``_shape_plans``): the ``SumPlan`` that sums the
+stiffness triplets (their stable sort, the runs of equal (row, col) and the
+CSR pattern) and the eight ``mirror_map``s.
 A ``SumPlan`` keeps the plans of ``OrbitBasis.restrict_form`` on its own
 pattern, one per mirror group, so the stiffness plan holds those of its
 shape.  Every form of a planned shape is then a gather and an
@@ -408,9 +409,11 @@ class AssembledForm:
 
     @classmethod
     def from_triplets(cls, shape, rows, cols, vals):
-        """Sum duplicate (row, col) entries in input order, then store: the
-        sort-based path that every ``SumPlan`` takes once."""
-        return SumPlan(shape, rows, cols).form(vals)
+        """Sum duplicate (row, col) entries of the 1-D triplet arrays in
+        input order, then store: the sort-based path that every ``SumPlan``
+        takes once, here with the identity gather."""
+        take = np.arange(len(vals), dtype=_index_dtype(len(vals)))
+        return SumPlan(shape, rows, cols, (take,)).form(vals)
 
     @property
     def matrix(self):
@@ -451,14 +454,13 @@ class SumPlan:
     ``rows``, ``cols`` and each index array of ``take`` broadcast to one
     shape, whose C order is the input order of the triplets.  Triplet ``k``
     puts the product of ``sources[i][take[i][k]]`` over the sources given
-    to ``form`` at ``(rows[k], cols[k])``; ``take`` defaults to the
-    identity.  One stable sort of the row-major key stores each ``take`` in
-    the order of the sum, so duplicates keep their input order; each run of
-    one (row, col) begins at ``starts``.  The plan is compact: keys,
-    ``starts`` and the identity ``take`` are int32 unless their sizes need
-    int64, a caller's ``take`` keeps its own narrow dtype, the sorted rows
-    and columns are read off the one sorted key, and each temporary is
-    dropped once used.  ``indices`` and ``indptr`` are the pattern of the
+    to ``form`` at ``(rows[k], cols[k])``.  One stable sort of the row-major
+    key stores each ``take`` in the order of the sum, so duplicates keep
+    their input order; each run of one (row, col) begins at ``starts``.  The
+    plan is compact: keys and ``starts`` are int32 unless their sizes need
+    int64, each ``take`` keeps its caller's narrow dtype, the sorted rows and
+    columns are read off the one sorted key, and each temporary is dropped
+    once used.  ``indices`` and ``indptr`` are the pattern of the
     sum, in the index dtype scipy keeps, so every form the plan builds
     shares them.  The numeric half is ``form``; the module docstring gives
     the set-up memory of both halves at 128x32.  ``restrictions`` maps a
@@ -467,7 +469,7 @@ class SumPlan:
     the plan.
     """
 
-    def __init__(self, shape, rows, cols, take=None):
+    def __init__(self, shape, rows, cols, take):
         dtype = _index_dtype(shape[0] * shape[1])
         key = np.add(np.multiply(rows, shape[1], dtype=dtype), cols, dtype=dtype)
         triplets, key = key.shape, key.ravel()
@@ -486,10 +488,7 @@ class SumPlan:
         pattern = sp.csr_matrix((np.zeros(starts.size, dtype=np.int8), key % shape[1],
                                  indptr), shape=shape)
         del key
-        if take is None:
-            take = (order.astype(_index_dtype(size)),)
-        else:
-            take = tuple(np.broadcast_to(t, triplets).ravel()[order] for t in take)
+        take = tuple(np.broadcast_to(t, triplets).ravel()[order] for t in take)
         self.shape = shape
         self.take = tuple(_frozen(t) for t in take)
         self.starts = _frozen(starts)
@@ -527,30 +526,27 @@ class SumPlan:
 #: mesh shapes (nx, ny) whose plans ``_shape_plans`` keeps; the least
 #: recently used shape is dropped first
 PLAN_CACHE_SIZE = 4
-_PLAN_CACHE = {}
 
 
 class _ShapePlans:
     """Everything of a mesh's operators that depends on its shape alone,
     each part built on first use: the ``SumPlan`` of the stiffness triplets,
     which keeps the ``R' K R`` plan of each mirror group on its pattern, and
-    the ``mirror_map`` of each mirror.  At 128x32 the stiffness plan holds
-    10.1 MB and the quarter plate's ``R' K R`` plan 4.1 MB."""
+    the ``mirror_map`` of each mirror.  ``_shape_plans`` makes one, empty,
+    per shape it keeps.  At 128x32 the stiffness plan holds 10.1 MB and the
+    quarter plate's ``R' K R`` plan 4.1 MB."""
 
     def __init__(self):
         self.bilinear = None
         self.mirrors = {}
 
 
-def _shape_plans(mesh):
-    """The plans of the shape of ``mesh``, kept for the PLAN_CACHE_SIZE
-    shapes used most recently."""
-    key = (mesh.nx, mesh.ny)
-    plans = _PLAN_CACHE.pop(key, None) or _ShapePlans()
-    _PLAN_CACHE[key] = plans
-    while len(_PLAN_CACHE) > PLAN_CACHE_SIZE:
-        del _PLAN_CACHE[next(iter(_PLAN_CACHE))]
-    return plans
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _shape_plans(nx, ny):
+    """The plans of the mesh shape (nx, ny): a ``functools.lru_cache`` of
+    the PLAN_CACHE_SIZE shapes used most recently, so a shape met first or
+    again after it was dropped gets fresh, empty plans."""
+    return _ShapePlans()
 
 
 def _element_weights(mesh, weight):
@@ -574,7 +570,7 @@ def assemble_bilinear(mesh, params, weight=None):
     multiply ``w[e] * Ke[l]`` as they go, and the base energy takes ``Ke[l]``
     alone: no longdouble array of every element matrix is formed.
     """
-    plans = _shape_plans(mesh)
+    plans = _shape_plans(mesh.nx, mesh.ny)
     if plans.bilinear is None:
         # triplet (e, a, b) of element e (row-major) couples its local dofs
         # a and b: entry a * 16 + b of Ke, times the weight of e
@@ -669,7 +665,7 @@ def mirror_map(mesh, element):
     every element is its own inverse, and ``perm[DOF_VALUE::4] // 4`` is its
     node permutation.  Both arrays are built once per mesh shape and
     element (``_shape_plans``) and are read-only."""
-    maps = _shape_plans(mesh).mirrors
+    maps = _shape_plans(mesh.nx, mesh.ny).mirrors
     if element not in maps:
         fx, fy, s = element
         dof_signs = s * np.where(fx, _X_MIRROR_SIGNS, 1.0) * np.where(fy, _Y_MIRROR_SIGNS, 1.0)

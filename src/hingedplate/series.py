@@ -92,12 +92,13 @@ def phi_m(y, eta, m, params):
     decreasing in m, and symmetric in (y, eta).  Evaluated in rescaled form:
     every hyperbolic product is multiplied through by exp(-(|arg1|+|arg2|))
     and compensated by a single final exponential whose argument is never
-    positive.
+    positive.  Raises ValueError for an ordinate above the half-width or NaN.
     """
     l = params.half_width
     sig = params.sigma
     y = np.asarray(y, dtype=float)
-    if np.any(np.abs(y) > l * (1.0 + 1e-12)) or np.any(np.abs(eta) > l * (1.0 + 1e-12)):
+    bound = l * (1.0 + 1e-12)
+    if not (np.all(np.abs(y) <= bound) and np.all(np.abs(eta) <= bound)):  # NaN fails
         raise ValueError("ordinates must satisfy |y| <= l and |eta| <= l")
     if np.any(m < 1):
         raise ValueError(f"Fourier index must be >= 1, got {m}")
@@ -144,9 +145,10 @@ def phi_m(y, eta, m, params):
 
 
 def envelope_g(eta, params):
-    """Even, increasing envelope dominating c_1(y, eta) over all y."""
+    """Even, increasing envelope dominating c_1(y, eta) over all y.  Raises
+    ValueError for |eta| above the half-width or NaN."""
     l = params.half_width
-    if np.any(np.abs(eta) > l * (1.0 + 1e-12)):
+    if not np.all(np.abs(eta) <= l * (1.0 + 1e-12)):
         raise ValueError("|eta| must not exceed the half-width")
     s = params.sigma
     f1, _ = aux_pair(l, params)
@@ -215,6 +217,14 @@ class ScanWindow:
         return inside & (near_edge | midline | band)
 
 
+def _check_abscissa(x, params, name="x"):
+    """Raise ValueError unless every ``x`` lies in [0, pi] up to the rounding
+    slack of ``fem.Mesh.contains``; NaN fails."""
+    tol = 1e-12 * max(1.0, params.half_width)
+    if not np.all((-tol <= x) & (x <= np.pi + tol)):
+        raise ValueError(f"{name}={x} outside [0, pi]")
+
+
 # The sums below get float index blocks: m * m is exact for m < 2**26
 # (``summation.INDEX_LIMIT``, which ``series_sum`` enforces), so m**3 and
 # m**4 formed as products round once, as integer powers would.
@@ -239,11 +249,14 @@ def green_value(p, q, state):
     """Truncated deflection at q = (x, y) under a unit point load at p.
 
     Absolute truncation error is at most ``state.tail_bound``.  ``q`` may be
-    a pair of arrays for grid evaluation.
+    a pair of arrays for grid evaluation.  Raises ValueError for a point off
+    the closed plate or a NaN coordinate.
     """
     xi, eta = p
     x, y = q
     params = state.params
+    _check_abscissa(xi, params, "xi")
+    _check_abscissa(x, params)
     return _sine_series(
         lambda m: phi_m(y, eta, m, params) / (m * m * m) * np.sin(m * xi),
         x, lambda m: 2.0 * np.pi, np.broadcast(x, y).ndim, state.m_max)
@@ -256,14 +269,14 @@ def antisym_solution(p, q, state):
     unit dual norm whenever xi is interior and eta != 0.  The solution is odd
     in the ordinate of q and odd in eta, exactly at formula level.  xi, eta,
     x and y broadcast together, so arrays of sites and of points evaluate in
-    one pass over the Fourier index.  Raises ValueError for xi outside
-    [0, pi] or |eta| above the half-width.
+    one pass over the Fourier index.  Raises ValueError for a site or point
+    off the closed plate or a NaN coordinate.
     """
     xi, eta = p
     x, y = q
     params = state.params
-    if not np.all((0.0 <= xi) & (xi <= np.pi)):
-        raise ValueError(f"xi={xi} outside [0, pi]")
+    _check_abscissa(xi, params, "xi")
+    _check_abscissa(x, params)
 
     def coefficient(m):
         dphi = phi_m(y, eta, m, params) - phi_m(y, -eta, m, params)
@@ -285,10 +298,12 @@ def uniform_load_profile(q, state):
     otherwise; the ordinate integral of the coefficient uses Gauss-Legendre
     quadrature, whose nodes ride a leading axis through ``phi_m`` in groups
     (``summation.quadrature_sum``).  z is strictly positive away from the
-    short edges.
+    short edges.  Raises ValueError for a point off the closed plate or a
+    NaN coordinate.
     """
     x, y = q
     params = state.params
+    _check_abscissa(x, params)
     l = params.half_width
     eta_q = _PROFILE_NODES * l
     w_q = _PROFILE_WEIGHTS * l

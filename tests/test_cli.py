@@ -984,8 +984,7 @@ class TestRun:
         assert summary["diagnostics"] == [expected]
 
     def test_every_problem_has_a_reader(self):
-        assert set(cli._READERS) == set(cli.PROBLEMS)
-        assert cli.PROBLEMS == tuple(cli._PARAMS_KEYS)
+        assert cli.PROBLEMS == tuple(cli._PROBLEMS)
 
     @pytest.mark.parametrize("variant", ["E2", "E1"])
     def test_tiles_family_reinforcement(self, tmp_path, variant):
@@ -1218,7 +1217,8 @@ def test_memory_error_while_reading_is_a_diagnostic(monkeypatch, tmp_path, messa
     provoked: no test allocates a mesh beyond memory in this process."""
     def exhausted(p, ctx):
         raise MemoryError(message)
-    monkeypatch.setitem(cli._READERS, "gap-scan", exhausted)
+    fields, _ = cli._PROBLEMS["gap-scan"]
+    monkeypatch.setitem(cli._PROBLEMS, "gap-scan", (fields, exhausted))
     cfg = config_for("gap-scan", {}, outdir=tmp_path / "r")
     assert validate(cfg) == [expected]
     code, summary = run(cfg)
@@ -1327,7 +1327,8 @@ def _readme_keys(start, end):
 
 def test_readme_params_keys_match_the_readers():
     assert _readme_keys("Each problem reads these `params` keys",
-                        "The nested objects:") == cli._PARAMS_KEYS
+                        "The nested objects:") == {
+        problem: fields for problem, (fields, _) in cli._PROBLEMS.items()}
     nested = {"load": cli._LOAD_KEYS, "obstacles": cli._OBSTACLE_KEYS,
               "force_class": cli._FORCE_CLASS_KEYS, "family": cli._FAMILY_KEYS}
     assert _readme_keys("The nested objects:", "As in `material`") == {

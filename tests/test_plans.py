@@ -61,10 +61,9 @@ def _assert_same_form(got, want):
 
 
 @pytest.fixture
-def cold_cache(monkeypatch):
-    """An empty plan cache for the test, the session's cache restored after."""
-    monkeypatch.setattr(fem, "_PLAN_CACHE", {})
-    return fem._PLAN_CACHE
+def cold_cache():
+    """An empty plan cache for the test."""
+    fem._shape_plans.cache_clear()
 
 
 @pytest.mark.parametrize("nx, ny", SHAPES, ids=[f"{nx}x{ny}" for nx, ny in SHAPES])
@@ -75,7 +74,7 @@ def test_planned_forms_equal_the_sort(cold_cache, nx, ny):
     mask = _mask(mesh)
     base = assemble_bilinear(mesh, PARAMS)
     weighted = assemble_bilinear(mesh, PARAMS, weight=mask)
-    plans = cold_cache[(nx, ny)]
+    plans = fem._shape_plans(nx, ny)
     assert base.pattern is plans.bilinear and weighted.pattern is plans.bilinear
     _assert_same_form(base, _sorted_bilinear(mesh, np.ones((ny, nx))))
     _assert_same_form(weighted, _sorted_bilinear(mesh, mask.weights))
@@ -94,7 +93,7 @@ def test_forms_of_a_foreign_pattern_restrict_unplanned(cold_cache):
     basis = OrbitBasis(mesh, GROUPS[-1])
     _assert_same_form(basis.restrict_form(form), _sorted_restriction(basis, form))
     assert list(form.pattern.restrictions) == [GROUPS[-1]]
-    assert cold_cache[(8, 2)].bilinear is None  # only the mirror maps of the basis
+    assert fem._shape_plans(8, 2).bilinear is None  # only the mirror maps of the basis
 
 
 def _held_arrays(plan):
@@ -109,7 +108,7 @@ def test_plans_are_read_only(cold_cache):
     mesh = Mesh(16, 4, PARAMS.half_width)
     form = assemble_bilinear(mesh, PARAMS)
     OrbitBasis(mesh, GROUPS[0]).restrict_form(form)
-    plans = cold_cache[(16, 4)]
+    plans = fem._shape_plans(16, 4)
     arrays = [a for plan in [plans.bilinear, *plans.bilinear.restrictions.values()]
               for a in _held_arrays(plan)]
     assert len(arrays) >= 2 * 4  # each plan holds a take, starts and its pattern
@@ -167,16 +166,23 @@ def test_mirror_maps_are_built_once_per_shape(cold_cache):
     a, b = Mesh(16, 4, 0.1), Mesh(16, 4, 0.2)
     for element in fem.MIRRORS:
         assert mirror_map(a, element) is mirror_map(b, element)
-    assert len(cold_cache[(16, 4)].mirrors) == 8
+    assert len(fem._shape_plans(16, 4).mirrors) == 8
 
 
 def test_cache_stays_within_its_bound(cold_cache):
     shapes = [(4 + k, 2) for k in range(fem.PLAN_CACHE_SIZE + 3)]
-    for nx, ny in shapes:
-        assemble_bilinear(Mesh(nx, ny, 0.1), PARAMS)
+    plans = {}
+    for shape in shapes:
+        assemble_bilinear(Mesh(*shape, 0.1), PARAMS)
+        plans[shape] = fem._shape_plans(*shape)
         mirror_map(Mesh(*shapes[0], 0.1), fem.MIRRORS[1])  # keeps the first in use
-        assert len(cold_cache) <= fem.PLAN_CACHE_SIZE
-    assert list(cold_cache) == [*shapes[-fem.PLAN_CACHE_SIZE + 1:], shapes[0]]
+        assert fem._shape_plans.cache_info().currsize <= fem.PLAN_CACHE_SIZE
+    # the kept shapes first: each shape looked up again is used once more
+    kept = [*shapes[-fem.PLAN_CACHE_SIZE + 1:], shapes[0]]
+    assert all(fem._shape_plans(*shape) is plans[shape] for shape in kept)
+    # the least recently used shapes were dropped, and are planned anew
+    dropped = shapes[1:-fem.PLAN_CACHE_SIZE + 1]
+    assert all(fem._shape_plans(*shape) is not plans[shape] for shape in dropped)
 
 
 def _vi_solve(tmp_path, name, nx, ny):
@@ -192,11 +198,12 @@ def _vi_solve(tmp_path, name, nx, ny):
 
 def test_cold_and_warm_caches_write_the_same_files(cold_cache, tmp_path):
     cold = _vi_solve(tmp_path, "cold", 16, 4)
-    assert cold_cache[(16, 4)].bilinear.restrictions  # the solve was reduced
+    plans = fem._shape_plans(16, 4)
+    assert plans.bilinear.restrictions  # the solve was reduced
     warm = _vi_solve(tmp_path, "warm", 16, 4)
     for k in range(fem.PLAN_CACHE_SIZE):
         _vi_solve(tmp_path, f"other{k}", 8 + 2 * k, 2)
-    assert (16, 4) not in cold_cache
+    assert fem._shape_plans(16, 4) is not plans  # dropped: planned anew
     evicted = _vi_solve(tmp_path, "evicted", 16, 4)
     assert set(cold) == {"summary.json", "field.csv", "gap.csv"}
     for name in cold:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from hingedplate import (MaterialParams, ObstacleSpec, ScanWindow, SeriesState,
+from hingedplate import (MaterialParams, Mesh, ObstacleSpec, ScanWindow, SeriesState,
                          analytic_bound_C, antisym_solution, aux_pair,
                          envelope_g, gap_threshold_M, green_value, phi_m,
                          tail_estimate, uniform_load_profile)
@@ -305,6 +305,66 @@ class TestUniformLoadProfile:
             acc += w_e * float(wxi @ vals)
         direct = uniform_load_profile(q, state)
         assert direct == pytest.approx(acc, rel=5e-7)
+
+
+NAN = float("nan")
+
+
+class TestPointsOffThePlate:
+    """Every series evaluation refuses an abscissa outside [0, pi] and a NaN
+    coordinate, where the sine series would give the value of its odd
+    periodic extension, or NaN."""
+
+    @pytest.mark.parametrize("evaluate", [
+        pytest.param(lambda s: green_value((4.0, 0.0), (1.0, 0.0), s), id="green-xi"),
+        pytest.param(lambda s: green_value((1.0, 0.0), (4.0, 0.0), s), id="green-x"),
+        pytest.param(lambda s: uniform_load_profile((-1.0, 0.0), s), id="profile-x"),
+        pytest.param(lambda s: antisym_solution((1.0, 0.05), (5.0, 0.1), s),
+                     id="antisym-x"),
+        pytest.param(lambda s: antisym_solution((1.0, 0.05), (np.array([1.0, -0.5]), 0.1),
+                                                s), id="antisym-x-array"),
+    ])
+    def test_abscissa_off_the_plate_is_refused(self, state, evaluate):
+        with pytest.raises(ValueError, match=r"outside \[0, pi\]"):
+            evaluate(state)
+
+    @pytest.mark.parametrize("evaluate", [
+        pytest.param(lambda s: green_value((NAN, 0.0), (1.0, 0.0), s), id="green-xi"),
+        pytest.param(lambda s: green_value((1.0, NAN), (1.0, 0.0), s), id="green-eta"),
+        pytest.param(lambda s: green_value((1.0, 0.0), (NAN, 0.0), s), id="green-x"),
+        pytest.param(lambda s: green_value((1.0, 0.0), (1.0, NAN), s), id="green-y"),
+        pytest.param(lambda s: uniform_load_profile((NAN, 0.0), s), id="profile-x"),
+        pytest.param(lambda s: uniform_load_profile((1.0, NAN), s), id="profile-y"),
+        pytest.param(lambda s: antisym_solution((1.0, 0.05), (NAN, 0.1), s),
+                     id="antisym-x"),
+        pytest.param(lambda s: antisym_solution((1.0, 0.05), (1.0, NAN), s),
+                     id="antisym-y"),
+        pytest.param(lambda s: phi_m(NAN, 0.0, 1, s.params), id="phi-y"),
+        pytest.param(lambda s: phi_m(np.array([0.0, NAN]), 0.0, 1, s.params),
+                     id="phi-y-array"),
+        pytest.param(lambda s: phi_m(0.0, NAN, 1, s.params), id="phi-eta"),
+        pytest.param(lambda s: envelope_g(NAN, s.params), id="envelope-eta"),
+    ])
+    def test_nan_coordinate_is_refused(self, state, evaluate):
+        with pytest.raises(ValueError):
+            evaluate(state)
+
+    @pytest.mark.parametrize("x, on_plate", [(-1e-12, True), (np.pi + 1e-12, True),
+                                             (-2e-12, False), (np.pi + 2e-12, False)])
+    def test_abscissa_slack_is_that_of_the_mesh(self, state, x, on_plate):
+        """A point within rounding of a short edge is on the plate for the
+        series exactly when it is for ``Mesh.contains``."""
+        assert Mesh(16, 4, state.params.half_width).contains(x, 0.0) == on_plate
+        calls = [lambda: green_value((x, 0.05), (1.0, 0.0), state),
+                 lambda: green_value((1.0, 0.0), (x, 0.05), state),
+                 lambda: uniform_load_profile((x, 0.05), state),
+                 lambda: antisym_solution((x, 0.05), (1.0, 0.05), state)]
+        for call in calls:
+            if on_plate:
+                assert abs(call()) < 1e-9
+            else:
+                with pytest.raises(ValueError, match="outside"):
+                    call()
 
 
 class TestThresholdAndBound:
